@@ -34,7 +34,6 @@ from .protocol import (
 )
 from .detection import (
     Cause,
-    CheckSet,
     DetectionVerdict,
     NO_MAJORITY,
     ReconstructionResult,

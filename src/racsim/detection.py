@@ -19,7 +19,7 @@ never produces a detection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Optional
 
@@ -46,12 +46,6 @@ class Cause(Enum):
     VOTE_MAJORITY = "VoteMajority"
 
 
-class Provenance(Enum):
-    DIRECT = "direct"
-    VOTED = "voted"
-    SELF = "self"
-
-
 @dataclass(frozen=True)
 class DetectionVerdict:
     suspect: int
@@ -59,23 +53,6 @@ class DetectionVerdict:
     round: int
     cause: Cause
     evidence: tuple = ()
-
-
-@dataclass
-class CheckSet:
-    """Verified running-sum values available to one detector this round."""
-
-    owner: int
-    round: int
-    entries: dict[int, Pair] = field(default_factory=dict)
-    provenance: dict[int, Provenance] = field(default_factory=dict)
-
-    def add(self, node: int, value: Pair, prov: Provenance) -> None:
-        self.entries[node] = value
-        self.provenance[node] = prov
-
-    def get(self, node: int) -> Optional[Pair]:
-        return self.entries.get(node)
 
 
 class _NoMajority:
@@ -90,8 +67,6 @@ NO_MAJORITY = _NoMajority()
 class ReconstructionResult:
     lam_pred: object
     gam_pred: object
-    y_prev: object
-    z_prev: object
     eps_lam: object
     eps_gam: object
 
@@ -189,8 +164,6 @@ def reconstruct_running_sums(
     return ReconstructionResult(
         lam_pred=lam_pred,
         gam_pred=gam_pred,
-        y_prev=y_prev,
-        z_prev=z_prev,
         eps_lam=phi_now.self_next[0] - lam_pred,
         eps_gam=phi_now.self_next[1] - gam_pred,
     )
@@ -210,12 +183,25 @@ class StructuralOracle:
         self.f = f
         self._middles: dict[tuple[int, int], frozenset[int]] = {}
         self._full_audit: dict[tuple[int, int], bool] = {}
+        self._in = {i: g.in_neighbors(i) for i in g.nodes}
+        self._out = {i: g.out_neighbors(i) for i in g.nodes}
+        # per detector i: each two-hop in-neighbor h beyond i's
+        # in-neighbors, ascending, with the in-neighbors of i relaying h
+        self.two_hop_relays: dict[int, tuple[tuple[int, tuple[int, ...]], ...]] = {}
+        for i in g.nodes:
+            in_i = self._in[i]
+            relays: dict[int, list[int]] = {}
+            for p in sorted(in_i):
+                for h in self._in[p]:
+                    if h != i and h not in in_i:
+                        relays.setdefault(h, []).append(p)
+            self.two_hop_relays[i] = tuple((h, tuple(relays[h])) for h in sorted(relays))
 
     def in_nbrs(self, i: int) -> frozenset[int]:
-        return self.g.in_neighbors(i)
+        return self._in[i]
 
     def out_nbrs(self, i: int) -> frozenset[int]:
-        return self.g.out_neighbors(i)
+        return self._out[i]
 
     def middles(self, h: int, i: int) -> frozenset[int]:
         key = (h, i)
@@ -278,120 +264,108 @@ class Alg3Result:
     detected_two_hop: frozenset[int]
 
 
-def _audit_steps_2_to_4(
-    state: NodeState,
-    j: int,
+Finding = tuple[Cause, tuple]  # cause and evidence of one verdict
+
+
+@dataclass(frozen=True)
+class SenderAudit:
+    """The receiver-independent part of auditing one broadcast.
+
+    fields is the first Step 2 (id sanity) or Step 4 declared-field
+    finding; replay is the Step 4 update-replay finding, computed only
+    when fields is None. Every receiver audits the same message, so the
+    engine computes this once per message sent.
+    """
+
+    fields: Optional[Finding]
+    replay: Optional[Finding]
+
+
+def audit_broadcast(
     msg: InformationSet,
-    check: CheckSet,
+    prev_msg: InformationSet,
     oracle: StructuralOracle,
     rule: ValueRule,
-    k: int,
-) -> list[DetectionVerdict]:
-    """Steps shared by both detectors: id sanity, value consistency
-    against the check set, declared-field cross-checks, and the full
-    arithmetic replay of the sender's update."""
-    i = state.id
-    verdicts = []
-
-    def condemn(cause: Cause, *evidence) -> None:
-        verdicts.append(
-            DetectionVerdict(suspect=j, detector=i, round=k, cause=cause, evidence=tuple(evidence))
-        )
-
-    in_j = oracle.in_nbrs(j)
-    legit = in_j | {j}
+) -> SenderAudit:
+    """Id sanity, declared-field cross-checks and the full arithmetic
+    replay of the sender's update, from its two consecutive messages."""
+    j = msg.sender
+    in_j, out_j = oracle.in_nbrs(j), oracle.out_nbrs(j)
     ids = set(msg.relayed)
-    foreign = ids - legit
-    missing = legit - ids
+    foreign = ids - in_j - {j}
+    missing = (in_j | {j}) - ids
+    expected_d = len(out_j - msg.detected)
+    expected_removed = len((out_j - prev_msg.detected) & msg.detected)
     if foreign:
-        condemn(Cause.STEP2, ("foreign_ids", tuple(sorted(foreign))))
-    if missing:
-        condemn(Cause.STEP2, ("missing_ids", tuple(sorted(missing))))
+        fields = (Cause.STEP2, (("foreign_ids", tuple(sorted(foreign))),))
+    elif missing:
+        fields = (Cause.STEP2, (("missing_ids", tuple(sorted(missing))),))
+    elif msg.declared_out_degree != expected_d:
+        fields = (Cause.STEP4, (("declared_out_degree", msg.declared_out_degree, expected_d),))
+    elif msg.declared_removed_out != expected_removed:
+        evidence = ("declared_removed_out", msg.declared_removed_out, expected_removed)
+        fields = (Cause.STEP4, (evidence,))
+    else:
+        rec = reconstruct_running_sums(msg, prev_msg, rule)
+        if rec.clean(rule):
+            return SenderAudit(None, None)
+        evidence = (("reported", msg.self_next), ("reconstructed", (rec.lam_pred, rec.gam_pred)))
+        return SenderAudit(None, (Cause.STEP4, evidence))
+    return SenderAudit(fields, None)
 
+
+def _audit_edge(
+    msg: InformationSet,
+    audit: SenderAudit,
+    check: Mapping[int, Pair],
+    rule: ValueRule,
+) -> Optional[Finding]:
+    """First finding of one receiver on one in-neighbor's message, in
+    check order: Step 2, Step 4 declared fields, Step 3 value
+    consistency against the receiver's check set, Step 4 replay."""
+    if audit.fields is not None:
+        return audit.fields
+    j = msg.sender
     claims = msg.detected
-    prev_msg = state.msg_history.get(j)
-    prev_claims = prev_msg.detected if prev_msg is not None else frozenset()
-    expected_d = len(oracle.out_nbrs(j) - claims)
-    if msg.declared_out_degree != expected_d:
-        condemn(Cause.STEP4, ("declared_out_degree", msg.declared_out_degree, expected_d))
-    expected_removed = len((oracle.out_nbrs(j) - prev_claims) & claims)
-    if msg.declared_removed_out != expected_removed:
-        condemn(Cause.STEP4, ("declared_removed_out", msg.declared_removed_out, expected_removed))
-
     for h, val in msg.relayed.items():
-        if h in foreign:
-            continue
         if h != j and h in claims:
             expected: Optional[Pair] = ZERO_PAIR
         else:
             expected = check.get(h)
         if expected is not None and not rule.pair_eq(val, expected):
-            condemn(Cause.STEP3, ("id", h), ("relayed", val), ("expected", expected))
-
-    if prev_msg is None:
-        prev_msg = virtual_initial_message(j, in_j)
-    rec = reconstruct_running_sums(msg, prev_msg, rule)
-    if not rec.clean(rule):
-        condemn(
-            Cause.STEP4,
-            ("reported", msg.self_next),
-            ("reconstructed", (rec.lam_pred, rec.gam_pred)),
-        )
-    return verdicts
-
-
-def _store_round_bookkeeping(
-    state: NodeState, inbox: Mapping[int, InformationSet]
-) -> None:
-    """Refresh the persistent check set and message history.
-
-    The stored self_next claims become next round's expected relayed
-    values; the detector's own entry is appended by the engine after
-    its state update.
-    """
-    new_check: dict[int, Pair] = {}
-    for j, msg in inbox.items():
-        new_check[j] = msg.self_next
-    state.check_set = new_check
-    state.msg_history = dict(inbox)
+            return Cause.STEP3, (("id", h), ("relayed", val), ("expected", expected))
+    return audit.replay
 
 
 def detect_alg2(
     state: NodeState,
     inbox: Mapping[int, InformationSet],
+    audits: Mapping[int, SenderAudit],
     shared: frozenset[int],
-    oracle: StructuralOracle,
     rule: ValueRule,
 ) -> list[DetectionVerdict]:
     """One round of sharing detection for one node.
 
-    shared is the oracle-distributed detection set as of last round;
-    every honest claim set must equal it exactly.
+    audits holds this round's audit_broadcast result per sender; shared
+    is the oracle-distributed detection set as of last round, and every
+    honest claim set must equal it exactly.
     """
     i = state.id
     k = state.round + 1
     verdicts: list[DetectionVerdict] = []
-    suspected: set[int] = set()
 
     def condemn(j: int, cause: Cause, *evidence) -> None:
-        if j in suspected:
-            return
-        suspected.add(j)
         verdicts.append(
             DetectionVerdict(suspect=j, detector=i, round=k, cause=cause, evidence=tuple(evidence))
         )
 
-    active_in = state.view.in_nbrs - state.detected
-    for j in sorted(active_in):
+    active_in = sorted(state.view.in_nbrs - state.detected)
+    for j in active_in:
         if j not in inbox:
             condemn(j, Cause.CRASH)
 
-    check = CheckSet(owner=i, round=k - 1)
-    for h, val in state.check_set.items():
-        check.add(h, val, Provenance.SELF if h == i else Provenance.DIRECT)
-
-    for j in sorted(active_in):
-        if j not in inbox or j in suspected:
+    for j in active_in:
+        if j not in inbox:
             continue
         msg = inbox[j]
         if msg.detected != shared:
@@ -402,21 +376,24 @@ def detect_alg2(
                 ("shared", tuple(sorted(shared))),
             )
             continue
-        for v in _audit_steps_2_to_4(state, j, msg, check, oracle, rule, k):
-            condemn(j, v.cause, *v.evidence)
+        finding = _audit_edge(msg, audits[j], state.check_set, rule)
+        if finding is not None:
+            condemn(j, finding[0], *finding[1])
 
-    _store_round_bookkeeping(state, inbox)
+    state.check_set = {j: msg.self_next for j, msg in inbox.items()}
     return verdicts
 
 
 def detect_alg3(
     state: NodeState,
     inbox: Mapping[int, InformationSet],
+    audits: Mapping[int, SenderAudit],
     oracle: StructuralOracle,
     rule: ValueRule,
 ) -> Alg3Result:
     """One round of fully distributed detection for one node.
 
+    audits holds this round's audit_broadcast result per sender.
     Returns the verdicts plus the node's updated detection sets; the
     caller applies them to the protocol state.
     """
@@ -450,24 +427,21 @@ def detect_alg3(
     }
 
     # extend the check set with majority-voted two-hop values
-    check = CheckSet(owner=i, round=k - 1)
-    for h, val in state.check_set.items():
-        check.add(h, val, Provenance.SELF if h == i else Provenance.DIRECT)
-    two_hop_ids = oracle.g.two_hop_in_neighbors(i) - state.view.in_nbrs - {i}
-    for h in sorted(two_hop_ids):
-        if h in detected or h in two_hop_detected or h in check.entries:
+    check = dict(state.check_set)
+    for h, relays in oracle.two_hop_relays[i]:
+        if h in detected or h in two_hop_detected or h in check:
             continue
         reports = [
-            (p, msg.relayed[h])
-            for p, msg in reporters.items()
-            if h in oracle.in_nbrs(p) and h in msg.relayed
+            (p, reporters[p].relayed[h])
+            for p in relays
+            if p in reporters and h in reporters[p].relayed
         ]
         if len(reports) < 2 * f + 1:
             continue
         voted = vote_value(reports, rule)
         if voted is NO_MAJORITY:
             continue
-        check.add(h, voted, Provenance.VOTED)
+        check[h] = voted
 
     # corroborated detection claims
     counts: dict[int, int] = {}
@@ -511,10 +485,13 @@ def detect_alg3(
 
         if j in detected:
             continue
-        for v in _audit_steps_2_to_4(state, j, msg, check, oracle, rule, k):
-            condemn(j, v.cause, *v.evidence)
+        finding = _audit_edge(msg, audits[j], check, rule)
+        if finding is not None:
+            condemn(j, finding[0], *finding[1])
 
-    _store_round_bookkeeping(state, inbox)
+    # this round's claims are next round's expected relayed values; the
+    # engine adds the detector's own entry after its state update
+    state.check_set = {j: msg.self_next for j, msg in inbox.items()}
     return Alg3Result(
         verdicts=tuple(verdicts),
         detected=frozenset(detected),

@@ -121,7 +121,6 @@ class NodeState:
     removed_out_count: int = 0
     # detection bookkeeping
     check_set: dict[int, Pair] = field(default_factory=dict)
-    msg_history: dict[int, InformationSet] = field(default_factory=dict)
     claim_first_seen: dict[tuple[int, int], int] = field(default_factory=dict)
     prev_claims: dict[int, frozenset[int]] = field(default_factory=dict)
 

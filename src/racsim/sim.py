@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
@@ -28,9 +27,11 @@ from .adversary import (
 from .detection import (
     DetectionVerdict,
     StructuralOracle,
+    audit_broadcast,
     detect_alg2,
     detect_alg3,
     init_range_check,
+    virtual_initial_message,
 )
 from .fixtures import FIXTURE_GRAPHS
 from .graph import AdversaryKind, DirectedGraph, read_edge_list
@@ -136,8 +137,12 @@ class Trace:
     def settle_round(self) -> int:
         return max((e.round for e in self.events), default=0)
 
-    def target_average(self) -> float:
+    def target_average(self) -> Optional[float]:
+        """Average initial value of the never-detected nodes, or None
+        when every node was suspected and no survivor is left."""
         keep = sorted(self.never_detected)
+        if not keep:
+            return None
         total = sum(self.scenario.x0[i - 1] for i in keep)
         return total / len(keep)
 
@@ -151,7 +156,11 @@ def run(scenario: Scenario) -> Trace:
     nodes = list(g.nodes)
     scripts = {s.node: s for s in scenario.adversaries}
     rngs = {v: adversary_rng(scenario.seed, v) for v in scripts}
-    oracle = StructuralOracle(g, scenario.f)
+    detecting = scenario.detection is not DetectionMode.NONE
+    if detecting:
+        oracle = StructuralOracle(g, scenario.f)
+        # each sender's previous broadcast, for the per-sender audit
+        prev_msgs = {i: virtual_initial_message(i, oracle.in_nbrs(i)) for i in nodes}
     views = {i: NodeView.from_graph(g, i) for i in nodes}
     x0 = {i: rule.convert(scenario.x0[i - 1]) for i in nodes}
 
@@ -238,13 +247,20 @@ def run(scenario: Scenario) -> Trace:
             for i in nodes
         }
 
-        # detect
+        # detect: every receiver audits the same broadcast, so its
+        # receiver-independent checks run once per message sent
         new_detected: dict[int, frozenset[int]] = {i: frozenset() for i in nodes}
+        if detecting:
+            sent = {j: msg for j, msg in msgs.items() if msg is not None}
+            audits = {
+                j: audit_broadcast(msg, prev_msgs[j], oracle, rule) for j, msg in sent.items()
+            }
+            prev_msgs.update(sent)
         if scenario.detection is DetectionMode.ALG3:
             for i in nodes:
                 if i in scripts:
                     continue
-                res = detect_alg3(states[i], inboxes[i], oracle, rule)
+                res = detect_alg3(states[i], inboxes[i], audits, oracle, rule)
                 trace.events.extend(res.verdicts)
                 new_detected[i] = res.detected - states[i].detected
                 states[i].detected_two_hop = set(res.detected_two_hop)
@@ -256,7 +272,7 @@ def run(scenario: Scenario) -> Trace:
             for i in nodes:
                 if i in scripts:
                     continue
-                verdicts = detect_alg2(states[i], inboxes[i], shared, oracle, rule)
+                verdicts = detect_alg2(states[i], inboxes[i], audits, shared, rule)
                 trace.events.extend(verdicts)
                 round_suspects |= {v.suspect for v in verdicts}
             new_shared = set(shared) | round_suspects
@@ -274,7 +290,7 @@ def run(scenario: Scenario) -> Trace:
             else:
                 inbox = inboxes[i]
             honest_round(states[i], inbox, new_detected[i], rule)
-            if scenario.detection is not DetectionMode.NONE and i not in scripts:
+            if detecting and i not in scripts:
                 states[i].check_set[i] = (states[i].prev_lam, states[i].prev_gam)
             _record(trace, i, states[i], scripts.get(i), k)
 
@@ -474,16 +490,15 @@ def write_events_csv(trace: Trace, path: Path) -> None:
 
 
 def _fmt(v) -> str:
-    if isinstance(v, Fraction):
-        return repr(float(v))
     return repr(float(v))
 
 
 def summary(trace: Trace) -> dict:
     target = trace.target_average()
+    converged = None if target is None else convergence_round(trace, target, trace.scenario.tol)
     return {
         "target": target,
-        "converged_round": convergence_round(trace, target, trace.scenario.tol),
+        "converged_round": converged,
         "settle_round": trace.settle_round,
         "never_detected": sorted(trace.never_detected),
     }

@@ -325,3 +325,206 @@ class TestSharingDetectionEndToEnd:
         first = min(e.round for e in trace.events)
         counts = [trace.detected_count[i][first] for i in (1, 2, 3)]
         assert counts == [1, 1, 1]
+
+
+# Scripts whose first verdict comes from a check that each receiver
+# used to repeat per edge; all actions start in round 3.
+_AUDITED_ACTIONS = {
+    "InjectFakeId": (AttackAction(ActionKind.INJECT_FAKE_ID, target=5, fake_values=(1.0, 1.0)),),
+    "DropRelayedEntry": (AttackAction(ActionKind.DROP_RELAYED_ENTRY, target=1),),
+    "LieDeclaredDegree": (AttackAction(ActionKind.LIE_DECLARED_DEGREE, value=1),),
+    "SetSelfValue": (AttackAction(ActionKind.SET_SELF_VALUE, value=42.0),),
+    "TamperRelayed": (AttackAction(ActionKind.TAMPER_RELAYED, target=2, amount=30.0),),
+    # Step 2 comes before Step 3 and the replay
+    "combined": (
+        AttackAction(ActionKind.INJECT_FAKE_ID, target=5, fake_values=(1.0, 1.0)),
+        AttackAction(ActionKind.TAMPER_RELAYED, target=2, amount=30.0),
+        AttackAction(ActionKind.SET_SELF_VALUE, value=42.0),
+    ),
+    # Step 3 comes before the replay
+    "TamperRelayed+SetSelfValue": (
+        AttackAction(ActionKind.TAMPER_RELAYED, target=2, amount=30.0),
+        AttackAction(ActionKind.SET_SELF_VALUE, value=42.0),
+    ),
+}
+
+
+def _audited_scenario(network: str, actions) -> Scenario:
+    schedule = tuple((3, a) for a in actions)
+    if network == "six-alg3":
+        return _six_scenario(*schedule)
+    return Scenario(
+        graph=complete_graph(4),
+        x0=(2.0, 4.0, 6.0, 20.0),
+        f=1,
+        detection=DetectionMode.ALG2,
+        sharing_oracle=True,
+        adversaries=(AttackScript(node=4, schedule=schedule),),
+        horizon=40,
+    )
+
+
+@pytest.mark.parametrize(
+    "network, script, expected",
+    [
+    pytest.param(
+        "six-alg3",
+        "InjectFakeId",
+        [
+            (4, 1, 6, "Step2", (("foreign_ids", (5,)),)),
+            (4, 2, 6, "Step2", (("foreign_ids", (5,)),)),
+            (4, 3, 6, "Step2", (("foreign_ids", (5,)),)),
+            (4, 4, 6, "Step2", (("foreign_ids", (5,)),)),
+            (5, 5, 6, "VoteMajority", (("reporters", 4),)),
+        ],
+        id="six-alg3-InjectFakeId",
+    ),
+    pytest.param(
+        "six-alg3",
+        "DropRelayedEntry",
+        [
+            (4, 1, 6, "Step2", (("missing_ids", (1,)),)),
+            (4, 2, 6, "Step2", (("missing_ids", (1,)),)),
+            (4, 3, 6, "Step2", (("missing_ids", (1,)),)),
+            (4, 4, 6, "Step2", (("missing_ids", (1,)),)),
+            (5, 5, 6, "VoteMajority", (("reporters", 4),)),
+        ],
+        id="six-alg3-DropRelayedEntry",
+    ),
+    pytest.param(
+        "six-alg3",
+        "LieDeclaredDegree",
+        [
+            (4, 1, 6, "Step4", (("declared_out_degree", 1, 4),)),
+            (4, 2, 6, "Step4", (("declared_out_degree", 1, 4),)),
+            (4, 3, 6, "Step4", (("declared_out_degree", 1, 4),)),
+            (4, 4, 6, "Step4", (("declared_out_degree", 1, 4),)),
+            (5, 5, 6, "VoteMajority", (("reporters", 4),)),
+        ],
+        id="six-alg3-LieDeclaredDegree",
+    ),
+    pytest.param(
+        "six-alg3",
+        "SetSelfValue",
+        [
+            (4, 1, 6, "Step4", (("reported", (42.0, 0.8000000000000002)), ("reconstructed", (4.2496, 0.8000000000000002)))),
+            (4, 2, 6, "Step4", (("reported", (42.0, 0.8000000000000002)), ("reconstructed", (4.2496, 0.8000000000000002)))),
+            (4, 3, 6, "Step4", (("reported", (42.0, 0.8000000000000002)), ("reconstructed", (4.2496, 0.8000000000000002)))),
+            (4, 4, 6, "Step4", (("reported", (42.0, 0.8000000000000002)), ("reconstructed", (4.2496, 0.8000000000000002)))),
+            (5, 5, 6, "VoteMajority", (("reporters", 4),)),
+        ],
+        id="six-alg3-SetSelfValue",
+    ),
+    pytest.param(
+        "six-alg3",
+        "TamperRelayed",
+        [
+            (4, 1, 6, "Step3", (("id", 2), ("relayed", (33.256, 0.6000000000000001)), ("expected", (3.2560000000000002, 0.6000000000000001)))),
+            (4, 2, 6, "Step3", (("id", 2), ("relayed", (33.256, 0.6000000000000001)), ("expected", (3.2560000000000002, 0.6000000000000001)))),
+            (4, 3, 6, "Step3", (("id", 2), ("relayed", (33.256, 0.6000000000000001)), ("expected", (3.2560000000000002, 0.6000000000000001)))),
+            (4, 4, 6, "Step3", (("id", 2), ("relayed", (33.256, 0.6000000000000001)), ("expected", (3.2560000000000002, 0.6000000000000001)))),
+            (5, 5, 6, "VoteMajority", (("reporters", 4),)),
+        ],
+        id="six-alg3-TamperRelayed",
+    ),
+    pytest.param(
+        "six-alg3",
+        "combined",
+        [
+            (4, 1, 6, "Step2", (("foreign_ids", (5,)),)),
+            (4, 2, 6, "Step2", (("foreign_ids", (5,)),)),
+            (4, 3, 6, "Step2", (("foreign_ids", (5,)),)),
+            (4, 4, 6, "Step2", (("foreign_ids", (5,)),)),
+            (5, 5, 6, "VoteMajority", (("reporters", 4),)),
+        ],
+        id="six-alg3-combined",
+    ),
+    pytest.param(
+        "six-alg3",
+        "TamperRelayed+SetSelfValue",
+        [
+            (4, 1, 6, "Step3", (("id", 2), ("relayed", (33.256, 0.6000000000000001)), ("expected", (3.2560000000000002, 0.6000000000000001)))),
+            (4, 2, 6, "Step3", (("id", 2), ("relayed", (33.256, 0.6000000000000001)), ("expected", (3.2560000000000002, 0.6000000000000001)))),
+            (4, 3, 6, "Step3", (("id", 2), ("relayed", (33.256, 0.6000000000000001)), ("expected", (3.2560000000000002, 0.6000000000000001)))),
+            (4, 4, 6, "Step3", (("id", 2), ("relayed", (33.256, 0.6000000000000001)), ("expected", (3.2560000000000002, 0.6000000000000001)))),
+            (5, 5, 6, "VoteMajority", (("reporters", 4),)),
+        ],
+        id="six-alg3-TamperRelayed+SetSelfValue",
+    ),
+    pytest.param(
+        "k4-alg2",
+        "InjectFakeId",
+        [
+            (4, 1, 4, "Step2", (("foreign_ids", (5,)),)),
+            (4, 2, 4, "Step2", (("foreign_ids", (5,)),)),
+            (4, 3, 4, "Step2", (("foreign_ids", (5,)),)),
+        ],
+        id="k4-alg2-InjectFakeId",
+    ),
+    pytest.param(
+        "k4-alg2",
+        "DropRelayedEntry",
+        [
+            (4, 1, 4, "Step2", (("missing_ids", (1,)),)),
+            (4, 2, 4, "Step2", (("missing_ids", (1,)),)),
+            (4, 3, 4, "Step2", (("missing_ids", (1,)),)),
+        ],
+        id="k4-alg2-DropRelayedEntry",
+    ),
+    pytest.param(
+        "k4-alg2",
+        "LieDeclaredDegree",
+        [
+            (4, 1, 4, "Step4", (("declared_out_degree", 1, 3),)),
+            (4, 2, 4, "Step4", (("declared_out_degree", 1, 3),)),
+            (4, 3, 4, "Step4", (("declared_out_degree", 1, 3),)),
+        ],
+        id="k4-alg2-LieDeclaredDegree",
+    ),
+    pytest.param(
+        "k4-alg2",
+        "SetSelfValue",
+        [
+            (4, 1, 4, "Step4", (("reported", (42.0, 1.0)), ("reconstructed", (11.0, 1.0)))),
+            (4, 2, 4, "Step4", (("reported", (42.0, 1.0)), ("reconstructed", (11.0, 1.0)))),
+            (4, 3, 4, "Step4", (("reported", (42.0, 1.0)), ("reconstructed", (11.0, 1.0)))),
+        ],
+        id="k4-alg2-SetSelfValue",
+    ),
+    pytest.param(
+        "k4-alg2",
+        "TamperRelayed",
+        [
+            (4, 1, 4, "Step3", (("id", 2), ("relayed", (35.0, 0.75)), ("expected", (5.0, 0.75)))),
+            (4, 2, 4, "Step3", (("id", 2), ("relayed", (35.0, 0.75)), ("expected", (5.0, 0.75)))),
+            (4, 3, 4, "Step3", (("id", 2), ("relayed", (35.0, 0.75)), ("expected", (5.0, 0.75)))),
+        ],
+        id="k4-alg2-TamperRelayed",
+    ),
+    pytest.param(
+        "k4-alg2",
+        "combined",
+        [
+            (4, 1, 4, "Step2", (("foreign_ids", (5,)),)),
+            (4, 2, 4, "Step2", (("foreign_ids", (5,)),)),
+            (4, 3, 4, "Step2", (("foreign_ids", (5,)),)),
+        ],
+        id="k4-alg2-combined",
+    ),
+    pytest.param(
+        "k4-alg2",
+        "TamperRelayed+SetSelfValue",
+        [
+            (4, 1, 4, "Step3", (("id", 2), ("relayed", (35.0, 0.75)), ("expected", (5.0, 0.75)))),
+            (4, 2, 4, "Step3", (("id", 2), ("relayed", (35.0, 0.75)), ("expected", (5.0, 0.75)))),
+            (4, 3, 4, "Step3", (("id", 2), ("relayed", (35.0, 0.75)), ("expected", (5.0, 0.75)))),
+        ],
+        id="k4-alg2-TamperRelayed+SetSelfValue",
+    ),
+    ],
+)
+def test_audit_verdicts_are_pinned(network, script, expected):
+    """Every (round, detector, suspect, cause, evidence), in order."""
+    trace = run(_audited_scenario(network, _AUDITED_ACTIONS[script]))
+    got = [(e.round, e.detector, e.suspect, e.cause.value, e.evidence) for e in trace.events]
+    assert got == expected

@@ -4,12 +4,14 @@ from fractions import Fraction
 import pytest
 
 from racsim.adversary import ActionKind, AttackAction, AttackScript
+from racsim.detection import Cause, DetectionVerdict
 from racsim.fixtures import X0_SIX, six_node_graph
 from racsim.graph import DirectedGraph, complete_graph
 from racsim.sim import (
     DetectionMode,
     Scenario,
     ScenarioError,
+    Trace,
     convergence_round,
     mass_sums,
     run,
@@ -172,6 +174,29 @@ class TestTraceProperties:
         assert s["never_detected"] == [1, 2, 3, 4, 5]
         assert s["settle_round"] >= 4
         assert isinstance(s["converged_round"], int)
+
+    def test_no_survivors_leave_no_target(self):
+        sc = _basic_scenario(horizon=2)
+        series = {i: [X0_SIX[i - 1]] * 3 for i in sc.graph.nodes}
+        trace = Trace(
+            scenario=sc,
+            y=series,
+            z={i: [1.0] * 3 for i in sc.graph.nodes},
+            r=series,
+            detected_count={i: [0, 0, 1] for i in sc.graph.nodes},
+            events=[
+                DetectionVerdict(suspect=j, detector=i, round=2, cause=Cause.STEP3)
+                for i, j in ((2, 1), (1, 2), (4, 3), (3, 4), (6, 5), (5, 6))
+            ],
+        )
+        assert trace.never_detected == frozenset()
+        assert trace.target_average() is None
+        s = summary(trace)
+        assert s["target"] is None
+        assert s["converged_round"] is None
+        assert s["never_detected"] == []
+        text = json.dumps(s)
+        assert '"target": null' in text and '"converged_round": null' in text
 
     def test_convergence_round_none_when_never_converged(self):
         trace = run(_basic_scenario(horizon=5))
