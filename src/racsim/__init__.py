@@ -30,7 +30,6 @@ from .protocol import (
     bootstrap,
     build_information_set,
     honest_round,
-    ratio,
 )
 from .detection import (
     Cause,

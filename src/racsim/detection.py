@@ -271,24 +271,30 @@ Finding = tuple[Cause, tuple]  # cause and evidence of one verdict
 class SenderAudit:
     """The receiver-independent part of auditing one broadcast.
 
-    fields is the first Step 2 (id sanity) or Step 4 declared-field
-    finding; replay is the Step 4 update-replay finding, computed only
-    when fields is None. Every receiver audits the same message, so the
-    engine computes this once per message sent.
+    Every receiver audits the same message, so the engine computes this
+    once per message sent. fields is the first Step 2 (id sanity) or
+    Step 4 declared-field finding. Without one, replay is the Step 4
+    update-replay finding, and consistent and faithful say that every
+    relayed entry passes Step 3 against, and is ==, the public value:
+    what its id broadcast as its next running sums last round.
     """
 
     fields: Optional[Finding]
-    replay: Optional[Finding]
+    replay: Optional[Finding] = None
+    consistent: bool = False
+    faithful: bool = False
 
 
 def audit_broadcast(
     msg: InformationSet,
     prev_msg: InformationSet,
+    public: Mapping[int, Pair],
     oracle: StructuralOracle,
     rule: ValueRule,
 ) -> SenderAudit:
-    """Id sanity, declared-field cross-checks and the full arithmetic
-    replay of the sender's update, from its two consecutive messages."""
+    """Id sanity, declared-field cross-checks, the full arithmetic
+    replay of the sender's update from its two consecutive messages,
+    and Step 3 against the public values."""
     j = msg.sender
     in_j, out_j = oracle.in_nbrs(j), oracle.out_nbrs(j)
     ids = set(msg.relayed)
@@ -297,43 +303,59 @@ def audit_broadcast(
     expected_d = len(out_j - msg.detected)
     expected_removed = len((out_j - prev_msg.detected) & msg.detected)
     if foreign:
-        fields = (Cause.STEP2, (("foreign_ids", tuple(sorted(foreign))),))
-    elif missing:
-        fields = (Cause.STEP2, (("missing_ids", tuple(sorted(missing))),))
-    elif msg.declared_out_degree != expected_d:
-        fields = (Cause.STEP4, (("declared_out_degree", msg.declared_out_degree, expected_d),))
-    elif msg.declared_removed_out != expected_removed:
+        return SenderAudit((Cause.STEP2, (("foreign_ids", tuple(sorted(foreign))),)))
+    if missing:
+        return SenderAudit((Cause.STEP2, (("missing_ids", tuple(sorted(missing))),)))
+    if msg.declared_out_degree != expected_d:
+        evidence = ("declared_out_degree", msg.declared_out_degree, expected_d)
+        return SenderAudit((Cause.STEP4, (evidence,)))
+    if msg.declared_removed_out != expected_removed:
         evidence = ("declared_removed_out", msg.declared_removed_out, expected_removed)
-        fields = (Cause.STEP4, (evidence,))
-    else:
-        rec = reconstruct_running_sums(msg, prev_msg, rule)
-        if rec.clean(rule):
-            return SenderAudit(None, None)
+        return SenderAudit((Cause.STEP4, (evidence,)))
+    rec = reconstruct_running_sums(msg, prev_msg, rule)
+    replay = None
+    if not rec.clean(rule):
         evidence = (("reported", msg.self_next), ("reconstructed", (rec.lam_pred, rec.gam_pred)))
-        return SenderAudit(None, (Cause.STEP4, evidence))
-    return SenderAudit(fields, None)
+        replay = (Cause.STEP4, evidence)
+    # == and not pair_eq, since tolerance comparisons are not transitive
+    faithful = all(public.get(h) == val for h, val in msg.relayed.items())
+    return SenderAudit(None, replay, _step3(msg, public, rule) is None, faithful)
+
+
+def _step3(msg: InformationSet, values: Mapping[int, Pair], rule: ValueRule) -> Optional[Finding]:
+    """Step 3: the first relayed entry unequal to ZERO_PAIR if the sender
+    claims its id (not its own), else to its entry in values, if any."""
+    j = msg.sender
+    claims = msg.detected
+    for h, val in msg.relayed.items():
+        expected = ZERO_PAIR if h != j and h in claims else values.get(h)
+        if expected is not None and not rule.pair_eq(val, expected):
+            return Cause.STEP3, (("id", h), ("relayed", val), ("expected", expected))
+    return None
+
+
+def _deviating(check: Mapping[int, Pair], public: Mapping[int, Pair]) -> frozenset[int]:
+    """Ids whose check value is not == their public value, or that public lacks."""
+    return frozenset(h for h, v in check.items() if public.get(h) != v)
 
 
 def _audit_edge(
     msg: InformationSet,
     audit: SenderAudit,
     check: Mapping[int, Pair],
+    deviating: frozenset[int],
     rule: ValueRule,
 ) -> Optional[Finding]:
     """First finding of one receiver on one in-neighbor's message, in
     check order: Step 2, Step 4 declared fields, Step 3 value
-    consistency against the receiver's check set, Step 4 replay."""
+    consistency against the receiver's check set, Step 4 replay. A
+    consistent sender relaying no id in deviating passes Step 3 here."""
     if audit.fields is not None:
         return audit.fields
-    j = msg.sender
-    claims = msg.detected
-    for h, val in msg.relayed.items():
-        if h != j and h in claims:
-            expected: Optional[Pair] = ZERO_PAIR
-        else:
-            expected = check.get(h)
-        if expected is not None and not rule.pair_eq(val, expected):
-            return Cause.STEP3, (("id", h), ("relayed", val), ("expected", expected))
+    if not audit.consistent or not deviating.isdisjoint(msg.relayed):
+        finding = _step3(msg, check, rule)
+        if finding is not None:
+            return finding
     return audit.replay
 
 
@@ -341,14 +363,16 @@ def detect_alg2(
     state: NodeState,
     inbox: Mapping[int, InformationSet],
     audits: Mapping[int, SenderAudit],
+    public: Mapping[int, Pair],
     shared: frozenset[int],
     rule: ValueRule,
 ) -> list[DetectionVerdict]:
     """One round of sharing detection for one node.
 
-    audits holds this round's audit_broadcast result per sender; shared
-    is the oracle-distributed detection set as of last round, and every
-    honest claim set must equal it exactly.
+    audits holds this round's audit_broadcast result per sender, made
+    against the public values; shared is the oracle-distributed
+    detection set as of last round, and every honest claim set must
+    equal it exactly.
     """
     i = state.id
     k = state.round + 1
@@ -364,6 +388,7 @@ def detect_alg2(
         if j not in inbox:
             condemn(j, Cause.CRASH)
 
+    deviating = _deviating(state.check_set, public)
     for j in active_in:
         if j not in inbox:
             continue
@@ -376,7 +401,7 @@ def detect_alg2(
                 ("shared", tuple(sorted(shared))),
             )
             continue
-        finding = _audit_edge(msg, audits[j], state.check_set, rule)
+        finding = _audit_edge(msg, audits[j], state.check_set, deviating, rule)
         if finding is not None:
             condemn(j, finding[0], *finding[1])
 
@@ -388,12 +413,14 @@ def detect_alg3(
     state: NodeState,
     inbox: Mapping[int, InformationSet],
     audits: Mapping[int, SenderAudit],
+    public: Mapping[int, Pair],
     oracle: StructuralOracle,
     rule: ValueRule,
 ) -> Alg3Result:
     """One round of fully distributed detection for one node.
 
-    audits holds this round's audit_broadcast result per sender.
+    audits holds this round's audit_broadcast result per sender, made
+    against the public values.
     Returns the verdicts plus the node's updated detection sets; the
     caller applies them to the protocol state.
     """
@@ -426,22 +453,26 @@ def detect_alg3(
         j: inbox[j] for j in sorted(active_in) if j in inbox and j not in detected
     }
 
-    # extend the check set with majority-voted two-hop values
-    check = dict(state.check_set)
-    for h, relays in oracle.two_hop_relays[i]:
-        if h in detected or h in two_hop_detected or h in check:
-            continue
-        reports = [
-            (p, reporters[p].relayed[h])
-            for p in relays
-            if p in reporters and h in reporters[p].relayed
-        ]
-        if len(reports) < 2 * f + 1:
-            continue
-        voted = vote_value(reports, rule)
-        if voted is NO_MAJORITY:
-            continue
-        check[h] = voted
+    # extend the check set with majority-voted two-hop values; if every
+    # report is == its public value, so is a vote, and Step 3 needs none
+    check = state.check_set
+    if not all(audits[j].consistent and audits[j].faithful for j in reporters):
+        check = dict(check)
+        for h, relays in oracle.two_hop_relays[i]:
+            if h in detected or h in two_hop_detected or h in check:
+                continue
+            reports = [
+                (p, reporters[p].relayed[h])
+                for p in relays
+                if p in reporters and h in reporters[p].relayed
+            ]
+            if len(reports) < 2 * f + 1:
+                continue
+            voted = vote_value(reports, rule)
+            if voted is NO_MAJORITY:
+                continue
+            check[h] = voted
+    deviating = _deviating(check, public)
 
     # corroborated detection claims
     counts: dict[int, int] = {}
@@ -485,7 +516,7 @@ def detect_alg3(
 
         if j in detected:
             continue
-        finding = _audit_edge(msg, audits[j], check, rule)
+        finding = _audit_edge(msg, audits[j], check, deviating, rule)
         if finding is not None:
             condemn(j, finding[0], *finding[1])
 

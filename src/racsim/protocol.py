@@ -49,7 +49,10 @@ class ValueRule:
         return abs(a - b) <= self.tol
 
     def pair_eq(self, a: Pair, b: Pair) -> bool:
-        return self.eq(a[0], b[0]) and self.eq(a[1], b[1])
+        if self.exact:
+            return a[0] == b[0] and a[1] == b[1]
+        tol = self.tol
+        return abs(a[0] - b[0]) <= tol and abs(a[1] - b[1]) <= tol
 
     def z_ok(self, z: Number) -> bool:
         if self.exact:
@@ -113,7 +116,6 @@ class NodeState:
     prev_lam: Number  # running sums at the current round, one step behind run
     prev_gam: Number
     ledger: dict[int, Pair]  # per in-neighbor running sums read this round
-    ledger_prev: dict[int, Pair]
     detected: set[int] = field(default_factory=set)
     detected_two_hop: set[int] = field(default_factory=set)
     active_out: frozenset[int] = frozenset()
@@ -193,7 +195,6 @@ def bootstrap(
         prev_lam=lam1,
         prev_gam=gam1,
         ledger=ledger,
-        ledger_prev={j: ZERO_PAIR for j in view.in_nbrs},
         detected=detected,
         active_out=active_out,
         out_degree=d_eff,
@@ -257,7 +258,6 @@ def honest_round(
     low_mass = not rule.z_ok(z)
     ratio = s.run.ratio if low_mass else y / z
 
-    s.ledger_prev = s.ledger
     s.ledger = new_ledger
     s.prev_lam = lam_k
     s.prev_gam = gam_k
@@ -273,7 +273,3 @@ def honest_round(
     s.out_degree = d_out
     s.removed_out_count = len(removed_out)
     return RoundResult(ratio=ratio, low_mass=low_mass, crashed=crashed)
-
-
-def ratio(s: NodeState) -> Number:
-    return s.run.ratio

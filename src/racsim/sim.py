@@ -199,7 +199,7 @@ def run(scenario: Scenario) -> Trace:
         for i in nodes:
             if i in scripts:
                 continue
-            for j in g.in_neighbors(i):
+            for j in views[i].in_nbrs:
                 if shares[j] is None:
                     continue
                 lam, gam = shares[j]
@@ -219,7 +219,7 @@ def run(scenario: Scenario) -> Trace:
     for i in nodes:
         received = {
             j: shares[j]
-            for j in g.in_neighbors(i)
+            for j in views[i].in_nbrs
             if shares[j] is not None and j not in pre_detected[i]
         }
         states[i] = bootstrap(i, x0[i], views[i], received, rule,
@@ -230,6 +230,9 @@ def run(scenario: Scenario) -> Trace:
 
     for i in nodes:
         _record(trace, i, states[i], scripts.get(i), 1)
+    if detecting:
+        # what each node broadcast as its next running sums last round
+        public = {i: share for i, share in shares.items() if share is not None}
 
     for k in range(2, scenario.horizon + 1):
         # emit: one identical message per node, possibly forged
@@ -243,7 +246,7 @@ def run(scenario: Scenario) -> Trace:
             else:
                 msgs[i] = truth
         inboxes = {
-            i: {j: msgs[j] for j in g.in_neighbors(i) if msgs[j] is not None}
+            i: {j: msgs[j] for j in views[i].in_nbrs if msgs[j] is not None}
             for i in nodes
         }
 
@@ -252,15 +255,14 @@ def run(scenario: Scenario) -> Trace:
         new_detected: dict[int, frozenset[int]] = {i: frozenset() for i in nodes}
         if detecting:
             sent = {j: msg for j, msg in msgs.items() if msg is not None}
-            audits = {
-                j: audit_broadcast(msg, prev_msgs[j], oracle, rule) for j, msg in sent.items()
-            }
+            audits = {j: audit_broadcast(m, prev_msgs[j], public, oracle, rule)
+                      for j, m in sent.items()}
             prev_msgs.update(sent)
         if scenario.detection is DetectionMode.ALG3:
             for i in nodes:
                 if i in scripts:
                     continue
-                res = detect_alg3(states[i], inboxes[i], audits, oracle, rule)
+                res = detect_alg3(states[i], inboxes[i], audits, public, oracle, rule)
                 trace.events.extend(res.verdicts)
                 new_detected[i] = res.detected - states[i].detected
                 states[i].detected_two_hop = set(res.detected_two_hop)
@@ -272,12 +274,14 @@ def run(scenario: Scenario) -> Trace:
             for i in nodes:
                 if i in scripts:
                     continue
-                verdicts = detect_alg2(states[i], inboxes[i], audits, shared, rule)
+                verdicts = detect_alg2(states[i], inboxes[i], audits, public, shared, rule)
                 trace.events.extend(verdicts)
                 round_suspects |= {v.suspect for v in verdicts}
             new_shared = set(shared) | round_suspects
             for i in nodes:
                 new_detected[i] = frozenset(new_shared - states[i].detected - {i})
+        if detecting:
+            public = {j: msg.self_next for j, msg in sent.items()}
 
         # update
         for i in nodes:

@@ -328,7 +328,8 @@ class TestSharingDetectionEndToEnd:
 
 
 # Scripts whose first verdict comes from a check that each receiver
-# used to repeat per edge; all actions start in round 3.
+# used to repeat per edge; all actions start in round 3 unless
+# _SLOW_PATH_SETUPS says otherwise.
 _AUDITED_ACTIONS = {
     "InjectFakeId": (AttackAction(ActionKind.INJECT_FAKE_ID, target=5, fake_values=(1.0, 1.0)),),
     "DropRelayedEntry": (AttackAction(ActionKind.DROP_RELAYED_ENTRY, target=1),),
@@ -346,13 +347,30 @@ _AUDITED_ACTIONS = {
         AttackAction(ActionKind.TAMPER_RELAYED, target=2, amount=30.0),
         AttackAction(ActionKind.SET_SELF_VALUE, value=42.0),
     ),
+    "screened-SetSelfValue": (AttackAction(ActionKind.SET_SELF_VALUE, value=50.0),),
+    "ZeroRelayForClaim": (AttackAction(ActionKind.SET_SELF_VALUE, value=42.0),),
+    "TwoHopRelayDisagrees": (AttackAction(ActionKind.TAMPER_RELAYED, target=6, amount=30.0),),
+}
+
+# Scripts under which a receiver leaves the once-per-broadcast Step 3
+# for its per-edge loop, or runs its two-hop votes, and how their
+# set-up differs from the others
+_SLOW_PATH_SETUPS = {
+    # round-1 safety-interval screening: the forged first share is public
+    "screened-SetSelfValue": {"start": 1, "interval": (0.0, 12.0)},
+    # node 2 hears node 1's accusers relay ZERO_PAIR for the id they claim
+    "ZeroRelayForClaim": {"node": 1},
+    # node 5 votes on node 6 over relays that disagree, one tampered by node 1
+    "TwoHopRelayDisagrees": {"node": 1},
 }
 
 
-def _audited_scenario(network: str, actions) -> Scenario:
-    schedule = tuple((3, a) for a in actions)
+def _audited_scenario(
+    network: str, actions, node: int = 6, start: int = 3, interval=None
+) -> Scenario:
+    schedule = tuple((start, a) for a in actions)
     if network == "six-alg3":
-        return _six_scenario(*schedule)
+        return replace(_six_scenario(*schedule, node=node), safety_interval=interval)
     return Scenario(
         graph=complete_graph(4),
         x0=(2.0, 4.0, 6.0, 20.0),
@@ -361,6 +379,7 @@ def _audited_scenario(network: str, actions) -> Scenario:
         sharing_oracle=True,
         adversaries=(AttackScript(node=4, schedule=schedule),),
         horizon=40,
+        safety_interval=interval,
     )
 
 
@@ -521,10 +540,57 @@ def _audited_scenario(network: str, actions) -> Scenario:
         ],
         id="k4-alg2-TamperRelayed+SetSelfValue",
     ),
+    pytest.param(
+        "six-alg3",
+        "screened-SetSelfValue",
+        [
+            (1, 1, 6, "InitRange", (("reported", 50.0), ("interval", (0.0, 12.0)))),
+            (1, 2, 6, "InitRange", (("reported", 50.0), ("interval", (0.0, 12.0)))),
+            (1, 3, 6, "InitRange", (("reported", 50.0), ("interval", (0.0, 12.0)))),
+            (1, 4, 6, "InitRange", (("reported", 50.0), ("interval", (0.0, 12.0)))),
+            (2, 5, 6, "VoteMajority", (("reporters", 4),)),
+        ],
+        id="six-alg3-screened-SetSelfValue",
+    ),
+    pytest.param(
+        "k4-alg2",
+        "screened-SetSelfValue",
+        [
+            (1, 1, 4, "InitRange", (("reported", 50.0), ("interval", (0.0, 12.0)))),
+            (1, 2, 4, "InitRange", (("reported", 50.0), ("interval", (0.0, 12.0)))),
+            (1, 3, 4, "InitRange", (("reported", 50.0), ("interval", (0.0, 12.0)))),
+        ],
+        id="k4-alg2-screened-SetSelfValue",
+    ),
+    pytest.param(
+        "six-alg3",
+        "ZeroRelayForClaim",
+        [
+            (4, 3, 1, "Step4", (("reported", (42.0, 0.8000000000000002)), ("reconstructed", (4.7488, 0.8000000000000002)))),
+            (4, 4, 1, "Step4", (("reported", (42.0, 0.8000000000000002)), ("reconstructed", (4.7488, 0.8000000000000002)))),
+            (4, 5, 1, "Step4", (("reported", (42.0, 0.8000000000000002)), ("reconstructed", (4.7488, 0.8000000000000002)))),
+            (4, 6, 1, "Step4", (("reported", (42.0, 0.8000000000000002)), ("reconstructed", (4.7488, 0.8000000000000002)))),
+            (5, 2, 1, "VoteMajority", (("reporters", 4),)),
+        ],
+        id="six-alg3-ZeroRelayForClaim",
+    ),
+    pytest.param(
+        "six-alg3",
+        "TwoHopRelayDisagrees",
+        [
+            (4, 3, 1, "Step3", (("id", 6), ("relayed", (33.248, 0.6000000000000001)), ("expected", (3.248, 0.6000000000000001)))),
+            (4, 4, 1, "Step3", (("id", 6), ("relayed", (33.248, 0.6000000000000001)), ("expected", (3.248, 0.6000000000000001)))),
+            (4, 5, 1, "Step3", (("id", 6), ("relayed", (33.248, 0.6000000000000001)), ("expected", (3.248, 0.6000000000000001)))),
+            (4, 6, 1, "Step3", (("id", 6), ("relayed", (33.248, 0.6000000000000001)), ("expected", (3.248, 0.6000000000000001)))),
+            (5, 2, 1, "VoteMajority", (("reporters", 4),)),
+        ],
+        id="six-alg3-TwoHopRelayDisagrees",
+    ),
     ],
 )
 def test_audit_verdicts_are_pinned(network, script, expected):
     """Every (round, detector, suspect, cause, evidence), in order."""
-    trace = run(_audited_scenario(network, _AUDITED_ACTIONS[script]))
+    setup = _SLOW_PATH_SETUPS.get(script, {})
+    trace = run(_audited_scenario(network, _AUDITED_ACTIONS[script], **setup))
     got = [(e.round, e.detector, e.suspect, e.cause.value, e.evidence) for e in trace.events]
     assert got == expected

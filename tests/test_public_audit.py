@@ -1,0 +1,183 @@
+"""Step 3 once per broadcast against the public values.
+
+A receiver repeats Step 3 per edge, and runs its two-hop votes, only
+where its check set differs from the public values (what each sender
+broadcast as its next running sums last round). These tests check that
+the shortcut gives exactly the verdicts of the full per-receiver path.
+"""
+
+import math
+from copy import deepcopy
+from dataclasses import replace
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from racsim.adversary import (
+    ActionKind,
+    AttackAction,
+    AttackScript,
+    adversary_rng,
+    forge_information_set,
+)
+from racsim.detection import (
+    StructuralOracle,
+    _audit_edge,
+    _deviating,
+    audit_broadcast,
+    detect_alg2,
+    detect_alg3,
+    virtual_initial_message,
+)
+from racsim.fixtures import X0_SIX, six_node_graph
+from racsim.graph import complete_graph
+from racsim.protocol import (
+    ZERO_PAIR,
+    InformationSet,
+    NodeView,
+    ValueRule,
+    bootstrap,
+    build_information_set,
+    honest_round,
+    initial_share,
+)
+
+FLOAT = ValueRule()
+EXACT = ValueRule(exact=True)
+
+NAN = float("nan")
+OTHER_NAN = float("nan")
+# equal, within the default tolerance 1e-9 and just beyond it; int and
+# float zeros of both signs; inf and two distinct NaN objects
+FLOAT_PARTS = (1.0, 1.0 + 6e-10, 1.0 + 1.2e-9, 0, 0.0, -0.0, math.inf, NAN, OTHER_NAN)
+EXACT_PARTS = (Fraction(1, 3), Fraction(2, 3), Fraction(1, 2), 0.5, 1, Fraction(1), 0, Fraction(0))
+
+K5 = complete_graph(5)
+K5_ORACLE = StructuralOracle(K5, 1)
+
+
+@st.composite
+def edges(draw):
+    """One broadcast from node 1 of K5 that passes Step 2 and the
+    declared-field checks, with a public table and a receiver's check
+    set drawn so that values often coincide."""
+    rule = draw(st.sampled_from([FLOAT, EXACT]))
+    pairs = st.tuples(*[st.sampled_from(FLOAT_PARTS if rule is FLOAT else EXACT_PARTS)] * 2)
+    ids = range(1, 6)
+    public = {h: draw(pairs) for h in ids if draw(st.booleans())}
+
+    def near(h):
+        return st.one_of(st.just(public[h]), pairs) if h in public else pairs
+
+    claims = draw(st.frozensets(st.sampled_from(ids)))
+    relayed = {h: draw(st.one_of(near(h), st.just(ZERO_PAIR))) for h in ids}
+    check = {h: draw(near(h)) for h in ids if draw(st.integers(0, 3))}
+    out = K5.out_neighbors(1)
+    msg = InformationSet(
+        sender=1,
+        round=3,
+        detected=claims,
+        self_next=draw(pairs),
+        relayed=relayed,
+        declared_out_degree=len(out - claims),
+        declared_removed_out=len(out & claims),
+    )
+    return msg, public, check, rule
+
+
+@settings(max_examples=500, deadline=None)
+@given(edges())
+def test_shortcut_matches_treating_every_check_id_as_deviating(case):
+    msg, public, check, rule = case
+    prev = virtual_initial_message(1, K5.in_neighbors(1))
+    audit = audit_broadcast(msg, prev, public, K5_ORACLE, rule)
+    assert audit.fields is None
+    shortcut = _audit_edge(msg, audit, check, _deviating(check, public), rule)
+    assert shortcut == _audit_edge(msg, audit, check, frozenset(check), rule)
+    assert shortcut == _audit_edge(msg, replace(audit, consistent=False), check, frozenset(), rule)
+
+
+def test_deviating_compares_with_eq_and_counts_missing_ids():
+    check = {1: (0, 0.0), 2: (NAN, 1.0), 3: (1.0, 1.0), 4: (1.0 + 6e-10, 1.0), 5: (2.0, 2.0)}
+    public = {1: (0.0, -0.0), 2: (NAN, 1.0), 3: (OTHER_NAN, 1.0), 4: (1.0, 1.0)}
+    assert _deviating(check, public) == {3, 4, 5}
+
+
+# one forged action per ActionKind, from round 3
+_ACTIONS = {
+    ActionKind.COMPLY: AttackAction(ActionKind.COMPLY),
+    ActionKind.CRASH: AttackAction(ActionKind.CRASH),
+    ActionKind.SET_SELF_VALUE: AttackAction(ActionKind.SET_SELF_VALUE, value=42.0),
+    ActionKind.TAMPER_RELAYED: AttackAction(ActionKind.TAMPER_RELAYED, target=2, amount=30.0),
+    ActionKind.INJECT_FAKE_ID: AttackAction(
+        ActionKind.INJECT_FAKE_ID, target=5, fake_values=(1.0, 1.0)
+    ),
+    ActionKind.DROP_RELAYED_ENTRY: AttackAction(ActionKind.DROP_RELAYED_ENTRY, target=1),
+    ActionKind.FALSELY_ACCUSE: AttackAction(ActionKind.FALSELY_ACCUSE, target=3),
+    ActionKind.LIE_DECLARED_DEGREE: AttackAction(ActionKind.LIE_DECLARED_DEGREE, value=1),
+}
+
+# graph, initial values, adversary, ALG3 (else ALG2)
+_NETWORKS = {
+    "six-alg3": (six_node_graph(), X0_SIX, 6, True),
+    "k4-alg2": (complete_graph(4), (2.0, 4.0, 6.0, 20.0), 4, False),
+}
+
+
+@pytest.mark.parametrize("rule", [FLOAT, EXACT], ids=["float", "exact"])
+@pytest.mark.parametrize("kind", list(ActionKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("network", list(_NETWORKS))
+def test_empty_public_table_gives_the_same_detection(network, kind, rule):
+    """An empty public table sends every edge down the per-receiver
+    path and runs every vote; the detectors must not notice."""
+    g, x0, adversary, alg3 = _NETWORKS[network]
+    oracle = StructuralOracle(g, 1)
+    script = AttackScript(node=adversary, schedule=((3, _ACTIONS[kind]),))
+    rng = adversary_rng(0, adversary)
+    normal = [i for i in g.nodes if i != adversary]
+    views = {i: NodeView.from_graph(g, i) for i in g.nodes}
+    public = {i: initial_share(x0[i - 1], g.out_degree(i), rule) for i in g.nodes}
+    states = {}
+    for i in g.nodes:
+        states[i] = bootstrap(i, x0[i - 1], views[i], {j: public[j] for j in views[i].in_nbrs}, rule)
+        states[i].check_set = {j: public[j] for j in views[i].in_nbrs | {i}}
+    prev = {i: virtual_initial_message(i, views[i].in_nbrs) for i in g.nodes}
+    shortcuts = 0
+    for k in range(2, 9):
+        msgs = {i: build_information_set(states[i]) for i in g.nodes}
+        msgs[adversary] = forge_information_set(msgs[adversary], script, k - 1, rng)
+        sent = {j: m for j, m in msgs.items() if m is not None}
+        audits = {j: audit_broadcast(m, prev[j], public, oracle, rule) for j, m in sent.items()}
+        blind = {j: audit_broadcast(m, prev[j], {}, oracle, rule) for j, m in sent.items()}
+        shortcuts += sum(a.consistent and a.faithful for a in audits.values())
+        prev.update(sent)
+        inboxes = {i: {j: sent[j] for j in views[i].in_nbrs if j in sent} for i in g.nodes}
+        shared = frozenset().union(*(states[i].detected for i in normal))
+        suspects = set()
+        new_detected = {i: frozenset() for i in g.nodes}
+        for i in normal:
+            state, twin = deepcopy(states[i]), deepcopy(states[i])
+            if alg3:
+                got = detect_alg3(state, inboxes[i], audits, public, oracle, rule)
+                want = detect_alg3(twin, inboxes[i], blind, {}, oracle, rule)
+                new_detected[i] = got.detected - state.detected
+                state.detected_two_hop = set(got.detected_two_hop)
+                twin.detected_two_hop = set(want.detected_two_hop)
+            else:
+                got = detect_alg2(state, inboxes[i], audits, public, shared, rule)
+                want = detect_alg2(twin, inboxes[i], blind, {}, shared, rule)
+                suspects |= {v.suspect for v in got}
+            assert got == want
+            assert state == twin
+            states[i] = state
+        if not alg3:
+            new_detected = {i: frozenset((shared | suspects) - states[i].detected - {i}) for i in g.nodes}
+        public = {j: m.self_next for j, m in sent.items()}
+        for i in g.nodes:
+            if msgs[i] is None:
+                continue
+            honest_round(states[i], inboxes[i], new_detected[i], rule)
+            states[i].check_set[i] = (states[i].prev_lam, states[i].prev_gam)
+    assert shortcuts > 0
