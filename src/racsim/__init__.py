@@ -41,7 +41,6 @@ from .detection import (
     detect_alg3,
     init_range_check,
     reconstruct_running_sums,
-    vote_detection_ids,
     vote_value,
 )
 from .adversary import (

@@ -17,7 +17,7 @@ from enum import Enum
 from typing import Iterable, Optional
 
 from .graph import AdversaryKind, AdversaryModel, ConditionReport, DirectedGraph, Violation, is_f_local
-from .protocol import InformationSet, Pair
+from .protocol import InformationSet, Pair, ValueRule, initial_share
 
 RANDOM_VALUE_RANGE = (-100.0, 100.0)
 
@@ -111,13 +111,15 @@ def forge_information_set(
     k: int,
     rng: random.Random,
     skip_ledger_tamper: bool = False,
+    rule: ValueRule = ValueRule(),
 ) -> Optional[InformationSet]:
     """Apply the active actions for round k to an honest message.
 
     Returns None when the node crashes (no emission). When the caller
     already evolved the sender's state with tampered inputs, relayed
     entries carry the forgery and skip_ledger_tamper avoids applying
-    it twice.
+    it twice. In the first exchange (a round-0 message) SetSelfValue
+    announces the initial share of its value, under rule, from one draw.
     """
     actions = script.active_actions(k)
     if any(a.kind is ActionKind.CRASH for a in actions):
@@ -131,7 +133,11 @@ def forge_information_set(
         if a.kind is ActionKind.COMPLY:
             continue
         if a.kind is ActionKind.SET_SELF_VALUE:
-            if a.value is None:
+            if truth.round == 0:
+                value = a.value if a.value is not None else _draw(rng)
+                share = initial_share(value, truth.declared_out_degree, rule)
+                self_next = (share[0], self_next[1])
+            elif a.value is None:
                 self_next = (_draw(rng), _draw(rng))
             else:
                 self_next = (a.value, self_next[1])

@@ -86,53 +86,6 @@ def vote_value(reports: list[tuple[int, Pair]], rule: ValueRule):
     return NO_MAJORITY
 
 
-def vote_detection_ids(
-    neighbor_sets: Mapping[int, frozenset[int]],
-    f: int,
-    in_neighbor_sets: Optional[Mapping[int, frozenset[int]]] = None,
-    vindicated: frozenset[int] = frozenset(),
-) -> tuple[frozenset[int], frozenset[int]]:
-    """Accept ids reported by at least f+1 distinct reporters.
-
-    Dissenters are reporters that omit an accepted id they receive
-    from directly (per in_neighbor_sets, when given), or that accuse a
-    vindicated id.
-    """
-    counts: dict[int, int] = {}
-    for claimed in neighbor_sets.values():
-        for m in claimed:
-            counts[m] = counts.get(m, 0) + 1
-    accepted = frozenset(m for m, c in counts.items() if c >= f + 1)
-    dissenters = set()
-    for reporter, claimed in neighbor_sets.items():
-        if claimed & vindicated:
-            dissenters.add(reporter)
-        if in_neighbor_sets is not None:
-            known = in_neighbor_sets.get(reporter, frozenset())
-            if (accepted & known) - claimed:
-                dissenters.add(reporter)
-    return accepted, frozenset(dissenters)
-
-
-def virtual_initial_message(sender: int, in_nbrs: frozenset[int]) -> InformationSet:
-    """Stand-in for the message before the first real broadcast.
-
-    All running sums start at zero, so replaying the first broadcast
-    against this baseline reproduces the bootstrap arithmetic.
-    """
-    relayed = {h: ZERO_PAIR for h in in_nbrs}
-    relayed[sender] = ZERO_PAIR
-    return InformationSet(
-        sender=sender,
-        round=0,
-        detected=frozenset(),
-        self_next=ZERO_PAIR,
-        relayed=relayed,
-        declared_out_degree=0,
-        declared_removed_out=0,
-    )
-
-
 def reconstruct_running_sums(
     phi_now: InformationSet,
     phi_prev: InformationSet,
@@ -274,9 +227,10 @@ class SenderAudit:
     Every receiver audits the same message, so the engine computes this
     once per message sent. fields is the first Step 2 (id sanity) or
     Step 4 declared-field finding. Without one, replay is the Step 4
-    update-replay finding, and consistent and faithful say that every
-    relayed entry passes Step 3 against, and is ==, the public value:
-    what its id broadcast as its next running sums last round.
+    update-replay finding (the safety-interval finding for a first
+    message), and consistent and faithful say that every relayed entry
+    passes Step 3 against, and is ==, the public value: what its id
+    broadcast as its next running sums last round.
     """
 
     fields: Optional[Finding]
@@ -287,21 +241,24 @@ class SenderAudit:
 
 def audit_broadcast(
     msg: InformationSet,
-    prev_msg: InformationSet,
+    prev_msg: Optional[InformationSet],
     public: Mapping[int, Pair],
     oracle: StructuralOracle,
     rule: ValueRule,
+    interval: Optional[tuple[float, float]] = None,
 ) -> SenderAudit:
     """Id sanity, declared-field cross-checks, the full arithmetic
     replay of the sender's update from its two consecutive messages,
-    and Step 3 against the public values."""
+    and Step 3 against the public values. A first message (prev_msg
+    None) is screened against the safety interval instead of replayed."""
     j = msg.sender
     in_j, out_j = oracle.in_nbrs(j), oracle.out_nbrs(j)
     ids = set(msg.relayed)
     foreign = ids - in_j - {j}
     missing = (in_j | {j}) - ids
+    claimed_before = prev_msg.detected if prev_msg is not None else frozenset()
     expected_d = len(out_j - msg.detected)
-    expected_removed = len((out_j - prev_msg.detected) & msg.detected)
+    expected_removed = len((out_j - claimed_before) & msg.detected)
     if foreign:
         return SenderAudit((Cause.STEP2, (("foreign_ids", tuple(sorted(foreign))),)))
     if missing:
@@ -312,11 +269,16 @@ def audit_broadcast(
     if msg.declared_removed_out != expected_removed:
         evidence = ("declared_removed_out", msg.declared_removed_out, expected_removed)
         return SenderAudit((Cause.STEP4, (evidence,)))
-    rec = reconstruct_running_sums(msg, prev_msg, rule)
-    replay = None
-    if not rec.clean(rule):
-        evidence = (("reported", msg.self_next), ("reconstructed", (rec.lam_pred, rec.gam_pred)))
-        replay = (Cause.STEP4, evidence)
+    if prev_msg is None:
+        lam, gam = msg.self_next
+        verdict = init_range_check(float(lam / gam) if gam != 0 else float("inf"), interval)
+        replay = None if verdict is None else (verdict.cause, verdict.evidence)
+    else:
+        rec = reconstruct_running_sums(msg, prev_msg, rule)
+        replay = None
+        if not rec.clean(rule):
+            evidence = (("reported", msg.self_next), ("reconstructed", (rec.lam_pred, rec.gam_pred)))
+            replay = (Cause.STEP4, evidence)
     # == and not pair_eq, since tolerance comparisons are not transitive
     faithful = all(public.get(h) == val for h, val in msg.relayed.items())
     return SenderAudit(None, replay, _step3(msg, public, rule) is None, faithful)
@@ -484,6 +446,9 @@ def detect_alg3(
             condemn(m, Cause.VOTE_MAJORITY, ("reporters", counts[m]))
 
     snapshot = detected | two_hop_detected
+    # j composed its claims a round ago, so it can only be expected to
+    # know what this node had detected before this round
+    known_before = state.detected | state.detected_two_hop
 
     for j, msg in sorted(reporters.items()):
         if j in detected:
@@ -495,7 +460,7 @@ def detect_alg3(
         for h in sorted(claims & in_j):
             if h not in snapshot and oracle.must_know_status(i, h):
                 condemn(j, Cause.STEP1A, ("uncorroborated", h))
-        for h in sorted((snapshot & in_j) - claims):
+        for h in sorted((known_before & in_j) - claims):
             if oracle.must_detect(j, h):
                 condemn(j, Cause.STEP1A, ("omitted", h))
 

@@ -126,17 +126,6 @@ class NodeState:
     claim_first_seen: dict[tuple[int, int], int] = field(default_factory=dict)
     prev_claims: dict[int, frozenset[int]] = field(default_factory=dict)
 
-    @property
-    def active_in(self) -> frozenset[int]:
-        return self.view.in_nbrs - self.detected
-
-
-@dataclass(frozen=True)
-class RoundResult:
-    ratio: Number
-    low_mass: bool
-    crashed: frozenset[int]
-
 
 def initial_share(x0: Number, out_degree: int, rule: ValueRule) -> Pair:
     """Running sums transmitted in the first exchange."""
@@ -145,60 +134,29 @@ def initial_share(x0: Number, out_degree: int, rule: ValueRule) -> Pair:
     return (x0 / (1 + out_degree), one / (1 + out_degree))
 
 
-def bootstrap(
-    id: int,
-    x0: Number,
-    view: NodeView,
-    received: Mapping[int, Pair],
-    rule: ValueRule,
-    pre_detected: frozenset[int] = frozenset(),
-) -> NodeState:
-    """Build the state reached after the first exchange.
+def bootstrap(id: int, x0: Number, view: NodeView, rule: ValueRule) -> NodeState:
+    """Build the state before the first exchange.
 
-    received maps each in-neighbor to its first running-sum pair.
-    In-neighbors missing from received, or already ruled out, absorb
-    nothing and start detected. The first shares went out with the
-    full out-degree weight, so out-neighbors detected this early are
-    compensated right away.
+    All running sums start at zero, so the first exchange is an
+    ordinary round: the node broadcasts its initial share as its next
+    running sums and relays a zero ledger.
     """
     if isinstance(x0, float) and not math.isfinite(x0):
         raise ProtocolError(f"initial value must be finite, got {x0!r}")
     x0 = rule.convert(x0)
-    d_full = len(view.out_nbrs)
-    lam1, gam1 = initial_share(x0, d_full, rule)
-    detected = set(pre_detected)
-    detected |= {j for j in view.in_nbrs if j not in received}
-    ledger: dict[int, Pair] = {}
-    y = lam1
-    z = gam1
-    for j in view.in_nbrs:
-        if j in detected:
-            ledger[j] = ZERO_PAIR
-        else:
-            lam_j, gam_j = received[j]
-            ledger[j] = (lam_j, gam_j)
-            y = y + lam_j
-            z = z + gam_j
-    removed = len(view.out_nbrs & detected)
-    y = y + removed * lam1
-    z = z + removed * gam1
-    active_out = view.out_nbrs - detected
-    d_eff = len(active_out)
-    lam2 = lam1 + y / (1 + d_eff)
-    gam2 = gam1 + z / (1 + d_eff)
-    ratio = y / z if rule.z_ok(z) else x0
+    lam1, gam1 = initial_share(x0, len(view.out_nbrs), rule)
+    ledger = {j: ZERO_PAIR for j in view.in_nbrs}
     return NodeState(
         id=id,
-        round=1,
+        round=0,
         view=view,
-        run=RunningState(y=y, z=z, lam=lam2, gam=gam2, ratio=ratio),
-        prev_lam=lam1,
-        prev_gam=gam1,
+        run=RunningState(y=x0, z=rule.convert(1), lam=lam1, gam=gam1, ratio=x0),
+        prev_lam=0,
+        prev_gam=0,
         ledger=ledger,
-        detected=detected,
-        active_out=active_out,
-        out_degree=d_eff,
-        removed_out_count=removed,
+        active_out=view.out_nbrs,
+        out_degree=len(view.out_nbrs),
+        check_set={**ledger, id: ZERO_PAIR},
     )
 
 
@@ -222,8 +180,8 @@ def honest_round(
     inbox: Mapping[int, InformationSet],
     new_detected: frozenset[int],
     rule: ValueRule,
-) -> RoundResult:
-    """Advance one round in place and return the resulting ratio.
+) -> None:
+    """Advance one round in place.
 
     new_detected is this round's detection outcome; in-neighbors that
     sent nothing are treated as crashed and detected as well.
@@ -255,8 +213,7 @@ def honest_round(
     y = y + len(removed_out) * lam_k
     z = z + len(removed_out) * gam_k
 
-    low_mass = not rule.z_ok(z)
-    ratio = s.run.ratio if low_mass else y / z
+    ratio = y / z if rule.z_ok(z) else s.run.ratio
 
     s.ledger = new_ledger
     s.prev_lam = lam_k
@@ -272,4 +229,3 @@ def honest_round(
     s.active_out = active_out
     s.out_degree = d_out
     s.removed_out_count = len(removed_out)
-    return RoundResult(ratio=ratio, low_mass=low_mass, crashed=crashed)

@@ -30,19 +30,17 @@ from .detection import (
     audit_broadcast,
     detect_alg2,
     detect_alg3,
-    init_range_check,
-    virtual_initial_message,
 )
 from .fixtures import FIXTURE_GRAPHS
 from .graph import AdversaryKind, DirectedGraph, read_edge_list
 from .protocol import (
     DEFAULT_TOL,
+    ZERO_PAIR,
     NodeView,
     ValueRule,
     bootstrap,
     build_information_set,
     honest_round,
-    initial_share,
 )
 
 
@@ -160,9 +158,12 @@ def run(scenario: Scenario) -> Trace:
     if detecting:
         oracle = StructuralOracle(g, scenario.f)
         # each sender's previous broadcast, for the per-sender audit
-        prev_msgs = {i: virtual_initial_message(i, oracle.in_nbrs(i)) for i in nodes}
+        prev_msgs: dict[int, object] = {}
+        # what each node broadcast as its next running sums last round;
+        # every running sum starts at zero
+        public = {i: ZERO_PAIR for i in nodes}
     views = {i: NodeView.from_graph(g, i) for i in nodes}
-    x0 = {i: rule.convert(scenario.x0[i - 1]) for i in nodes}
+    states = {i: bootstrap(i, scenario.x0[i - 1], views[i], rule) for i in nodes}
 
     trace = Trace(
         scenario=scenario,
@@ -171,77 +172,18 @@ def run(scenario: Scenario) -> Trace:
         r={i: [] for i in nodes},
         detected_count={i: [] for i in nodes},
     )
-    one = rule.convert(1)
     for i in nodes:
-        trace.y[i].append(x0[i])
-        trace.z[i].append(one)
-        trace.r[i].append(x0[i])
-        trace.detected_count[i].append(0)
+        _record(trace, i, states[i], None, 0)
 
-    # first exchange: everyone announces its initial running sums
-    shares: dict[int, Optional[tuple]] = {}
-    for i in nodes:
-        lam1, gam1 = initial_share(x0[i], g.out_degree(i), rule)
-        if i in scripts:
-            actions = scripts[i].active_actions(1)
-            if any(a.kind is ActionKind.CRASH for a in actions):
-                shares[i] = None
-                continue
-            for a in actions:
-                if a.kind is ActionKind.SET_SELF_VALUE:
-                    forged = a.value if a.value is not None else rngs[i].uniform(-100.0, 100.0)
-                    lam1 = rule.convert(forged) / (1 + g.out_degree(i))
-        shares[i] = (lam1, gam1)
-
-    # range screening of announced initial values
-    pre_detected: dict[int, set[int]] = {i: set() for i in nodes}
-    if scenario.safety_interval is not None:
-        for i in nodes:
-            if i in scripts:
-                continue
-            for j in views[i].in_nbrs:
-                if shares[j] is None:
-                    continue
-                lam, gam = shares[j]
-                reported = float(lam / gam) if gam != 0 else float("inf")
-                verdict = init_range_check(
-                    reported, scenario.safety_interval, detector=i, suspect=j
-                )
-                if verdict is not None:
-                    trace.events.append(verdict)
-                    pre_detected[i].add(j)
-        if scenario.detection is DetectionMode.ALG2 and scenario.sharing_oracle:
-            shared0 = set().union(*pre_detected.values()) if pre_detected else set()
-            for i in nodes:
-                pre_detected[i] = set(shared0)
-
-    states = {}
-    for i in nodes:
-        received = {
-            j: shares[j]
-            for j in views[i].in_nbrs
-            if shares[j] is not None and j not in pre_detected[i]
-        }
-        states[i] = bootstrap(i, x0[i], views[i], received, rule,
-                              pre_detected=frozenset(pre_detected[i]))
-        # seed the check set with the first-round claims
-        states[i].check_set = dict(received)
-        states[i].check_set[i] = (states[i].prev_lam, states[i].prev_gam)
-
-    for i in nodes:
-        _record(trace, i, states[i], scripts.get(i), 1)
-    if detecting:
-        # what each node broadcast as its next running sums last round
-        public = {i: share for i, share in shares.items() if share is not None}
-
-    for k in range(2, scenario.horizon + 1):
+    for k in range(1, scenario.horizon + 1):
         # emit: one identical message per node, possibly forged
         msgs: dict[int, Optional[object]] = {}
         for i in nodes:
             truth = build_information_set(states[i])
             if i in scripts:
+                # the first exchange takes the actions of round 1
                 msgs[i] = forge_information_set(
-                    truth, scripts[i], k - 1, rngs[i], skip_ledger_tamper=True
+                    truth, scripts[i], max(k - 1, 1), rngs[i], skip_ledger_tamper=True, rule=rule
                 )
             else:
                 msgs[i] = truth
@@ -255,7 +197,8 @@ def run(scenario: Scenario) -> Trace:
         new_detected: dict[int, frozenset[int]] = {i: frozenset() for i in nodes}
         if detecting:
             sent = {j: msg for j, msg in msgs.items() if msg is not None}
-            audits = {j: audit_broadcast(m, prev_msgs[j], public, oracle, rule)
+            audits = {j: audit_broadcast(m, prev_msgs.get(j), public, oracle, rule,
+                                         scenario.safety_interval)
                       for j, m in sent.items()}
             prev_msgs.update(sent)
         if scenario.detection is DetectionMode.ALG3:

@@ -1,6 +1,7 @@
 import pytest
 
 from racsim.adversary import (
+    RANDOM_VALUE_RANGE,
     ActionKind,
     AttackAction,
     AttackScript,
@@ -15,7 +16,7 @@ from racsim.adversary import (
 )
 from racsim.fixtures import eight_node_graph, fourteen_node_graph
 from racsim.graph import AdversaryKind, AdversaryModel, complete_graph
-from racsim.protocol import InformationSet
+from racsim.protocol import InformationSet, NodeView, ValueRule, bootstrap, build_information_set
 
 
 def honest_message(sender: int = 6) -> InformationSet:
@@ -75,6 +76,29 @@ class TestForgeInformationSet:
         truth = honest_message()
         forged = forge_information_set(truth, script, 5, adversary_rng(0, 6))
         assert forged.self_next == (42.0, truth.self_next[1])
+
+    @pytest.mark.parametrize("rule", [ValueRule(), ValueRule(exact=True)], ids=["float", "exact"])
+    def test_first_exchange_announces_a_share_of_the_self_value(self, rule):
+        # a round-0 message carries initial shares, so the forged value
+        # is split like x0, in the run's arithmetic
+        view = NodeView(id=6, in_nbrs=frozenset({2, 3}), out_nbrs=frozenset({1, 2}))
+        truth = build_information_set(bootstrap(6, 9.0, view, rule))
+        script = AttackScript(
+            node=6, schedule=((1, AttackAction(ActionKind.SET_SELF_VALUE, value=42.0)),)
+        )
+        forged = forge_information_set(truth, script, 1, adversary_rng(0, 6), rule=rule)
+        assert forged.self_next == (rule.convert(42.0) / 3, truth.self_next[1])
+        assert type(forged.self_next[0]) is type(truth.self_next[0])
+
+    def test_first_exchange_random_self_value_draws_once(self):
+        view = NodeView(id=6, in_nbrs=frozenset({2, 3}), out_nbrs=frozenset({1, 2}))
+        truth = build_information_set(bootstrap(6, 9.0, view, ValueRule()))
+        script = AttackScript(node=6, schedule=((1, AttackAction(ActionKind.SET_SELF_VALUE)),))
+        rng = adversary_rng(0, 6)
+        forged = forge_information_set(truth, script, 1, rng)
+        replay = adversary_rng(0, 6)
+        assert forged.self_next[0] == replay.uniform(*RANDOM_VALUE_RANGE) / 3
+        assert rng.getstate() == replay.getstate()
 
     def test_offset_tamper_shifts_target_entry(self):
         script = AttackScript(

@@ -8,22 +8,22 @@ from racsim.detection import (
     NO_MAJORITY,
     Cause,
     StructuralOracle,
+    audit_broadcast,
+    detect_alg3,
     init_range_check,
     reconstruct_running_sums,
-    virtual_initial_message,
-    vote_detection_ids,
     vote_value,
 )
 from racsim.adversary import ActionKind, AttackAction, AttackScript
 from racsim.fixtures import X0_SIX, six_node_damaged, six_node_graph
 from racsim.graph import complete_graph
 from racsim.protocol import (
+    ZERO_PAIR,
     NodeView,
     ValueRule,
     bootstrap,
     build_information_set,
     honest_round,
-    initial_share,
 )
 from racsim.sim import DetectionMode, Scenario, run
 
@@ -70,42 +70,46 @@ class TestVoteValue:
                 assert vote_value(reports, FLOAT) == truth
 
 
-class TestVoteDetectionIds:
+class TestClaimCorroboration:
+    """detect_alg3 accepts a claimed id once f+1 distinct reporters
+    claim it (VoteMajority)."""
+
+    def _votes(self, reporters):
+        # node 5 of the six-node fixture hears nodes 1-4, which hear 6;
+        # after the first exchange the given reporters claim node 6
+        g = six_node_graph()
+        oracle = StructuralOracle(g, 1)
+        views = {i: NodeView.from_graph(g, i) for i in g.nodes}
+        states = {i: bootstrap(i, X0_SIX[i - 1], views[i], FLOAT) for i in g.nodes}
+        first = {i: build_information_set(states[i]) for i in g.nodes}
+        for i in g.nodes:
+            honest_round(states[i], {j: first[j] for j in views[i].in_nbrs}, frozenset(), FLOAT)
+        msgs = {i: build_information_set(states[i]) for i in g.nodes}
+        for j in reporters:
+            msgs[j] = replace(msgs[j], detected=frozenset({6}))
+        public = {j: m.self_next for j, m in first.items()}
+        audits = {j: audit_broadcast(m, first[j], public, oracle, FLOAT) for j, m in msgs.items()}
+        inbox = {j: msgs[j] for j in views[5].in_nbrs}
+        result = detect_alg3(states[5], inbox, audits, public, oracle, FLOAT)
+        return [v for v in result.verdicts if v.cause is Cause.VOTE_MAJORITY]
+
     def test_threshold_is_f_plus_one(self):
-        sets = {1: frozenset({9}), 2: frozenset({9}), 3: frozenset()}
-        accepted, dissenters = vote_detection_ids(sets, f=1)
-        assert accepted == {9}
-        assert dissenters == frozenset()
+        votes = self._votes((1, 2))
+        assert [(v.detector, v.suspect, v.evidence) for v in votes] == [(5, 6, (("reporters", 2),))]
 
     def test_single_reporter_insufficient(self):
-        accepted, _ = vote_detection_ids({1: frozenset({9})}, f=1)
-        assert accepted == frozenset()
-
-    def test_omitting_reporter_is_dissenter(self):
-        sets = {1: frozenset({9}), 2: frozenset({9}), 3: frozenset()}
-        in_sets = {3: frozenset({9})}
-        accepted, dissenters = vote_detection_ids(sets, f=1, in_neighbor_sets=in_sets)
-        assert accepted == {9}
-        assert dissenters == {3}
-
-    def test_accusing_vindicated_is_dissenter(self):
-        sets = {1: frozenset({7}), 2: frozenset()}
-        _, dissenters = vote_detection_ids(sets, f=1, vindicated=frozenset({7}))
-        assert dissenters == {1}
+        assert self._votes((1,)) == []
 
 
 class TestReconstruction:
     def _exact_messages(self, rounds: int):
+        """Every node's messages of rounds 0 (the first exchange) to rounds."""
         g = complete_graph(3)
         x0 = [Fraction(3), Fraction(6), Fraction(9)]
         views = {i: NodeView.from_graph(g, i) for i in g.nodes}
-        shares = {i: initial_share(x0[i - 1], 2, EXACT) for i in g.nodes}
-        states = {
-            i: bootstrap(i, x0[i - 1], views[i], {j: shares[j] for j in views[i].in_nbrs}, EXACT)
-            for i in g.nodes
-        }
+        states = {i: bootstrap(i, x0[i - 1], views[i], EXACT) for i in g.nodes}
         per_round = [{i: build_information_set(states[i]) for i in g.nodes}]
-        for _ in range(rounds - 1):
+        for _ in range(rounds):
             for i in g.nodes:
                 inbox = {j: per_round[-1][j] for j in views[i].in_nbrs}
                 honest_round(states[i], inbox, frozenset(), EXACT)
@@ -120,29 +124,27 @@ class TestReconstruction:
                 assert rec.eps_lam == 0 and rec.eps_gam == 0
                 assert rec.clean(EXACT)
 
-    def test_first_message_replays_against_virtual_baseline(self):
+    def test_first_message_replays_against_round_zero_message(self):
         per_round = self._exact_messages(1)
-        msg = per_round[0][1]
-        rec = reconstruct_running_sums(
-            msg, virtual_initial_message(1, frozenset({2, 3})), EXACT
-        )
+        assert set(per_round[0][1].relayed.values()) == {ZERO_PAIR}
+        rec = reconstruct_running_sums(per_round[1][1], per_round[0][1], EXACT)
         assert rec.clean(EXACT)
 
     def test_perturbed_self_value_is_dirty(self):
         per_round = self._exact_messages(3)
-        msg = per_round[2][1]
+        msg = per_round[3][1]
         forged = replace(msg, self_next=(msg.self_next[0] + 1, msg.self_next[1]))
-        rec = reconstruct_running_sums(forged, per_round[1][1], EXACT)
+        rec = reconstruct_running_sums(forged, per_round[2][1], EXACT)
         assert not rec.clean(EXACT)
         assert rec.eps_lam == 1
 
     def test_tampered_relayed_entry_is_dirty(self):
         per_round = self._exact_messages(3)
-        msg = per_round[2][1]
+        msg = per_round[3][1]
         relayed = dict(msg.relayed)
         relayed[2] = (relayed[2][0] + 5, relayed[2][1])
         forged = replace(msg, relayed=relayed)
-        rec = reconstruct_running_sums(forged, per_round[1][1], EXACT)
+        rec = reconstruct_running_sums(forged, per_round[2][1], EXACT)
         assert not rec.clean(EXACT)
 
 
@@ -254,10 +256,14 @@ class TestDistributedDetectionEndToEnd:
         assert _first_cause(trace, 6) is Cause.STEP4
 
     def test_crash_detected_by_all_in_neighbors(self):
-        trace = run(_six_scenario((3, AttackAction(ActionKind.CRASH))))
-        crash_events = [e for e in trace.events if e.cause is Cause.CRASH]
-        assert {e.suspect for e in crash_events} == {6}
-        assert {e.detector for e in crash_events} == {1, 2, 3, 4}
+        # a neighbor that learns of the crash by vote is not blamed for
+        # omitting it from claims composed before the crash was seen
+        for start in (1, 3, 8):
+            trace = run(_six_scenario((start, AttackAction(ActionKind.CRASH))))
+            crash_events = [e for e in trace.events if e.cause is Cause.CRASH]
+            assert {e.suspect for e in crash_events} == {6}
+            assert {e.detector for e in crash_events} == {1, 2, 3, 4}
+            assert _suspects(trace) == {6}
 
     def test_forged_self_value_caught_by_replay(self):
         trace = run(
@@ -594,3 +600,53 @@ def test_audit_verdicts_are_pinned(network, script, expected):
     trace = run(_audited_scenario(network, _AUDITED_ACTIONS[script], **setup))
     got = [(e.round, e.detector, e.suspect, e.cause.value, e.evidence) for e in trace.events]
     assert got == expected
+
+
+# Actions from round 1 act on the first exchange, an ordinary round: its
+# messages get every audit, except that a first message, having no
+# predecessor, is range-screened instead of replayed.
+_ROUND_ONE = {
+    "Crash": AttackAction(ActionKind.CRASH),
+    "InjectFakeId": AttackAction(ActionKind.INJECT_FAKE_ID, target=5, fake_values=(1.0, 1.0)),
+    # a nonzero relay for a real in-neighbor: Step 3 against the zero
+    # check set every node starts with
+    "FakeRelay": AttackAction(ActionKind.INJECT_FAKE_ID, target=2, fake_values=(1.0, 1.0)),
+    "SetSelfValue": AttackAction(ActionKind.SET_SELF_VALUE, value=42.0),
+}
+
+
+_ROUND_ONE_VERDICTS = [
+    ("six-alg3", "Crash", [(1, 1, 6, "Crash"), (1, 2, 6, "Crash"), (1, 3, 6, "Crash"),
+                           (1, 4, 6, "Crash"), (2, 5, 6, "VoteMajority")]),
+    ("six-alg3", "InjectFakeId", [(1, 1, 6, "Step2"), (1, 2, 6, "Step2"), (1, 3, 6, "Step2"),
+                                  (1, 4, 6, "Step2"), (2, 5, 6, "VoteMajority")]),
+    ("six-alg3", "FakeRelay", [(1, 1, 6, "Step3"), (1, 2, 6, "Step3"), (1, 3, 6, "Step3"),
+                               (1, 4, 6, "Step3"), (2, 5, 6, "VoteMajority")]),
+    # the forged share is absorbed in round 1; the next message relays
+    # the true share, which Step 3 holds against it
+    ("six-alg3", "SetSelfValue", [(2, 1, 6, "Step3"), (2, 2, 6, "Step3"), (2, 3, 6, "Step3"),
+                                  (2, 4, 6, "Step3"), (3, 5, 6, "VoteMajority")]),
+    ("k4-alg2", "Crash", [(1, 1, 4, "Crash"), (1, 2, 4, "Crash"), (1, 3, 4, "Crash")]),
+    ("k4-alg2", "InjectFakeId", [(1, 1, 4, "Step2"), (1, 2, 4, "Step2"), (1, 3, 4, "Step2")]),
+    ("k4-alg2", "FakeRelay", [(1, 1, 4, "Step3"), (1, 2, 4, "Step3"), (1, 3, 4, "Step3")]),
+    ("k4-alg2", "SetSelfValue", [(2, 1, 4, "Step3"), (2, 2, 4, "Step3"), (2, 3, 4, "Step3")]),
+]
+
+
+@pytest.mark.parametrize(
+    "network, script, expected",
+    _ROUND_ONE_VERDICTS,
+    ids=[f"{network}-{script}" for network, script, _ in _ROUND_ONE_VERDICTS],
+)
+def test_round_one_attacks_act_on_the_first_exchange(network, script, expected):
+    sc = _audited_scenario(network, (_ROUND_ONE[script],), start=1)
+    float_trace, exact_trace = run(sc), run(replace(sc, exact=True))
+    got = [(e.round, e.detector, e.suspect, e.cause.value) for e in float_trace.events]
+    assert got == expected
+    assert [(e.round, e.detector, e.suspect, e.cause.value) for e in exact_trace.events] == got
+    adversary = sc.adversaries[0].node
+    assert _suspects(float_trace) == _suspects(exact_trace) == {adversary}
+    # the forged share stays rational in exact arithmetic
+    assert all(isinstance(exact_trace.y[i][-1], Fraction) for i in exact_trace.normal_nodes)
+    for i in float_trace.normal_nodes:
+        assert float(exact_trace.r[i][-1]) == pytest.approx(float_trace.target_average(), abs=1e-9)

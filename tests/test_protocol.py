@@ -1,5 +1,6 @@
 import math
 import random
+from copy import deepcopy
 from fractions import Fraction
 
 import pytest
@@ -24,22 +25,25 @@ FLOAT = ValueRule()
 EXACT = ValueRule(exact=True)
 
 
+def first_exchange(g: DirectedGraph, x0, rule: ValueRule = FLOAT, nodes=None):
+    """Bootstrap every node and run round 1 for the given nodes
+    (default all), each hearing all its in-neighbors; return the states
+    and the round-0 messages."""
+    views = {i: NodeView.from_graph(g, i) for i in g.nodes}
+    states = {i: bootstrap(i, x0[i - 1], views[i], rule) for i in g.nodes}
+    first = {i: build_information_set(states[i]) for i in g.nodes}
+    for i in g.nodes if nodes is None else nodes:
+        honest_round(states[i], {j: first[j] for j in views[i].in_nbrs}, frozenset(), rule)
+    return states, first
+
+
 def mini_run(g: DirectedGraph, x0, rounds: int, rule: ValueRule = FLOAT):
     """Drive the honest state machine directly, no detection, and
-    return per-round ratio vectors starting from the post-bootstrap
-    round."""
+    return per-round ratio vectors starting from round 1."""
     views = {i: NodeView.from_graph(g, i) for i in g.nodes}
-    shares = {
-        i: initial_share(x0[i - 1], g.out_degree(i), rule) for i in g.nodes
-    }
-    states = {
-        i: bootstrap(
-            i, x0[i - 1], views[i], {j: shares[j] for j in views[i].in_nbrs}, rule
-        )
-        for i in g.nodes
-    }
-    history = [[states[i].run.ratio for i in g.nodes]]
-    for _ in range(rounds - 1):
+    states = {i: bootstrap(i, x0[i - 1], views[i], rule) for i in g.nodes}
+    history = []
+    for _ in range(rounds):
         msgs = {i: build_information_set(states[i]) for i in g.nodes}
         for i in g.nodes:
             inbox = {j: msgs[j] for j in views[i].in_nbrs}
@@ -61,6 +65,18 @@ class TestInitialShare:
 
 
 class TestBootstrap:
+    def test_round_zero_state(self):
+        # all running sums start at zero and the initial share goes out next
+        s = bootstrap(1, 3.0, NodeView.from_graph(complete_graph(3), 1), FLOAT)
+        assert s.round == 0
+        assert (s.run.y, s.run.z, s.run.ratio) == (3.0, 1, 3.0)
+        assert (s.run.lam, s.run.gam) == initial_share(3.0, 2, FLOAT)
+        assert (s.prev_lam, s.prev_gam) == ZERO_PAIR
+        assert s.ledger == {2: ZERO_PAIR, 3: ZERO_PAIR}
+        assert s.check_set == {1: ZERO_PAIR, 2: ZERO_PAIR, 3: ZERO_PAIR}
+        assert s.detected == set()
+        assert (s.out_degree, s.removed_out_count) == (2, 0)
+
     def test_three_node_values(self):
         g = complete_graph(3)
         states, _ = mini_run(g, [3.0, 6.0, 9.0], 1)
@@ -73,23 +89,18 @@ class TestBootstrap:
 
     def test_missing_sender_starts_detected(self):
         g = complete_graph(3)
-        view = NodeView.from_graph(g, 1)
-        s = bootstrap(1, 3.0, view, {2: initial_share(6.0, 2, FLOAT)}, FLOAT)
+        states, first = first_exchange(g, [3.0, 6.0, 9.0], nodes=())
+        s = states[1]
+        honest_round(s, {2: first[2]}, frozenset(), FLOAT)
         assert s.detected == {3}
         assert s.ledger[3] == ZERO_PAIR
 
     def test_pre_detected_out_neighbor_compensated(self):
         g = complete_graph(3)
-        view = NodeView.from_graph(g, 1)
-        clean = bootstrap(
-            1, 3.0, view,
-            {2: initial_share(6.0, 2, FLOAT), 3: initial_share(9.0, 2, FLOAT)},
-            FLOAT,
-        )
-        s = bootstrap(
-            1, 3.0, view, {2: initial_share(6.0, 2, FLOAT)}, FLOAT,
-            pre_detected=frozenset({3}),
-        )
+        states, first = first_exchange(g, [3.0, 6.0, 9.0], nodes=(1,))
+        clean = states[1]
+        s = bootstrap(1, 3.0, NodeView.from_graph(g, 1), FLOAT)
+        honest_round(s, {2: first[2]}, frozenset({3}), FLOAT)
         # node 3's share is dropped and the share sent to it comes back
         lam1 = initial_share(3.0, 2, FLOAT)[0]
         assert s.run.y == pytest.approx(clean.run.y - initial_share(9.0, 2, FLOAT)[0] + lam1)
@@ -99,9 +110,9 @@ class TestBootstrap:
     def test_non_finite_initial_value_rejected(self):
         view = NodeView.from_graph(complete_graph(2), 1)
         with pytest.raises(ProtocolError):
-            bootstrap(1, math.nan, view, {2: (1.0, 0.5)}, FLOAT)
+            bootstrap(1, math.nan, view, FLOAT)
         with pytest.raises(ProtocolError):
-            bootstrap(1, math.inf, view, {2: (1.0, 0.5)}, FLOAT)
+            bootstrap(1, math.inf, view, FLOAT)
 
 
 class TestAgainstMassPassingOracle:
@@ -179,11 +190,7 @@ class TestHonestRound:
         g = complete_graph(3)
         x0 = [3.0, 6.0, 30.0]
         views = {i: NodeView.from_graph(g, i) for i in g.nodes}
-        shares = {i: initial_share(x0[i - 1], 2, FLOAT) for i in g.nodes}
-        states = {
-            i: bootstrap(i, x0[i - 1], views[i], {j: shares[j] for j in views[i].in_nbrs}, FLOAT)
-            for i in g.nodes
-        }
+        states, _ = first_exchange(g, x0)
         for k in range(2, 40):
             msgs = {i: build_information_set(states[i]) for i in g.nodes}
             for i in (1, 2):
@@ -197,16 +204,11 @@ class TestHonestRound:
     def test_removed_out_neighbor_mass_returns(self):
         g = complete_graph(3)
         x0 = [3.0, 6.0, 30.0]
-        views = {i: NodeView.from_graph(g, i) for i in g.nodes}
-        shares = {i: initial_share(x0[i - 1], 2, FLOAT) for i in g.nodes}
-        s = bootstrap(1, 3.0, views[1], {j: shares[j] for j in (2, 3)}, FLOAT)
+        states, _ = first_exchange(g, x0)
+        s = states[1]
         lam_k = s.run.lam
-        states = {
-            i: bootstrap(i, x0[i - 1], views[i], {j: shares[j] for j in views[i].in_nbrs}, FLOAT)
-            for i in (2, 3)
-        }
         msgs = {i: build_information_set(states[i]) for i in (2, 3)}
-        twin = bootstrap(1, 3.0, views[1], {j: shares[j] for j in (2, 3)}, FLOAT)
+        twin = deepcopy(s)
         honest_round(twin, msgs, frozenset(), FLOAT)
         honest_round(s, msgs, frozenset({3}), FLOAT)
         # same inbox, but detecting 3 zeroes its ledger entry and adds
@@ -218,23 +220,18 @@ class TestHonestRound:
     def test_silent_neighbor_marked_crashed(self):
         g = complete_graph(3)
         x0 = [3.0, 6.0, 9.0]
-        views = {i: NodeView.from_graph(g, i) for i in g.nodes}
-        shares = {i: initial_share(x0[i - 1], 2, FLOAT) for i in g.nodes}
-        states = {
-            i: bootstrap(i, x0[i - 1], views[i], {j: shares[j] for j in views[i].in_nbrs}, FLOAT)
-            for i in g.nodes
-        }
+        states, _ = first_exchange(g, x0)
         msgs = {i: build_information_set(states[i]) for i in g.nodes}
-        result = honest_round(states[1], {2: msgs[2]}, frozenset(), FLOAT)
-        assert result.crashed == {3}
+        honest_round(states[1], {2: msgs[2]}, frozenset(), FLOAT)
+        assert states[1].detected == {3}
         assert 3 in states[1].detected
         assert states[1].ledger[3] == ZERO_PAIR
 
     def test_low_mass_guard_carries_previous_ratio(self):
         g = complete_graph(2)
-        views = {i: NodeView.from_graph(g, i) for i in g.nodes}
         shares = {i: initial_share(v, 1, FLOAT) for i, v in ((1, 4.0), (2, 8.0))}
-        s = bootstrap(1, 4.0, views[1], {2: shares[2]}, FLOAT)
+        states, _ = first_exchange(g, [4.0, 8.0], nodes=(1,))
+        s = states[1]
         before = s.run.ratio
         # a forged message that claws back nearly all gam drives z to zero
         forged = InformationSet(
@@ -245,8 +242,8 @@ class TestHonestRound:
             relayed={2: shares[2]},
             declared_out_degree=1,
         )
-        result = honest_round(s, {2: forged}, frozenset(), FLOAT)
-        assert result.low_mass
+        honest_round(s, {2: forged}, frozenset(), FLOAT)
+        assert not FLOAT.z_ok(s.run.z)
         assert s.run.ratio == before
 
 

@@ -29,7 +29,6 @@ from racsim.detection import (
     audit_broadcast,
     detect_alg2,
     detect_alg3,
-    virtual_initial_message,
 )
 from racsim.fixtures import X0_SIX, six_node_graph
 from racsim.graph import complete_graph
@@ -41,7 +40,6 @@ from racsim.protocol import (
     bootstrap,
     build_information_set,
     honest_round,
-    initial_share,
 )
 
 FLOAT = ValueRule()
@@ -91,7 +89,7 @@ def edges(draw):
 @given(edges())
 def test_shortcut_matches_treating_every_check_id_as_deviating(case):
     msg, public, check, rule = case
-    prev = virtual_initial_message(1, K5.in_neighbors(1))
+    prev = build_information_set(bootstrap(1, 1.0, NodeView.from_graph(K5, 1), rule))
     audit = audit_broadcast(msg, prev, public, K5_ORACLE, rule)
     assert audit.fields is None
     shortcut = _audit_edge(msg, audit, check, _deviating(check, public), rule)
@@ -138,12 +136,12 @@ def test_empty_public_table_gives_the_same_detection(network, kind, rule):
     rng = adversary_rng(0, adversary)
     normal = [i for i in g.nodes if i != adversary]
     views = {i: NodeView.from_graph(g, i) for i in g.nodes}
-    public = {i: initial_share(x0[i - 1], g.out_degree(i), rule) for i in g.nodes}
-    states = {}
+    states = {i: bootstrap(i, x0[i - 1], views[i], rule) for i in g.nodes}
+    prev = {i: build_information_set(states[i]) for i in g.nodes}
+    public = {i: m.self_next for i, m in prev.items()}
     for i in g.nodes:
-        states[i] = bootstrap(i, x0[i - 1], views[i], {j: public[j] for j in views[i].in_nbrs}, rule)
+        honest_round(states[i], {j: prev[j] for j in views[i].in_nbrs}, frozenset(), rule)
         states[i].check_set = {j: public[j] for j in views[i].in_nbrs | {i}}
-    prev = {i: virtual_initial_message(i, views[i].in_nbrs) for i in g.nodes}
     shortcuts = 0
     for k in range(2, 9):
         msgs = {i: build_information_set(states[i]) for i in g.nodes}
