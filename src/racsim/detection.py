@@ -101,15 +101,16 @@ def reconstruct_running_sums(
     j = phi_now.sender
     d = 1 + phi_now.declared_out_degree
     self_now = phi_now.relayed[j]
-    keys = set(phi_now.relayed) | set(phi_prev.relayed)
-    flow_y = sum(
-        phi_now.relayed.get(h, ZERO_PAIR)[0] - phi_prev.relayed.get(h, ZERO_PAIR)[0]
-        for h in keys
-    )
-    flow_z = sum(
-        phi_now.relayed.get(h, ZERO_PAIR)[1] - phi_prev.relayed.get(h, ZERO_PAIR)[1]
-        for h in keys
-    )
+    now, prev = phi_now.relayed, phi_prev.relayed
+    flow_y = flow_z = 0
+    for h, (y, z) in now.items():
+        y_before, z_before = prev.get(h, ZERO_PAIR)
+        flow_y += y - y_before
+        flow_z += z - z_before
+    for h, (y_before, z_before) in prev.items():
+        if h not in now:
+            flow_y -= y_before
+            flow_z -= z_before
     y_prev = flow_y + phi_now.declared_removed_out * self_now[0]
     z_prev = flow_z + phi_now.declared_removed_out * self_now[1]
     lam_pred = self_now[0] + y_prev / d
@@ -138,6 +139,8 @@ class StructuralOracle:
         self._full_audit: dict[tuple[int, int], bool] = {}
         self._in = {i: g.in_neighbors(i) for i in g.nodes}
         self._out = {i: g.out_neighbors(i) for i in g.nodes}
+        # the ids an honest broadcast of i relays: its in-neighbors and i
+        self.relay_ids = {i: self._in[i] | {i} for i in g.nodes}
         # per detector i: each two-hop in-neighbor h beyond i's
         # in-neighbors, ascending, with the in-neighbors of i relaying h
         self.two_hop_relays: dict[int, tuple[tuple[int, tuple[int, ...]], ...]] = {}
@@ -252,17 +255,22 @@ def audit_broadcast(
     and Step 3 against the public values. A first message (prev_msg
     None) is screened against the safety interval instead of replayed."""
     j = msg.sender
-    in_j, out_j = oracle.in_nbrs(j), oracle.out_nbrs(j)
-    ids = set(msg.relayed)
-    foreign = ids - in_j - {j}
-    missing = (in_j | {j}) - ids
-    claimed_before = prev_msg.detected if prev_msg is not None else frozenset()
-    expected_d = len(out_j - msg.detected)
-    expected_removed = len((out_j - claimed_before) & msg.detected)
-    if foreign:
-        return SenderAudit((Cause.STEP2, (("foreign_ids", tuple(sorted(foreign))),)))
-    if missing:
+    relayed = msg.relayed
+    expected_ids = oracle.relay_ids[j]
+    if relayed.keys() != expected_ids:
+        foreign = relayed.keys() - expected_ids
+        if foreign:
+            return SenderAudit((Cause.STEP2, (("foreign_ids", tuple(sorted(foreign))),)))
+        missing = expected_ids - relayed.keys()
         return SenderAudit((Cause.STEP2, (("missing_ids", tuple(sorted(missing))),)))
+    out_j = oracle.out_nbrs(j)
+    claims = msg.detected
+    if claims:
+        claimed_before = prev_msg.detected if prev_msg is not None else frozenset()
+        expected_d = len(out_j - claims)
+        expected_removed = len((out_j - claimed_before) & claims)
+    else:
+        expected_d, expected_removed = len(out_j), 0
     if msg.declared_out_degree != expected_d:
         evidence = ("declared_out_degree", msg.declared_out_degree, expected_d)
         return SenderAudit((Cause.STEP4, (evidence,)))
@@ -279,9 +287,18 @@ def audit_broadcast(
         if not rec.clean(rule):
             evidence = (("reported", msg.self_next), ("reconstructed", (rec.lam_pred, rec.gam_pred)))
             replay = (Cause.STEP4, evidence)
-    # == and not pair_eq, since tolerance comparisons are not transitive
-    faithful = all(public.get(h) == val for h, val in msg.relayed.items())
-    return SenderAudit(None, replay, _step3(msg, public, rule) is None, faithful)
+    # faithful compares with == and not pair_eq, since tolerance
+    # comparisons are not transitive; consistent is Step 3 (see _step3)
+    # and is not implied by faithful: a NaN object is == itself
+    faithful = consistent = True
+    for h, val in relayed.items():
+        value = public.get(h)
+        if value != val:
+            faithful = False
+        expected = ZERO_PAIR if h != j and h in claims else value
+        if consistent and expected is not None and not rule.pair_eq(val, expected):
+            consistent = False
+    return SenderAudit(None, replay, consistent, faithful)
 
 
 def _step3(msg: InformationSet, values: Mapping[int, Pair], rule: ValueRule) -> Optional[Finding]:
@@ -406,14 +423,13 @@ def detect_alg3(
         else:
             two_hop_detected.add(suspect)
 
-    active_in = state.view.in_nbrs - state.detected
-    for j in sorted(active_in):
+    active_in = sorted(state.view.in_nbrs - state.detected)
+    for j in active_in:
         if j not in inbox:
             condemn(j, Cause.CRASH)
 
-    reporters = {
-        j: inbox[j] for j in sorted(active_in) if j in inbox and j not in detected
-    }
+    # ascending, the order of the per-reporter audits below
+    reporters = {j: inbox[j] for j in active_in if j in inbox and j not in detected}
 
     # extend the check set with majority-voted two-hop values; if every
     # report is == its public value, so is a vote, and Step 3 needs none
@@ -450,33 +466,38 @@ def detect_alg3(
     # know what this node had detected before this round
     known_before = state.detected | state.detected_two_hop
 
-    for j, msg in sorted(reporters.items()):
+    # the claim audits run in this order, as the first verdict on j
+    # wins, and only on non-empty input: most claim sets are empty
+    for j, msg in reporters.items():
         if j in detected:
             continue
         claims = msg.detected
         in_j = oracle.in_nbrs(j)
 
         # claims about j's own in-neighbors
-        for h in sorted(claims & in_j):
-            if h not in snapshot and oracle.must_know_status(i, h):
-                condemn(j, Cause.STEP1A, ("uncorroborated", h))
-        for h in sorted((known_before & in_j) - claims):
-            if oracle.must_detect(j, h):
-                condemn(j, Cause.STEP1A, ("omitted", h))
+        if claims:
+            for h in sorted(claims & in_j):
+                if h not in snapshot and oracle.must_know_status(i, h):
+                    condemn(j, Cause.STEP1A, ("uncorroborated", h))
+        if known_before:
+            for h in sorted((known_before & in_j) - claims):
+                if oracle.must_detect(j, h):
+                    condemn(j, Cause.STEP1A, ("omitted", h))
 
         # two-hop claims: must be corroborated once repeated, and must
         # never vanish from the claim set
         previous = state.prev_claims.get(j)
-        if previous is not None and not previous <= claims:
+        if previous and not previous <= claims:
             condemn(j, Cause.STEP1B, ("vanished", tuple(sorted(previous - claims))))
-        for m in sorted(claims - in_j - {j}):
-            if m in snapshot:
-                continue
-            first = state.claim_first_seen.get((j, m))
-            if first is None:
-                state.claim_first_seen[(j, m)] = k
-            elif first < k and oracle.must_know_status(i, m):
-                condemn(j, Cause.STEP1B, ("persisted_uncorroborated", m))
+        if claims:
+            for m in sorted(claims - in_j - {j}):
+                if m in snapshot:
+                    continue
+                first = state.claim_first_seen.get((j, m))
+                if first is None:
+                    state.claim_first_seen[(j, m)] = k
+                elif first < k and oracle.must_know_status(i, m):
+                    condemn(j, Cause.STEP1B, ("persisted_uncorroborated", m))
         state.prev_claims[j] = claims
 
         if j in detected:

@@ -9,6 +9,7 @@ offers JSON scenario loading and CSV export.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -48,6 +49,11 @@ class DetectionMode(Enum):
     NONE = "none"
     ALG2 = "alg2"
     ALG3 = "alg3"
+
+
+def _finite(v) -> bool:
+    """Ints and Fractions are always finite; floats must not be inf or NaN."""
+    return not isinstance(v, float) or math.isfinite(v)
 
 
 class ScenarioError(ValueError):
@@ -95,6 +101,20 @@ class Scenario:
         for v in nodes:
             if not (1 <= v <= self.graph.n):
                 problems.append(f"adversary node {v} outside 1..{self.graph.n}")
+        if not all(_finite(v) for v in self.x0):
+            problems.append("x0 has a non-finite entry")
+        for script in self.adversaries:
+            for r, a in script.schedule:
+                where = f"adversary {script.node} {a.kind.value} from round {r}"
+                # a forged id in a relayed ledger is a legal attack; an
+                # accusation names a node the detectors must look up
+                if a.kind is ActionKind.FALSELY_ACCUSE and not (
+                    isinstance(a.target, int) and 1 <= a.target <= self.graph.n
+                ):
+                    problems.append(f"{where}: target {a.target!r} outside 1..{self.graph.n}")
+                numbers = (a.amount, a.value, *(a.fake_values or ()))
+                if not all(_finite(v) for v in numbers if v is not None):
+                    problems.append(f"{where}: amount, value and fake_values must be finite")
         if self.safety_interval is not None:
             lo, hi = self.safety_interval
             if lo > hi:

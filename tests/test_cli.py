@@ -50,6 +50,25 @@ class TestRunCommand:
         code = main(["run", "--scenario", str(path), "--out", str(tmp_path)])
         assert code == EXIT_INVALID
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"x0": [float("nan")] + list(X0_SIX[1:])},
+            {"adversaries": [{"node": 5, "schedule": [
+                {"from_round": 1, "action": {"kind": "FalselyAccuse", "target": 9}}]}]},
+        ],
+        ids=["nan-x0", "accuse-outside"],
+    )
+    def test_bad_input_exits_invalid_with_one_line(self, tmp_path, scenario_file, capsys, change):
+        data = json.loads(scenario_file.read_text())
+        data.update(change)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code = main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == EXIT_INVALID
+        assert len(err.splitlines()) == 1 and err.startswith("invalid scenario: ")
+
     def test_repeated_runs_byte_identical(self, tmp_path, scenario_file):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         assert main(["run", "--scenario", str(scenario_file), "--out", str(out_a)]) == EXIT_OK

@@ -1,6 +1,7 @@
 import itertools
 from dataclasses import replace
 from fractions import Fraction
+from typing import Optional
 
 import pytest
 
@@ -70,27 +71,35 @@ class TestVoteValue:
                 assert vote_value(reports, FLOAT) == truth
 
 
+def _detect_at_node_5(claims: Optional[dict[int, frozenset]] = None) -> tuple:
+    """Node 5 of the six-node fixture (it hears nodes 1-4, which hear 6)
+    runs detect_alg3 in round 2, with node j's message claiming
+    claims[j]; returns node 5's state before detection and the
+    detection arguments."""
+    g = six_node_graph()
+    oracle = StructuralOracle(g, 1)
+    views = {i: NodeView.from_graph(g, i) for i in g.nodes}
+    states = {i: bootstrap(i, X0_SIX[i - 1], views[i], FLOAT) for i in g.nodes}
+    first = {i: build_information_set(states[i]) for i in g.nodes}
+    for i in g.nodes:
+        honest_round(states[i], {j: first[j] for j in views[i].in_nbrs}, frozenset(), FLOAT)
+    msgs = {i: build_information_set(states[i]) for i in g.nodes}
+    for j, claimed in (claims or {}).items():
+        msgs[j] = replace(msgs[j], detected=claimed)
+    public = {j: m.self_next for j, m in first.items()}
+    states[5].check_set = {j: public[j] for j in views[5].in_nbrs | {5}}
+    audits = {j: audit_broadcast(m, first[j], public, oracle, FLOAT) for j, m in msgs.items()}
+    inbox = {j: msgs[j] for j in views[5].in_nbrs}
+    return states[5], (inbox, audits, public, oracle, FLOAT)
+
+
 class TestClaimCorroboration:
     """detect_alg3 accepts a claimed id once f+1 distinct reporters
     claim it (VoteMajority)."""
 
     def _votes(self, reporters):
-        # node 5 of the six-node fixture hears nodes 1-4, which hear 6;
-        # after the first exchange the given reporters claim node 6
-        g = six_node_graph()
-        oracle = StructuralOracle(g, 1)
-        views = {i: NodeView.from_graph(g, i) for i in g.nodes}
-        states = {i: bootstrap(i, X0_SIX[i - 1], views[i], FLOAT) for i in g.nodes}
-        first = {i: build_information_set(states[i]) for i in g.nodes}
-        for i in g.nodes:
-            honest_round(states[i], {j: first[j] for j in views[i].in_nbrs}, frozenset(), FLOAT)
-        msgs = {i: build_information_set(states[i]) for i in g.nodes}
-        for j in reporters:
-            msgs[j] = replace(msgs[j], detected=frozenset({6}))
-        public = {j: m.self_next for j, m in first.items()}
-        audits = {j: audit_broadcast(m, first[j], public, oracle, FLOAT) for j, m in msgs.items()}
-        inbox = {j: msgs[j] for j in views[5].in_nbrs}
-        result = detect_alg3(states[5], inbox, audits, public, oracle, FLOAT)
+        state, args = _detect_at_node_5({j: frozenset({6}) for j in reporters})
+        result = detect_alg3(state, *args)
         return [v for v in result.verdicts if v.cause is Cause.VOTE_MAJORITY]
 
     def test_threshold_is_f_plus_one(self):
@@ -99,6 +108,37 @@ class TestClaimCorroboration:
 
     def test_single_reporter_insufficient(self):
         assert self._votes((1,)) == []
+
+
+class TestClaimAudits:
+    """The per-reporter claim audits of detect_alg3 run only on
+    non-empty input, and in the order uncorroborated, omitted, vanished,
+    persisted, the first verdict on a reporter winning."""
+
+    @staticmethod
+    def _verdicts(result):
+        return [(v.suspect, v.cause, v.evidence) for v in result.verdicts]
+
+    def test_emptied_claim_set_vanishes(self):
+        # node 1 claimed two-hop node 2 last round and claims nothing now
+        state, args = _detect_at_node_5()
+        state.prev_claims[1] = frozenset({2})
+        result = detect_alg3(state, *args)
+        assert self._verdicts(result) == [(1, Cause.STEP1B, (("vanished", (2,)),))]
+        assert state.prev_claims[1] == frozenset()
+
+    def test_uncorroborated_claim_wins_over_omission(self):
+        # node 5 already knows 6, an in-neighbor of 1-4 that each of
+        # them must detect; node 1 claims its in-neighbor 3 instead
+        state, args = _detect_at_node_5({1: frozenset({3})})
+        state.detected_two_hop = {6}
+        result = detect_alg3(state, *args)
+        assert self._verdicts(result) == [
+            (1, Cause.STEP1A, (("uncorroborated", 3),)),
+            (2, Cause.STEP1A, (("omitted", 6),)),
+            (3, Cause.STEP1A, (("omitted", 6),)),
+            (4, Cause.STEP1A, (("omitted", 6),)),
+        ]
 
 
 class TestReconstruction:

@@ -3,7 +3,9 @@
 A receiver repeats Step 3 per edge, and runs its two-hop votes, only
 where its check set differs from the public values (what each sender
 broadcast as its next running sums last round). These tests check that
-the shortcut gives exactly the verdicts of the full per-receiver path.
+the shortcut gives exactly the verdicts of the full per-receiver path,
+and that the one-walk audit_broadcast and replay give what their
+multi-pass reference versions below give.
 """
 
 import math
@@ -23,12 +25,17 @@ from racsim.adversary import (
     forge_information_set,
 )
 from racsim.detection import (
+    Cause,
+    ReconstructionResult,
+    SenderAudit,
     StructuralOracle,
     _audit_edge,
     _deviating,
     audit_broadcast,
     detect_alg2,
     detect_alg3,
+    init_range_check,
+    reconstruct_running_sums,
 )
 from racsim.fixtures import X0_SIX, six_node_graph
 from racsim.graph import complete_graph
@@ -95,6 +102,181 @@ def test_shortcut_matches_treating_every_check_id_as_deviating(case):
     shortcut = _audit_edge(msg, audit, check, _deviating(check, public), rule)
     assert shortcut == _audit_edge(msg, audit, check, frozenset(check), rule)
     assert shortcut == _audit_edge(msg, replace(audit, consistent=False), check, frozenset(), rule)
+
+
+def _reference_replay(phi_now, phi_prev, rule):
+    """reconstruct_running_sums as two generator sums over the union of
+    both ledgers' ids."""
+    j = phi_now.sender
+    d = 1 + phi_now.declared_out_degree
+    self_now = phi_now.relayed[j]
+    keys = set(phi_now.relayed) | set(phi_prev.relayed)
+    flow_y = sum(
+        phi_now.relayed.get(h, ZERO_PAIR)[0] - phi_prev.relayed.get(h, ZERO_PAIR)[0]
+        for h in keys
+    )
+    flow_z = sum(
+        phi_now.relayed.get(h, ZERO_PAIR)[1] - phi_prev.relayed.get(h, ZERO_PAIR)[1]
+        for h in keys
+    )
+    y_prev = flow_y + phi_now.declared_removed_out * self_now[0]
+    z_prev = flow_z + phi_now.declared_removed_out * self_now[1]
+    lam_pred = self_now[0] + y_prev / d
+    gam_pred = self_now[1] + z_prev / d
+    return ReconstructionResult(
+        lam_pred=lam_pred,
+        gam_pred=gam_pred,
+        eps_lam=phi_now.self_next[0] - lam_pred,
+        eps_gam=phi_now.self_next[1] - gam_pred,
+    )
+
+
+def _reference_audit(msg, prev_msg, public, oracle, rule, interval=None):
+    """audit_broadcast with every set built, faithful as an all() over
+    the relayed entries and Step 3 as a second walk over them."""
+    j = msg.sender
+    in_j, out_j = oracle.in_nbrs(j), oracle.out_nbrs(j)
+    ids = set(msg.relayed)
+    foreign = ids - in_j - {j}
+    missing = (in_j | {j}) - ids
+    claimed_before = prev_msg.detected if prev_msg is not None else frozenset()
+    expected_d = len(out_j - msg.detected)
+    expected_removed = len((out_j - claimed_before) & msg.detected)
+    if foreign:
+        return SenderAudit((Cause.STEP2, (("foreign_ids", tuple(sorted(foreign))),)))
+    if missing:
+        return SenderAudit((Cause.STEP2, (("missing_ids", tuple(sorted(missing))),)))
+    if msg.declared_out_degree != expected_d:
+        evidence = ("declared_out_degree", msg.declared_out_degree, expected_d)
+        return SenderAudit((Cause.STEP4, (evidence,)))
+    if msg.declared_removed_out != expected_removed:
+        evidence = ("declared_removed_out", msg.declared_removed_out, expected_removed)
+        return SenderAudit((Cause.STEP4, (evidence,)))
+    if prev_msg is None:
+        lam, gam = msg.self_next
+        verdict = init_range_check(float(lam / gam) if gam != 0 else float("inf"), interval)
+        replay = None if verdict is None else (verdict.cause, verdict.evidence)
+    else:
+        rec = _reference_replay(msg, prev_msg, rule)
+        replay = None
+        if not rec.clean(rule):
+            evidence = (("reported", msg.self_next), ("reconstructed", (rec.lam_pred, rec.gam_pred)))
+            replay = (Cause.STEP4, evidence)
+    faithful = all(public.get(h) == val for h, val in msg.relayed.items())
+    consistent = True
+    for h, val in msg.relayed.items():
+        expected = ZERO_PAIR if h != j and h in msg.detected else public.get(h)
+        if expected is not None and not rule.pair_eq(val, expected):
+            consistent = False
+            break
+    return SenderAudit(None, replay, consistent, faithful)
+
+
+def _same(a, b) -> bool:
+    """Equal, of the same type, where any two NaNs count as equal."""
+    if isinstance(a, tuple) and isinstance(b, tuple):
+        return len(a) == len(b) and all(_same(x, y) for x, y in zip(a, b))
+    if isinstance(a, float) and isinstance(b, float) and math.isnan(a) and math.isnan(b):
+        return True
+    return type(a) is type(b) and a == b
+
+
+# dyadic offsets keep float sums exact, so the order of a sum cannot
+# move its result: 2**-31 is within the default tolerance, 2**-29 beyond
+DYADIC_PARTS = (1.0, 1.0 + 2**-31, 1.0 + 2**-29, 0, 0.0, -0.0, math.inf, NAN, OTHER_NAN)
+FRACTION_PARTS = (Fraction(1, 3), Fraction(2, 3), Fraction(1, 2), 1, Fraction(1), 0, Fraction(0))
+# K5's ids plus two ids outside the graph
+AUDIT_IDS = range(1, 8)
+
+
+@st.composite
+def broadcasts(draw):
+    """A broadcast from node 1 of K5, its predecessor (or None) and a
+    public table: foreign, missing and claimed ids, ids that only the
+    predecessor relays, and declared fields that are often right."""
+    rule = draw(st.sampled_from([FLOAT, EXACT]))
+    pairs = st.tuples(*[st.sampled_from(DYADIC_PARTS if rule is FLOAT else FRACTION_PARTS)] * 2)
+    out = K5.out_neighbors(1)
+
+    def often(right, wrong):
+        return right if draw(st.integers(0, 3)) else draw(wrong)
+
+    def message(claimed_before):
+        ids = often(range(1, 6), st.lists(st.sampled_from(AUDIT_IDS), unique=True))
+        claims = draw(st.frozensets(st.sampled_from(AUDIT_IDS)))
+        return InformationSet(
+            sender=1,
+            round=3,
+            detected=claims,
+            self_next=draw(pairs),
+            relayed={h: draw(pairs) for h in [*ids, 1]},
+            declared_out_degree=often(len(out - claims), st.integers(0, 5)),
+            declared_removed_out=often(len((out - claimed_before) & claims), st.integers(0, 5)),
+        )
+
+    prev = message(frozenset()) if draw(st.booleans()) else None
+    msg = message(prev.detected if prev is not None else frozenset())
+    # the relayed entries, with up to three ids dropped or redrawn
+    public = dict(msg.relayed)
+    for h in draw(st.lists(st.sampled_from(AUDIT_IDS), unique=True, max_size=3)):
+        if draw(st.booleans()):
+            public.pop(h, None)
+        else:
+            public[h] = draw(pairs)
+    interval = draw(st.sampled_from([None, (0.0, 1.0), (-1.0, 0.25)]))
+    return msg, prev, public, interval, rule
+
+
+@settings(max_examples=500, deadline=None)
+@given(broadcasts())
+def test_audit_broadcast_matches_the_multi_pass_reference(case):
+    msg, prev, public, interval, rule = case
+    got = audit_broadcast(msg, prev, public, K5_ORACLE, rule, interval)
+    want = _reference_audit(msg, prev, public, K5_ORACLE, rule, interval)
+    assert _same(
+        (got.fields, got.replay, got.consistent, got.faithful),
+        (want.fields, want.replay, want.consistent, want.faithful),
+    )
+
+
+@st.composite
+def ledgers(draw):
+    """Two consecutive messages of node 1 with any ids in any order."""
+    rule = draw(st.sampled_from([FLOAT, EXACT]))
+    if rule is FLOAT:
+        numbers = st.floats(-10.0, 10.0)
+    else:
+        numbers = st.builds(Fraction, st.integers(-600, 600), st.integers(1, 60))
+    pairs = st.tuples(numbers, numbers)
+
+    def message():
+        ids = draw(st.lists(st.sampled_from(AUDIT_IDS), unique=True))
+        return InformationSet(
+            sender=1,
+            round=3,
+            detected=frozenset(),
+            self_next=draw(pairs),
+            relayed={h: draw(pairs) for h in [*ids, 1]},
+            declared_out_degree=draw(st.integers(0, 4)),
+            declared_removed_out=draw(st.integers(0, 4)),
+        )
+
+    return message(), message(), rule
+
+
+@settings(max_examples=300, deadline=None)
+@given(ledgers())
+def test_replay_matches_the_union_reference(case):
+    now, prev, rule = case
+    got = reconstruct_running_sums(now, prev, rule)
+    want = _reference_replay(now, prev, rule)
+    fields = ("lam_pred", "gam_pred", "eps_lam", "eps_gam")
+    for name in fields:
+        a, b = getattr(got, name), getattr(want, name)
+        if rule is EXACT:
+            assert a == b
+        else:
+            assert abs(a - b) <= 1e-12
 
 
 def test_deviating_compares_with_eq_and_counts_missing_ids():

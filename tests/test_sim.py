@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -34,6 +35,11 @@ def _basic_scenario(**overrides) -> Scenario:
     )
     defaults.update(overrides)
     return Scenario(**defaults)
+
+
+def _attack(action: AttackAction) -> dict:
+    """Scenario overrides: node 5 runs action from round 1."""
+    return dict(adversaries=(AttackScript(node=5, schedule=((1, action),)),))
 
 
 def _tamper_scenario(**overrides) -> Scenario:
@@ -81,6 +87,44 @@ class TestValidation:
 
     def test_valid_scenario_has_no_problems(self):
         assert _tamper_scenario().validate() == []
+
+    @pytest.mark.parametrize(
+        "overrides, problem",
+        [
+            (dict(x0=(math.nan,) + X0_SIX[1:]), "x0 has a non-finite entry"),
+            (dict(x0=X0_SIX[:5] + (-math.inf,)), "x0 has a non-finite entry"),
+            (
+                _attack(AttackAction(ActionKind.FALSELY_ACCUSE, target=9)),
+                "adversary 5 FalselyAccuse from round 1: target 9 outside 1..6",
+            ),
+            (
+                _attack(AttackAction(ActionKind.SET_SELF_VALUE, value=math.inf)),
+                "adversary 5 SetSelfValue from round 1: amount, value and fake_values must be finite",
+            ),
+            (
+                _attack(AttackAction(ActionKind.TAMPER_RELAYED, target=2, amount=math.nan)),
+                "adversary 5 TamperRelayed from round 1: amount, value and fake_values must be finite",
+            ),
+            (
+                _attack(AttackAction(ActionKind.INJECT_FAKE_ID, target=4, fake_values=(1.0, math.inf))),
+                "adversary 5 InjectFakeId from round 1: amount, value and fake_values must be finite",
+            ),
+        ],
+        ids=["nan-x0", "inf-x0", "accuse-outside", "inf-self-value", "nan-amount", "inf-fake-values"],
+    )
+    def test_bad_input_is_a_scenario_error(self, overrides, problem):
+        sc = _basic_scenario(**overrides)
+        assert sc.validate() == [problem]
+        with pytest.raises(ScenarioError):
+            run(sc)
+
+    @pytest.mark.parametrize(
+        "kind", [ActionKind.INJECT_FAKE_ID, ActionKind.TAMPER_RELAYED, ActionKind.DROP_RELAYED_ENTRY]
+    )
+    def test_forged_ledger_ids_outside_the_graph_stay_legal(self, kind):
+        sc = _basic_scenario(horizon=5, **_attack(AttackAction(kind, target=99, fake_values=(1.0, 1.0))))
+        assert sc.validate() == []
+        run(sc)
 
 
 class TestEngine:
