@@ -78,15 +78,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _invalid_scenario(exc: ScenarioError) -> int:
+    for problem in exc.problems:
+        print(f"invalid scenario: {problem}", file=sys.stderr)
+    return EXIT_INVALID
+
+
 def cmd_run(args) -> int:
     try:
         scenario = load_scenario(Path(args.scenario))
     except OSError as exc:
         print(f"cannot read scenario: {exc}", file=sys.stderr)
         return EXIT_UNREADABLE
-    except (ScenarioError, json.JSONDecodeError) as exc:
+    except json.JSONDecodeError as exc:
         print(f"invalid scenario: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except ScenarioError as exc:
+        return _invalid_scenario(exc)
     if args.seed is not None:
         scenario.seed = args.seed
     if args.exact:
@@ -96,9 +104,7 @@ def cmd_run(args) -> int:
     try:
         trace = run_scenario(scenario)
     except ScenarioError as exc:
-        for problem in exc.problems:
-            print(f"invalid scenario: {problem}", file=sys.stderr)
-        return EXIT_INVALID
+        return _invalid_scenario(exc)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_trace_csv(trace, out_dir / "trace.csv")

@@ -348,10 +348,12 @@ def detect_alg2(
 ) -> list[DetectionVerdict]:
     """One round of sharing detection for one node.
 
-    audits holds this round's audit_broadcast result per sender, made
-    against the public values; shared is the oracle-distributed
-    detection set as of last round, and every honest claim set must
-    equal it exactly.
+    inbox maps senders to this round's messages, and may hold those of
+    non-neighbors (the engine passes its whole broadcast table); only
+    in-neighbors' are read. audits holds this round's audit_broadcast
+    result per sender, made against the public values; shared is the
+    oracle-distributed detection set as of last round, and every
+    honest claim set must equal it exactly.
     """
     i = state.id
     k = state.round + 1
@@ -384,7 +386,7 @@ def detect_alg2(
         if finding is not None:
             condemn(j, finding[0], *finding[1])
 
-    state.check_set = {j: msg.self_next for j, msg in inbox.items()}
+    state.check_set = {j: inbox[j].self_next for j in state.view.in_nbrs if j in inbox}
     return verdicts
 
 
@@ -398,8 +400,8 @@ def detect_alg3(
 ) -> Alg3Result:
     """One round of fully distributed detection for one node.
 
-    audits holds this round's audit_broadcast result per sender, made
-    against the public values.
+    inbox is read as in detect_alg2. audits holds this round's
+    audit_broadcast result per sender, made against the public values.
     Returns the verdicts plus the node's updated detection sets; the
     caller applies them to the protocol state.
     """
@@ -508,7 +510,7 @@ def detect_alg3(
 
     # this round's claims are next round's expected relayed values; the
     # engine adds the detector's own entry after its state update
-    state.check_set = {j: msg.self_next for j, msg in inbox.items()}
+    state.check_set = {j: inbox[j].self_next for j in state.view.in_nbrs if j in inbox}
     return Alg3Result(
         verdicts=tuple(verdicts),
         detected=frozenset(detected),

@@ -192,9 +192,8 @@ def check_alg3_condition(g: DirectedGraph, f: int, debug: bool = False) -> Condi
     if g.undirected and debug:
         # on undirected graphs the two-hop check alone must already
         # decide the verdict; cross-check against the full evaluation
-        assert (not two_hop) == (not two_hop and not extra), (
-            "undirected shortcut disagrees with full check"
-        )
+        if not two_hop and extra:
+            raise RuntimeError("undirected shortcut disagrees with full check")
     return ConditionReport.from_violations(two_hop + extra)
 
 

@@ -165,13 +165,8 @@ def build_information_set(s: NodeState) -> InformationSet:
     relayed = dict(s.ledger)
     relayed[s.id] = (s.prev_lam, s.prev_gam)
     return InformationSet(
-        sender=s.id,
-        round=s.round,
-        detected=frozenset(s.detected),
-        self_next=(s.run.lam, s.run.gam),
-        relayed=relayed,
-        declared_out_degree=s.out_degree,
-        declared_removed_out=s.removed_out_count,
+        s.id, s.round, frozenset(s.detected), (s.run.lam, s.run.gam), relayed,
+        s.out_degree, s.removed_out_count,
     )
 
 
@@ -183,49 +178,49 @@ def honest_round(
 ) -> None:
     """Advance one round in place.
 
-    new_detected is this round's detection outcome; in-neighbors that
-    sent nothing are treated as crashed and detected as well.
+    new_detected is this round's detection outcome. inbox may hold the
+    messages of non-neighbors, such as the engine's whole broadcast
+    table; an in-neighbor that sent nothing has crashed and is detected
+    as well.
     """
-    k = s.round + 1
-    crashed = frozenset(
-        j
-        for j in s.view.in_nbrs
-        if j not in s.detected and j not in new_detected and j not in inbox
-    )
-    s.detected |= set(new_detected) | crashed
-    prev_active_out = s.active_out
-    active_out = s.view.out_nbrs - s.detected
-    removed_out = prev_active_out - active_out
-    d_out = len(active_out)
-
-    lam_k, gam_k = s.run.lam, s.run.gam
-    new_ledger: dict[int, Pair] = {}
+    detected = s.detected
+    if new_detected:
+        detected |= new_detected
+    run = s.run
+    lam_k, gam_k = run.lam, run.gam
+    old_ledger = s.ledger
+    ledger: dict[int, Pair] = {}
     y = lam_k - s.prev_lam
     z = gam_k - s.prev_gam
     for j in s.view.in_nbrs:
-        if j in s.detected:
-            new_ledger[j] = ZERO_PAIR
+        if j in detected:
+            pair = ZERO_PAIR
         else:
-            new_ledger[j] = inbox[j].self_next
-        y = y + (new_ledger[j][0] - s.ledger[j][0])
-        z = z + (new_ledger[j][1] - s.ledger[j][1])
+            msg = inbox.get(j)
+            if msg is None:
+                detected.add(j)  # crashed
+                pair = ZERO_PAIR
+            else:
+                pair = msg.self_next
+        ledger[j] = pair
+        new_y, new_z = pair
+        old_y, old_z = old_ledger[j]
+        y = y + (new_y - old_y)
+        z = z + (new_z - old_z)
+    active_out = s.view.out_nbrs - detected
+    n_removed = len(s.active_out - active_out)
+    d_out = len(active_out)
     # mass previously sent to newly removed out-neighbors comes back
-    y = y + len(removed_out) * lam_k
-    z = z + len(removed_out) * gam_k
+    y = y + n_removed * lam_k
+    z = z + n_removed * gam_k
 
-    ratio = y / z if rule.z_ok(z) else s.run.ratio
+    ratio = y / z if rule.z_ok(z) else run.ratio
 
-    s.ledger = new_ledger
+    s.ledger = ledger
     s.prev_lam = lam_k
     s.prev_gam = gam_k
-    s.run = RunningState(
-        y=y,
-        z=z,
-        lam=lam_k + y / (1 + d_out),
-        gam=gam_k + z / (1 + d_out),
-        ratio=ratio,
-    )
-    s.round = k
+    s.run = RunningState(y, z, lam_k + y / (1 + d_out), gam_k + z / (1 + d_out), ratio)
+    s.round += 1
     s.active_out = active_out
     s.out_degree = d_out
-    s.removed_out_count = len(removed_out)
+    s.removed_out_count = n_removed

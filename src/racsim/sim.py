@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -88,8 +89,9 @@ class Scenario:
             problems.append("f must be non-negative")
         if self.horizon < 2:
             problems.append("horizon must be at least 2")
-        if self.tol <= 0:
-            problems.append("tol must be positive")
+        for name in ("tol", "value_tol"):
+            if not 0 < getattr(self, name) < math.inf:
+                problems.append(f"{name} must be positive and finite")
         if self.detection is DetectionMode.ALG2:
             if not self.sharing_oracle:
                 problems.append("sharing detection requires the sharing oracle")
@@ -115,6 +117,8 @@ class Scenario:
                 numbers = (a.amount, a.value, *(a.fake_values or ()))
                 if not all(_finite(v) for v in numbers if v is not None):
                     problems.append(f"{where}: amount, value and fake_values must be finite")
+                if a.kind is ActionKind.LIE_DECLARED_DEGREE and a.value is not None and a.value < 0:
+                    problems.append(f"{where}: a declared degree must not be negative")
         if self.safety_interval is not None:
             lo, hi = self.safety_interval
             if lo > hi:
@@ -185,38 +189,39 @@ def run(scenario: Scenario) -> Trace:
     views = {i: NodeView.from_graph(g, i) for i in nodes}
     states = {i: bootstrap(i, scenario.x0[i - 1], views[i], rule) for i in nodes}
 
+    # round 0 is recorded as the trace is built
     trace = Trace(
         scenario=scenario,
-        y={i: [] for i in nodes},
-        z={i: [] for i in nodes},
-        r={i: [] for i in nodes},
-        detected_count={i: [] for i in nodes},
+        y={i: [states[i].run.y] for i in nodes},
+        z={i: [states[i].run.z] for i in nodes},
+        r={i: [states[i].run.ratio] for i in nodes},
+        detected_count={i: [len(states[i].detected)] for i in nodes},
     )
-    for i in nodes:
-        _record(trace, i, states[i], None, 0)
+    # each node's trace appenders, bound once
+    records = {
+        i: (trace.y[i].append, trace.z[i].append, trace.r[i].append, trace.detected_count[i].append)
+        for i in nodes
+    }
 
     for k in range(1, scenario.horizon + 1):
-        # emit: one identical message per node, possibly forged
-        msgs: dict[int, Optional[object]] = {}
+        # emit: one identical message per node, possibly forged, into the
+        # round's one broadcast table; a crashed node sends nothing
+        sent = {}
         for i in nodes:
-            truth = build_information_set(states[i])
+            msg = build_information_set(states[i])
             if i in scripts:
                 # the first exchange takes the actions of round 1
-                msgs[i] = forge_information_set(
-                    truth, scripts[i], max(k - 1, 1), rngs[i], skip_ledger_tamper=True, rule=rule
+                msg = forge_information_set(
+                    msg, scripts[i], max(k - 1, 1), rngs[i], skip_ledger_tamper=True, rule=rule
                 )
-            else:
-                msgs[i] = truth
-        inboxes = {
-            i: {j: msgs[j] for j in views[i].in_nbrs if msgs[j] is not None}
-            for i in nodes
-        }
+                if msg is None:
+                    continue
+            sent[i] = msg
 
         # detect: every receiver audits the same broadcast, so its
         # receiver-independent checks run once per message sent
-        new_detected: dict[int, frozenset[int]] = {i: frozenset() for i in nodes}
+        new_detected: dict[int, frozenset[int]] = dict.fromkeys(nodes, frozenset())
         if detecting:
-            sent = {j: msg for j, msg in msgs.items() if msg is not None}
             audits = {j: audit_broadcast(m, prev_msgs.get(j), public, oracle, rule,
                                          scenario.safety_interval)
                       for j, m in sent.items()}
@@ -225,7 +230,7 @@ def run(scenario: Scenario) -> Trace:
             for i in nodes:
                 if i in scripts:
                     continue
-                res = detect_alg3(states[i], inboxes[i], audits, public, oracle, rule)
+                res = detect_alg3(states[i], sent, audits, public, oracle, rule)
                 trace.events.extend(res.verdicts)
                 new_detected[i] = res.detected - states[i].detected
                 states[i].detected_two_hop = set(res.detected_two_hop)
@@ -237,7 +242,7 @@ def run(scenario: Scenario) -> Trace:
             for i in nodes:
                 if i in scripts:
                     continue
-                verdicts = detect_alg2(states[i], inboxes[i], audits, public, shared, rule)
+                verdicts = detect_alg2(states[i], sent, audits, public, shared, rule)
                 trace.events.extend(verdicts)
                 round_suspects |= {v.suspect for v in verdicts}
             new_shared = set(shared) | round_suspects
@@ -246,34 +251,30 @@ def run(scenario: Scenario) -> Trace:
         if detecting:
             public = {j: msg.self_next for j, msg in sent.items()}
 
-        # update
+        # update: normal nodes read the broadcast table itself; an
+        # adversary gets its own inbox, which its script may tamper
         for i in nodes:
-            if i in scripts:
-                actions = scripts[i].active_actions(k - 1)
-                if any(a.kind is ActionKind.CRASH for a in actions):
-                    _record(trace, i, states[i], scripts[i], k)
-                    continue
-                inbox = tampered_inbox(inboxes[i], scripts[i], k)
+            s = states[i]
+            script = scripts.get(i)
+            ratio = None
+            if script is None:
+                honest_round(s, sent, new_detected[i], rule)
+                if detecting:
+                    s.check_set[i] = (s.prev_lam, s.prev_gam)
             else:
-                inbox = inboxes[i]
-            honest_round(states[i], inbox, new_detected[i], rule)
-            if detecting and i not in scripts:
-                states[i].check_set[i] = (states[i].prev_lam, states[i].prev_gam)
-            _record(trace, i, states[i], scripts.get(i), k)
+                if not any(a.kind is ActionKind.CRASH for a in script.active_actions(k - 1)):
+                    inbox = {j: sent[j] for j in views[i].in_nbrs if j in sent}
+                    honest_round(s, tampered_inbox(inbox, script, k), new_detected[i], rule)
+                # the trace shows the ratio the adversary announces
+                ratio = scripted_self_value(script, k - 1)
+            add_y, add_z, add_r, add_d = records[i]
+            now = s.run
+            add_y(now.y)
+            add_z(now.z)
+            add_r(now.ratio if ratio is None else ratio)
+            add_d(len(s.detected))
 
     return trace
-
-
-def _record(trace: Trace, i: int, state, script: Optional[AttackScript], k: int) -> None:
-    trace.y[i].append(state.run.y)
-    trace.z[i].append(state.run.z)
-    value = state.run.ratio
-    if script is not None:
-        scripted = scripted_self_value(script, k - 1)
-        if scripted is not None:
-            value = scripted
-    trace.r[i].append(value)
-    trace.detected_count[i].append(len(state.detected))
 
 
 def convergence_round(trace: Trace, target: float, tol: float) -> Optional[int]:
@@ -316,17 +317,53 @@ def _action_to_json(a: AttackAction) -> dict:
     return out
 
 
+def _number(v) -> bool:
+    """A JSON number a float can hold: a float, or an int but not a bool."""
+    if isinstance(v, float):
+        return True
+    return isinstance(v, int) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
+def _integer(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _two_numbers(v) -> bool:
+    return isinstance(v, list) and len(v) == 2 and all(map(_number, v))
+
+
 def _action_from_json(d: dict) -> AttackAction:
     kind = ActionKind(d["kind"])
+    target, amount, value = d.get("target"), d.get("amount", 0.0), d.get("value")
     fake = d.get("fake_values")
+    if target is not None and not _integer(target):
+        raise ValueError(f"{kind.value} target must be an integer, got {target!r}")
+    if not _number(amount) or not (value is None or _number(value)):
+        raise ValueError(f"{kind.value} amount and value must be numbers")
+    if fake is not None and not _two_numbers(fake):
+        raise ValueError(f"{kind.value} fake_values must be two numbers, got {fake!r}")
     return AttackAction(
         kind=kind,
-        target=d.get("target"),
+        target=target,
         mode=TamperMode(d.get("mode", "offset")),
-        amount=d.get("amount", 0.0),
-        value=d.get("value"),
+        amount=amount,
+        value=value,
         fake_values=tuple(fake) if fake is not None else None,
     )
+
+
+def _adversary_from_json(entry: dict) -> AttackScript:
+    node = entry["node"]
+    if not _integer(node):
+        raise ValueError(f"node must be an integer, got {node!r}")
+    schedule = []
+    for item in entry.get("schedule", []):
+        start = item["from_round"]
+        if not _integer(start):
+            raise ValueError(f"from_round must be an integer, got {start!r}")
+        schedule.append((start, _action_from_json(item["action"])))
+    partner = entry.get("collusion_partner")
+    return AttackScript(node=node, schedule=tuple(schedule), collusion_partner=partner)
 
 
 def scenario_to_json(sc: Scenario) -> dict:
@@ -355,53 +392,67 @@ def scenario_to_json(sc: Scenario) -> dict:
         "seed": sc.seed,
         "safety_interval": list(sc.safety_interval) if sc.safety_interval else None,
         "arithmetic": "exact" if sc.exact else "float",
+        "value_tol": sc.value_tol,
     }
 
 
 def scenario_from_json(data: dict, base_dir: Optional[Path] = None) -> Scenario:
+    if not isinstance(data, dict):
+        raise ScenarioError(["a scenario must be a JSON object"])
     problems: list[str] = []
     gspec = data.get("graph")
     graph = None
     if not isinstance(gspec, dict):
         problems.append("missing graph specification")
     else:
-        try:
-            if "inline" in gspec:
-                graph = read_edge_list(gspec["inline"])
-            elif "file" in gspec:
-                path = Path(gspec["file"])
-                if base_dir is not None and not path.is_absolute():
-                    path = base_dir / path
-                graph = read_edge_list(path.read_text())
-            elif "fixture" in gspec:
-                name = gspec["fixture"]
-                if name not in FIXTURE_GRAPHS:
-                    problems.append(f"unknown fixture {name!r}")
-                else:
-                    graph = FIXTURE_GRAPHS[name]()
+        source = next((key for key in ("inline", "file", "fixture") if key in gspec), None)
+        spec = gspec.get(source)
+        if source is None:
+            problems.append("graph must give inline, file, or fixture")
+        elif not isinstance(spec, str):
+            problems.append(f"graph {source} must be a string, got {spec!r}")
+        elif source == "fixture":
+            if spec in FIXTURE_GRAPHS:
+                graph = FIXTURE_GRAPHS[spec]()
             else:
-                problems.append("graph must give inline, file, or fixture")
-        except (OSError, ValueError) as exc:
-            problems.append(f"bad graph: {exc}")
+                problems.append(f"unknown fixture {spec!r}")
+        else:
+            try:
+                if source == "file":
+                    path = Path(spec)
+                    if base_dir is not None and not path.is_absolute():
+                        path = base_dir / path
+                    spec = path.read_text()
+                graph = read_edge_list(spec)
+            except (OSError, ValueError) as exc:
+                problems.append(f"bad graph: {exc}")
     x0 = data.get("x0")
     if not isinstance(x0, list) or not x0:
         problems.append("x0 must be a non-empty list")
         x0 = [0.0]
+    elif not all(map(_number, x0)):
+        problems.append(f"x0 must hold numbers, got {next(v for v in x0 if not _number(v))!r}")
+
+    def typed(key: str, default, ok, what: str):
+        value = data.get(key, default)
+        if ok(value):
+            return value
+        problems.append(f"{key} must be {what}, got {value!r}")
+        return default
+
+    f = typed("f", 1, _integer, "an integer")
+    horizon = typed("horizon", 200, _integer, "an integer")
+    tol = typed("tol", 1e-6, _number, "a number")
+    seed = typed("seed", 0, _integer, "an integer")
+    value_tol = typed("value_tol", DEFAULT_TOL, _number, "a number")
+    sharing = typed("sharing_oracle", False, lambda v: isinstance(v, bool), "true or false")
+    arithmetic = typed("arithmetic", "float", lambda v: v in ("float", "exact"), "float or exact")
+    interval = typed("safety_interval", None, lambda v: v is None or _two_numbers(v), "two numbers")
     adversaries = []
-    for entry in data.get("adversaries", []):
+    for entry in typed("adversaries", [], lambda v: isinstance(v, list), "a list"):
         try:
-            schedule = tuple(
-                (item["from_round"], _action_from_json(item["action"]))
-                for item in entry.get("schedule", [])
-            )
-            adversaries.append(
-                AttackScript(
-                    node=entry["node"],
-                    schedule=schedule,
-                    collusion_partner=entry.get("collusion_partner"),
-                )
-            )
-        except (KeyError, ValueError) as exc:
+            adversaries.append(_adversary_from_json(entry))
+        except (KeyError, TypeError, ValueError) as exc:
             problems.append(f"bad adversary entry: {exc}")
     try:
         detection = DetectionMode(data.get("detection", "alg3"))
@@ -413,24 +464,23 @@ def scenario_from_json(data: dict, base_dir: Optional[Path] = None) -> Scenario:
     except ValueError:
         problems.append(f"bad adversary model {data.get('model')!r}")
         model = AdversaryKind.LOCAL
-    interval = data.get("safety_interval")
     if problems:
         raise ScenarioError(problems)
-    sc = Scenario(
+    return Scenario(
         graph=graph,
         x0=tuple(float(v) for v in x0),
-        f=int(data.get("f", 1)),
+        f=f,
         model=model,
         detection=detection,
-        sharing_oracle=bool(data.get("sharing_oracle", False)),
+        sharing_oracle=sharing,
         adversaries=tuple(adversaries),
-        horizon=int(data.get("horizon", 200)),
-        tol=float(data.get("tol", 1e-6)),
-        seed=int(data.get("seed", 0)),
+        horizon=horizon,
+        tol=float(tol),
+        seed=seed,
         safety_interval=tuple(interval) if interval else None,
-        exact=data.get("arithmetic", "float") == "exact",
+        exact=arithmetic == "exact",
+        value_tol=float(value_tol),
     )
-    return sc
 
 
 def load_scenario(path: Path) -> Scenario:

@@ -56,8 +56,34 @@ class TestRunCommand:
             {"x0": [float("nan")] + list(X0_SIX[1:])},
             {"adversaries": [{"node": 5, "schedule": [
                 {"from_round": 1, "action": {"kind": "FalselyAccuse", "target": 9}}]}]},
+            {"x0": ["a"] + list(X0_SIX[1:])},
+            {"x0": [10**400] + list(X0_SIX[1:])},
+            {"horizon": "abc"},
+            {"f": "one"},
+            {"tol": "x"},
+            {"safety_interval": [1]},
+            {"adversaries": [{"node": "6", "schedule": []}]},
+            {"adversaries": [{"node": 6, "schedule": [
+                {"from_round": 1, "action": {"kind": "LieDeclaredDegree", "value": "x"}}]}]},
+            {"adversaries": [{"node": 6, "schedule": [
+                {"from_round": 1, "action": {"kind": "LieDeclaredDegree", "value": -1}}]}]},
+            {"value_tol": "x"},
+            {"value_tol": 0},
+            {"arithmetic": "decimal"},
+            {"sharing_oracle": "yes"},
+            {"graph": {"fixture": ["six"]}},
+            {"adversaries": {"node": 6}},
+            {"adversaries": [{"node": 6, "schedule": [
+                {"from_round": "1", "action": {"kind": "Comply"}}]}]},
+            {"adversaries": [{"node": 6, "schedule": [
+                {"from_round": 1, "action": {"kind": "TamperRelayed", "target": "2"}}]}]},
         ],
-        ids=["nan-x0", "accuse-outside"],
+        ids=[
+            "nan-x0", "accuse-outside", "text-x0", "huge-x0", "text-horizon", "text-f", "text-tol",
+            "short-interval", "text-node", "text-degree", "negative-degree", "text-value-tol",
+            "zero-value-tol", "unknown-arithmetic", "text-sharing", "list-fixture",
+            "adversaries-object", "text-round", "text-target",
+        ],
     )
     def test_bad_input_exits_invalid_with_one_line(self, tmp_path, scenario_file, capsys, change):
         data = json.loads(scenario_file.read_text())
@@ -68,6 +94,16 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert code == EXIT_INVALID
         assert len(err.splitlines()) == 1 and err.startswith("invalid scenario: ")
+
+    def test_every_problem_gets_its_own_line(self, tmp_path, scenario_file, capsys):
+        data = json.loads(scenario_file.read_text())
+        data.update({"horizon": "abc", "f": "one", "x0": ["a"]})
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code = main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")])
+        lines = capsys.readouterr().err.splitlines()
+        assert code == EXIT_INVALID
+        assert len(lines) == 3 and all(line.startswith("invalid scenario: ") for line in lines)
 
     def test_repeated_runs_byte_identical(self, tmp_path, scenario_file):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from racsim.fixtures import six_node_damaged
 from racsim.graph import (
     DirectedGraph,
     GraphError,
@@ -136,6 +137,15 @@ class TestAlg3Condition:
         fast = check_alg3_condition(g, f)
         full = check_alg3_condition(g, f, debug=True)
         assert fast.satisfied == full.satisfied
+
+    def test_shortcut_disagreement_raises(self, monkeypatch):
+        # the cross-check is an exception, so python -O keeps it: with
+        # the two-hop check blinded, six-damaged's full check disagrees
+        g = six_node_damaged()
+        assert g.undirected and not check_alg3_condition(g, 1).satisfied
+        monkeypatch.setattr(DirectedGraph, "two_hop_in_neighbors", lambda self, i: frozenset())
+        with pytest.raises(RuntimeError, match="undirected shortcut"):
+            check_alg3_condition(g, 1, debug=True)
 
     def test_lemma_direction_min_in_degree(self):
         # an incomplete strongly connected graph that passes the

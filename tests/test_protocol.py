@@ -11,8 +11,10 @@ from racsim.graph import DirectedGraph, complete_graph, is_strongly_connected
 from racsim.protocol import (
     ZERO_PAIR,
     InformationSet,
+    NodeState,
     NodeView,
     ProtocolError,
+    RunningState,
     ValueRule,
     bootstrap,
     build_information_set,
@@ -269,3 +271,108 @@ class TestInformationSet:
                 relayed={2: (0.5, 0.5)},
                 declared_out_degree=1,
             )
+
+
+def _reference_honest_round(s, inbox, new_detected, rule):
+    """honest_round with a crash set, a set union and indexed pairs:
+    the reference the one-walk version must match."""
+    k = s.round + 1
+    crashed = frozenset(
+        j
+        for j in s.view.in_nbrs
+        if j not in s.detected and j not in new_detected and j not in inbox
+    )
+    s.detected |= set(new_detected) | crashed
+    prev_active_out = s.active_out
+    active_out = s.view.out_nbrs - s.detected
+    removed_out = prev_active_out - active_out
+    d_out = len(active_out)
+
+    lam_k, gam_k = s.run.lam, s.run.gam
+    new_ledger = {}
+    y = lam_k - s.prev_lam
+    z = gam_k - s.prev_gam
+    for j in s.view.in_nbrs:
+        if j in s.detected:
+            new_ledger[j] = ZERO_PAIR
+        else:
+            new_ledger[j] = inbox[j].self_next
+        y = y + (new_ledger[j][0] - s.ledger[j][0])
+        z = z + (new_ledger[j][1] - s.ledger[j][1])
+    y = y + len(removed_out) * lam_k
+    z = z + len(removed_out) * gam_k
+
+    ratio = y / z if rule.z_ok(z) else s.run.ratio
+
+    s.ledger = new_ledger
+    s.prev_lam = lam_k
+    s.prev_gam = gam_k
+    s.run = RunningState(
+        y=y, z=z, lam=lam_k + y / (1 + d_out), gam=gam_k + z / (1 + d_out), ratio=ratio
+    )
+    s.round = k
+    s.active_out = active_out
+    s.out_degree = d_out
+    s.removed_out_count = len(removed_out)
+
+
+# zeros of every type and sign, a NaN, an infinity and values whose
+# sums round; Fractions and ints under EXACT
+ROUND_FLOATS = (0, 0.0, -0.0, 1.0, -2.5, 1.0 + 2**-40, 1e300, math.inf, math.nan)
+ROUND_FRACTIONS = (0, Fraction(0), 1, Fraction(1, 3), Fraction(-2, 7), Fraction(5, 2))
+ROUND_IDS = range(1, 9)
+
+
+@st.composite
+def node_rounds(draw):
+    """A node 1 state and one round's inputs: an inbox that may hold
+    any node's message, the receiver's own included, and may lack
+    in-neighbors (crashes); new detections of in- and out-neighbors;
+    in-neighbors detected before the round."""
+    rule = draw(st.sampled_from([FLOAT, EXACT]))
+    values = st.sampled_from(ROUND_FLOATS if rule is FLOAT else ROUND_FRACTIONS)
+    pairs = st.tuples(values, values)
+    others = st.sampled_from(ROUND_IDS[1:])
+    in_nbrs = draw(st.frozensets(others, max_size=6))
+    out_nbrs = draw(st.frozensets(others, max_size=6))
+    detected = set(draw(st.frozensets(others, max_size=4)))
+    active_out = out_nbrs - detected
+    state = NodeState(
+        id=1,
+        round=draw(st.integers(0, 5)),
+        view=NodeView(1, in_nbrs, out_nbrs),
+        run=RunningState(*(draw(values) for _ in range(5))),
+        prev_lam=draw(values),
+        prev_gam=draw(values),
+        ledger={j: draw(pairs) for j in in_nbrs},
+        detected=detected,
+        active_out=active_out,
+        out_degree=len(active_out),
+        removed_out_count=draw(st.integers(0, 2)),
+    )
+    senders = draw(st.lists(st.sampled_from(ROUND_IDS), unique=True))
+    inbox = {
+        j: InformationSet(j, state.round, frozenset(), draw(pairs), {j: ZERO_PAIR}, 0)
+        for j in senders
+    }
+    new_detected = draw(st.frozensets(others, max_size=4))
+    return state, inbox, new_detected, rule
+
+
+@settings(max_examples=500, deadline=None)
+@given(node_rounds())
+def test_honest_round_matches_the_reference(case):
+    state, inbox, new_detected, rule = case
+    got, want = deepcopy(state), deepcopy(state)
+    honest_round(got, inbox, new_detected, rule)
+    _reference_honest_round(want, inbox, new_detected, rule)
+
+    # repr tells -0.0 from 0.0 and a Fraction from an int, and shows
+    # the ledger's order; every NaN prints alike
+    def outcome(s):
+        return repr((
+            s.round, s.run, s.prev_lam, s.prev_gam, list(s.ledger.items()),
+            sorted(s.detected), sorted(s.active_out), s.out_degree, s.removed_out_count,
+        ))
+
+    assert outcome(got) == outcome(want)

@@ -361,3 +361,60 @@ def test_empty_public_table_gives_the_same_detection(network, kind, rule):
             honest_round(states[i], inboxes[i], new_detected[i], rule)
             states[i].check_set[i] = (states[i].prev_lam, states[i].prev_gam)
     assert shortcuts > 0
+
+
+@pytest.mark.parametrize("rule", [FLOAT, EXACT], ids=["float", "exact"])
+@pytest.mark.parametrize("kind", list(ActionKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("network", list(_NETWORKS))
+def test_whole_broadcast_table_gives_the_same_detection(network, kind, rule):
+    """The engine hands each detector the round's whole broadcast
+    table; it must give the verdicts and the check set, in order, that
+    a per-receiver inbox gives."""
+    g, x0, adversary, alg3 = _NETWORKS[network]
+    oracle = StructuralOracle(g, 1)
+    script = AttackScript(node=adversary, schedule=((3, _ACTIONS[kind]),))
+    rng = adversary_rng(0, adversary)
+    normal = [i for i in g.nodes if i != adversary]
+    views = {i: NodeView.from_graph(g, i) for i in g.nodes}
+    states = {i: bootstrap(i, x0[i - 1], views[i], rule) for i in g.nodes}
+    prev, public, verdicts = {}, {i: ZERO_PAIR for i in g.nodes}, 0
+    for k in range(1, 9):
+        msgs = {i: build_information_set(states[i]) for i in g.nodes}
+        msgs[adversary] = forge_information_set(msgs[adversary], script, max(k - 1, 1), rng)
+        sent = {j: m for j, m in msgs.items() if m is not None}
+        audits = {j: audit_broadcast(m, prev.get(j), public, oracle, rule) for j, m in sent.items()}
+        prev.update(sent)
+        shared = frozenset().union(*(states[i].detected for i in normal))
+        suspects = set()
+        new_detected = {i: frozenset() for i in g.nodes}
+        for i in normal:
+            inbox = {j: sent[j] for j in views[i].in_nbrs if j in sent}
+            state, twin = states[i], deepcopy(states[i])
+            if alg3:
+                got = detect_alg3(state, sent, audits, public, oracle, rule)
+                want = detect_alg3(twin, inbox, audits, public, oracle, rule)
+                new_detected[i] = got.detected - state.detected
+                state.detected_two_hop = set(got.detected_two_hop)
+                twin.detected_two_hop = set(want.detected_two_hop)
+                verdicts += len(got.verdicts)
+            else:
+                got = detect_alg2(state, sent, audits, public, shared, rule)
+                want = detect_alg2(twin, inbox, audits, public, shared, rule)
+                suspects |= {v.suspect for v in got}
+                verdicts += len(got)
+            assert got == want
+            assert state == twin
+            # the order the per-receiver engine built the check set in
+            assert list(state.check_set.items()) == [(j, m.self_next) for j, m in inbox.items()]
+        if not alg3:
+            new_detected = {
+                i: frozenset((shared | suspects) - states[i].detected - {i}) for i in g.nodes
+            }
+        public = {j: m.self_next for j, m in sent.items()}
+        for i in normal:
+            honest_round(states[i], sent, new_detected[i], rule)
+            states[i].check_set[i] = (states[i].prev_lam, states[i].prev_gam)
+        if msgs[adversary] is not None:
+            honest_round(states[adversary], sent, frozenset(), rule)
+    if kind is not ActionKind.COMPLY:
+        assert verdicts > 0

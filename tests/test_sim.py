@@ -8,6 +8,7 @@ from racsim.adversary import ActionKind, AttackAction, AttackScript
 from racsim.detection import Cause, DetectionVerdict
 from racsim.fixtures import X0_SIX, six_node_graph
 from racsim.graph import DirectedGraph, complete_graph
+from racsim.protocol import DEFAULT_TOL
 from racsim.sim import (
     DetectionMode,
     Scenario,
@@ -280,6 +281,19 @@ class TestSerialization:
     def test_exact_flag_round_trips(self):
         sc = _basic_scenario(exact=True)
         assert scenario_from_json(scenario_to_json(sc)).exact
+
+    def test_value_tol_round_trips(self):
+        data = json.loads(json.dumps(scenario_to_json(_basic_scenario(value_tol=1e-6))))
+        assert scenario_from_json(data).value_tol == 1e-6
+        del data["value_tol"]
+        assert scenario_from_json(data).value_tol == DEFAULT_TOL
+
+    @pytest.mark.parametrize("name", ["tol", "value_tol"])
+    @pytest.mark.parametrize("value", [0.0, -1e-9, math.inf, math.nan])
+    def test_tolerances_must_be_positive_and_finite(self, name, value):
+        with pytest.raises(ScenarioError) as err:
+            run(_basic_scenario(**{name: value}))
+        assert err.value.problems == [f"{name} must be positive and finite"]
 
 
 class TestCsvExport:
