@@ -62,7 +62,6 @@ class AttackAction:
 class AttackScript:
     node: int
     schedule: tuple[tuple[int, AttackAction], ...] = ()
-    collusion_partner: Optional[int] = None
 
     def __post_init__(self) -> None:
         rounds = [r for r, _ in self.schedule]
@@ -88,14 +87,12 @@ def make_colluding_tamper(
         schedule=(
             (from_round, AttackAction(ActionKind.TAMPER_RELAYED, target=node_b, amount=amount)),
         ),
-        collusion_partner=node_b,
     )
     b = AttackScript(
         node=node_b,
         schedule=(
             (from_round, AttackAction(ActionKind.TAMPER_RELAYED, target=node_a, amount=-amount)),
         ),
-        collusion_partner=node_a,
     )
     return a, b
 
@@ -232,10 +229,10 @@ def validate_adversary_placement(
         for i in g.nodes:
             if i in adversaries:
                 continue
-            if g.in_neighbors(i) == frozenset(set(g.nodes) - {i}):
-                continue  # full access node
-            bad = g.in_neighbors(i) & adversaries
-            if len(bad) > model.f:
+            in_i = g.in_neighbors(i)
+            bad = in_i & adversaries
+            # a full access node hears every other node
+            if len(bad) > model.f and len(in_i) < g.n - 1:
                 violations.append(Violation((i,), "local_bound", tuple(sorted(bad))))
     return ConditionReport.from_violations(violations)
 

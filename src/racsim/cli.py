@@ -136,7 +136,11 @@ def cmd_check_graph(args) -> int:
         _print_report("sharing-detection condition", report)
         ok = ok and report.satisfied
     if args.k_strong is not None:
-        result = is_k_strongly_connected(g, args.k_strong)
+        try:
+            result = is_k_strongly_connected(g, args.k_strong)
+        except GraphError as exc:
+            print(f"invalid arguments: {exc}", file=sys.stderr)
+            return EXIT_INVALID
         print(f"{args.k_strong}-strong connectivity: {'pass' if result else 'fail'}")
         ok = ok and result
     return EXIT_OK if ok else EXIT_CHECK_FAILED

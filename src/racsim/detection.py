@@ -1,20 +1,25 @@
 """Malicious-node detection.
 
-Two detectors over the same per-round audit machinery:
+Each node-round of detection is one pipeline: the crash check, the
+ascending set of reporting in-neighbors, the node's check set of
+expected relayed values, one audit per reporter ending in the per-edge
+checks (Step 2 to Step 4), and the rebuild of the check set. The two
+detectors differ only in their claim policy, how a node treats the
+detection sets its in-neighbors claim:
 
-* sharing detection: every verified detection is shared network-wide
-  by a trusted oracle within the round; each node then audits each
-  in-neighbor's message against the shared detection set, its own
-  check set of previously claimed running sums, and a full replay of
-  the sender's update arithmetic.
+* sharing detection: a trusted oracle shares every verified detection
+  network-wide within the round, and each claim set must equal the
+  shared set.
 * fully distributed detection: no oracle; nodes extend their check
   sets to two-hop in-neighbors by majority voting over relayed copies,
   accept detection claims corroborated by f+1 distinct reporters, and
   audit claim sets for uncorroborated or vanishing accusations.
 
-All checks are conservative: a value that cannot be verified (no
-majority, not enough reporters, insufficient structural coverage)
-never produces a detection.
+Every detection lands in the detecting node's state as it is made: a
+neighbor in its detection set, any other node in its two-hop set. All
+checks are conservative: a value that cannot be verified (no majority,
+not enough reporters, insufficient structural coverage) never produces
+a detection.
 """
 
 from __future__ import annotations
@@ -192,35 +197,19 @@ class StructuralOracle:
         return witnesses >= 2 * self.f + 1
 
 
+Finding = tuple[Cause, tuple]  # cause and evidence of one verdict
+
+
 def init_range_check(
-    x_reported: float,
-    interval: Optional[tuple[float, float]],
-    detector: int = 0,
-    suspect: int = 0,
-) -> Optional[DetectionVerdict]:
+    x_reported: float, interval: Optional[tuple[float, float]]
+) -> Optional[Finding]:
     """First-exchange sanity check against a configured safety interval."""
     if interval is None:
         return None
     lo, hi = interval
     if lo <= x_reported <= hi:
         return None
-    return DetectionVerdict(
-        suspect=suspect,
-        detector=detector,
-        round=1,
-        cause=Cause.INIT_RANGE,
-        evidence=(("reported", x_reported), ("interval", interval)),
-    )
-
-
-@dataclass(frozen=True)
-class Alg3Result:
-    verdicts: tuple[DetectionVerdict, ...]
-    detected: frozenset[int]
-    detected_two_hop: frozenset[int]
-
-
-Finding = tuple[Cause, tuple]  # cause and evidence of one verdict
+    return Cause.INIT_RANGE, (("reported", x_reported), ("interval", interval))
 
 
 @dataclass(frozen=True)
@@ -279,8 +268,7 @@ def audit_broadcast(
         return SenderAudit((Cause.STEP4, (evidence,)))
     if prev_msg is None:
         lam, gam = msg.self_next
-        verdict = init_range_check(float(lam / gam) if gam != 0 else float("inf"), interval)
-        replay = None if verdict is None else (verdict.cause, verdict.evidence)
+        replay = init_range_check(float(lam / gam) if gam != 0 else float("inf"), interval)
     else:
         rec = reconstruct_running_sums(msg, prev_msg, rule)
         replay = None
@@ -338,6 +326,130 @@ def _audit_edge(
     return audit.replay
 
 
+def _detect(
+    state: NodeState,
+    inbox: Mapping[int, InformationSet],
+    audits: Mapping[int, SenderAudit],
+    public: Mapping[int, Pair],
+    oracle: Optional[StructuralOracle],
+    rule: ValueRule,
+    shared: Optional[frozenset[int]],
+) -> list[DetectionVerdict]:
+    """One node-round of detection, under the sharing claim policy when
+    shared is given and the distributed one when it is None; see
+    detect_alg2 and detect_alg3."""
+    i = state.id
+    k = state.round + 1
+    view = state.view
+    detected = state.detected
+    two_hop_detected = state.detected_two_hop
+    # j composed its claims a round ago, so it can only be expected to
+    # know what this node had detected before this round
+    known_before = detected | two_hop_detected
+    active_in = sorted(view.in_nbrs - detected)
+    verdicts: list[DetectionVerdict] = []
+
+    def condemn(suspect: int, cause: Cause, *evidence) -> None:
+        if suspect == i or suspect in detected or suspect in two_hop_detected:
+            return
+        verdicts.append(DetectionVerdict(suspect, i, k, cause, evidence))
+        if suspect in view.in_nbrs or suspect in view.out_nbrs:
+            detected.add(suspect)
+        else:
+            two_hop_detected.add(suspect)
+
+    for j in active_in:
+        if j not in inbox:
+            condemn(j, Cause.CRASH)
+
+    # ascending, the order of the per-reporter audits below
+    reporters = {j: inbox[j] for j in active_in if j in inbox}
+
+    check = state.check_set
+    if shared is None:
+        f = oracle.f
+        # extend the check set with majority-voted two-hop values; if
+        # every report is == its public value, so is a vote, and Step 3
+        # needs none
+        if not all(audits[j].consistent and audits[j].faithful for j in reporters):
+            check = dict(check)
+            for h, relays in oracle.two_hop_relays[i]:
+                if h in detected or h in two_hop_detected or h in check:
+                    continue
+                reports = [
+                    (p, reporters[p].relayed[h])
+                    for p in relays
+                    if p in reporters and h in reporters[p].relayed
+                ]
+                if len(reports) < 2 * f + 1:
+                    continue
+                voted = vote_value(reports, rule)
+                if voted is NO_MAJORITY:
+                    continue
+                check[h] = voted
+
+        # corroborated detection claims
+        counts: dict[int, int] = {}
+        for msg in reporters.values():
+            for m in msg.detected:
+                counts[m] = counts.get(m, 0) + 1
+        for m in sorted(counts):
+            if counts[m] >= f + 1:
+                condemn(m, Cause.VOTE_MAJORITY, ("reporters", counts[m]))
+        snapshot = detected | two_hop_detected
+    deviating = _deviating(check, public)
+
+    for j, msg in reporters.items():
+        if j in detected:
+            continue
+        # the claim policy; the distributed claim audits run in this
+        # order, as the first verdict on j wins, and only on non-empty
+        # input: most claim sets are empty
+        claims = msg.detected
+        if shared is None:
+            in_j = oracle.in_nbrs(j)
+
+            # claims about j's own in-neighbors
+            if claims:
+                for h in sorted(claims & in_j):
+                    if h not in snapshot and oracle.must_know_status(i, h):
+                        condemn(j, Cause.STEP1A, ("uncorroborated", h))
+            if known_before:
+                for h in sorted((known_before & in_j) - claims):
+                    if oracle.must_detect(j, h):
+                        condemn(j, Cause.STEP1A, ("omitted", h))
+
+            # two-hop claims: must be corroborated once repeated, and
+            # must never vanish from the claim set
+            previous = state.prev_claims.get(j)
+            if previous and not previous <= claims:
+                condemn(j, Cause.STEP1B, ("vanished", tuple(sorted(previous - claims))))
+            if claims:
+                for m in sorted(claims - in_j - {j}):
+                    if m in snapshot:
+                        continue
+                    first = state.claim_first_seen.get((j, m))
+                    if first is None:
+                        state.claim_first_seen[(j, m)] = k
+                    elif first < k and oracle.must_know_status(i, m):
+                        condemn(j, Cause.STEP1B, ("persisted_uncorroborated", m))
+            state.prev_claims[j] = claims
+        elif claims != shared:
+            claimed = ("claimed", tuple(sorted(claims)))
+            condemn(j, Cause.STEP1, claimed, ("shared", tuple(sorted(shared))))
+
+        if j in detected:
+            continue
+        finding = _audit_edge(msg, audits[j], check, deviating, rule)
+        if finding is not None:
+            condemn(j, finding[0], *finding[1])
+
+    # this round's claims are next round's expected relayed values; the
+    # engine adds the detector's own entry after its state update
+    state.check_set = {j: inbox[j].self_next for j in view.in_nbrs if j in inbox}
+    return verdicts
+
+
 def detect_alg2(
     state: NodeState,
     inbox: Mapping[int, InformationSet],
@@ -353,41 +465,12 @@ def detect_alg2(
     in-neighbors' are read. audits holds this round's audit_broadcast
     result per sender, made against the public values; shared is the
     oracle-distributed detection set as of last round, and every
-    honest claim set must equal it exactly.
+    honest claim set must equal it exactly. Returns the verdicts, whose
+    suspects are already in state.detected. perfbench/tracer.py times
+    each detector under its own name, so the two stay separate
+    functions.
     """
-    i = state.id
-    k = state.round + 1
-    verdicts: list[DetectionVerdict] = []
-
-    def condemn(j: int, cause: Cause, *evidence) -> None:
-        verdicts.append(
-            DetectionVerdict(suspect=j, detector=i, round=k, cause=cause, evidence=tuple(evidence))
-        )
-
-    active_in = sorted(state.view.in_nbrs - state.detected)
-    for j in active_in:
-        if j not in inbox:
-            condemn(j, Cause.CRASH)
-
-    deviating = _deviating(state.check_set, public)
-    for j in active_in:
-        if j not in inbox:
-            continue
-        msg = inbox[j]
-        if msg.detected != shared:
-            condemn(
-                j,
-                Cause.STEP1,
-                ("claimed", tuple(sorted(msg.detected))),
-                ("shared", tuple(sorted(shared))),
-            )
-            continue
-        finding = _audit_edge(msg, audits[j], state.check_set, deviating, rule)
-        if finding is not None:
-            condemn(j, finding[0], *finding[1])
-
-    state.check_set = {j: inbox[j].self_next for j in state.view.in_nbrs if j in inbox}
-    return verdicts
+    return _detect(state, inbox, audits, public, None, rule, shared)
 
 
 def detect_alg3(
@@ -397,122 +480,13 @@ def detect_alg3(
     public: Mapping[int, Pair],
     oracle: StructuralOracle,
     rule: ValueRule,
-) -> Alg3Result:
+) -> list[DetectionVerdict]:
     """One round of fully distributed detection for one node.
 
-    inbox is read as in detect_alg2. audits holds this round's
-    audit_broadcast result per sender, made against the public values.
-    Returns the verdicts plus the node's updated detection sets; the
-    caller applies them to the protocol state.
+    inbox and audits are read as in detect_alg2. Returns the verdicts,
+    whose suspects are already in state.detected (neighbors) or
+    state.detected_two_hop (any other node). perfbench/tracer.py times
+    each detector under its own name, so the two stay separate
+    functions.
     """
-    i = state.id
-    k = state.round + 1
-    f = oracle.f
-    detected = set(state.detected)
-    two_hop_detected = set(state.detected_two_hop)
-    verdicts: list[DetectionVerdict] = []
-
-    def condemn(suspect: int, cause: Cause, *evidence) -> None:
-        if suspect == i or suspect in detected or suspect in two_hop_detected:
-            return
-        verdicts.append(
-            DetectionVerdict(
-                suspect=suspect, detector=i, round=k, cause=cause, evidence=tuple(evidence)
-            )
-        )
-        if suspect in state.view.in_nbrs or suspect in state.view.out_nbrs:
-            detected.add(suspect)
-        else:
-            two_hop_detected.add(suspect)
-
-    active_in = sorted(state.view.in_nbrs - state.detected)
-    for j in active_in:
-        if j not in inbox:
-            condemn(j, Cause.CRASH)
-
-    # ascending, the order of the per-reporter audits below
-    reporters = {j: inbox[j] for j in active_in if j in inbox and j not in detected}
-
-    # extend the check set with majority-voted two-hop values; if every
-    # report is == its public value, so is a vote, and Step 3 needs none
-    check = state.check_set
-    if not all(audits[j].consistent and audits[j].faithful for j in reporters):
-        check = dict(check)
-        for h, relays in oracle.two_hop_relays[i]:
-            if h in detected or h in two_hop_detected or h in check:
-                continue
-            reports = [
-                (p, reporters[p].relayed[h])
-                for p in relays
-                if p in reporters and h in reporters[p].relayed
-            ]
-            if len(reports) < 2 * f + 1:
-                continue
-            voted = vote_value(reports, rule)
-            if voted is NO_MAJORITY:
-                continue
-            check[h] = voted
-    deviating = _deviating(check, public)
-
-    # corroborated detection claims
-    counts: dict[int, int] = {}
-    for msg in reporters.values():
-        for m in msg.detected:
-            counts[m] = counts.get(m, 0) + 1
-    for m in sorted(counts):
-        if counts[m] >= f + 1 and m != i and m not in detected and m not in two_hop_detected:
-            condemn(m, Cause.VOTE_MAJORITY, ("reporters", counts[m]))
-
-    snapshot = detected | two_hop_detected
-    # j composed its claims a round ago, so it can only be expected to
-    # know what this node had detected before this round
-    known_before = state.detected | state.detected_two_hop
-
-    # the claim audits run in this order, as the first verdict on j
-    # wins, and only on non-empty input: most claim sets are empty
-    for j, msg in reporters.items():
-        if j in detected:
-            continue
-        claims = msg.detected
-        in_j = oracle.in_nbrs(j)
-
-        # claims about j's own in-neighbors
-        if claims:
-            for h in sorted(claims & in_j):
-                if h not in snapshot and oracle.must_know_status(i, h):
-                    condemn(j, Cause.STEP1A, ("uncorroborated", h))
-        if known_before:
-            for h in sorted((known_before & in_j) - claims):
-                if oracle.must_detect(j, h):
-                    condemn(j, Cause.STEP1A, ("omitted", h))
-
-        # two-hop claims: must be corroborated once repeated, and must
-        # never vanish from the claim set
-        previous = state.prev_claims.get(j)
-        if previous and not previous <= claims:
-            condemn(j, Cause.STEP1B, ("vanished", tuple(sorted(previous - claims))))
-        if claims:
-            for m in sorted(claims - in_j - {j}):
-                if m in snapshot:
-                    continue
-                first = state.claim_first_seen.get((j, m))
-                if first is None:
-                    state.claim_first_seen[(j, m)] = k
-                elif first < k and oracle.must_know_status(i, m):
-                    condemn(j, Cause.STEP1B, ("persisted_uncorroborated", m))
-        state.prev_claims[j] = claims
-
-        if j in detected:
-            continue
-        finding = _audit_edge(msg, audits[j], check, deviating, rule)
-        if finding is not None:
-            condemn(j, finding[0], *finding[1])
-
-    # this round's claims are next round's expected relayed values; the
-    # engine adds the detector's own entry after its state update
-    state.check_set = {j: inbox[j].self_next for j in state.view.in_nbrs if j in inbox}
-    return Alg3Result(
-        verdicts=tuple(verdicts),
-        detected=frozenset(detected),
-        detected_two_hop=frozenset(two_hop_detected),
-    )
+    return _detect(state, inbox, audits, public, oracle, rule, None)

@@ -25,6 +25,7 @@ from .adversary import (
     forge_information_set,
     scripted_self_value,
     tampered_inbox,
+    validate_adversary_placement,
 )
 from .detection import (
     DetectionVerdict,
@@ -34,7 +35,7 @@ from .detection import (
     detect_alg3,
 )
 from .fixtures import FIXTURE_GRAPHS
-from .graph import AdversaryKind, DirectedGraph, read_edge_list
+from .graph import AdversaryKind, AdversaryModel, DirectedGraph, read_edge_list
 from .protocol import (
     DEFAULT_TOL,
     ZERO_PAIR,
@@ -100,9 +101,17 @@ class Scenario:
         nodes = [s.node for s in self.adversaries]
         if len(set(nodes)) != len(nodes):
             problems.append("duplicate adversary scripts")
-        for v in nodes:
-            if not (1 <= v <= self.graph.n):
-                problems.append(f"adversary node {v} outside 1..{self.graph.n}")
+        outside = [v for v in nodes if not (1 <= v <= self.graph.n)]
+        for v in outside:
+            problems.append(f"adversary node {v} outside 1..{self.graph.n}")
+        if self.f >= 0 and not outside:
+            model = AdversaryModel(self.f, self.model)
+            report = validate_adversary_placement(self.graph, self.adversaries, model)
+            for v in report.violations:
+                problems.append(
+                    f"adversary placement violates {v.condition} at {v.subject}"
+                    f" under the {self.model.value} model with f={self.f}"
+                )
         if not all(_finite(v) for v in self.x0):
             problems.append("x0 has a non-finite entry")
         for script in self.adversaries:
@@ -178,7 +187,9 @@ def run(scenario: Scenario) -> Trace:
     nodes = list(g.nodes)
     scripts = {s.node: s for s in scenario.adversaries}
     rngs = {v: adversary_rng(scenario.seed, v) for v in scripts}
+    normals = [i for i in nodes if i not in scripts]
     detecting = scenario.detection is not DetectionMode.NONE
+    sharing = scenario.detection is DetectionMode.ALG2
     if detecting:
         oracle = StructuralOracle(g, scenario.f)
         # each sender's previous broadcast, for the per-sender audit
@@ -219,36 +230,27 @@ def run(scenario: Scenario) -> Trace:
             sent[i] = msg
 
         # detect: every receiver audits the same broadcast, so its
-        # receiver-independent checks run once per message sent
+        # receiver-independent checks run once per message sent; each
+        # detector adds its suspects to its own state
         new_detected: dict[int, frozenset[int]] = dict.fromkeys(nodes, frozenset())
         if detecting:
             audits = {j: audit_broadcast(m, prev_msgs.get(j), public, oracle, rule,
                                          scenario.safety_interval)
                       for j, m in sent.items()}
             prev_msgs.update(sent)
-        if scenario.detection is DetectionMode.ALG3:
-            for i in nodes:
-                if i in scripts:
-                    continue
-                res = detect_alg3(states[i], sent, audits, public, oracle, rule)
-                trace.events.extend(res.verdicts)
-                new_detected[i] = res.detected - states[i].detected
-                states[i].detected_two_hop = set(res.detected_two_hop)
-        elif scenario.detection is DetectionMode.ALG2:
-            shared = frozenset().union(
-                *(frozenset(states[i].detected) for i in nodes if i not in scripts)
-            )
-            round_suspects: set[int] = set()
-            for i in nodes:
-                if i in scripts:
-                    continue
-                verdicts = detect_alg2(states[i], sent, audits, public, shared, rule)
+            if sharing:
+                # before any detector runs, as each adds its suspects in place
+                shared = frozenset().union(*(states[i].detected for i in normals))
+            for i in normals:
+                if sharing:
+                    verdicts = detect_alg2(states[i], sent, audits, public, shared, rule)
+                else:
+                    verdicts = detect_alg3(states[i], sent, audits, public, oracle, rule)
                 trace.events.extend(verdicts)
-                round_suspects |= {v.suspect for v in verdicts}
-            new_shared = set(shared) | round_suspects
-            for i in nodes:
-                new_detected[i] = frozenset(new_shared - states[i].detected - {i})
-        if detecting:
+            if sharing:
+                # the oracle hands every node this round's detections
+                new_shared = frozenset().union(*(states[i].detected for i in normals))
+                new_detected = {i: new_shared - states[i].detected - {i} for i in nodes}
             public = {j: msg.self_next for j, msg in sent.items()}
 
         # update: normal nodes read the broadcast table itself; an
@@ -362,8 +364,7 @@ def _adversary_from_json(entry: dict) -> AttackScript:
         if not _integer(start):
             raise ValueError(f"from_round must be an integer, got {start!r}")
         schedule.append((start, _action_from_json(item["action"])))
-    partner = entry.get("collusion_partner")
-    return AttackScript(node=node, schedule=tuple(schedule), collusion_partner=partner)
+    return AttackScript(node=node, schedule=tuple(schedule))
 
 
 def scenario_to_json(sc: Scenario) -> dict:
@@ -379,7 +380,6 @@ def scenario_to_json(sc: Scenario) -> dict:
         "adversaries": [
             {
                 "node": s.node,
-                "collusion_partner": s.collusion_partner,
                 "schedule": [
                     {"from_round": r, "action": _action_to_json(a)}
                     for r, a in s.schedule

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -10,8 +11,10 @@ from racsim.cli import (
     main,
 )
 from racsim.fixtures import X0_SIX, six_node_damaged, six_node_graph
-from racsim.graph import read_edge_list, write_edge_list
+from racsim.graph import LayeredVariant, generate_layered, read_edge_list, write_edge_list
 from racsim.sim import Scenario, scenario_to_json
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 @pytest.fixture
@@ -105,6 +108,21 @@ class TestRunCommand:
         assert code == EXIT_INVALID
         assert len(lines) == 3 and all(line.startswith("invalid scenario: ") for line in lines)
 
+    def test_misplaced_adversaries_exit_invalid(self, tmp_path, capsys):
+        # a second adversary at node 1 gives nodes 3 and 4 two malicious
+        # in-neighbors each, beyond the local bound f = 1
+        data = json.loads((SCENARIOS / "six-attack.json").read_text())
+        data["adversaries"].append({"node": 1, "schedule": []})
+        path = tmp_path / "two.json"
+        path.write_text(json.dumps(data))
+        code = main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")])
+        assert code == EXIT_INVALID
+        assert capsys.readouterr().err.splitlines() == [
+            f"invalid scenario: adversary placement violates local_bound at ({i},)"
+            " under the local model with f=1"
+            for i in (3, 4)
+        ]
+
     def test_repeated_runs_byte_identical(self, tmp_path, scenario_file):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         assert main(["run", "--scenario", str(scenario_file), "--out", str(out_a)]) == EXIT_OK
@@ -141,6 +159,17 @@ class TestCheckGraphCommand:
         path.write_text("n 3\n1 2\n2 3\n3 1\n")
         code = main(["check-graph", str(path), "-f", "1", "--alg2"])
         assert code == EXIT_INVALID
+
+
+    @pytest.mark.parametrize("layers, k", [(10, 2), (3, 0)], ids=["thirty-nodes", "k-zero"])
+    def test_bad_k_strong_exits_invalid_with_one_line(self, tmp_path, capsys, layers, k):
+        # the exhaustive k-strong check refuses graphs beyond 20 nodes
+        path = tmp_path / "g.txt"
+        path.write_text(write_edge_list(generate_layered(layers, 1, LayeredVariant.UNDIRECTED_PATH)))
+        code = main(["check-graph", str(path), "-f", "1", "--k-strong", str(k)])
+        err = capsys.readouterr().err
+        assert code == EXIT_INVALID
+        assert len(err.splitlines()) == 1 and err.startswith("invalid arguments: ")
 
 
 class TestGenGraphCommand:

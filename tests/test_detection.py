@@ -10,6 +10,7 @@ from racsim.detection import (
     Cause,
     StructuralOracle,
     audit_broadcast,
+    detect_alg2,
     detect_alg3,
     init_range_check,
     reconstruct_running_sums,
@@ -99,8 +100,8 @@ class TestClaimCorroboration:
 
     def _votes(self, reporters):
         state, args = _detect_at_node_5({j: frozenset({6}) for j in reporters})
-        result = detect_alg3(state, *args)
-        return [v for v in result.verdicts if v.cause is Cause.VOTE_MAJORITY]
+        verdicts = detect_alg3(state, *args)
+        return [v for v in verdicts if v.cause is Cause.VOTE_MAJORITY]
 
     def test_threshold_is_f_plus_one(self):
         votes = self._votes((1, 2))
@@ -116,8 +117,8 @@ class TestClaimAudits:
     persisted, the first verdict on a reporter winning."""
 
     @staticmethod
-    def _verdicts(result):
-        return [(v.suspect, v.cause, v.evidence) for v in result.verdicts]
+    def _verdicts(verdicts):
+        return [(v.suspect, v.cause, v.evidence) for v in verdicts]
 
     def test_emptied_claim_set_vanishes(self):
         # node 1 claimed two-hop node 2 last round and claims nothing now
@@ -139,6 +140,28 @@ class TestClaimAudits:
             (3, Cause.STEP1A, (("omitted", 6),)),
             (4, Cause.STEP1A, (("omitted", 6),)),
         ]
+
+
+@pytest.mark.parametrize("alg3", [True, False], ids=["alg3", "alg2"])
+def test_detections_land_in_state(alg3):
+    """A detector adds each suspect to the node's state as it condemns
+    it: a neighbor to detected, any other node to detected_two_hop."""
+    # in-neighbor 4 has crashed, and 1 and 2 claim two-hop node 6 without
+    # lowering their declared out-degrees
+    state, (inbox, audits, public, oracle, rule) = _detect_at_node_5(
+        {1: frozenset({6}), 2: frozenset({6})}
+    )
+    del inbox[4]
+    detected, two_hop = set(state.detected), set(state.detected_two_hop)
+    if alg3:
+        verdicts = detect_alg3(state, inbox, audits, public, oracle, rule)
+    else:
+        verdicts = detect_alg2(state, inbox, audits, public, frozenset(), rule)
+    suspects = {v.suspect for v in verdicts}
+    assert suspects == ({1, 2, 4, 6} if alg3 else {1, 2, 4})
+    neighbors = state.view.in_nbrs | state.view.out_nbrs
+    assert state.detected == detected | (suspects & neighbors)
+    assert state.detected_two_hop == two_hop | (suspects - neighbors)
 
 
 class TestReconstruction:
@@ -218,10 +241,8 @@ class TestInitRangeCheck:
         assert init_range_check(5.0, (0.0, 10.0)) is None
 
     def test_outside_interval_condemns(self):
-        verdict = init_range_check(50.0, (0.0, 10.0), detector=1, suspect=2)
-        assert verdict is not None
-        assert verdict.cause is Cause.INIT_RANGE
-        assert verdict.suspect == 2 and verdict.round == 1
+        finding = init_range_check(50.0, (0.0, 10.0))
+        assert finding == (Cause.INIT_RANGE, (("reported", 50.0), ("interval", (0.0, 10.0))))
 
 
 def _six_scenario(*actions: tuple[int, AttackAction], node: int = 6) -> Scenario:

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from racsim.adversary import ActionKind, AttackAction, AttackScript
 from racsim.detection import Cause, DetectionVerdict
 from racsim.fixtures import X0_SIX, six_node_graph
-from racsim.graph import DirectedGraph, complete_graph
+from racsim.graph import AdversaryKind, DirectedGraph, complete_graph
 from racsim.protocol import DEFAULT_TOL
 from racsim.sim import (
     DetectionMode,
@@ -118,6 +119,19 @@ class TestValidation:
         assert sc.validate() == [problem]
         with pytest.raises(ScenarioError):
             run(sc)
+
+    def test_total_model_bounds_the_adversary_count(self):
+        sc = Scenario(
+            graph=complete_graph(5),
+            x0=(1.0, 2.0, 3.0, 4.0, 5.0),
+            f=1,
+            model=AdversaryKind.TOTAL,
+            adversaries=(AttackScript(node=1), AttackScript(node=2)),
+        )
+        assert sc.validate() == [
+            "adversary placement violates total_bound at (1, 2) under the total model with f=1"
+        ]
+        assert replace(sc, f=2).validate() == []
 
     @pytest.mark.parametrize(
         "kind", [ActionKind.INJECT_FAKE_ID, ActionKind.TAMPER_RELAYED, ActionKind.DROP_RELAYED_ENTRY]
