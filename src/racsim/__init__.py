@@ -14,8 +14,6 @@ from .graph import (
     is_detectable,
     is_f_local,
     is_k_strongly_connected,
-    min_in_degree_ok,
-    normal_subgraph,
     read_edge_list,
     two_hop_middle_nodes,
     vertex_connectivity_at_least,

@@ -107,16 +107,16 @@ def forge_information_set(
     script: AttackScript,
     k: int,
     rng: random.Random,
-    skip_ledger_tamper: bool = False,
     rule: ValueRule = ValueRule(),
 ) -> Optional[InformationSet]:
     """Apply the active actions for round k to an honest message.
 
-    Returns None when the node crashes (no emission). When the caller
-    already evolved the sender's state with tampered inputs, relayed
-    entries carry the forgery and skip_ledger_tamper avoids applying
-    it twice. In the first exchange (a round-0 message) SetSelfValue
-    announces the initial share of its value, under rule, from one draw.
+    Returns None when the node crashes (no emission). TamperRelayed
+    takes effect through tampered_inbox alone: the sender's state was
+    evolved with the tampered inputs, so its relayed entries already
+    carry the forgery. In the first exchange (a round-0 message)
+    SetSelfValue announces the initial share of its value, under rule,
+    from one draw.
     """
     actions = script.active_actions(k)
     if any(a.kind is ActionKind.CRASH for a in actions):
@@ -127,8 +127,6 @@ def forge_information_set(
     declared_out_degree = truth.declared_out_degree
     declared_removed_out = truth.declared_removed_out
     for a in actions:
-        if a.kind is ActionKind.COMPLY:
-            continue
         if a.kind is ActionKind.SET_SELF_VALUE:
             if truth.round == 0:
                 value = a.value if a.value is not None else _draw(rng)
@@ -138,14 +136,6 @@ def forge_information_set(
                 self_next = (_draw(rng), _draw(rng))
             else:
                 self_next = (a.value, self_next[1])
-        elif a.kind is ActionKind.TAMPER_RELAYED:
-            if skip_ledger_tamper:
-                continue
-            base = relayed.get(a.target, (0.0, 0.0))
-            if a.mode is TamperMode.SET:
-                relayed[a.target] = (a.amount, base[1])
-            else:
-                relayed[a.target] = (base[0] + a.amount, base[1])
         elif a.kind is ActionKind.INJECT_FAKE_ID:
             values = a.fake_values if a.fake_values is not None else (_draw(rng), _draw(rng))
             relayed[a.target] = values

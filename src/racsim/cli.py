@@ -115,6 +115,12 @@ def cmd_run(args) -> int:
 
 
 def cmd_check_graph(args) -> int:
+    if args.f < 0:
+        print("invalid arguments: f must be non-negative", file=sys.stderr)
+        return EXIT_INVALID
+    if not (args.alg2 or args.alg3 or args.k_strong is not None):
+        print("invalid arguments: give --alg2, --alg3 or --k-strong", file=sys.stderr)
+        return EXIT_INVALID
     try:
         g = read_edge_list(Path(args.graph).read_text())
     except OSError as exc:

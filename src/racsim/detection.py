@@ -1,11 +1,16 @@
 """Malicious-node detection.
 
 Each node-round of detection is one pipeline: the crash check, the
-ascending set of reporting in-neighbors, the node's check set of
-expected relayed values, one audit per reporter ending in the per-edge
-checks (Step 2 to Step 4), and the rebuild of the check set. The two
-detectors differ only in their claim policy, how a node treats the
-detection sets its in-neighbors claim:
+ascending set of reporting in-neighbors, and one audit per reporter
+ending in the per-edge checks (Step 2 to Step 4). A node's check set,
+the relayed values it expects, is not stored: it is the public values
+(what each node broadcast as its next running sums last round) of its
+in-neighbors and itself, plus the two-hop values voted this round. So
+a reporter whose broadcast passed Step 3 against the public values
+needs the per-edge Step 3 again only if it relays a voted id whose
+vote is not == its public value. The two detectors differ only in
+their claim policy, how a node treats the detection sets its
+in-neighbors claim:
 
 * sharing detection: a trusted oracle shares every verified detection
   network-wide within the round, and each claim set must equal the
@@ -222,13 +227,16 @@ class SenderAudit:
     update-replay finding (the safety-interval finding for a first
     message), and consistent and faithful say that every relayed entry
     passes Step 3 against, and is ==, the public value: what its id
-    broadcast as its next running sums last round.
+    broadcast as its next running sums last round. vanished holds the
+    ids the sender claimed in its previous message and no longer
+    claims, whatever the other findings.
     """
 
     fields: Optional[Finding]
     replay: Optional[Finding] = None
     consistent: bool = False
     faithful: bool = False
+    vanished: frozenset[int] = frozenset()
 
 
 def audit_broadcast(
@@ -245,27 +253,30 @@ def audit_broadcast(
     None) is screened against the safety interval instead of replayed."""
     j = msg.sender
     relayed = msg.relayed
+    claims = msg.detected
+    claimed_before = prev_msg.detected if prev_msg is not None else frozenset()
+    # Step 1b, whose verdict precedes every finding below
+    vanished = claimed_before - claims
     expected_ids = oracle.relay_ids[j]
     if relayed.keys() != expected_ids:
         foreign = relayed.keys() - expected_ids
         if foreign:
-            return SenderAudit((Cause.STEP2, (("foreign_ids", tuple(sorted(foreign))),)))
-        missing = expected_ids - relayed.keys()
-        return SenderAudit((Cause.STEP2, (("missing_ids", tuple(sorted(missing))),)))
+            evidence = ("foreign_ids", tuple(sorted(foreign)))
+        else:
+            evidence = ("missing_ids", tuple(sorted(expected_ids - relayed.keys())))
+        return SenderAudit((Cause.STEP2, (evidence,)), vanished=vanished)
     out_j = oracle.out_nbrs(j)
-    claims = msg.detected
     if claims:
-        claimed_before = prev_msg.detected if prev_msg is not None else frozenset()
         expected_d = len(out_j - claims)
         expected_removed = len((out_j - claimed_before) & claims)
     else:
         expected_d, expected_removed = len(out_j), 0
     if msg.declared_out_degree != expected_d:
         evidence = ("declared_out_degree", msg.declared_out_degree, expected_d)
-        return SenderAudit((Cause.STEP4, (evidence,)))
+        return SenderAudit((Cause.STEP4, (evidence,)), vanished=vanished)
     if msg.declared_removed_out != expected_removed:
         evidence = ("declared_removed_out", msg.declared_removed_out, expected_removed)
-        return SenderAudit((Cause.STEP4, (evidence,)))
+        return SenderAudit((Cause.STEP4, (evidence,)), vanished=vanished)
     if prev_msg is None:
         lam, gam = msg.self_next
         replay = init_range_check(float(lam / gam) if gam != 0 else float("inf"), interval)
@@ -286,7 +297,7 @@ def audit_broadcast(
         expected = ZERO_PAIR if h != j and h in claims else value
         if consistent and expected is not None and not rule.pair_eq(val, expected):
             consistent = False
-    return SenderAudit(None, replay, consistent, faithful)
+    return SenderAudit(None, replay, consistent, faithful, vanished)
 
 
 def _step3(msg: InformationSet, values: Mapping[int, Pair], rule: ValueRule) -> Optional[Finding]:
@@ -301,22 +312,18 @@ def _step3(msg: InformationSet, values: Mapping[int, Pair], rule: ValueRule) -> 
     return None
 
 
-def _deviating(check: Mapping[int, Pair], public: Mapping[int, Pair]) -> frozenset[int]:
-    """Ids whose check value is not == their public value, or that public lacks."""
-    return frozenset(h for h, v in check.items() if public.get(h) != v)
-
-
 def _audit_edge(
     msg: InformationSet,
     audit: SenderAudit,
     check: Mapping[int, Pair],
-    deviating: frozenset[int],
+    deviating: set[int],
     rule: ValueRule,
 ) -> Optional[Finding]:
     """First finding of one receiver on one in-neighbor's message, in
     check order: Step 2, Step 4 declared fields, Step 3 value
     consistency against the receiver's check set, Step 4 replay. A
-    consistent sender relaying no id in deviating passes Step 3 here."""
+    consistent sender relaying no id in deviating, the ids whose check
+    value is not == their public value, passes Step 3 here."""
     if audit.fields is not None:
         return audit.fields
     if not audit.consistent or not deviating.isdisjoint(msg.relayed):
@@ -365,16 +372,17 @@ def _detect(
     # ascending, the order of the per-reporter audits below
     reporters = {j: inbox[j] for j in active_in if j in inbox}
 
-    check = state.check_set
+    # the public values of the node's in-neighbors and itself, which
+    # the votes below extend; only a voted value can deviate from them
+    check = {h: public[h] for h in (*view.in_nbrs, i) if h in public}
+    deviating: set[int] = set()
     if shared is None:
         f = oracle.f
-        # extend the check set with majority-voted two-hop values; if
-        # every report is == its public value, so is a vote, and Step 3
-        # needs none
+        # vote on two-hop values; if every report is == its public
+        # value, so is a vote, and Step 3 needs none
         if not all(audits[j].consistent and audits[j].faithful for j in reporters):
-            check = dict(check)
             for h, relays in oracle.two_hop_relays[i]:
-                if h in detected or h in two_hop_detected or h in check:
+                if h in detected or h in two_hop_detected:
                     continue
                 reports = [
                     (p, reporters[p].relayed[h])
@@ -383,10 +391,12 @@ def _detect(
                 ]
                 if len(reports) < 2 * f + 1:
                     continue
-                voted = vote_value(reports, rule)
-                if voted is NO_MAJORITY:
+                value = vote_value(reports, rule)
+                if value is NO_MAJORITY:
                     continue
-                check[h] = voted
+                check[h] = value
+                if public.get(h) != value:
+                    deviating.add(h)
 
         # corroborated detection claims
         counts: dict[int, int] = {}
@@ -397,7 +407,6 @@ def _detect(
             if counts[m] >= f + 1:
                 condemn(m, Cause.VOTE_MAJORITY, ("reporters", counts[m]))
         snapshot = detected | two_hop_detected
-    deviating = _deviating(check, public)
 
     for j, msg in reporters.items():
         if j in detected:
@@ -421,9 +430,9 @@ def _detect(
 
             # two-hop claims: must be corroborated once repeated, and
             # must never vanish from the claim set
-            previous = state.prev_claims.get(j)
-            if previous and not previous <= claims:
-                condemn(j, Cause.STEP1B, ("vanished", tuple(sorted(previous - claims))))
+            vanished = audits[j].vanished
+            if vanished:
+                condemn(j, Cause.STEP1B, ("vanished", tuple(sorted(vanished))))
             if claims:
                 for m in sorted(claims - in_j - {j}):
                     if m in snapshot:
@@ -433,7 +442,6 @@ def _detect(
                         state.claim_first_seen[(j, m)] = k
                     elif first < k and oracle.must_know_status(i, m):
                         condemn(j, Cause.STEP1B, ("persisted_uncorroborated", m))
-            state.prev_claims[j] = claims
         elif claims != shared:
             claimed = ("claimed", tuple(sorted(claims)))
             condemn(j, Cause.STEP1, claimed, ("shared", tuple(sorted(shared))))
@@ -443,10 +451,6 @@ def _detect(
         finding = _audit_edge(msg, audits[j], check, deviating, rule)
         if finding is not None:
             condemn(j, finding[0], *finding[1])
-
-    # this round's claims are next round's expected relayed values; the
-    # engine adds the detector's own entry after its state update
-    state.check_set = {j: inbox[j].self_next for j in view.in_nbrs if j in inbox}
     return verdicts
 
 

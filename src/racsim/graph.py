@@ -307,35 +307,6 @@ def vertex_connectivity_at_least(g: DirectedGraph, k: int, node_cap: int = DEFAU
     return True
 
 
-def min_in_degree_ok(g: DirectedGraph, f: int) -> bool:
-    """Cheap necessary condition: every in-degree at least 2f+1."""
-    return all(g.in_degree(i) >= 2 * f + 1 for i in g.nodes)
-
-
-@dataclass(frozen=True)
-class InducedSubgraph:
-    graph: DirectedGraph
-    original_ids: tuple[int, ...]  # position v-1 holds the original id of node v
-
-
-def normal_subgraph(g: DirectedGraph, adversaries: set[int]) -> InducedSubgraph:
-    """Induced subgraph on the non-adversary nodes, ids remapped to 1..m."""
-    adv = set(adversaries)
-    for v in adv:
-        g._check_node(v)
-    keep = sorted(set(g.nodes) - adv)
-    if not keep:
-        raise GraphError("all nodes removed")
-    remap = {old: new for new, old in enumerate(keep, start=1)}
-    edges = [
-        (remap[j], remap[i]) for j, i in g.edges if j in remap and i in remap
-    ]
-    return InducedSubgraph(
-        graph=DirectedGraph(len(keep), edges, undirected=g.undirected),
-        original_ids=tuple(keep),
-    )
-
-
 class LayeredVariant(Enum):
     UNDIRECTED_PATH = "undirected-path"
     DIRECTED_WRAP = "directed-wrap"

@@ -113,18 +113,17 @@ class NodeState:
     round: int
     view: NodeView
     run: RunningState
-    prev_lam: Number  # running sums at the current round, one step behind run
-    prev_gam: Number
-    ledger: dict[int, Pair]  # per in-neighbor running sums read this round
+    # the running sums read this round, per in-neighbor, then the node's
+    # own, one step behind run: exactly what the node relays
+    ledger: dict[int, Pair]
     detected: set[int] = field(default_factory=set)
     detected_two_hop: set[int] = field(default_factory=set)
-    active_out: frozenset[int] = frozenset()
-    out_degree: int = 0
+    active_out: frozenset[int] = frozenset()  # its size is the out-degree
     removed_out_count: int = 0
-    # detection bookkeeping
-    check_set: dict[int, Pair] = field(default_factory=dict)
+    # the round each two-hop claim (claimer, claimed) was first seen; the
+    # check set is not kept, as it is the public values of the node's
+    # in-neighbors and itself plus this round's votes
     claim_first_seen: dict[tuple[int, int], int] = field(default_factory=dict)
-    prev_claims: dict[int, frozenset[int]] = field(default_factory=dict)
 
 
 def initial_share(x0: Number, out_degree: int, rule: ValueRule) -> Pair:
@@ -146,27 +145,24 @@ def bootstrap(id: int, x0: Number, view: NodeView, rule: ValueRule) -> NodeState
     x0 = rule.convert(x0)
     lam1, gam1 = initial_share(x0, len(view.out_nbrs), rule)
     ledger = {j: ZERO_PAIR for j in view.in_nbrs}
+    ledger[id] = ZERO_PAIR
     return NodeState(
         id=id,
         round=0,
         view=view,
         run=RunningState(y=x0, z=rule.convert(1), lam=lam1, gam=gam1, ratio=x0),
-        prev_lam=0,
-        prev_gam=0,
         ledger=ledger,
         active_out=view.out_nbrs,
-        out_degree=len(view.out_nbrs),
-        check_set={**ledger, id: ZERO_PAIR},
     )
 
 
 def build_information_set(s: NodeState) -> InformationSet:
-    """The message a node broadcasts after finishing its round."""
-    relayed = dict(s.ledger)
-    relayed[s.id] = (s.prev_lam, s.prev_gam)
+    """The message a node broadcasts after finishing its round. It
+    relays the ledger itself, which honest_round replaces and never
+    changes in place."""
     return InformationSet(
-        s.id, s.round, frozenset(s.detected), (s.run.lam, s.run.gam), relayed,
-        s.out_degree, s.removed_out_count,
+        s.id, s.round, frozenset(s.detected), (s.run.lam, s.run.gam), s.ledger,
+        len(s.active_out), s.removed_out_count,
     )
 
 
@@ -190,8 +186,9 @@ def honest_round(
     lam_k, gam_k = run.lam, run.gam
     old_ledger = s.ledger
     ledger: dict[int, Pair] = {}
-    y = lam_k - s.prev_lam
-    z = gam_k - s.prev_gam
+    own_y, own_z = old_ledger[s.id]
+    y = lam_k - own_y
+    z = gam_k - own_z
     for j in s.view.in_nbrs:
         if j in detected:
             pair = ZERO_PAIR
@@ -216,11 +213,9 @@ def honest_round(
 
     ratio = y / z if rule.z_ok(z) else run.ratio
 
+    ledger[s.id] = (lam_k, gam_k)
     s.ledger = ledger
-    s.prev_lam = lam_k
-    s.prev_gam = gam_k
     s.run = RunningState(y, z, lam_k + y / (1 + d_out), gam_k + z / (1 + d_out), ratio)
     s.round += 1
     s.active_out = active_out
-    s.out_degree = d_out
     s.removed_out_count = n_removed

@@ -222,9 +222,7 @@ def run(scenario: Scenario) -> Trace:
             msg = build_information_set(states[i])
             if i in scripts:
                 # the first exchange takes the actions of round 1
-                msg = forge_information_set(
-                    msg, scripts[i], max(k - 1, 1), rngs[i], skip_ledger_tamper=True, rule=rule
-                )
+                msg = forge_information_set(msg, scripts[i], max(k - 1, 1), rngs[i], rule)
                 if msg is None:
                     continue
             sent[i] = msg
@@ -261,8 +259,6 @@ def run(scenario: Scenario) -> Trace:
             ratio = None
             if script is None:
                 honest_round(s, sent, new_detected[i], rule)
-                if detecting:
-                    s.check_set[i] = (s.prev_lam, s.prev_gam)
             else:
                 if not any(a.kind is ActionKind.CRASH for a in script.active_actions(k - 1)):
                     inbox = {j: sent[j] for j in views[i].in_nbrs if j in sent}

@@ -46,7 +46,7 @@ def _is_f_local(n: int, edges: set[tuple[int, int]], subset: frozenset[int], f: 
     return True
 
 
-def _strongly_connected(nodes: set[int], edges: set[tuple[int, int]]) -> bool:
+def strongly_connected(nodes: set[int], edges: set[tuple[int, int]]) -> bool:
     if not nodes:
         return False
     g = nx.DiGraph()
@@ -69,7 +69,7 @@ def brute_k_strongly_connected(n: int, edges: set[tuple[int, int]], k: int) -> b
             subset = frozenset(combo)
             if not _is_f_local(n, edges, subset, k - 1):
                 continue
-            if not _strongly_connected(all_nodes - subset, edges):
+            if not strongly_connected(all_nodes - subset, edges):
                 return False
     return True
 

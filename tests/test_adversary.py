@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from racsim.adversary import (
@@ -100,37 +102,16 @@ class TestForgeInformationSet:
         assert forged.self_next[0] == replay.uniform(*RANDOM_VALUE_RANGE) / 3
         assert rng.getstate() == replay.getstate()
 
-    def test_offset_tamper_shifts_target_entry(self):
+    @pytest.mark.parametrize("mode", list(TamperMode), ids=lambda m: m.value)
+    def test_tamper_relayed_leaves_the_message_alone(self, mode):
+        # the tamper reaches the broadcast through tampered_inbox
         script = AttackScript(
             node=6,
-            schedule=((3, AttackAction(ActionKind.TAMPER_RELAYED, target=2, amount=30.0)),),
+            schedule=((3, AttackAction(ActionKind.TAMPER_RELAYED, target=2,
+                                       mode=mode, amount=30.0)),),
         )
         truth = honest_message()
-        forged = forge_information_set(truth, script, 5, adversary_rng(0, 6))
-        assert forged.relayed[2] == (33.0, 0.5)
-        assert forged.relayed[3] == truth.relayed[3]
-
-    def test_set_tamper_overwrites_target_entry(self):
-        script = AttackScript(
-            node=6,
-            schedule=(
-                (3, AttackAction(ActionKind.TAMPER_RELAYED, target=2,
-                                 mode=TamperMode.SET, amount=7.0)),
-            ),
-        )
-        forged = forge_information_set(honest_message(), script, 5, adversary_rng(0, 6))
-        assert forged.relayed[2] == (7.0, 0.5)
-
-    def test_skip_ledger_tamper_leaves_relayed_alone(self):
-        script = AttackScript(
-            node=6,
-            schedule=((3, AttackAction(ActionKind.TAMPER_RELAYED, target=2, amount=30.0)),),
-        )
-        truth = honest_message()
-        forged = forge_information_set(
-            truth, script, 5, adversary_rng(0, 6), skip_ledger_tamper=True
-        )
-        assert forged.relayed == truth.relayed
+        assert forge_information_set(truth, script, 5, adversary_rng(0, 6)) == truth
 
     def test_dropping_own_entry_is_restored(self):
         script = AttackScript(
@@ -161,6 +142,30 @@ class TestTamperedInbox:
         msg = honest_message(sender=2)
         out = tampered_inbox({2: msg}, script, 5)
         assert out[2].self_next == (msg.self_next[0] + 30.0, msg.self_next[1])
+
+    def test_offset_tamper_shifts_target_entry(self):
+        script = AttackScript(
+            node=6,
+            schedule=((3, AttackAction(ActionKind.TAMPER_RELAYED, target=2, amount=30.0)),),
+        )
+        msg2, msg3 = honest_message(sender=2), honest_message(sender=3)
+        inbox = {2: msg2, 3: msg3}
+        out = tampered_inbox(inbox, script, 5)
+        assert out[2] == replace(msg2, self_next=(msg2.self_next[0] + 30.0, msg2.self_next[1]))
+        assert out[3] is msg3
+        assert inbox == {2: msg2, 3: msg3}
+
+    def test_set_tamper_overwrites_target_entry(self):
+        script = AttackScript(
+            node=6,
+            schedule=(
+                (3, AttackAction(ActionKind.TAMPER_RELAYED, target=2,
+                                 mode=TamperMode.SET, amount=7.0)),
+            ),
+        )
+        msg2 = honest_message(sender=2)
+        out = tampered_inbox({2: msg2}, script, 5)
+        assert out[2] == replace(msg2, self_next=(7.0, msg2.self_next[1]))
 
     def test_other_senders_untouched(self):
         script = AttackScript(

@@ -171,6 +171,21 @@ class TestCheckGraphCommand:
         assert code == EXIT_INVALID
         assert len(err.splitlines()) == 1 and err.startswith("invalid arguments: ")
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["-f", "-1", "--alg3"], ["-f", "-1", "--alg2"], ["-f", "-1", "--k-strong", "2"], ["-f", "1"]],
+        ids=["negative-f-alg3", "negative-f-alg2", "negative-f-k-strong", "no-check"],
+    )
+    def test_bad_check_arguments_exit_invalid_with_one_line(self, tmp_path, capsys, flags):
+        path = tmp_path / "g.txt"
+        path.write_text(write_edge_list(six_node_graph()))
+        code = main(["check-graph", str(path), *flags])
+        captured = capsys.readouterr()
+        assert code == EXIT_INVALID
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("invalid arguments: ")
+
 
 class TestGenGraphCommand:
     def test_generates_valid_graph(self, tmp_path):

@@ -72,11 +72,16 @@ class TestVoteValue:
                 assert vote_value(reports, FLOAT) == truth
 
 
-def _detect_at_node_5(claims: Optional[dict[int, frozenset]] = None) -> tuple:
+def _detect_at_node_5(
+    claims: Optional[dict[int, frozenset]] = None,
+    claimed_before: Optional[dict[int, frozenset]] = None,
+    foreign: Optional[dict[int, dict]] = None,
+) -> tuple:
     """Node 5 of the six-node fixture (it hears nodes 1-4, which hear 6)
     runs detect_alg3 in round 2, with node j's message claiming
-    claims[j]; returns node 5's state before detection and the
-    detection arguments."""
+    claims[j] and also relaying the entries foreign[j], and its round-0
+    message claiming claimed_before[j]; returns node 5's state before
+    detection and the detection arguments."""
     g = six_node_graph()
     oracle = StructuralOracle(g, 1)
     views = {i: NodeView.from_graph(g, i) for i in g.nodes}
@@ -87,8 +92,11 @@ def _detect_at_node_5(claims: Optional[dict[int, frozenset]] = None) -> tuple:
     msgs = {i: build_information_set(states[i]) for i in g.nodes}
     for j, claimed in (claims or {}).items():
         msgs[j] = replace(msgs[j], detected=claimed)
+    for j, entries in (foreign or {}).items():
+        msgs[j] = replace(msgs[j], relayed={**msgs[j].relayed, **entries})
+    for j, claimed in (claimed_before or {}).items():
+        first[j] = replace(first[j], detected=claimed)
     public = {j: m.self_next for j, m in first.items()}
-    states[5].check_set = {j: public[j] for j in views[5].in_nbrs | {5}}
     audits = {j: audit_broadcast(m, first[j], public, oracle, FLOAT) for j, m in msgs.items()}
     inbox = {j: msgs[j] for j in views[5].in_nbrs}
     return states[5], (inbox, audits, public, oracle, FLOAT)
@@ -122,11 +130,23 @@ class TestClaimAudits:
 
     def test_emptied_claim_set_vanishes(self):
         # node 1 claimed two-hop node 2 last round and claims nothing now
-        state, args = _detect_at_node_5()
-        state.prev_claims[1] = frozenset({2})
+        state, args = _detect_at_node_5(claimed_before={1: frozenset({2})})
+        audits = args[1]
+        assert audits[1].vanished == {2}
         result = detect_alg3(state, *args)
         assert self._verdicts(result) == [(1, Cause.STEP1B, (("vanished", (2,)),))]
-        assert state.prev_claims[1] == frozenset()
+
+    def test_vanished_claim_outranks_a_foreign_id(self):
+        # Step 1b runs before Step 2, so a claim dropped by a message
+        # that also relays an id outside the graph is what condemns it
+        state, args = _detect_at_node_5(
+            claimed_before={1: frozenset({2})}, foreign={1: {9: (1.0, 1.0)}}
+        )
+        audit = args[1][1]
+        assert audit.fields == (Cause.STEP2, (("foreign_ids", (9,)),))
+        assert audit.vanished == {2}
+        result = detect_alg3(state, *args)
+        assert self._verdicts(result) == [(1, Cause.STEP1B, (("vanished", (2,)),))]
 
     def test_uncorroborated_claim_wins_over_omission(self):
         # node 5 already knows 6, an in-neighbor of 1-4 that each of

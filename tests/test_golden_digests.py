@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from racsim.golden import GOLDEN_CASES
 from racsim.sim import load_scenario, run, write_events_csv, write_trace_csv
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -33,6 +34,13 @@ def test_all_scenarios_have_digests():
     names = {p.stem for p in SCENARIOS}
     assert len(names) == 8
     assert set(DIGESTS["golden"]) == set(DIGESTS["exact-golden"]) == names
+
+
+@pytest.mark.parametrize("case", GOLDEN_CASES, ids=lambda c: c.name)
+def test_scenario_file_matches_its_golden_builder(case):
+    # `racsim golden` runs the builders; the digests and the benchmark
+    # run the files
+    assert load_scenario(ROOT / "scenarios" / f"{case.name}.json") == case.build()
 
 
 @pytest.mark.parametrize("path", SCENARIOS, ids=lambda p: p.stem)

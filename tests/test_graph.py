@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from racsim.fixtures import six_node_damaged
+from racsim.fixtures import six_node_damaged, thirty_node_graph
 from racsim.graph import (
     DirectedGraph,
     GraphError,
@@ -21,14 +21,12 @@ from racsim.graph import (
     is_f_local,
     is_k_strongly_connected,
     is_strongly_connected,
-    min_in_degree_ok,
-    normal_subgraph,
     read_edge_list,
     two_hop_middle_nodes,
     vertex_connectivity_at_least,
     write_edge_list,
 )
-from oracles import brute_alg3_condition, brute_k_strongly_connected
+from oracles import brute_alg3_condition, brute_k_strongly_connected, strongly_connected
 
 
 def directed_cycle(n: int) -> DirectedGraph:
@@ -149,7 +147,7 @@ class TestAlg3Condition:
 
     def test_lemma_direction_min_in_degree(self):
         # an incomplete strongly connected graph that passes the
-        # condition must also pass the in-degree prefilter
+        # condition must have every in-degree at least 2f+1
         rng = random.Random(7)
         checked = 0
         for _ in range(300):
@@ -159,7 +157,7 @@ class TestAlg3Condition:
                 continue
             if check_alg3_condition(g, 1).satisfied:
                 checked += 1
-                assert min_in_degree_ok(g, 1)
+                assert all(g.in_degree(i) >= 3 for i in g.nodes)
         assert checked > 0
 
 
@@ -193,6 +191,13 @@ class TestFLocal:
     def test_thirty_node_placement(self):
         g = generate_layered(10, 1, LayeredVariant.UNDIRECTED_PATH)
         assert is_f_local(g, {3, 6, 15, 18, 27, 30}, 1)
+
+    def test_thirty_node_normal_network_connected(self):
+        # the normal nodes of the golden thirty-attack placement
+        g = thirty_node_graph()
+        normal = set(g.nodes) - {3, 6, 15, 18, 27, 30}
+        assert len(normal) == 24
+        assert strongly_connected(normal, set(g.edges))
 
 
 class TestKStrongConnectivity:
@@ -232,40 +237,6 @@ class TestVertexConnectivity:
             vertex_connectivity_at_least(directed_cycle(4), 1)
 
 
-class TestMinInDegree:
-    def test_k4(self):
-        assert min_in_degree_ok(complete_graph(4), 1)
-
-    def test_cycle(self):
-        assert not min_in_degree_ok(directed_cycle(5), 1)
-
-    def test_layered(self):
-        g = generate_layered(4, 1, LayeredVariant.UNDIRECTED_PATH)
-        assert min_in_degree_ok(g, 1)
-
-
-class TestNormalSubgraph:
-    def test_empty_removal(self):
-        g = complete_graph(4)
-        sub = normal_subgraph(g, set())
-        assert sub.graph == g
-        assert sub.original_ids == (1, 2, 3, 4)
-
-    def test_k4_minus_one(self):
-        sub = normal_subgraph(complete_graph(4), {4})
-        assert sub.graph == complete_graph(3)
-
-    def test_all_removed_rejected(self):
-        with pytest.raises(GraphError):
-            normal_subgraph(complete_graph(3), {1, 2, 3})
-
-    def test_thirty_node_normal_network_connected(self):
-        g = generate_layered(10, 1, LayeredVariant.UNDIRECTED_PATH)
-        sub = normal_subgraph(g, {3, 6, 15, 18, 27, 30})
-        assert sub.graph.n == 24
-        assert is_strongly_connected(sub.graph)
-
-
 class TestGenerateLayered:
     def test_two_layers_is_complete_bipartite(self):
         g = generate_layered(2, 1, LayeredVariant.UNDIRECTED_PATH)
@@ -287,7 +258,7 @@ class TestGenerateLayered:
     @pytest.mark.parametrize("f", [1, 2, 3])
     def test_generated_graphs_pass_their_condition(self, layers, f):
         g = generate_layered(layers, f, LayeredVariant.UNDIRECTED_PATH)
-        assert min_in_degree_ok(g, f)
+        assert all(g.in_degree(i) >= 2 * f + 1 for i in g.nodes)
         assert check_alg3_condition(g, f).satisfied
 
 

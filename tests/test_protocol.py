@@ -73,11 +73,10 @@ class TestBootstrap:
         assert s.round == 0
         assert (s.run.y, s.run.z, s.run.ratio) == (3.0, 1, 3.0)
         assert (s.run.lam, s.run.gam) == initial_share(3.0, 2, FLOAT)
-        assert (s.prev_lam, s.prev_gam) == ZERO_PAIR
-        assert s.ledger == {2: ZERO_PAIR, 3: ZERO_PAIR}
-        assert s.check_set == {1: ZERO_PAIR, 2: ZERO_PAIR, 3: ZERO_PAIR}
+        # the in-neighbors' entries, then the node's own, last
+        assert list(s.ledger.items()) == [(2, ZERO_PAIR), (3, ZERO_PAIR), (1, ZERO_PAIR)]
         assert s.detected == set()
-        assert (s.out_degree, s.removed_out_count) == (2, 0)
+        assert (len(s.active_out), s.removed_out_count) == (2, 0)
 
     def test_three_node_values(self):
         g = complete_graph(3)
@@ -106,7 +105,7 @@ class TestBootstrap:
         # node 3's share is dropped and the share sent to it comes back
         lam1 = initial_share(3.0, 2, FLOAT)[0]
         assert s.run.y == pytest.approx(clean.run.y - initial_share(9.0, 2, FLOAT)[0] + lam1)
-        assert s.out_degree == 1
+        assert len(s.active_out) == 1
         assert s.removed_out_count == 1
 
     def test_non_finite_initial_value_rejected(self):
@@ -217,7 +216,7 @@ class TestHonestRound:
         # back the lam mass previously sent to it
         assert s.run.y == pytest.approx(twin.run.y - msgs[3].self_next[0] + lam_k)
         assert s.removed_out_count == 1
-        assert s.out_degree == 1
+        assert len(s.active_out) == 1
 
     def test_silent_neighbor_marked_crashed(self):
         g = complete_graph(3)
@@ -252,11 +251,17 @@ class TestHonestRound:
 class TestInformationSet:
     def test_broadcast_includes_own_previous_sums(self):
         g = complete_graph(3)
-        states, _ = mini_run(g, [3.0, 6.0, 9.0], 3)
+        states, _ = mini_run(g, [3.0, 6.0, 9.0], 2)
+        before = {i: build_information_set(states[i]) for i in g.nodes}
+        for i in g.nodes:
+            honest_round(states[i], before, frozenset(), FLOAT)
         msg = build_information_set(states[1])
         assert msg.sender == 1
         assert msg.round == states[1].round
-        assert msg.relayed[1] == (states[1].prev_lam, states[1].prev_gam)
+        # the ledger itself, whose last entry is the node's own sums
+        # as it broadcast them a round ago
+        assert msg.relayed is states[1].ledger
+        assert list(msg.relayed.items())[-1] == (1, before[1].self_next)
         assert msg.self_next == (states[1].run.lam, states[1].run.gam)
         assert msg.declared_out_degree == 2
         assert msg.declared_removed_out == 0
@@ -290,8 +295,8 @@ def _reference_honest_round(s, inbox, new_detected, rule):
 
     lam_k, gam_k = s.run.lam, s.run.gam
     new_ledger = {}
-    y = lam_k - s.prev_lam
-    z = gam_k - s.prev_gam
+    y = lam_k - s.ledger[s.id][0]
+    z = gam_k - s.ledger[s.id][1]
     for j in s.view.in_nbrs:
         if j in s.detected:
             new_ledger[j] = ZERO_PAIR
@@ -304,15 +309,13 @@ def _reference_honest_round(s, inbox, new_detected, rule):
 
     ratio = y / z if rule.z_ok(z) else s.run.ratio
 
+    new_ledger[s.id] = (lam_k, gam_k)
     s.ledger = new_ledger
-    s.prev_lam = lam_k
-    s.prev_gam = gam_k
     s.run = RunningState(
         y=y, z=z, lam=lam_k + y / (1 + d_out), gam=gam_k + z / (1 + d_out), ratio=ratio
     )
     s.round = k
     s.active_out = active_out
-    s.out_degree = d_out
     s.removed_out_count = len(removed_out)
 
 
@@ -342,12 +345,9 @@ def node_rounds(draw):
         round=draw(st.integers(0, 5)),
         view=NodeView(1, in_nbrs, out_nbrs),
         run=RunningState(*(draw(values) for _ in range(5))),
-        prev_lam=draw(values),
-        prev_gam=draw(values),
-        ledger={j: draw(pairs) for j in in_nbrs},
+        ledger={**{j: draw(pairs) for j in in_nbrs}, 1: draw(pairs)},
         detected=detected,
         active_out=active_out,
-        out_degree=len(active_out),
         removed_out_count=draw(st.integers(0, 2)),
     )
     senders = draw(st.lists(st.sampled_from(ROUND_IDS), unique=True))
@@ -371,8 +371,8 @@ def test_honest_round_matches_the_reference(case):
     # the ledger's order; every NaN prints alike
     def outcome(s):
         return repr((
-            s.round, s.run, s.prev_lam, s.prev_gam, list(s.ledger.items()),
-            sorted(s.detected), sorted(s.active_out), s.out_degree, s.removed_out_count,
+            s.round, s.run, list(s.ledger.items()),
+            sorted(s.detected), sorted(s.active_out), s.removed_out_count,
         ))
 
     assert outcome(got) == outcome(want)

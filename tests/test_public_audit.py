@@ -1,11 +1,15 @@
 """Step 3 once per broadcast against the public values.
 
-A receiver repeats Step 3 per edge, and runs its two-hop votes, only
-where its check set differs from the public values (what each sender
-broadcast as its next running sums last round). These tests check that
-the shortcut gives exactly the verdicts of the full per-receiver path,
-and that the one-walk audit_broadcast and replay give what their
-multi-pass reference versions below give.
+A receiver's check set is the public values (what each node broadcast
+as its next running sums last round) of its in-neighbors and itself,
+plus the two-hop values it votes on this round. It runs its votes only
+if some reporter's broadcast is not == the public values, and repeats
+Step 3 per edge only for a reporter whose broadcast failed Step 3
+against the public values or that relays a voted id whose vote is not
+== its public value. These tests check that the shortcut gives exactly
+the verdicts of the full per-receiver path, and that the one-walk
+audit_broadcast and replay give what their multi-pass reference
+versions below give.
 """
 
 import math
@@ -23,6 +27,7 @@ from racsim.adversary import (
     AttackScript,
     adversary_rng,
     forge_information_set,
+    tampered_inbox,
 )
 from racsim.detection import (
     Cause,
@@ -30,7 +35,6 @@ from racsim.detection import (
     SenderAudit,
     StructuralOracle,
     _audit_edge,
-    _deviating,
     audit_broadcast,
     detect_alg2,
     detect_alg3,
@@ -38,7 +42,7 @@ from racsim.detection import (
     reconstruct_running_sums,
 )
 from racsim.fixtures import X0_SIX, six_node_graph
-from racsim.graph import complete_graph
+from racsim.graph import DirectedGraph, complete_graph
 from racsim.protocol import (
     ZERO_PAIR,
     InformationSet,
@@ -99,9 +103,10 @@ def test_shortcut_matches_treating_every_check_id_as_deviating(case):
     prev = build_information_set(bootstrap(1, 1.0, NodeView.from_graph(K5, 1), rule))
     audit = audit_broadcast(msg, prev, public, K5_ORACLE, rule)
     assert audit.fields is None
-    shortcut = _audit_edge(msg, audit, check, _deviating(check, public), rule)
-    assert shortcut == _audit_edge(msg, audit, check, frozenset(check), rule)
-    assert shortcut == _audit_edge(msg, replace(audit, consistent=False), check, frozenset(), rule)
+    deviating = {h for h, v in check.items() if public.get(h) != v}
+    shortcut = _audit_edge(msg, audit, check, deviating, rule)
+    assert shortcut == _audit_edge(msg, audit, check, set(check), rule)
+    assert shortcut == _audit_edge(msg, replace(audit, consistent=False), check, set(), rule)
 
 
 def _reference_replay(phi_now, phi_prev, rule):
@@ -140,18 +145,19 @@ def _reference_audit(msg, prev_msg, public, oracle, rule, interval=None):
     foreign = ids - in_j - {j}
     missing = (in_j | {j}) - ids
     claimed_before = prev_msg.detected if prev_msg is not None else frozenset()
+    vanished = frozenset(h for h in claimed_before if h not in msg.detected)
     expected_d = len(out_j - msg.detected)
     expected_removed = len((out_j - claimed_before) & msg.detected)
     if foreign:
-        return SenderAudit((Cause.STEP2, (("foreign_ids", tuple(sorted(foreign))),)))
+        return SenderAudit((Cause.STEP2, (("foreign_ids", tuple(sorted(foreign))),)), vanished=vanished)
     if missing:
-        return SenderAudit((Cause.STEP2, (("missing_ids", tuple(sorted(missing))),)))
+        return SenderAudit((Cause.STEP2, (("missing_ids", tuple(sorted(missing))),)), vanished=vanished)
     if msg.declared_out_degree != expected_d:
         evidence = ("declared_out_degree", msg.declared_out_degree, expected_d)
-        return SenderAudit((Cause.STEP4, (evidence,)))
+        return SenderAudit((Cause.STEP4, (evidence,)), vanished=vanished)
     if msg.declared_removed_out != expected_removed:
         evidence = ("declared_removed_out", msg.declared_removed_out, expected_removed)
-        return SenderAudit((Cause.STEP4, (evidence,)))
+        return SenderAudit((Cause.STEP4, (evidence,)), vanished=vanished)
     if prev_msg is None:
         lam, gam = msg.self_next
         replay = init_range_check(float(lam / gam) if gam != 0 else float("inf"), interval)
@@ -168,7 +174,7 @@ def _reference_audit(msg, prev_msg, public, oracle, rule, interval=None):
         if expected is not None and not rule.pair_eq(val, expected):
             consistent = False
             break
-    return SenderAudit(None, replay, consistent, faithful)
+    return SenderAudit(None, replay, consistent, faithful, vanished)
 
 
 def _same(a, b) -> bool:
@@ -236,6 +242,7 @@ def test_audit_broadcast_matches_the_multi_pass_reference(case):
         (got.fields, got.replay, got.consistent, got.faithful),
         (want.fields, want.replay, want.consistent, want.faithful),
     )
+    assert got.vanished == want.vanished
 
 
 @st.composite
@@ -278,10 +285,42 @@ def test_replay_matches_the_union_reference(case):
             assert abs(a - b) <= 1e-12
 
 
-def test_deviating_compares_with_eq_and_counts_missing_ids():
-    check = {1: (0, 0.0), 2: (NAN, 1.0), 3: (1.0, 1.0), 4: (1.0 + 6e-10, 1.0), 5: (2.0, 2.0)}
-    public = {1: (0.0, -0.0), 2: (NAN, 1.0), 3: (OTHER_NAN, 1.0), 4: (1.0, 1.0)}
-    assert _deviating(check, public) == {3, 4, 5}
+# node 1 hears 2, 3 and 4, which each hear two-hop node 5
+DIAMOND = DirectedGraph(5, [(1, 2), (1, 3), (1, 4), (2, 5), (3, 5), (4, 5)], undirected=True)
+VOTED = (1.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "vote, public_5, deviates",
+    [
+        ((0, 0.0), (0.0, -0.0), False),  # int and float zeros of both signs are ==
+        (VOTED, VOTED, False),
+        (VOTED, (NAN, 1.0), True),  # a NaN is never == a vote
+        (VOTED, (1.0 + 6e-10, 1.0), True),  # within tolerance, but not ==
+        (VOTED, None, True),  # public holds no value for 5
+    ],
+    ids=["signed-zeros", "same-pair", "nan", "within-tol", "missing"],
+)
+def test_a_vote_that_is_not_public_reruns_step3(vote, public_5, deviates):
+    """A voted id sends the reporters relaying it through Step 3 per
+    edge exactly when its vote is not == its public value. Every audit
+    says its broadcast passed Step 3 against the public values, so only
+    the vote decides: 2 and 3 relay the vote, and 4's differing copy of
+    it fails Step 3 if Step 3 reruns."""
+    oracle = StructuralOracle(DIAMOND, 1)
+    state = bootstrap(1, 1.0, NodeView.from_graph(DIAMOND, 1), FLOAT)
+    public = {h: (float(h), 1.0) for h in range(1, 5)}
+    if public_5 is not None:
+        public[5] = public_5
+    relayed_5 = {2: vote, 3: vote, 4: (50.0, 50.0)}
+    inbox = {
+        j: InformationSet(j, 1, frozenset(), (9.0, 1.0), {1: public[1], 5: relayed_5[j], j: public[j]}, 1)
+        for j in (2, 3, 4)
+    }
+    audits = {j: SenderAudit(None, None, consistent=True, faithful=False) for j in inbox}
+    verdicts = detect_alg3(state, inbox, audits, public, oracle, FLOAT)
+    step3 = (4, Cause.STEP3, (("id", 5), ("relayed", (50.0, 50.0)), ("expected", vote)))
+    assert [(v.suspect, v.cause, v.evidence) for v in verdicts] == ([step3] if deviates else [])
 
 
 # one forged action per ActionKind, from round 3
@@ -309,8 +348,10 @@ _NETWORKS = {
 @pytest.mark.parametrize("kind", list(ActionKind), ids=lambda k: k.value)
 @pytest.mark.parametrize("network", list(_NETWORKS))
 def test_empty_public_table_gives_the_same_detection(network, kind, rule):
-    """An empty public table sends every edge down the per-receiver
-    path and runs every vote; the detectors must not notice."""
+    """Audits that promise nothing, neither consistent nor faithful,
+    send every edge down the per-receiver Step 3 and run every vote;
+    the detectors must not notice. The twin reads the same public
+    table, since the check set is built from it."""
     g, x0, adversary, alg3 = _NETWORKS[network]
     oracle = StructuralOracle(g, 1)
     script = AttackScript(node=adversary, schedule=((3, _ACTIONS[kind]),))
@@ -322,14 +363,13 @@ def test_empty_public_table_gives_the_same_detection(network, kind, rule):
     public = {i: m.self_next for i, m in prev.items()}
     for i in g.nodes:
         honest_round(states[i], {j: prev[j] for j in views[i].in_nbrs}, frozenset(), rule)
-        states[i].check_set = {j: public[j] for j in views[i].in_nbrs | {i}}
     shortcuts = 0
     for k in range(2, 9):
         msgs = {i: build_information_set(states[i]) for i in g.nodes}
         msgs[adversary] = forge_information_set(msgs[adversary], script, k - 1, rng)
         sent = {j: m for j, m in msgs.items() if m is not None}
         audits = {j: audit_broadcast(m, prev[j], public, oracle, rule) for j, m in sent.items()}
-        blind = {j: audit_broadcast(m, prev[j], {}, oracle, rule) for j, m in sent.items()}
+        blind = {j: replace(a, consistent=False, faithful=False) for j, a in audits.items()}
         shortcuts += sum(a.consistent and a.faithful for a in audits.values())
         prev.update(sent)
         inboxes = {i: {j: sent[j] for j in views[i].in_nbrs if j in sent} for i in g.nodes}
@@ -340,10 +380,10 @@ def test_empty_public_table_gives_the_same_detection(network, kind, rule):
             state, twin = deepcopy(states[i]), deepcopy(states[i])
             if alg3:
                 got = detect_alg3(state, inboxes[i], audits, public, oracle, rule)
-                want = detect_alg3(twin, inboxes[i], blind, {}, oracle, rule)
+                want = detect_alg3(twin, inboxes[i], blind, public, oracle, rule)
             else:
                 got = detect_alg2(state, inboxes[i], audits, public, shared, rule)
-                want = detect_alg2(twin, inboxes[i], blind, {}, shared, rule)
+                want = detect_alg2(twin, inboxes[i], blind, public, shared, rule)
                 suspects |= {v.suspect for v in got}
             assert got == want
             assert state == twin
@@ -351,11 +391,12 @@ def test_empty_public_table_gives_the_same_detection(network, kind, rule):
         if not alg3:
             new_detected = {i: frozenset((shared | suspects) - states[i].detected - {i}) for i in g.nodes}
         public = {j: m.self_next for j, m in sent.items()}
+        # the adversary's own view is tampered, as in the engine
+        inboxes[adversary] = tampered_inbox(inboxes[adversary], script, k)
         for i in g.nodes:
             if msgs[i] is None:
                 continue
             honest_round(states[i], inboxes[i], new_detected[i], rule)
-            states[i].check_set[i] = (states[i].prev_lam, states[i].prev_gam)
     assert shortcuts > 0
 
 
@@ -364,8 +405,8 @@ def test_empty_public_table_gives_the_same_detection(network, kind, rule):
 @pytest.mark.parametrize("network", list(_NETWORKS))
 def test_whole_broadcast_table_gives_the_same_detection(network, kind, rule):
     """The engine hands each detector the round's whole broadcast
-    table; it must give the verdicts and the check set, in order, that
-    a per-receiver inbox gives."""
+    table; it must give the verdicts and the state that a per-receiver
+    inbox gives."""
     g, x0, adversary, alg3 = _NETWORKS[network]
     oracle = StructuralOracle(g, 1)
     script = AttackScript(node=adversary, schedule=((3, _ACTIONS[kind]),))
@@ -396,8 +437,6 @@ def test_whole_broadcast_table_gives_the_same_detection(network, kind, rule):
             verdicts += len(got)
             assert got == want
             assert state == twin
-            # the order the per-receiver engine built the check set in
-            assert list(state.check_set.items()) == [(j, m.self_next) for j, m in inbox.items()]
         if not alg3:
             new_detected = {
                 i: frozenset((shared | suspects) - states[i].detected - {i}) for i in g.nodes
@@ -405,8 +444,8 @@ def test_whole_broadcast_table_gives_the_same_detection(network, kind, rule):
         public = {j: m.self_next for j, m in sent.items()}
         for i in normal:
             honest_round(states[i], sent, new_detected[i], rule)
-            states[i].check_set[i] = (states[i].prev_lam, states[i].prev_gam)
         if msgs[adversary] is not None:
-            honest_round(states[adversary], sent, frozenset(), rule)
+            inbox = {j: sent[j] for j in views[adversary].in_nbrs if j in sent}
+            honest_round(states[adversary], tampered_inbox(inbox, script, k), frozenset(), rule)
     if kind is not ActionKind.COMPLY:
         assert verdicts > 0
