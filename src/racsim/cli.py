@@ -64,14 +64,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--alg3", action="store_true", help="check the distributed-detection condition")
     p_check.add_argument("--k-strong", type=int, default=None, help="check k-strong connectivity")
 
-    p_gen = sub.add_parser("gen-graph", help="generate a layered graph file")
+    p_gen = sub.add_parser("gen-graph", help="generate an undirected layered graph file")
     p_gen.add_argument("--layers", type=int, required=True)
     p_gen.add_argument("-f", type=int, required=True, dest="f")
-    p_gen.add_argument(
-        "--variant",
-        choices=[v.value for v in LayeredVariant],
-        default=LayeredVariant.UNDIRECTED_PATH.value,
-    )
     p_gen.add_argument("--out", required=True, help="output edge-list file")
 
     sub.add_parser("golden", help="run all golden scenarios and report pass/fail")
@@ -162,7 +157,7 @@ def _print_report(label: str, report) -> None:
 
 def cmd_gen_graph(args) -> int:
     try:
-        g = generate_layered(args.layers, args.f, LayeredVariant(args.variant))
+        g = generate_layered(args.layers, args.f, LayeredVariant.UNDIRECTED_PATH)
     except GraphError as exc:
         print(f"invalid arguments: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Optional
 
-from .graph import DirectedGraph, two_hop_middle_nodes
+from .graph import DirectedGraph, is_detectable
 from .protocol import (
     InformationSet,
     NodeState,
@@ -136,21 +136,28 @@ def reconstruct_running_sums(
 class StructuralOracle:
     """Topology-derived answers about who can verify whom.
 
-    A value is knowable to a if it is a's own, comes from a direct
-    in-neighbor, or can be recovered by majority vote over 2f+1
-    relaying middle nodes. A full audit of h by a requires every input
-    of h's update to be knowable to a.
+    The constructor builds one table: auditors[h] holds the
+    out-neighbors a of h that can audit h fully, that is, every input
+    of h's update (its in-neighbors and h) is a itself or passes
+    is_detectable(g, f, x, a): a hears it directly or through 2f+1
+    two-hop middle nodes. Both answers read that table alone, so they
+    read the topology up to three hops back from the asking node
+    (x -> h -> p -> i).
     """
 
     def __init__(self, g: DirectedGraph, f: int):
-        self.g = g
         self.f = f
-        self._middles: dict[tuple[int, int], frozenset[int]] = {}
-        self._full_audit: dict[tuple[int, int], bool] = {}
         self._in = {i: g.in_neighbors(i) for i in g.nodes}
         self._out = {i: g.out_neighbors(i) for i in g.nodes}
         # the ids an honest broadcast of i relays: its in-neighbors and i
         self.relay_ids = {i: self._in[i] | {i} for i in g.nodes}
+        self.auditors = {
+            h: frozenset(
+                a for a in self._out[h]
+                if all(x == a or is_detectable(g, f, x, a) for x in self.relay_ids[h])
+            )
+            for h in g.nodes
+        }
         # per detector i: each two-hop in-neighbor h beyond i's
         # in-neighbors, ascending, with the in-neighbors of i relaying h
         self.two_hop_relays: dict[int, tuple[tuple[int, tuple[int, ...]], ...]] = {}
@@ -169,37 +176,16 @@ class StructuralOracle:
     def out_nbrs(self, i: int) -> frozenset[int]:
         return self._out[i]
 
-    def middles(self, h: int, i: int) -> frozenset[int]:
-        key = (h, i)
-        if key not in self._middles:
-            self._middles[key] = two_hop_middle_nodes(self.g, h, i)
-        return self._middles[key]
-
-    def votable(self, a: int, h: int) -> bool:
-        return len(self.middles(h, a)) >= 2 * self.f + 1
-
-    def value_knowable(self, a: int, h: int) -> bool:
-        return h == a or self.g.has_edge(h, a) or self.votable(a, h)
-
-    def full_audit(self, a: int, h: int) -> bool:
-        key = (a, h)
-        if key not in self._full_audit:
-            inputs = self.g.in_neighbors(h) | {h}
-            self._full_audit[key] = all(self.value_knowable(a, x) for x in inputs)
-        return self._full_audit[key]
-
     def must_detect(self, j: int, h: int) -> bool:
         """j is guaranteed to detect a misbehaving h on its own."""
-        return self.g.has_edge(h, j) and self.full_audit(j, h)
+        return j in self.auditors[h]
 
     def must_know_status(self, i: int, h: int) -> bool:
-        """i is guaranteed to learn of h's detection, directly or by vote."""
-        if h == i:
-            return True
-        if self.g.has_edge(h, i) and self.full_audit(i, h):
-            return True
-        witnesses = sum(1 for p in self.middles(h, i) if self.full_audit(p, h))
-        return witnesses >= 2 * self.f + 1
+        """i is guaranteed to learn of h's detection, directly or by a
+        vote among 2f+1 in-neighbors that each audit h fully."""
+        return h == i or i in self.auditors[h] or (
+            len(self.auditors[h] & self._in[i]) >= 2 * self.f + 1
+        )
 
 
 Finding = tuple[Cause, tuple]  # cause and evidence of one verdict

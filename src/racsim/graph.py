@@ -4,8 +4,9 @@ Nodes are integers 1..n. An edge (j, i) means j can send to i. The
 checkers cover the conditions needed by the two detection algorithms:
 two-hop detectability, common-neighbor counts, f-local admissibility,
 k-strong connectivity, and vertex connectivity. A layered-graph
-generator produces families that satisfy the distributed-detection
-condition by construction.
+generator builds an undirected path of layers, which satisfies the
+distributed-detection condition by construction, and a directed
+variant that wraps the last layer to the first, which does not.
 """
 
 from __future__ import annotations
@@ -108,12 +109,6 @@ class DirectedGraph:
         self._check_node(i)
         return self._out[i]
 
-    def in_degree(self, i: int) -> int:
-        return len(self.in_neighbors(i))
-
-    def out_degree(self, i: int) -> int:
-        return len(self.out_neighbors(i))
-
     def has_edge(self, j: int, i: int) -> bool:
         return (j, i) in self.edges
 
@@ -147,12 +142,11 @@ def complete_graph(n: int) -> DirectedGraph:
 
 
 def two_hop_middle_nodes(g: DirectedGraph, h: int, i: int) -> frozenset[int]:
-    """Middle nodes m with edges h -> m and m -> i, m distinct from both."""
+    """Middle nodes m with edges h -> m and m -> i; as the graph has no
+    self-loops, m is neither h nor i."""
     if h == i:
         raise GraphError("endpoints must differ")
-    g._check_node(h)
-    g._check_node(i)
-    return frozenset(m for m in g.out_neighbors(h) & g.in_neighbors(i) if m not in (h, i))
+    return g.out_neighbors(h) & g.in_neighbors(i)
 
 
 def is_detectable(g: DirectedGraph, f: int, h: int, i: int) -> bool:

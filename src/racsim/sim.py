@@ -260,7 +260,8 @@ def run(scenario: Scenario) -> Trace:
             if script is None:
                 honest_round(s, sent, new_detected[i], rule)
             else:
-                if not any(a.kind is ActionKind.CRASH for a in script.active_actions(k - 1)):
+                # an adversary updates only in a round it sent a message
+                if i in sent:
                     inbox = {j: sent[j] for j in views[i].in_nbrs if j in sent}
                     honest_round(s, tampered_inbox(inbox, script, k), new_detected[i], rule)
                 # the trace shows the ratio the adversary announces

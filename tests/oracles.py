@@ -106,3 +106,39 @@ def brute_alg3_condition(n: int, edges: set[tuple[int, int]], f: int) -> bool:
                 if (j, l) in edges and l != i and not detectable(l, i):
                     return False
     return True
+
+
+def brute_oracle_answers(n: int, edges: set[tuple[int, int]], f: int):
+    """Definition replay of StructuralOracle's two answers, as sets of
+    ordered pairs (must_detect (j, h), must_know_status (i, h)).
+
+    A value of x is knowable to a if it is a's own, x -> a is an edge,
+    or 2f+1 middle nodes m carry x -> m -> a. a audits h fully if every
+    input of h's update (h and its in-neighbors) is knowable to a. j
+    must detect h if h -> j is an edge and j audits h fully; i must know
+    h's status if i is h, must detect h, or has 2f+1 in-neighbors that
+    must detect h.
+    """
+    nodes = range(1, n + 1)
+
+    def knowable(x: int, a: int) -> bool:
+        middles = sum(
+            1
+            for m in nodes
+            if m not in (x, a) and (x, m) in edges and (m, a) in edges
+        )
+        return x == a or (x, a) in edges or middles >= 2 * f + 1
+
+    def full_audit(a: int, h: int) -> bool:
+        return all(knowable(x, a) for x in nodes if x == h or (x, h) in edges)
+
+    must_detect = {
+        (j, h) for j in nodes for h in nodes if (h, j) in edges and full_audit(j, h)
+    }
+    must_know = set()
+    for i in nodes:
+        for h in nodes:
+            witnesses = sum(1 for p in nodes if (p, i) in edges and (p, h) in must_detect)
+            if i == h or (i, h) in must_detect or witnesses >= 2 * f + 1:
+                must_know.add((i, h))
+    return must_detect, must_know

@@ -193,7 +193,14 @@ class TestGenGraphCommand:
         code = main(["gen-graph", "--layers", "4", "-f", "1", "--out", str(path)])
         assert code == EXIT_OK
         g = read_edge_list(path.read_text())
-        assert g.n == 12
+        assert g.n == 12 and g.undirected
+
+    def test_variant_option_is_gone(self, tmp_path):
+        # the directed wrap variant fails the condition gen-graph checks
+        with pytest.raises(SystemExit) as exc:
+            main(["gen-graph", "--layers", "4", "-f", "1", "--variant", "directed-wrap",
+                  "--out", str(tmp_path / "g.txt")])
+        assert exc.value.code == EXIT_INVALID
 
     def test_bad_arguments(self, tmp_path):
         code = main(["gen-graph", "--layers", "1", "-f", "1", "--out", str(tmp_path / "g.txt")])

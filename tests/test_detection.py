@@ -1,9 +1,12 @@
 import itertools
+import random
 from dataclasses import replace
 from fractions import Fraction
 from typing import Optional
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from racsim.detection import (
     NO_MAJORITY,
@@ -17,8 +20,14 @@ from racsim.detection import (
     vote_value,
 )
 from racsim.adversary import ActionKind, AttackAction, AttackScript
-from racsim.fixtures import X0_SIX, six_node_damaged, six_node_graph
-from racsim.graph import complete_graph
+from racsim.fixtures import (
+    X0_FOURTEEN,
+    X0_SIX,
+    fourteen_node_graph,
+    six_node_damaged,
+    six_node_graph,
+)
+from racsim.graph import DirectedGraph, complete_graph, is_detectable, two_hop_middle_nodes
 from racsim.protocol import (
     ZERO_PAIR,
     NodeView,
@@ -27,7 +36,8 @@ from racsim.protocol import (
     build_information_set,
     honest_round,
 )
-from racsim.sim import DetectionMode, Scenario, run
+from racsim.sim import DetectionMode, Scenario, run, summary
+from oracles import brute_oracle_answers
 
 FLOAT = ValueRule()
 EXACT = ValueRule(exact=True)
@@ -233,9 +243,12 @@ class TestReconstruction:
 
 class TestStructuralOracle:
     def test_complete_graph_full_audit(self):
-        oracle = StructuralOracle(complete_graph(5), 1)
-        assert oracle.votable(1, 2)
-        assert oracle.full_audit(1, 2)
+        g = complete_graph(5)
+        oracle = StructuralOracle(g, 1)
+        # besides the edge, three middles relay 2 to 1: enough to vote
+        assert len(two_hop_middle_nodes(g, 2, 1)) == 3
+        assert is_detectable(g, 1, 2, 1)
+        assert oracle.auditors[2] == {1, 3, 4, 5}
         assert oracle.must_detect(1, 2)
         assert oracle.must_know_status(1, 2)
 
@@ -244,13 +257,36 @@ class TestStructuralOracle:
         oracle = StructuralOracle(g, 1)
         # 5 and 6 are not adjacent, but four middles relay between them
         assert not g.has_edge(6, 5)
-        assert oracle.votable(5, 6)
-        assert oracle.value_knowable(5, 6)
+        assert is_detectable(g, 1, 6, 5)
+        assert oracle.auditors[6] == {1, 2, 3, 4}
+        assert not oracle.must_detect(5, 6)
+        assert oracle.must_know_status(5, 6)
 
     def test_damaged_fixture_loses_coverage(self):
-        oracle = StructuralOracle(six_node_damaged(), 1)
-        assert not oracle.votable(5, 6)
+        g = six_node_damaged()
+        oracle = StructuralOracle(g, 1)
+        assert not is_detectable(g, 1, 6, 5)
+        assert all(not a for a in oracle.auditors.values())
+        assert not oracle.must_detect(1, 6)
         assert not oracle.must_know_status(5, 6)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=0, max_value=100_000))
+    def test_answers_match_definition_replay(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(2, 9)
+        undirected = rng.random() < 0.5
+        p = rng.uniform(0.3, 0.95)
+        pairs = itertools.combinations if undirected else itertools.permutations
+        g = DirectedGraph(
+            n, [e for e in pairs(range(1, n + 1), 2) if rng.random() < p], undirected
+        )
+        for f in range(3):
+            oracle = StructuralOracle(g, f)
+            must_detect, must_know = brute_oracle_answers(n, set(g.edges), f)
+            for i, h in itertools.product(g.nodes, repeat=2):
+                assert oracle.must_detect(i, h) == ((i, h) in must_detect)
+                assert oracle.must_know_status(i, h) == ((i, h) in must_know)
 
 
 class TestInitRangeCheck:
@@ -345,6 +381,28 @@ class TestDistributedDetectionEndToEnd:
             assert {e.suspect for e in crash_events} == {6}
             assert {e.detector for e in crash_events} == {1, 2, 3, 4}
             assert _suspects(trace) == {6}
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 1: a false accusation makes ALG3 condemn normal nodes",
+    )
+    def test_false_accusation_on_fourteen_spares_normal_nodes(self):
+        trace = run(
+            Scenario(
+                graph=fourteen_node_graph(),
+                x0=X0_FOURTEEN,
+                f=1,
+                detection=DetectionMode.ALG3,
+                adversaries=(
+                    AttackScript(
+                        node=2, schedule=((1, AttackAction(ActionKind.FALSELY_ACCUSE, target=12)),)
+                    ),
+                ),
+                horizon=60,
+            )
+        )
+        assert _suspects(trace) <= {2}
+        assert summary(trace)["converged_round"] is not None
 
     def test_forged_self_value_caught_by_replay(self):
         trace = run(

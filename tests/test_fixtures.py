@@ -30,7 +30,7 @@ class TestSixNode:
     def test_structure(self):
         g = six_node_graph()
         assert g.n == 6 and g.undirected
-        assert all(g.in_degree(i) == 4 for i in g.nodes)
+        assert all(len(g.in_neighbors(i)) == 4 for i in g.nodes)
 
     def test_supports_distributed_detection(self):
         g = six_node_graph()

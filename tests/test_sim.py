@@ -182,6 +182,13 @@ class TestEngine:
         # into normal nodes' masses
         assert a.y[1] != b.y[1]
 
+    def test_adversary_crashed_from_round_one_never_updates(self):
+        # a crash from round 1 silences the first exchange, so the
+        # adversary, which sends nothing, keeps its round-0 sums
+        trace = run(_basic_scenario(horizon=10, **_attack(AttackAction(ActionKind.CRASH))))
+        assert trace.y[5][1] == trace.y[5][0] and trace.z[5][1] == trace.z[5][0]
+        assert set(trace.y[5]) == {X0_SIX[4]}
+
     def test_normal_mass_conserved_after_isolation(self):
         # once the adversary is cut off everywhere, the normal
         # network's total mass stays fixed
