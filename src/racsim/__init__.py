@@ -22,8 +22,6 @@ from .graph import (
 from .protocol import (
     InformationSet,
     NodeState,
-    NodeView,
-    RunningState,
     ValueRule,
     bootstrap,
     build_information_set,

@@ -209,7 +209,7 @@ def validate_adversary_placement(
         if not (1 <= v <= g.n):
             violations.append(Violation((v,), "unknown_node"))
     if violations:
-        return ConditionReport.from_violations(violations)
+        return ConditionReport(tuple(violations))
     if model.kind is AdversaryKind.TOTAL:
         if len(adversaries) > model.f:
             violations.append(
@@ -224,7 +224,7 @@ def validate_adversary_placement(
             # a full access node hears every other node
             if len(bad) > model.f and len(in_i) < g.n - 1:
                 violations.append(Violation((i,), "local_bound", tuple(sorted(bad))))
-    return ConditionReport.from_violations(violations)
+    return ConditionReport(tuple(violations))
 
 
 def adversary_rng(seed: int, node: int) -> random.Random:

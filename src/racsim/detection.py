@@ -333,20 +333,20 @@ def _detect(
     detect_alg2 and detect_alg3."""
     i = state.id
     k = state.round + 1
-    view = state.view
+    in_nbrs = state.in_nbrs
     detected = state.detected
     two_hop_detected = state.detected_two_hop
     # j composed its claims a round ago, so it can only be expected to
     # know what this node had detected before this round
     known_before = detected | two_hop_detected
-    active_in = sorted(view.in_nbrs - detected)
+    active_in = sorted(in_nbrs - detected)
     verdicts: list[DetectionVerdict] = []
 
     def condemn(suspect: int, cause: Cause, *evidence) -> None:
         if suspect == i or suspect in detected or suspect in two_hop_detected:
             return
         verdicts.append(DetectionVerdict(suspect, i, k, cause, evidence))
-        if suspect in view.in_nbrs or suspect in view.out_nbrs:
+        if suspect in in_nbrs or suspect in state.out_nbrs:
             detected.add(suspect)
         else:
             two_hop_detected.add(suspect)
@@ -360,7 +360,7 @@ def _detect(
 
     # the public values of the node's in-neighbors and itself, which
     # the votes below extend; only a voted value can deviate from them
-    check = {h: public[h] for h in (*view.in_nbrs, i) if h in public}
+    check = {h: public[h] for h in (*in_nbrs, i) if h in public}
     deviating: set[int] = set()
     if shared is None:
         f = oracle.f

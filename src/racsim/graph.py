@@ -55,16 +55,11 @@ class Violation:
 
 @dataclass(frozen=True)
 class ConditionReport:
-    satisfied: bool
     violations: tuple[Violation, ...] = ()
 
-    def __post_init__(self) -> None:
-        assert self.satisfied == (len(self.violations) == 0)
-
-    @staticmethod
-    def from_violations(violations: Iterable[Violation]) -> "ConditionReport":
-        vs = tuple(violations)
-        return ConditionReport(satisfied=not vs, violations=vs)
+    @property
+    def satisfied(self) -> bool:
+        return not self.violations
 
 
 class DirectedGraph:
@@ -173,7 +168,7 @@ def check_alg3_condition(g: DirectedGraph, f: int, debug: bool = False) -> Condi
             if h != i and not is_detectable(g, f, h, i):
                 two_hop.append(Violation((h, i), "two_hop_in_neighbor"))
     if g.undirected and not debug:
-        return ConditionReport.from_violations(two_hop)
+        return ConditionReport(tuple(two_hop))
     extra = []
     for i in g.nodes:
         for q in g.out_neighbors(i):
@@ -188,7 +183,7 @@ def check_alg3_condition(g: DirectedGraph, f: int, debug: bool = False) -> Condi
         # decide the verdict; cross-check against the full evaluation
         if not two_hop and extra:
             raise RuntimeError("undirected shortcut disagrees with full check")
-    return ConditionReport.from_violations(two_hop + extra)
+    return ConditionReport(tuple(two_hop + extra))
 
 
 def check_alg2_condition(g: DirectedGraph, f: int) -> ConditionReport:
@@ -206,7 +201,7 @@ def check_alg2_condition(g: DirectedGraph, f: int) -> ConditionReport:
         common = (g.in_neighbors(j) & g.in_neighbors(i)) - {j, i}
         if len(common) < need:
             violations.append(Violation(pair, "common_neighbors", tuple(sorted(common))))
-    return ConditionReport.from_violations(violations)
+    return ConditionReport(tuple(violations))
 
 
 def check_common_normal_neighbor(g: DirectedGraph, adversaries: set[int]) -> ConditionReport:
@@ -221,7 +216,7 @@ def check_common_normal_neighbor(g: DirectedGraph, adversaries: set[int]) -> Con
         common = (g.in_neighbors(a) & g.in_neighbors(b)) - set(adversaries)
         if not common:
             violations.append(Violation((a, b), "normal_common_neighbor"))
-    return ConditionReport.from_violations(violations)
+    return ConditionReport(tuple(violations))
 
 
 def is_f_local(g: DirectedGraph, adversaries: set[int], f: int) -> bool:

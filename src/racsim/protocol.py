@@ -1,12 +1,13 @@
 """Honest-node state machine for running-sum ratio consensus.
 
-Each node keeps dual mass values y and z whose ratio tracks the
-average of initial values. Instead of raw masses, nodes broadcast
-cumulative running sums (lam for y, gam for z); receivers difference
-consecutive values to recover per-round contributions. When an
-in-neighbor is detected as malicious its accumulated contribution is
-removed by zeroing its ledger entry, and mass previously sent to a
-detected out-neighbor is compensated back into the node's own values.
+A node is one flat record, NodeState. It keeps dual mass values y and
+z whose ratio tracks the average of initial values. Instead of raw
+masses, nodes broadcast cumulative running sums (lam for y, gam for
+z); receivers difference consecutive values to recover per-round
+contributions. Every detection is in the record's detection set
+before the update, which zeroes a detected in-neighbor's ledger entry
+to remove its accumulated contribution and compensates mass sent to a
+detected out-neighbor back into the node's own values.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Optional, Union
+from typing import Mapping, Union
 
 Number = Union[int, float, Fraction]
 Pair = tuple[Number, Number]
@@ -86,35 +87,19 @@ class InformationSet:
 
 
 @dataclass
-class RunningState:
-    y: Number
-    z: Number
-    lam: Number
-    gam: Number
-    ratio: Number
-
-
-@dataclass(frozen=True)
-class NodeView:
-    """A node's local knowledge of the topology."""
-
-    id: int
-    in_nbrs: frozenset[int]
-    out_nbrs: frozenset[int]
-
-    @staticmethod
-    def from_graph(g, i: int) -> "NodeView":
-        return NodeView(id=i, in_nbrs=g.in_neighbors(i), out_nbrs=g.out_neighbors(i))
-
-
-@dataclass
 class NodeState:
     id: int
     round: int
-    view: NodeView
-    run: RunningState
+    in_nbrs: frozenset[int]
+    out_nbrs: frozenset[int]
+    y: Number
+    z: Number
+    # the running sums the node broadcasts as its next ones
+    lam: Number
+    gam: Number
+    ratio: Number
     # the running sums read this round, per in-neighbor, then the node's
-    # own, one step behind run: exactly what the node relays
+    # own, one step behind lam and gam: exactly what the node relays
     ledger: dict[int, Pair]
     detected: set[int] = field(default_factory=set)
     detected_two_hop: set[int] = field(default_factory=set)
@@ -133,8 +118,8 @@ def initial_share(x0: Number, out_degree: int, rule: ValueRule) -> Pair:
     return (x0 / (1 + out_degree), one / (1 + out_degree))
 
 
-def bootstrap(id: int, x0: Number, view: NodeView, rule: ValueRule) -> NodeState:
-    """Build the state before the first exchange.
+def bootstrap(g, i: int, x0: Number, rule: ValueRule) -> NodeState:
+    """Build the state of node i of graph g before the first exchange.
 
     All running sums start at zero, so the first exchange is an
     ordinary round: the node broadcasts its initial share as its next
@@ -143,16 +128,22 @@ def bootstrap(id: int, x0: Number, view: NodeView, rule: ValueRule) -> NodeState
     if isinstance(x0, float) and not math.isfinite(x0):
         raise ProtocolError(f"initial value must be finite, got {x0!r}")
     x0 = rule.convert(x0)
-    lam1, gam1 = initial_share(x0, len(view.out_nbrs), rule)
-    ledger = {j: ZERO_PAIR for j in view.in_nbrs}
-    ledger[id] = ZERO_PAIR
+    in_nbrs, out_nbrs = g.in_neighbors(i), g.out_neighbors(i)
+    lam1, gam1 = initial_share(x0, len(out_nbrs), rule)
+    ledger = {j: ZERO_PAIR for j in in_nbrs}
+    ledger[i] = ZERO_PAIR
     return NodeState(
-        id=id,
+        id=i,
         round=0,
-        view=view,
-        run=RunningState(y=x0, z=rule.convert(1), lam=lam1, gam=gam1, ratio=x0),
+        in_nbrs=in_nbrs,
+        out_nbrs=out_nbrs,
+        y=x0,
+        z=rule.convert(1),
+        lam=lam1,
+        gam=gam1,
+        ratio=x0,
         ledger=ledger,
-        active_out=view.out_nbrs,
+        active_out=out_nbrs,
     )
 
 
@@ -161,35 +152,27 @@ def build_information_set(s: NodeState) -> InformationSet:
     relays the ledger itself, which honest_round replaces and never
     changes in place."""
     return InformationSet(
-        s.id, s.round, frozenset(s.detected), (s.run.lam, s.run.gam), s.ledger,
+        s.id, s.round, frozenset(s.detected), (s.lam, s.gam), s.ledger,
         len(s.active_out), s.removed_out_count,
     )
 
 
-def honest_round(
-    s: NodeState,
-    inbox: Mapping[int, InformationSet],
-    new_detected: frozenset[int],
-    rule: ValueRule,
-) -> None:
+def honest_round(s: NodeState, inbox: Mapping[int, InformationSet], rule: ValueRule) -> None:
     """Advance one round in place.
 
-    new_detected is this round's detection outcome. inbox may hold the
-    messages of non-neighbors, such as the engine's whole broadcast
+    s.detected already holds this round's detections. inbox may hold
+    the messages of non-neighbors, such as the engine's whole broadcast
     table; an in-neighbor that sent nothing has crashed and is detected
     as well.
     """
     detected = s.detected
-    if new_detected:
-        detected |= new_detected
-    run = s.run
-    lam_k, gam_k = run.lam, run.gam
+    lam_k, gam_k = s.lam, s.gam
     old_ledger = s.ledger
     ledger: dict[int, Pair] = {}
     own_y, own_z = old_ledger[s.id]
     y = lam_k - own_y
     z = gam_k - own_z
-    for j in s.view.in_nbrs:
+    for j in s.in_nbrs:
         if j in detected:
             pair = ZERO_PAIR
         else:
@@ -204,18 +187,19 @@ def honest_round(
         old_y, old_z = old_ledger[j]
         y = y + (new_y - old_y)
         z = z + (new_z - old_z)
-    active_out = s.view.out_nbrs - detected
+    active_out = s.out_nbrs - detected
     n_removed = len(s.active_out - active_out)
     d_out = len(active_out)
     # mass previously sent to newly removed out-neighbors comes back
     y = y + n_removed * lam_k
     z = z + n_removed * gam_k
 
-    ratio = y / z if rule.z_ok(z) else run.ratio
+    ratio = y / z if rule.z_ok(z) else s.ratio
 
     ledger[s.id] = (lam_k, gam_k)
     s.ledger = ledger
-    s.run = RunningState(y, z, lam_k + y / (1 + d_out), gam_k + z / (1 + d_out), ratio)
+    s.y, s.z, s.ratio = y, z, ratio
+    s.lam, s.gam = lam_k + y / (1 + d_out), gam_k + z / (1 + d_out)
     s.round += 1
     s.active_out = active_out
     s.removed_out_count = n_removed

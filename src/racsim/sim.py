@@ -35,11 +35,10 @@ from .detection import (
     detect_alg3,
 )
 from .fixtures import FIXTURE_GRAPHS
-from .graph import AdversaryKind, AdversaryModel, DirectedGraph, read_edge_list
+from .graph import AdversaryKind, AdversaryModel, DirectedGraph, read_edge_list, write_edge_list
 from .protocol import (
     DEFAULT_TOL,
     ZERO_PAIR,
-    NodeView,
     ValueRule,
     bootstrap,
     build_information_set,
@@ -130,7 +129,9 @@ class Scenario:
                     problems.append(f"{where}: a declared degree must not be negative")
         if self.safety_interval is not None:
             lo, hi = self.safety_interval
-            if lo > hi:
+            if not (_finite(lo) and _finite(hi)):
+                problems.append("safety interval bounds must be finite")
+            elif lo > hi:
                 problems.append("safety interval is empty")
         return problems
 
@@ -197,15 +198,17 @@ def run(scenario: Scenario) -> Trace:
         # what each node broadcast as its next running sums last round;
         # every running sum starts at zero
         public = {i: ZERO_PAIR for i in nodes}
-    views = {i: NodeView.from_graph(g, i) for i in nodes}
-    states = {i: bootstrap(i, scenario.x0[i - 1], views[i], rule) for i in nodes}
+        # the sharing oracle's set, the union of the normal nodes' detection
+        # sets; none changes from one round's merge to the next's detectors
+        shared: frozenset[int] = frozenset()
+    states = {i: bootstrap(g, i, scenario.x0[i - 1], rule) for i in nodes}
 
     # round 0 is recorded as the trace is built
     trace = Trace(
         scenario=scenario,
-        y={i: [states[i].run.y] for i in nodes},
-        z={i: [states[i].run.z] for i in nodes},
-        r={i: [states[i].run.ratio] for i in nodes},
+        y={i: [states[i].y] for i in nodes},
+        z={i: [states[i].z] for i in nodes},
+        r={i: [states[i].ratio] for i in nodes},
         detected_count={i: [len(states[i].detected)] for i in nodes},
     )
     # each node's trace appenders, bound once
@@ -215,14 +218,15 @@ def run(scenario: Scenario) -> Trace:
     }
 
     for k in range(1, scenario.horizon + 1):
+        # the first exchange takes the actions of round 1
+        forge_round = max(k - 1, 1)
         # emit: one identical message per node, possibly forged, into the
         # round's one broadcast table; a crashed node sends nothing
         sent = {}
         for i in nodes:
             msg = build_information_set(states[i])
             if i in scripts:
-                # the first exchange takes the actions of round 1
-                msg = forge_information_set(msg, scripts[i], max(k - 1, 1), rngs[i], rule)
+                msg = forge_information_set(msg, scripts[i], forge_round, rngs[i], rule)
                 if msg is None:
                     continue
             sent[i] = msg
@@ -230,15 +234,11 @@ def run(scenario: Scenario) -> Trace:
         # detect: every receiver audits the same broadcast, so its
         # receiver-independent checks run once per message sent; each
         # detector adds its suspects to its own state
-        new_detected: dict[int, frozenset[int]] = dict.fromkeys(nodes, frozenset())
         if detecting:
             audits = {j: audit_broadcast(m, prev_msgs.get(j), public, oracle, rule,
                                          scenario.safety_interval)
                       for j, m in sent.items()}
             prev_msgs.update(sent)
-            if sharing:
-                # before any detector runs, as each adds its suspects in place
-                shared = frozenset().union(*(states[i].detected for i in normals))
             for i in normals:
                 if sharing:
                     verdicts = detect_alg2(states[i], sent, audits, public, shared, rule)
@@ -246,31 +246,27 @@ def run(scenario: Scenario) -> Trace:
                     verdicts = detect_alg3(states[i], sent, audits, public, oracle, rule)
                 trace.events.extend(verdicts)
             if sharing:
-                # the oracle hands every node this round's detections
-                new_shared = frozenset().union(*(states[i].detected for i in normals))
-                new_detected = {i: new_shared - states[i].detected - {i} for i in nodes}
+                # the oracle hands this round's detections to every node
+                # that updates, which is every node that sent
+                shared = frozenset().union(*(states[i].detected for i in normals))
+                for i in sent:
+                    states[i].detected |= shared - {i}
             public = {j: msg.self_next for j, msg in sent.items()}
 
         # update: normal nodes read the broadcast table itself; an
-        # adversary gets its own inbox, which its script may tamper
+        # adversary updates only in a round it sent a message, from its
+        # own copy of the table, which its script may tamper
         for i in nodes:
             s = states[i]
             script = scripts.get(i)
-            ratio = None
-            if script is None:
-                honest_round(s, sent, new_detected[i], rule)
-            else:
-                # an adversary updates only in a round it sent a message
-                if i in sent:
-                    inbox = {j: sent[j] for j in views[i].in_nbrs if j in sent}
-                    honest_round(s, tampered_inbox(inbox, script, k), new_detected[i], rule)
-                # the trace shows the ratio the adversary announces
-                ratio = scripted_self_value(script, k - 1)
+            if i in sent:
+                honest_round(s, sent if script is None else tampered_inbox(sent, script, k), rule)
             add_y, add_z, add_r, add_d = records[i]
-            now = s.run
-            add_y(now.y)
-            add_z(now.z)
-            add_r(now.ratio if ratio is None else ratio)
+            add_y(s.y)
+            add_z(s.z)
+            ratio = None if script is None else scripted_self_value(script, forge_round)
+            # the trace shows the ratio the adversary announces
+            add_r(s.ratio if ratio is None else ratio)
             add_d(len(s.detected))
 
     return trace
@@ -365,8 +361,6 @@ def _adversary_from_json(entry: dict) -> AttackScript:
 
 
 def scenario_to_json(sc: Scenario) -> dict:
-    from .graph import write_edge_list
-
     return {
         "graph": {"inline": write_edge_list(sc.graph)},
         "x0": list(sc.x0),

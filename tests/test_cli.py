@@ -65,6 +65,8 @@ class TestRunCommand:
             {"f": "one"},
             {"tol": "x"},
             {"safety_interval": [1]},
+            {"safety_interval": [float("nan"), 10]},
+            {"safety_interval": [0, float("inf")]},
             {"adversaries": [{"node": "6", "schedule": []}]},
             {"adversaries": [{"node": 6, "schedule": [
                 {"from_round": 1, "action": {"kind": "LieDeclaredDegree", "value": "x"}}]}]},
@@ -83,8 +85,8 @@ class TestRunCommand:
         ],
         ids=[
             "nan-x0", "accuse-outside", "text-x0", "huge-x0", "text-horizon", "text-f", "text-tol",
-            "short-interval", "text-node", "text-degree", "negative-degree", "text-value-tol",
-            "zero-value-tol", "unknown-arithmetic", "text-sharing", "list-fixture",
+            "short-interval", "nan-interval", "inf-interval", "text-node", "text-degree",
+            "negative-degree", "text-value-tol", "zero-value-tol", "unknown-arithmetic", "text-sharing", "list-fixture",
             "adversaries-object", "text-round", "text-target",
         ],
     )

@@ -30,7 +30,6 @@ from racsim.fixtures import (
 from racsim.graph import DirectedGraph, complete_graph, is_detectable, two_hop_middle_nodes
 from racsim.protocol import (
     ZERO_PAIR,
-    NodeView,
     ValueRule,
     bootstrap,
     build_information_set,
@@ -94,11 +93,10 @@ def _detect_at_node_5(
     detection and the detection arguments."""
     g = six_node_graph()
     oracle = StructuralOracle(g, 1)
-    views = {i: NodeView.from_graph(g, i) for i in g.nodes}
-    states = {i: bootstrap(i, X0_SIX[i - 1], views[i], FLOAT) for i in g.nodes}
+    states = {i: bootstrap(g, i, X0_SIX[i - 1], FLOAT) for i in g.nodes}
     first = {i: build_information_set(states[i]) for i in g.nodes}
     for i in g.nodes:
-        honest_round(states[i], {j: first[j] for j in views[i].in_nbrs}, frozenset(), FLOAT)
+        honest_round(states[i], {j: first[j] for j in states[i].in_nbrs}, FLOAT)
     msgs = {i: build_information_set(states[i]) for i in g.nodes}
     for j, claimed in (claims or {}).items():
         msgs[j] = replace(msgs[j], detected=claimed)
@@ -108,7 +106,7 @@ def _detect_at_node_5(
         first[j] = replace(first[j], detected=claimed)
     public = {j: m.self_next for j, m in first.items()}
     audits = {j: audit_broadcast(m, first[j], public, oracle, FLOAT) for j, m in msgs.items()}
-    inbox = {j: msgs[j] for j in views[5].in_nbrs}
+    inbox = {j: msgs[j] for j in states[5].in_nbrs}
     return states[5], (inbox, audits, public, oracle, FLOAT)
 
 
@@ -189,7 +187,7 @@ def test_detections_land_in_state(alg3):
         verdicts = detect_alg2(state, inbox, audits, public, frozenset(), rule)
     suspects = {v.suspect for v in verdicts}
     assert suspects == ({1, 2, 4, 6} if alg3 else {1, 2, 4})
-    neighbors = state.view.in_nbrs | state.view.out_nbrs
+    neighbors = state.in_nbrs | state.out_nbrs
     assert state.detected == detected | (suspects & neighbors)
     assert state.detected_two_hop == two_hop | (suspects - neighbors)
 
@@ -199,13 +197,12 @@ class TestReconstruction:
         """Every node's messages of rounds 0 (the first exchange) to rounds."""
         g = complete_graph(3)
         x0 = [Fraction(3), Fraction(6), Fraction(9)]
-        views = {i: NodeView.from_graph(g, i) for i in g.nodes}
-        states = {i: bootstrap(i, x0[i - 1], views[i], EXACT) for i in g.nodes}
+        states = {i: bootstrap(g, i, x0[i - 1], EXACT) for i in g.nodes}
         per_round = [{i: build_information_set(states[i]) for i in g.nodes}]
         for _ in range(rounds):
             for i in g.nodes:
-                inbox = {j: per_round[-1][j] for j in views[i].in_nbrs}
-                honest_round(states[i], inbox, frozenset(), EXACT)
+                inbox = {j: per_round[-1][j] for j in states[i].in_nbrs}
+                honest_round(states[i], inbox, EXACT)
             per_round.append({i: build_information_set(states[i]) for i in g.nodes})
         return per_round
 

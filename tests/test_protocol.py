@@ -12,9 +12,7 @@ from racsim.protocol import (
     ZERO_PAIR,
     InformationSet,
     NodeState,
-    NodeView,
     ProtocolError,
-    RunningState,
     ValueRule,
     bootstrap,
     build_information_set,
@@ -31,26 +29,24 @@ def first_exchange(g: DirectedGraph, x0, rule: ValueRule = FLOAT, nodes=None):
     """Bootstrap every node and run round 1 for the given nodes
     (default all), each hearing all its in-neighbors; return the states
     and the round-0 messages."""
-    views = {i: NodeView.from_graph(g, i) for i in g.nodes}
-    states = {i: bootstrap(i, x0[i - 1], views[i], rule) for i in g.nodes}
+    states = {i: bootstrap(g, i, x0[i - 1], rule) for i in g.nodes}
     first = {i: build_information_set(states[i]) for i in g.nodes}
     for i in g.nodes if nodes is None else nodes:
-        honest_round(states[i], {j: first[j] for j in views[i].in_nbrs}, frozenset(), rule)
+        honest_round(states[i], {j: first[j] for j in states[i].in_nbrs}, rule)
     return states, first
 
 
 def mini_run(g: DirectedGraph, x0, rounds: int, rule: ValueRule = FLOAT):
     """Drive the honest state machine directly, no detection, and
     return per-round ratio vectors starting from round 1."""
-    views = {i: NodeView.from_graph(g, i) for i in g.nodes}
-    states = {i: bootstrap(i, x0[i - 1], views[i], rule) for i in g.nodes}
+    states = {i: bootstrap(g, i, x0[i - 1], rule) for i in g.nodes}
     history = []
     for _ in range(rounds):
         msgs = {i: build_information_set(states[i]) for i in g.nodes}
         for i in g.nodes:
-            inbox = {j: msgs[j] for j in views[i].in_nbrs}
-            honest_round(states[i], inbox, frozenset(), rule)
-        history.append([states[i].run.ratio for i in g.nodes])
+            inbox = {j: msgs[j] for j in states[i].in_nbrs}
+            honest_round(states[i], inbox, rule)
+        history.append([states[i].ratio for i in g.nodes])
     return states, history
 
 
@@ -69,10 +65,10 @@ class TestInitialShare:
 class TestBootstrap:
     def test_round_zero_state(self):
         # all running sums start at zero and the initial share goes out next
-        s = bootstrap(1, 3.0, NodeView.from_graph(complete_graph(3), 1), FLOAT)
+        s = bootstrap(complete_graph(3), 1, 3.0, FLOAT)
         assert s.round == 0
-        assert (s.run.y, s.run.z, s.run.ratio) == (3.0, 1, 3.0)
-        assert (s.run.lam, s.run.gam) == initial_share(3.0, 2, FLOAT)
+        assert (s.y, s.z, s.ratio) == (3.0, 1, 3.0)
+        assert (s.lam, s.gam) == initial_share(3.0, 2, FLOAT)
         # the in-neighbors' entries, then the node's own, last
         assert list(s.ledger.items()) == [(2, ZERO_PAIR), (3, ZERO_PAIR), (1, ZERO_PAIR)]
         assert s.detected == set()
@@ -84,15 +80,15 @@ class TestBootstrap:
         # each node absorbs its own share plus both neighbors' shares:
         # y = (3 + 6 + 9) / 3, z = 1
         for i in g.nodes:
-            assert states[i].run.y == pytest.approx(6.0)
-            assert states[i].run.z == pytest.approx(1.0)
-            assert states[i].run.ratio == pytest.approx(6.0)
+            assert states[i].y == pytest.approx(6.0)
+            assert states[i].z == pytest.approx(1.0)
+            assert states[i].ratio == pytest.approx(6.0)
 
     def test_missing_sender_starts_detected(self):
         g = complete_graph(3)
         states, first = first_exchange(g, [3.0, 6.0, 9.0], nodes=())
         s = states[1]
-        honest_round(s, {2: first[2]}, frozenset(), FLOAT)
+        honest_round(s, {2: first[2]}, FLOAT)
         assert s.detected == {3}
         assert s.ledger[3] == ZERO_PAIR
 
@@ -100,20 +96,21 @@ class TestBootstrap:
         g = complete_graph(3)
         states, first = first_exchange(g, [3.0, 6.0, 9.0], nodes=(1,))
         clean = states[1]
-        s = bootstrap(1, 3.0, NodeView.from_graph(g, 1), FLOAT)
-        honest_round(s, {2: first[2]}, frozenset({3}), FLOAT)
+        s = bootstrap(g, 1, 3.0, FLOAT)
+        s.detected.add(3)
+        honest_round(s, {2: first[2]}, FLOAT)
         # node 3's share is dropped and the share sent to it comes back
         lam1 = initial_share(3.0, 2, FLOAT)[0]
-        assert s.run.y == pytest.approx(clean.run.y - initial_share(9.0, 2, FLOAT)[0] + lam1)
+        assert s.y == pytest.approx(clean.y - initial_share(9.0, 2, FLOAT)[0] + lam1)
         assert len(s.active_out) == 1
         assert s.removed_out_count == 1
 
     def test_non_finite_initial_value_rejected(self):
-        view = NodeView.from_graph(complete_graph(2), 1)
+        g = complete_graph(2)
         with pytest.raises(ProtocolError):
-            bootstrap(1, math.nan, view, FLOAT)
+            bootstrap(g, 1, math.nan, FLOAT)
         with pytest.raises(ProtocolError):
-            bootstrap(1, math.inf, view, FLOAT)
+            bootstrap(g, 1, math.inf, FLOAT)
 
 
 class TestAgainstMassPassingOracle:
@@ -165,8 +162,8 @@ class TestConservationAndInvariance:
         g = DirectedGraph(n, edges)
         x0 = [Fraction(rng.randint(-20, 20)) for _ in range(n)]
         states, _ = mini_run(g, x0, 8, EXACT)
-        assert sum(states[i].run.y for i in g.nodes) == sum(x0)
-        assert sum(states[i].run.z for i in g.nodes) == n
+        assert sum(states[i].y for i in g.nodes) == sum(x0)
+        assert sum(states[i].z for i in g.nodes) == n
 
     def test_ratio_scales_with_initial_values(self):
         g = complete_graph(4)
@@ -190,31 +187,32 @@ class TestHonestRound:
         # once node 3 is detected, nodes 1 and 2 converge to avg(x1, x2)
         g = complete_graph(3)
         x0 = [3.0, 6.0, 30.0]
-        views = {i: NodeView.from_graph(g, i) for i in g.nodes}
         states, _ = first_exchange(g, x0)
         for k in range(2, 40):
             msgs = {i: build_information_set(states[i]) for i in g.nodes}
             for i in (1, 2):
-                inbox = {j: msgs[j] for j in views[i].in_nbrs}
-                new = frozenset({3}) if k == 2 else frozenset()
-                honest_round(states[i], inbox, new, FLOAT)
+                inbox = {j: msgs[j] for j in states[i].in_nbrs}
+                if k == 2:
+                    states[i].detected.add(3)
+                honest_round(states[i], inbox, FLOAT)
         assert states[1].ledger[3] == ZERO_PAIR
-        assert states[1].run.ratio == pytest.approx(4.5, abs=1e-9)
-        assert states[2].run.ratio == pytest.approx(4.5, abs=1e-9)
+        assert states[1].ratio == pytest.approx(4.5, abs=1e-9)
+        assert states[2].ratio == pytest.approx(4.5, abs=1e-9)
 
     def test_removed_out_neighbor_mass_returns(self):
         g = complete_graph(3)
         x0 = [3.0, 6.0, 30.0]
         states, _ = first_exchange(g, x0)
         s = states[1]
-        lam_k = s.run.lam
+        lam_k = s.lam
         msgs = {i: build_information_set(states[i]) for i in (2, 3)}
         twin = deepcopy(s)
-        honest_round(twin, msgs, frozenset(), FLOAT)
-        honest_round(s, msgs, frozenset({3}), FLOAT)
+        honest_round(twin, msgs, FLOAT)
+        s.detected.add(3)
+        honest_round(s, msgs, FLOAT)
         # same inbox, but detecting 3 zeroes its ledger entry and adds
         # back the lam mass previously sent to it
-        assert s.run.y == pytest.approx(twin.run.y - msgs[3].self_next[0] + lam_k)
+        assert s.y == pytest.approx(twin.y - msgs[3].self_next[0] + lam_k)
         assert s.removed_out_count == 1
         assert len(s.active_out) == 1
 
@@ -223,7 +221,7 @@ class TestHonestRound:
         x0 = [3.0, 6.0, 9.0]
         states, _ = first_exchange(g, x0)
         msgs = {i: build_information_set(states[i]) for i in g.nodes}
-        honest_round(states[1], {2: msgs[2]}, frozenset(), FLOAT)
+        honest_round(states[1], {2: msgs[2]}, FLOAT)
         assert states[1].detected == {3}
         assert 3 in states[1].detected
         assert states[1].ledger[3] == ZERO_PAIR
@@ -233,19 +231,19 @@ class TestHonestRound:
         shares = {i: initial_share(v, 1, FLOAT) for i, v in ((1, 4.0), (2, 8.0))}
         states, _ = first_exchange(g, [4.0, 8.0], nodes=(1,))
         s = states[1]
-        before = s.run.ratio
+        before = s.ratio
         # a forged message that claws back nearly all gam drives z to zero
         forged = InformationSet(
             sender=2,
             round=1,
             detected=frozenset(),
-            self_next=(shares[2][0], shares[2][1] - s.run.z),
+            self_next=(shares[2][0], shares[2][1] - s.z),
             relayed={2: shares[2]},
             declared_out_degree=1,
         )
-        honest_round(s, {2: forged}, frozenset(), FLOAT)
-        assert not FLOAT.z_ok(s.run.z)
-        assert s.run.ratio == before
+        honest_round(s, {2: forged}, FLOAT)
+        assert not FLOAT.z_ok(s.z)
+        assert s.ratio == before
 
 
 class TestInformationSet:
@@ -254,7 +252,7 @@ class TestInformationSet:
         states, _ = mini_run(g, [3.0, 6.0, 9.0], 2)
         before = {i: build_information_set(states[i]) for i in g.nodes}
         for i in g.nodes:
-            honest_round(states[i], before, frozenset(), FLOAT)
+            honest_round(states[i], before, FLOAT)
         msg = build_information_set(states[1])
         assert msg.sender == 1
         assert msg.round == states[1].round
@@ -262,7 +260,7 @@ class TestInformationSet:
         # as it broadcast them a round ago
         assert msg.relayed is states[1].ledger
         assert list(msg.relayed.items())[-1] == (1, before[1].self_next)
-        assert msg.self_next == (states[1].run.lam, states[1].run.gam)
+        assert msg.self_next == (states[1].lam, states[1].gam)
         assert msg.declared_out_degree == 2
         assert msg.declared_removed_out == 0
 
@@ -278,26 +276,22 @@ class TestInformationSet:
             )
 
 
-def _reference_honest_round(s, inbox, new_detected, rule):
-    """honest_round with a crash set, a set union and indexed pairs:
-    the reference the one-walk version must match."""
+def _reference_honest_round(s, inbox, rule):
+    """honest_round with a crash set and indexed pairs: the reference
+    the one-walk version must match."""
     k = s.round + 1
-    crashed = frozenset(
-        j
-        for j in s.view.in_nbrs
-        if j not in s.detected and j not in new_detected and j not in inbox
-    )
-    s.detected |= set(new_detected) | crashed
+    crashed = frozenset(j for j in s.in_nbrs if j not in s.detected and j not in inbox)
+    s.detected |= crashed
     prev_active_out = s.active_out
-    active_out = s.view.out_nbrs - s.detected
+    active_out = s.out_nbrs - s.detected
     removed_out = prev_active_out - active_out
     d_out = len(active_out)
 
-    lam_k, gam_k = s.run.lam, s.run.gam
+    lam_k, gam_k = s.lam, s.gam
     new_ledger = {}
     y = lam_k - s.ledger[s.id][0]
     z = gam_k - s.ledger[s.id][1]
-    for j in s.view.in_nbrs:
+    for j in s.in_nbrs:
         if j in s.detected:
             new_ledger[j] = ZERO_PAIR
         else:
@@ -307,13 +301,12 @@ def _reference_honest_round(s, inbox, new_detected, rule):
     y = y + len(removed_out) * lam_k
     z = z + len(removed_out) * gam_k
 
-    ratio = y / z if rule.z_ok(z) else s.run.ratio
+    ratio = y / z if rule.z_ok(z) else s.ratio
 
     new_ledger[s.id] = (lam_k, gam_k)
     s.ledger = new_ledger
-    s.run = RunningState(
-        y=y, z=z, lam=lam_k + y / (1 + d_out), gam=gam_k + z / (1 + d_out), ratio=ratio
-    )
+    s.y, s.z, s.ratio = y, z, ratio
+    s.lam, s.gam = lam_k + y / (1 + d_out), gam_k + z / (1 + d_out)
     s.round = k
     s.active_out = active_out
     s.removed_out_count = len(removed_out)
@@ -330,24 +323,26 @@ ROUND_IDS = range(1, 9)
 def node_rounds(draw):
     """A node 1 state and one round's inputs: an inbox that may hold
     any node's message, the receiver's own included, and may lack
-    in-neighbors (crashes); new detections of in- and out-neighbors;
-    in-neighbors detected before the round."""
+    in-neighbors (crashes); detections of in- and out-neighbors made
+    before the round and, already in state.detected, in it."""
     rule = draw(st.sampled_from([FLOAT, EXACT]))
     values = st.sampled_from(ROUND_FLOATS if rule is FLOAT else ROUND_FRACTIONS)
     pairs = st.tuples(values, values)
     others = st.sampled_from(ROUND_IDS[1:])
     in_nbrs = draw(st.frozensets(others, max_size=6))
     out_nbrs = draw(st.frozensets(others, max_size=6))
-    detected = set(draw(st.frozensets(others, max_size=4)))
-    active_out = out_nbrs - detected
+    detected_before = draw(st.frozensets(others, max_size=4))
+    new_detected = draw(st.frozensets(others, max_size=4))
+    y, z, lam, gam, ratio = (draw(values) for _ in range(5))
     state = NodeState(
         id=1,
         round=draw(st.integers(0, 5)),
-        view=NodeView(1, in_nbrs, out_nbrs),
-        run=RunningState(*(draw(values) for _ in range(5))),
+        in_nbrs=in_nbrs,
+        out_nbrs=out_nbrs,
+        y=y, z=z, lam=lam, gam=gam, ratio=ratio,
         ledger={**{j: draw(pairs) for j in in_nbrs}, 1: draw(pairs)},
-        detected=detected,
-        active_out=active_out,
+        detected=set(detected_before | new_detected),
+        active_out=out_nbrs - detected_before,
         removed_out_count=draw(st.integers(0, 2)),
     )
     senders = draw(st.lists(st.sampled_from(ROUND_IDS), unique=True))
@@ -355,23 +350,22 @@ def node_rounds(draw):
         j: InformationSet(j, state.round, frozenset(), draw(pairs), {j: ZERO_PAIR}, 0)
         for j in senders
     }
-    new_detected = draw(st.frozensets(others, max_size=4))
-    return state, inbox, new_detected, rule
+    return state, inbox, rule
 
 
 @settings(max_examples=500, deadline=None)
 @given(node_rounds())
 def test_honest_round_matches_the_reference(case):
-    state, inbox, new_detected, rule = case
+    state, inbox, rule = case
     got, want = deepcopy(state), deepcopy(state)
-    honest_round(got, inbox, new_detected, rule)
-    _reference_honest_round(want, inbox, new_detected, rule)
+    honest_round(got, inbox, rule)
+    _reference_honest_round(want, inbox, rule)
 
     # repr tells -0.0 from 0.0 and a Fraction from an int, and shows
     # the ledger's order; every NaN prints alike
     def outcome(s):
         return repr((
-            s.round, s.run, list(s.ledger.items()),
+            s.round, s.y, s.z, s.lam, s.gam, s.ratio, list(s.ledger.items()),
             sorted(s.detected), sorted(s.active_out), s.removed_out_count,
         ))
 

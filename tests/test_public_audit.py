@@ -46,7 +46,6 @@ from racsim.graph import DirectedGraph, complete_graph
 from racsim.protocol import (
     ZERO_PAIR,
     InformationSet,
-    NodeView,
     ValueRule,
     bootstrap,
     build_information_set,
@@ -100,7 +99,7 @@ def edges(draw):
 @given(edges())
 def test_shortcut_matches_treating_every_check_id_as_deviating(case):
     msg, public, check, rule = case
-    prev = build_information_set(bootstrap(1, 1.0, NodeView.from_graph(K5, 1), rule))
+    prev = build_information_set(bootstrap(K5, 1, 1.0, rule))
     audit = audit_broadcast(msg, prev, public, K5_ORACLE, rule)
     assert audit.fields is None
     deviating = {h for h, v in check.items() if public.get(h) != v}
@@ -308,7 +307,7 @@ def test_a_vote_that_is_not_public_reruns_step3(vote, public_5, deviates):
     the vote decides: 2 and 3 relay the vote, and 4's differing copy of
     it fails Step 3 if Step 3 reruns."""
     oracle = StructuralOracle(DIAMOND, 1)
-    state = bootstrap(1, 1.0, NodeView.from_graph(DIAMOND, 1), FLOAT)
+    state = bootstrap(DIAMOND, 1, 1.0, FLOAT)
     public = {h: (float(h), 1.0) for h in range(1, 5)}
     if public_5 is not None:
         public[5] = public_5
@@ -357,12 +356,11 @@ def test_empty_public_table_gives_the_same_detection(network, kind, rule):
     script = AttackScript(node=adversary, schedule=((3, _ACTIONS[kind]),))
     rng = adversary_rng(0, adversary)
     normal = [i for i in g.nodes if i != adversary]
-    views = {i: NodeView.from_graph(g, i) for i in g.nodes}
-    states = {i: bootstrap(i, x0[i - 1], views[i], rule) for i in g.nodes}
+    states = {i: bootstrap(g, i, x0[i - 1], rule) for i in g.nodes}
     prev = {i: build_information_set(states[i]) for i in g.nodes}
     public = {i: m.self_next for i, m in prev.items()}
     for i in g.nodes:
-        honest_round(states[i], {j: prev[j] for j in views[i].in_nbrs}, frozenset(), rule)
+        honest_round(states[i], {j: prev[j] for j in states[i].in_nbrs}, rule)
     shortcuts = 0
     for k in range(2, 9):
         msgs = {i: build_information_set(states[i]) for i in g.nodes}
@@ -372,10 +370,8 @@ def test_empty_public_table_gives_the_same_detection(network, kind, rule):
         blind = {j: replace(a, consistent=False, faithful=False) for j, a in audits.items()}
         shortcuts += sum(a.consistent and a.faithful for a in audits.values())
         prev.update(sent)
-        inboxes = {i: {j: sent[j] for j in views[i].in_nbrs if j in sent} for i in g.nodes}
+        inboxes = {i: {j: sent[j] for j in states[i].in_nbrs if j in sent} for i in g.nodes}
         shared = frozenset().union(*(states[i].detected for i in normal))
-        suspects = set()
-        new_detected = {i: frozenset() for i in g.nodes}
         for i in normal:
             state, twin = deepcopy(states[i]), deepcopy(states[i])
             if alg3:
@@ -384,19 +380,21 @@ def test_empty_public_table_gives_the_same_detection(network, kind, rule):
             else:
                 got = detect_alg2(state, inboxes[i], audits, public, shared, rule)
                 want = detect_alg2(twin, inboxes[i], blind, public, shared, rule)
-                suspects |= {v.suspect for v in got}
             assert got == want
             assert state == twin
             states[i] = state
         if not alg3:
-            new_detected = {i: frozenset((shared | suspects) - states[i].detected - {i}) for i in g.nodes}
+            # the sharing oracle merges the detections into every sender, as in the engine
+            shared = frozenset().union(*(states[i].detected for i in normal))
+            for i in sent:
+                states[i].detected |= shared - {i}
         public = {j: m.self_next for j, m in sent.items()}
         # the adversary's own view is tampered, as in the engine
         inboxes[adversary] = tampered_inbox(inboxes[adversary], script, k)
         for i in g.nodes:
             if msgs[i] is None:
                 continue
-            honest_round(states[i], inboxes[i], new_detected[i], rule)
+            honest_round(states[i], inboxes[i], rule)
     assert shortcuts > 0
 
 
@@ -412,8 +410,7 @@ def test_whole_broadcast_table_gives_the_same_detection(network, kind, rule):
     script = AttackScript(node=adversary, schedule=((3, _ACTIONS[kind]),))
     rng = adversary_rng(0, adversary)
     normal = [i for i in g.nodes if i != adversary]
-    views = {i: NodeView.from_graph(g, i) for i in g.nodes}
-    states = {i: bootstrap(i, x0[i - 1], views[i], rule) for i in g.nodes}
+    states = {i: bootstrap(g, i, x0[i - 1], rule) for i in g.nodes}
     prev, public, verdicts = {}, {i: ZERO_PAIR for i in g.nodes}, 0
     for k in range(1, 9):
         msgs = {i: build_information_set(states[i]) for i in g.nodes}
@@ -422,10 +419,8 @@ def test_whole_broadcast_table_gives_the_same_detection(network, kind, rule):
         audits = {j: audit_broadcast(m, prev.get(j), public, oracle, rule) for j, m in sent.items()}
         prev.update(sent)
         shared = frozenset().union(*(states[i].detected for i in normal))
-        suspects = set()
-        new_detected = {i: frozenset() for i in g.nodes}
         for i in normal:
-            inbox = {j: sent[j] for j in views[i].in_nbrs if j in sent}
+            inbox = {j: sent[j] for j in states[i].in_nbrs if j in sent}
             state, twin = states[i], deepcopy(states[i])
             if alg3:
                 got = detect_alg3(state, sent, audits, public, oracle, rule)
@@ -433,19 +428,19 @@ def test_whole_broadcast_table_gives_the_same_detection(network, kind, rule):
             else:
                 got = detect_alg2(state, sent, audits, public, shared, rule)
                 want = detect_alg2(twin, inbox, audits, public, shared, rule)
-                suspects |= {v.suspect for v in got}
             verdicts += len(got)
             assert got == want
             assert state == twin
         if not alg3:
-            new_detected = {
-                i: frozenset((shared | suspects) - states[i].detected - {i}) for i in g.nodes
-            }
+            # the sharing oracle merges the detections into every sender, as in the engine
+            shared = frozenset().union(*(states[i].detected for i in normal))
+            for i in sent:
+                states[i].detected |= shared - {i}
         public = {j: m.self_next for j, m in sent.items()}
         for i in normal:
-            honest_round(states[i], sent, new_detected[i], rule)
+            honest_round(states[i], sent, rule)
         if msgs[adversary] is not None:
-            inbox = {j: sent[j] for j in views[adversary].in_nbrs if j in sent}
-            honest_round(states[adversary], tampered_inbox(inbox, script, k), frozenset(), rule)
+            inbox = {j: sent[j] for j in states[adversary].in_nbrs if j in sent}
+            honest_round(states[adversary], tampered_inbox(inbox, script, k), rule)
     if kind is not ActionKind.COMPLY:
         assert verdicts > 0

@@ -4,10 +4,12 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from racsim.adversary import ActionKind, AttackAction, AttackScript
+from racsim.adversary import ActionKind, AttackAction, AttackScript, TamperMode
 from racsim.detection import Cause, DetectionVerdict
-from racsim.fixtures import X0_SIX, six_node_graph
+from racsim.fixtures import FIXTURE_GRAPHS, X0_SIX, six_node_graph
 from racsim.graph import AdversaryKind, DirectedGraph, complete_graph
 from racsim.protocol import DEFAULT_TOL
 from racsim.sim import (
@@ -53,6 +55,68 @@ def _tamper_scenario(**overrides) -> Scenario:
             ),
         ),
         **overrides,
+    )
+
+
+# JSON numbers: finite floats, which JSON writes and reads back exactly
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+_IDS = st.integers(-2, 40)
+_NEEDS_TARGET = {
+    ActionKind.TAMPER_RELAYED,
+    ActionKind.INJECT_FAKE_ID,
+    ActionKind.DROP_RELAYED_ENTRY,
+    ActionKind.FALSELY_ACCUSE,
+}
+
+
+@st.composite
+def actions(draw):
+    """Any action; the JSON form writes mode and amount for
+    TamperRelayed alone, so other kinds keep their defaults."""
+    kind = draw(st.sampled_from(ActionKind))
+    target = draw(_IDS if kind in _NEEDS_TARGET else st.none() | _IDS)
+    fields = {}
+    if kind is ActionKind.TAMPER_RELAYED:
+        fields = dict(mode=draw(st.sampled_from(TamperMode)), amount=draw(_FLOATS))
+    return AttackAction(
+        kind,
+        target=target,
+        value=draw(st.none() | _FLOATS),
+        fake_values=draw(st.none() | st.tuples(_FLOATS, _FLOATS)),
+        **fields,
+    )
+
+
+@st.composite
+def scenarios(draw):
+    """A scenario over a fixture graph that sets every field; whether
+    it would pass validate() does not matter to its JSON form."""
+    graph = FIXTURE_GRAPHS[draw(st.sampled_from(sorted(FIXTURE_GRAPHS)))]()
+    scripts = draw(st.lists(
+        st.builds(
+            AttackScript,
+            node=_IDS,
+            schedule=st.lists(st.tuples(st.integers(1, 50), actions()), max_size=3).map(
+                lambda s: tuple(sorted(s, key=lambda item: item[0]))
+            ),
+        ),
+        max_size=3,
+    ))
+    interval = draw(st.none() | st.tuples(_FLOATS, _FLOATS))
+    return Scenario(
+        graph=graph,
+        x0=tuple(draw(st.lists(_FLOATS, min_size=graph.n, max_size=graph.n))),
+        f=draw(st.integers(-1, 5)),
+        model=draw(st.sampled_from(AdversaryKind)),
+        detection=draw(st.sampled_from(DetectionMode)),
+        sharing_oracle=draw(st.booleans()),
+        adversaries=tuple(scripts),
+        horizon=draw(st.integers(0, 10**6)),
+        tol=draw(_FLOATS),
+        seed=draw(st.integers(-(2**70), 2**70)),
+        safety_interval=interval,
+        exact=draw(st.booleans()),
+        value_tol=draw(_FLOATS),
     )
 
 
@@ -111,8 +175,14 @@ class TestValidation:
                 _attack(AttackAction(ActionKind.INJECT_FAKE_ID, target=4, fake_values=(1.0, math.inf))),
                 "adversary 5 InjectFakeId from round 1: amount, value and fake_values must be finite",
             ),
+            (dict(safety_interval=(math.nan, 10.0)), "safety interval bounds must be finite"),
+            (dict(safety_interval=(0.0, math.inf)), "safety interval bounds must be finite"),
+            (dict(safety_interval=(math.inf, -math.inf)), "safety interval bounds must be finite"),
         ],
-        ids=["nan-x0", "inf-x0", "accuse-outside", "inf-self-value", "nan-amount", "inf-fake-values"],
+        ids=[
+            "nan-x0", "inf-x0", "accuse-outside", "inf-self-value", "nan-amount", "inf-fake-values",
+            "nan-interval", "inf-interval", "infinite-interval",
+        ],
     )
     def test_bad_input_is_a_scenario_error(self, overrides, problem):
         sc = _basic_scenario(**overrides)
@@ -188,6 +258,18 @@ class TestEngine:
         trace = run(_basic_scenario(horizon=10, **_attack(AttackAction(ActionKind.CRASH))))
         assert trace.y[5][1] == trace.y[5][0] and trace.z[5][1] == trace.z[5][0]
         assert set(trace.y[5]) == {X0_SIX[4]}
+
+    def test_adversary_trace_shows_the_value_its_first_message_announces(self):
+        # the first exchange is forged with the actions of round 1, and
+        # the trace's row 1 shows the value that message announced
+        sc = _basic_scenario(
+            detection=DetectionMode.NONE,
+            horizon=5,
+            **_attack(AttackAction(ActionKind.SET_SELF_VALUE, value=42.0)),
+        )
+        trace = run(sc)
+        assert trace.r[5][0] == X0_SIX[4]
+        assert trace.r[5][1:] == [42.0] * 5
 
     def test_normal_mass_conserved_after_isolation(self):
         # once the adversary is cut off everywhere, the normal
@@ -299,9 +381,14 @@ class TestSerialization:
             scenario_from_json(data)
         assert len(err.value.problems) >= 4
 
-    def test_exact_flag_round_trips(self):
-        sc = _basic_scenario(exact=True)
-        assert scenario_from_json(scenario_to_json(sc)).exact
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_every_field_round_trips(self, data):
+        sc = data.draw(scenarios())
+        back = scenario_from_json(json.loads(json.dumps(scenario_to_json(sc))))
+        assert back == sc
+        # graph equality compares nodes and edges only
+        assert back.graph.undirected == sc.graph.undirected
 
     def test_value_tol_round_trips(self):
         data = json.loads(json.dumps(scenario_to_json(_basic_scenario(value_tol=1e-6))))
