@@ -173,19 +173,7 @@ def cmd_gen_graph(args) -> int:
 def cmd_golden(args) -> int:
     all_ok = True
     for case in GOLDEN_CASES:
-        trace = run_scenario(case.build())
-        normals = sorted(trace.normal_nodes)
-        if case.target is None:
-            # negative control: part of the network must stay off target
-            final_err = max(abs(float(trace.r[i][trace.horizon]) - 4.8) for i in normals)
-            ok = final_err > 0.1
-            detail = f"max final error {final_err:.4f} (expected > 0.1)"
-        else:
-            final_err = max(
-                abs(float(trace.r[i][trace.horizon]) - case.target) for i in normals
-            )
-            ok = final_err <= case.tol
-            detail = f"target {case.target:.5f} max error {final_err:.2e} (tol {case.tol:g})"
+        ok, detail = case.check(run_scenario(case.build()))
         all_ok = all_ok and ok
         print(f"{'PASS' if ok else 'FAIL'} {case.name}: {detail}")
     return EXIT_OK if all_ok else EXIT_CHECK_FAILED

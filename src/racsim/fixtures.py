@@ -1,4 +1,4 @@
-"""Benchmark topologies and golden scenarios.
+"""Benchmark topologies and initial values.
 
 The small graphs here were found by constrained search (see
 scripts/find_fixtures.py) so that each one satisfies the structural

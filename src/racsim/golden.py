@@ -1,208 +1,64 @@
 """Golden experiment scenarios and their expected outcomes.
 
-Each entry binds a scenario to the consensus value its normal nodes
-must reach. The negative-control entry instead expects detection to
-fail for part of the network, leaving some nodes off target.
+Each case is one scenario file in this package's `scenarios/`
+directory, named after the case. Besides the scenario fields a file
+holds a `description` and an `expect` block. `{"target": t, "tol": e}`
+asks every normal node to end within e of the consensus value t. The
+negative control gives `{"misses": t, "tol": e}` instead: detection
+must fail for part of the network, leaving some normal node farther
+than e from t.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
-from typing import Callable, Optional
+from importlib.resources import files
+from typing import Optional
 
-from .adversary import ActionKind, AttackAction, AttackScript, make_colluding_tamper
-from .fixtures import (
-    X0_EIGHT,
-    X0_FIVE,
-    X0_FOURTEEN,
-    X0_SIX,
-    X0_THIRTY,
-    eight_node_graph,
-    five_node_graph,
-    fourteen_node_graph,
-    six_node_damaged,
-    six_node_graph,
-    thirty_node_graph,
-)
-from .sim import DetectionMode, Scenario
+from .sim import Scenario, Trace, scenario_from_json
 
 
 @dataclass(frozen=True)
 class GoldenCase:
     name: str
-    build: Callable[[], Scenario]
+    data: dict  # the parsed scenario file
     target: Optional[float]  # None marks the negative control
-    tol: float = 1e-6
+    tol: float
     description: str = ""
+    misses: Optional[float] = None  # the negative control's off-target value
+
+    def build(self) -> Scenario:
+        return scenario_from_json(self.data)
+
+    def check(self, trace: Trace) -> tuple[bool, str]:
+        """Whether a run meets the expect block, with a one-line detail."""
+        final = [float(trace.r[i][trace.horizon]) for i in sorted(trace.normal_nodes)]
+        if self.target is None:
+            err = max(abs(r - self.misses) for r in final)
+            return err > self.tol, f"max final error {err:.4f} (expected > {self.tol:g})"
+        err = max(abs(r - self.target) for r in final)
+        return err <= self.tol, f"target {self.target:.5f} max error {err:.2e} (tol {self.tol:g})"
 
 
-def _tamper(node: int, target: int, from_round: int, amount: float) -> AttackScript:
-    return AttackScript(
-        node=node,
-        schedule=(
-            (from_round, AttackAction(ActionKind.TAMPER_RELAYED, target=target, amount=amount)),
-        ),
-    )
+def _load() -> tuple[GoldenCase, ...]:
+    cases = []
+    for entry in sorted(files(__package__).joinpath("scenarios").iterdir(), key=lambda e: e.name):
+        if entry.name.endswith(".json"):
+            data = json.loads(entry.read_text())
+            expect = data["expect"]
+            cases.append(GoldenCase(
+                name=entry.name.removesuffix(".json"),
+                data=data,
+                target=expect.get("target"),
+                tol=expect["tol"],
+                description=data.get("description", ""),
+                misses=expect.get("misses"),
+            ))
+    return tuple(cases)
 
 
-def _set_self(node: int, from_round: int, value: Optional[float] = None) -> AttackScript:
-    return AttackScript(
-        node=node,
-        schedule=((from_round, AttackAction(ActionKind.SET_SELF_VALUE, value=value)),),
-    )
-
-
-def six_attack_scenario() -> Scenario:
-    return Scenario(
-        graph=six_node_graph(),
-        x0=X0_SIX,
-        f=1,
-        detection=DetectionMode.ALG3,
-        adversaries=(_tamper(6, target=2, from_round=3, amount=30.0),),
-    )
-
-
-def six_damaged_scenario() -> Scenario:
-    return Scenario(
-        graph=six_node_damaged(),
-        x0=X0_SIX,
-        f=1,
-        detection=DetectionMode.ALG3,
-        adversaries=(_tamper(6, target=2, from_round=3, amount=30.0),),
-    )
-
-
-def fourteen_no_attack_scenario() -> Scenario:
-    return Scenario(
-        graph=fourteen_node_graph(),
-        x0=X0_FOURTEEN,
-        f=1,
-        detection=DetectionMode.ALG3,
-    )
-
-
-SECOND_STAGE_ROUND = 12
-
-
-def fourteen_attack_scenario() -> Scenario:
-    return Scenario(
-        graph=fourteen_node_graph(),
-        x0=X0_FOURTEEN,
-        f=1,
-        detection=DetectionMode.ALG3,
-        adversaries=(
-            AttackScript(
-                node=2,
-                schedule=(
-                    (SECOND_STAGE_ROUND, AttackAction(ActionKind.TAMPER_RELAYED, target=4, amount=20.0)),
-                ),
-            ),
-            _set_self(14, from_round=4, value=13.0),
-        ),
-    )
-
-
-def eight_attack_scenario() -> Scenario:
-    return Scenario(
-        graph=eight_node_graph(),
-        x0=X0_EIGHT,
-        f=1,
-        detection=DetectionMode.ALG3,
-        adversaries=tuple(_set_self(v, from_round=3) for v in (3, 4, 5, 6, 7)),
-    )
-
-
-def five_alg2_scenario() -> Scenario:
-    return Scenario(
-        graph=five_node_graph(),
-        x0=X0_FIVE,
-        f=2,
-        detection=DetectionMode.ALG2,
-        sharing_oracle=True,
-        adversaries=(
-            _set_self(4, from_round=13),
-            _set_self(5, from_round=4),
-        ),
-    )
-
-
-def thirty_no_attack_scenario() -> Scenario:
-    return Scenario(
-        graph=thirty_node_graph(),
-        x0=X0_THIRTY,
-        f=1,
-        detection=DetectionMode.ALG3,
-        horizon=200,
-    )
-
-
-def thirty_attack_scenario() -> Scenario:
-    pairs = [(3, 6), (15, 18), (27, 30)]
-    scripts = []
-    for idx, (a, b) in enumerate(pairs):
-        sa, sb = make_colluding_tamper(a, b, from_round=9, amount=25.0 + 5.0 * idx)
-        scripts.extend([sa, sb])
-    return Scenario(
-        graph=thirty_node_graph(),
-        x0=X0_THIRTY,
-        f=1,
-        detection=DetectionMode.ALG3,
-        adversaries=tuple(scripts),
-        horizon=200,
-    )
-
-
-GOLDEN_CASES: tuple[GoldenCase, ...] = (
-    GoldenCase(
-        name="six-attack",
-        build=six_attack_scenario,
-        target=4.8,
-        description="6-node network, relayed-entry tamper by node 6",
-    ),
-    GoldenCase(
-        name="six-damaged",
-        build=six_damaged_scenario,
-        target=None,
-        description="negative control: detection condition violated",
-    ),
-    GoldenCase(
-        name="fourteen-no-attack",
-        build=fourteen_no_attack_scenario,
-        target=6.5,
-        description="14-node network, no attack",
-    ),
-    GoldenCase(
-        name="fourteen-attack",
-        build=fourteen_attack_scenario,
-        target=6.75,
-        description="14-node network, staged two-adversary attack",
-    ),
-    GoldenCase(
-        name="eight-attack",
-        build=eight_attack_scenario,
-        target=10.0,
-        description="8-node network, five simultaneous self-value forgeries",
-    ),
-    GoldenCase(
-        name="five-sharing",
-        build=five_alg2_scenario,
-        target=5.0,
-        description="5-node network, sharing detection, staged attacks",
-    ),
-    GoldenCase(
-        name="thirty-no-attack",
-        build=thirty_no_attack_scenario,
-        target=6.8,
-        description="30-node layered network, no attack",
-    ),
-    GoldenCase(
-        name="thirty-attack",
-        build=thirty_attack_scenario,
-        target=154.0 / 24.0,
-        tol=1e-3,
-        description="30-node layered network, three colluding tamper pairs",
-    ),
-)
+GOLDEN_CASES: tuple[GoldenCase, ...] = _load()
 
 
 def golden_case(name: str) -> GoldenCase:

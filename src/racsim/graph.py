@@ -121,10 +121,11 @@ class DirectedGraph:
             isinstance(other, DirectedGraph)
             and self.n == other.n
             and self.edges == other.edges
+            and self.undirected == other.undirected
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges))
+        return hash((self.n, self.edges, self.undirected))
 
     def __repr__(self) -> str:
         kind = "undirected" if self.undirected else "directed"
@@ -153,21 +154,20 @@ def is_detectable(g: DirectedGraph, f: int, h: int, i: int) -> bool:
     return len(two_hop_middle_nodes(g, h, i)) >= 2 * f + 1
 
 
-def check_alg3_condition(g: DirectedGraph, f: int, debug: bool = False) -> ConditionReport:
+def check_alg3_condition(g: DirectedGraph, f: int) -> ConditionReport:
     """Structural condition for fully distributed detection.
 
     Every node i must be able to verify (1) each of its two-hop
     in-neighbors, (2) each of its out-neighbors, and (3) each
     out-neighbor of each of its in-neighbors. On undirected graphs
-    condition (1) implies the other two; the shortcut is used unless
-    debug is set, in which case all three are evaluated and compared.
+    condition (1) implies the other two, so only it is evaluated.
     """
     two_hop = []
     for i in g.nodes:
         for h in g.two_hop_in_neighbors(i):
             if h != i and not is_detectable(g, f, h, i):
                 two_hop.append(Violation((h, i), "two_hop_in_neighbor"))
-    if g.undirected and not debug:
+    if g.undirected:
         return ConditionReport(tuple(two_hop))
     extra = []
     for i in g.nodes:
@@ -178,11 +178,6 @@ def check_alg3_condition(g: DirectedGraph, f: int, debug: bool = False) -> Condi
             for l in g.out_neighbors(j):
                 if l != i and not is_detectable(g, f, l, i):
                     extra.append(Violation((l, i), "in_neighbors_out_neighbor", (j,)))
-    if g.undirected and debug:
-        # on undirected graphs the two-hop check alone must already
-        # decide the verdict; cross-check against the full evaluation
-        if not two_hop and extra:
-            raise RuntimeError("undirected shortcut disagrees with full check")
     return ConditionReport(tuple(two_hop + extra))
 
 

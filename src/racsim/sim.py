@@ -327,8 +327,25 @@ def _two_numbers(v) -> bool:
     return isinstance(v, list) and len(v) == 2 and all(map(_number, v))
 
 
-def _action_from_json(d: dict) -> AttackAction:
+# the keys each level of a scenario file may hold; any other is a problem
+SCENARIO_KEYS = (
+    "graph", "x0", "f", "model", "detection", "sharing_oracle", "adversaries", "horizon",
+    "tol", "seed", "safety_interval", "arithmetic", "value_tol", "description", "expect",
+)
+GRAPH_KEYS = ("inline", "file", "fixture")
+# collusion_partner is retired: accepted, never used
+ADVERSARY_KEYS = ("node", "schedule", "collusion_partner")
+SCHEDULE_KEYS = ("from_round", "action")
+ACTION_KEYS = ("kind", "target", "mode", "amount", "value", "fake_values")
+
+
+def _unknown_keys(d: dict, allowed: tuple[str, ...], where: str, problems: list[str]) -> None:
+    problems.extend(f"{where}unknown key {k!r}" for k in d if k not in allowed)
+
+
+def _action_from_json(d: dict, where: str, problems: list[str]) -> AttackAction:
     kind = ActionKind(d["kind"])
+    _unknown_keys(d, ACTION_KEYS, f"{where} {kind.value}: ", problems)
     target, amount, value = d.get("target"), d.get("amount", 0.0), d.get("value")
     fake = d.get("fake_values")
     if target is not None and not _integer(target):
@@ -347,16 +364,19 @@ def _action_from_json(d: dict) -> AttackAction:
     )
 
 
-def _adversary_from_json(entry: dict) -> AttackScript:
+def _adversary_from_json(entry: dict, problems: list[str]) -> AttackScript:
     node = entry["node"]
     if not _integer(node):
         raise ValueError(f"node must be an integer, got {node!r}")
+    _unknown_keys(entry, ADVERSARY_KEYS, f"adversary {node}: ", problems)
     schedule = []
-    for item in entry.get("schedule", []):
+    for n, item in enumerate(entry.get("schedule", []), start=1):
         start = item["from_round"]
         if not _integer(start):
             raise ValueError(f"from_round must be an integer, got {start!r}")
-        schedule.append((start, _action_from_json(item["action"])))
+        _unknown_keys(item, SCHEDULE_KEYS, f"adversary {node} schedule item {n}: ", problems)
+        action = _action_from_json(item["action"], f"adversary {node} schedule item {n}", problems)
+        schedule.append((start, action))
     return AttackScript(node=node, schedule=tuple(schedule))
 
 
@@ -391,12 +411,14 @@ def scenario_from_json(data: dict, base_dir: Optional[Path] = None) -> Scenario:
     if not isinstance(data, dict):
         raise ScenarioError(["a scenario must be a JSON object"])
     problems: list[str] = []
+    _unknown_keys(data, SCENARIO_KEYS, "", problems)
     gspec = data.get("graph")
     graph = None
     if not isinstance(gspec, dict):
         problems.append("missing graph specification")
     else:
-        source = next((key for key in ("inline", "file", "fixture") if key in gspec), None)
+        _unknown_keys(gspec, GRAPH_KEYS, "graph: ", problems)
+        source = next((key for key in GRAPH_KEYS if key in gspec), None)
         spec = gspec.get(source)
         if source is None:
             problems.append("graph must give inline, file, or fixture")
@@ -442,7 +464,7 @@ def scenario_from_json(data: dict, base_dir: Optional[Path] = None) -> Scenario:
     adversaries = []
     for entry in typed("adversaries", [], lambda v: isinstance(v, list), "a list"):
         try:
-            adversaries.append(_adversary_from_json(entry))
+            adversaries.append(_adversary_from_json(entry, problems))
         except (KeyError, TypeError, ValueError) as exc:
             problems.append(f"bad adversary entry: {exc}")
     try:

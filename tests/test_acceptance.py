@@ -12,7 +12,7 @@ from functools import lru_cache
 from racsim.adversary import ActionKind, AttackAction, AttackScript
 from racsim.detection import vote_value
 from racsim.fixtures import twelve_node_wrap_graph
-from racsim.golden import SECOND_STAGE_ROUND, golden_case
+from racsim.golden import golden_case
 from racsim.graph import (
     DirectedGraph,
     check_alg3_condition,
@@ -35,6 +35,10 @@ from oracles import brute_alg3_condition, brute_k_strongly_connected
 @lru_cache(maxsize=None)
 def golden_trace(name: str):
     return run(golden_case(name).build())
+
+
+# fourteen-attack's node 2 starts tampering in this round
+SECOND_STAGE_ROUND = 12
 
 
 def _report(number: int, label: str, ok: bool, detail: str = "") -> None:

@@ -82,12 +82,21 @@ class TestRunCommand:
                 {"from_round": "1", "action": {"kind": "Comply"}}]}]},
             {"adversaries": [{"node": 6, "schedule": [
                 {"from_round": 1, "action": {"kind": "TamperRelayed", "target": "2"}}]}]},
+            {"horizn": 5},
+            {"graph": {"fixture": "six", "undirected": True}},
+            {"adversaries": [{"node": 6, "shedule": []}]},
+            {"adversaries": [{"node": 6, "schedule": [
+                {"from_round": 1, "until_round": 5, "action": {"kind": "Comply"}}]}]},
+            {"adversaries": [{"node": 6, "schedule": [
+                {"from_round": 1, "action": {"kind": "TamperRelayed", "target": 2, "amout": 99}}]}]},
         ],
         ids=[
             "nan-x0", "accuse-outside", "text-x0", "huge-x0", "text-horizon", "text-f", "text-tol",
             "short-interval", "nan-interval", "inf-interval", "text-node", "text-degree",
             "negative-degree", "text-value-tol", "zero-value-tol", "unknown-arithmetic", "text-sharing", "list-fixture",
             "adversaries-object", "text-round", "text-target",
+            "misspelled-key", "unknown-graph-key", "unknown-adversary-key", "unknown-schedule-key",
+            "unknown-action-key",
         ],
     )
     def test_bad_input_exits_invalid_with_one_line(self, tmp_path, scenario_file, capsys, change):

@@ -19,10 +19,12 @@ from racsim.detection import (
     reconstruct_running_sums,
     vote_value,
 )
-from racsim.adversary import ActionKind, AttackAction, AttackScript
+from racsim.adversary import ActionKind, AttackAction, AttackScript, comply_script
 from racsim.fixtures import (
+    X0_EIGHT,
     X0_FOURTEEN,
     X0_SIX,
+    eight_node_graph,
     fourteen_node_graph,
     six_node_damaged,
     six_node_graph,
@@ -35,7 +37,7 @@ from racsim.protocol import (
     build_information_set,
     honest_round,
 )
-from racsim.sim import DetectionMode, Scenario, run, summary
+from racsim.sim import DetectionMode, Scenario, mass_sums, run, summary
 from oracles import brute_oracle_answers
 
 FLOAT = ValueRule()
@@ -399,6 +401,34 @@ class TestDistributedDetectionEndToEnd:
             )
         )
         assert _suspects(trace) <= {2}
+        assert summary(trace)["converged_round"] is not None
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 1: an adversary that only complies keeps feeding a condemned out-neighbour",
+    )
+    def test_complying_adversary_isolates_its_condemned_out_neighbour(self):
+        # 2 -> 7 is one of eight's one-way edges; 2 runs no detector, so
+        # it keeps sending 7 a share after the normal nodes condemn 7
+        trace = run(
+            Scenario(
+                graph=eight_node_graph(),
+                x0=X0_EIGHT,
+                f=1,
+                detection=DetectionMode.ALG3,
+                adversaries=(
+                    comply_script(2),
+                    AttackScript(
+                        node=7, schedule=((3, AttackAction(ActionKind.SET_SELF_VALUE, value=50.0)),)
+                    ),
+                ),
+                horizon=150,
+            )
+        )
+        assert _suspects(trace) == {7}
+        survivors = sorted(trace.never_detected)
+        sy, _ = mass_sums(trace, survivors)[-1]
+        assert abs(sy - sum(X0_EIGHT[i - 1] for i in survivors)) <= trace.scenario.tol
         assert summary(trace)["converged_round"] is not None
 
     def test_forged_self_value_caught_by_replay(self):
