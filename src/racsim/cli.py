@@ -104,8 +104,9 @@ def cmd_run(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     write_trace_csv(trace, out_dir / "trace.csv")
     write_events_csv(trace, out_dir / "events.csv")
-    (out_dir / "summary.json").write_text(json.dumps(summary(trace), indent=2) + "\n")
-    print(json.dumps(summary(trace)))
+    result = summary(trace)
+    (out_dir / "summary.json").write_text(json.dumps(result, indent=2) + "\n")
+    print(json.dumps(result))
     return EXIT_OK
 
 

@@ -18,7 +18,8 @@ in-neighbors claim:
 * fully distributed detection: no oracle; nodes extend their check
   sets to two-hop in-neighbors by majority voting over relayed copies,
   accept detection claims corroborated by f+1 distinct reporters, and
-  audit claim sets for uncorroborated or vanishing accusations.
+  audit claim sets for uncorroborated or vanishing accusations against
+  the sender's previous claims, which its per-sender audit carries.
 
 Every detection lands in the detecting node's state as it is made: a
 neighbor in its detection set, any other node in its two-hop set. All
@@ -52,7 +53,6 @@ class Cause(Enum):
     STEP4 = "Step4"
     CRASH = "Crash"
     INIT_RANGE = "InitRange"
-    ORACLE_SHARED = "OracleShared"
     VOTE_MAJORITY = "VoteMajority"
 
 
@@ -84,13 +84,13 @@ class ReconstructionResult:
         return rule.eq(self.eps_lam, 0) and rule.eq(self.eps_gam, 0)
 
 
-def vote_value(reports: list[tuple[int, Pair]], rule: ValueRule):
+def vote_value(reports: list[Pair], rule: ValueRule):
     """Value pair reported by strictly more than half, else NO_MAJORITY."""
     if not reports:
         raise ValueError("reports must be non-empty")
     m = len(reports)
-    for _, candidate in reports:
-        count = sum(1 for _, v in reports if rule.pair_eq(v, candidate))
+    for candidate in reports:
+        count = sum(1 for v in reports if rule.pair_eq(v, candidate))
         if 2 * count > m:
             return candidate
     return NO_MAJORITY
@@ -99,7 +99,6 @@ def vote_value(reports: list[tuple[int, Pair]], rule: ValueRule):
 def reconstruct_running_sums(
     phi_now: InformationSet,
     phi_prev: InformationSet,
-    rule: ValueRule,
 ) -> ReconstructionResult:
     """Replay the sender's update from its own two consecutive messages.
 
@@ -213,16 +212,16 @@ class SenderAudit:
     update-replay finding (the safety-interval finding for a first
     message), and consistent and faithful say that every relayed entry
     passes Step 3 against, and is ==, the public value: what its id
-    broadcast as its next running sums last round. vanished holds the
-    ids the sender claimed in its previous message and no longer
-    claims, whatever the other findings.
+    broadcast as its next running sums last round. claimed_before
+    holds the claims of the sender's previous message (none for a first
+    message), whatever the other findings.
     """
 
     fields: Optional[Finding]
     replay: Optional[Finding] = None
     consistent: bool = False
     faithful: bool = False
-    vanished: frozenset[int] = frozenset()
+    claimed_before: frozenset[int] = frozenset()
 
 
 def audit_broadcast(
@@ -240,9 +239,8 @@ def audit_broadcast(
     j = msg.sender
     relayed = msg.relayed
     claims = msg.detected
+    # read by Step 1b, whose verdicts precede every finding below
     claimed_before = prev_msg.detected if prev_msg is not None else frozenset()
-    # Step 1b, whose verdict precedes every finding below
-    vanished = claimed_before - claims
     expected_ids = oracle.relay_ids[j]
     if relayed.keys() != expected_ids:
         foreign = relayed.keys() - expected_ids
@@ -250,7 +248,7 @@ def audit_broadcast(
             evidence = ("foreign_ids", tuple(sorted(foreign)))
         else:
             evidence = ("missing_ids", tuple(sorted(expected_ids - relayed.keys())))
-        return SenderAudit((Cause.STEP2, (evidence,)), vanished=vanished)
+        return SenderAudit((Cause.STEP2, (evidence,)), claimed_before=claimed_before)
     out_j = oracle.out_nbrs(j)
     if claims:
         expected_d = len(out_j - claims)
@@ -259,15 +257,15 @@ def audit_broadcast(
         expected_d, expected_removed = len(out_j), 0
     if msg.declared_out_degree != expected_d:
         evidence = ("declared_out_degree", msg.declared_out_degree, expected_d)
-        return SenderAudit((Cause.STEP4, (evidence,)), vanished=vanished)
+        return SenderAudit((Cause.STEP4, (evidence,)), claimed_before=claimed_before)
     if msg.declared_removed_out != expected_removed:
         evidence = ("declared_removed_out", msg.declared_removed_out, expected_removed)
-        return SenderAudit((Cause.STEP4, (evidence,)), vanished=vanished)
+        return SenderAudit((Cause.STEP4, (evidence,)), claimed_before=claimed_before)
     if prev_msg is None:
         lam, gam = msg.self_next
         replay = init_range_check(float(lam / gam) if gam != 0 else float("inf"), interval)
     else:
-        rec = reconstruct_running_sums(msg, prev_msg, rule)
+        rec = reconstruct_running_sums(msg, prev_msg)
         replay = None
         if not rec.clean(rule):
             evidence = (("reported", msg.self_next), ("reconstructed", (rec.lam_pred, rec.gam_pred)))
@@ -283,7 +281,7 @@ def audit_broadcast(
         expected = ZERO_PAIR if h != j and h in claims else value
         if consistent and expected is not None and not rule.pair_eq(val, expected):
             consistent = False
-    return SenderAudit(None, replay, consistent, faithful, vanished)
+    return SenderAudit(None, replay, consistent, faithful, claimed_before)
 
 
 def _step3(msg: InformationSet, values: Mapping[int, Pair], rule: ValueRule) -> Optional[Finding]:
@@ -296,27 +294,6 @@ def _step3(msg: InformationSet, values: Mapping[int, Pair], rule: ValueRule) -> 
         if expected is not None and not rule.pair_eq(val, expected):
             return Cause.STEP3, (("id", h), ("relayed", val), ("expected", expected))
     return None
-
-
-def _audit_edge(
-    msg: InformationSet,
-    audit: SenderAudit,
-    check: Mapping[int, Pair],
-    deviating: set[int],
-    rule: ValueRule,
-) -> Optional[Finding]:
-    """First finding of one receiver on one in-neighbor's message, in
-    check order: Step 2, Step 4 declared fields, Step 3 value
-    consistency against the receiver's check set, Step 4 replay. A
-    consistent sender relaying no id in deviating, the ids whose check
-    value is not == their public value, passes Step 3 here."""
-    if audit.fields is not None:
-        return audit.fields
-    if not audit.consistent or not deviating.isdisjoint(msg.relayed):
-        finding = _step3(msg, check, rule)
-        if finding is not None:
-            return finding
-    return audit.replay
 
 
 def _detect(
@@ -371,7 +348,7 @@ def _detect(
                 if h in detected or h in two_hop_detected:
                     continue
                 reports = [
-                    (p, reporters[p].relayed[h])
+                    reporters[p].relayed[h]
                     for p in relays
                     if p in reporters and h in reporters[p].relayed
                 ]
@@ -414,19 +391,15 @@ def _detect(
                     if oracle.must_detect(j, h):
                         condemn(j, Cause.STEP1A, ("omitted", h))
 
-            # two-hop claims: must be corroborated once repeated, and
-            # must never vanish from the claim set
-            vanished = audits[j].vanished
-            if vanished:
-                condemn(j, Cause.STEP1B, ("vanished", tuple(sorted(vanished))))
+            # two-hop claims: must never vanish from the claim set, and
+            # must be corroborated once repeated; both read j's previous
+            # claims, which hold every earlier one that has not vanished
+            claimed_before = audits[j].claimed_before
+            if not claimed_before <= claims:
+                condemn(j, Cause.STEP1B, ("vanished", tuple(sorted(claimed_before - claims))))
             if claims:
-                for m in sorted(claims - in_j - {j}):
-                    if m in snapshot:
-                        continue
-                    first = state.claim_first_seen.get((j, m))
-                    if first is None:
-                        state.claim_first_seen[(j, m)] = k
-                    elif first < k and oracle.must_know_status(i, m):
+                for m in sorted((claims & claimed_before) - in_j - {j}):
+                    if m not in snapshot and oracle.must_know_status(i, m):
                         condemn(j, Cause.STEP1B, ("persisted_uncorroborated", m))
         elif claims != shared:
             claimed = ("claimed", tuple(sorted(claims)))
@@ -434,7 +407,15 @@ def _detect(
 
         if j in detected:
             continue
-        finding = _audit_edge(msg, audits[j], check, deviating, rule)
+        # Step 2 and the Step 4 declared fields, Step 3 against the check
+        # set, the Step 4 replay; a consistent sender relaying no
+        # deviating id passes Step 3 against the check set too
+        audit = audits[j]
+        finding = audit.fields
+        if finding is None and (not audit.consistent or not deviating.isdisjoint(msg.relayed)):
+            finding = _step3(msg, check, rule)
+        if finding is None:
+            finding = audit.replay
         if finding is not None:
             condemn(j, finding[0], *finding[1])
     return verdicts

@@ -46,6 +46,7 @@ def _load() -> tuple[GoldenCase, ...]:
     for entry in sorted(files(__package__).joinpath("scenarios").iterdir(), key=lambda e: e.name):
         if entry.name.endswith(".json"):
             data = json.loads(entry.read_text())
+            scenario_from_json(data)  # checks expect and description too
             expect = data["expect"]
             cases.append(GoldenCase(
                 name=entry.name.removesuffix(".json"),

@@ -105,10 +105,6 @@ class NodeState:
     detected_two_hop: set[int] = field(default_factory=set)
     active_out: frozenset[int] = frozenset()  # its size is the out-degree
     removed_out_count: int = 0
-    # the round each two-hop claim (claimer, claimed) was first seen; the
-    # check set is not kept, as it is the public values of the node's
-    # in-neighbors and itself plus this round's votes
-    claim_first_seen: dict[tuple[int, int], int] = field(default_factory=dict)
 
 
 def initial_share(x0: Number, out_degree: int, rule: ValueRule) -> Pair:

@@ -337,10 +337,29 @@ GRAPH_KEYS = ("inline", "file", "fixture")
 ADVERSARY_KEYS = ("node", "schedule", "collusion_partner")
 SCHEDULE_KEYS = ("from_round", "action")
 ACTION_KEYS = ("kind", "target", "mode", "amount", "value", "fake_values")
+EXPECT_KEYS = ("target", "misses", "tol")
 
 
 def _unknown_keys(d: dict, allowed: tuple[str, ...], where: str, problems: list[str]) -> None:
     problems.extend(f"{where}unknown key {k!r}" for k in d if k not in allowed)
+
+
+def _expect_problems(expect) -> list[str]:
+    """An expect block holds a positive finite tol and exactly one
+    finite number, target or misses."""
+    if not isinstance(expect, dict):
+        return [f"expect must be an object, got {expect!r}"]
+    problems: list[str] = []
+    _unknown_keys(expect, EXPECT_KEYS, "expect: ", problems)
+    tol = expect.get("tol")
+    if not (_number(tol) and 0 < tol < math.inf):
+        problems.append(f"expect: tol must be a positive finite number, got {tol!r}")
+    given = [key for key in ("target", "misses") if key in expect]
+    if len(given) != 1:
+        problems.append("expect must give exactly one of target and misses")
+    elif not (_number(expect[given[0]]) and math.isfinite(expect[given[0]])):
+        problems.append(f"expect: {given[0]} must be a finite number, got {expect[given[0]]!r}")
+    return problems
 
 
 def _action_from_json(d: dict, where: str, problems: list[str]) -> AttackAction:
@@ -461,6 +480,9 @@ def scenario_from_json(data: dict, base_dir: Optional[Path] = None) -> Scenario:
     sharing = typed("sharing_oracle", False, lambda v: isinstance(v, bool), "true or false")
     arithmetic = typed("arithmetic", "float", lambda v: v in ("float", "exact"), "float or exact")
     interval = typed("safety_interval", None, lambda v: v is None or _two_numbers(v), "two numbers")
+    typed("description", "", lambda v: isinstance(v, str), "a string")
+    if "expect" in data:
+        problems.extend(_expect_problems(data["expect"]))
     adversaries = []
     for entry in typed("adversaries", [], lambda v: isinstance(v, list), "a list"):
         try:

@@ -208,7 +208,7 @@ def test_criterion_10_oracle_equivalence():
         for size in range(f + 1):
             for forgers in itertools.combinations(range(m), size):
                 reports = [
-                    (p, (50.0 + p, float(p)) if p in forgers else truth)
+                    (50.0 + p, float(p)) if p in forgers else truth
                     for p in range(m)
                 ]
                 ok = ok and vote_value(reports, rule) == truth

@@ -12,7 +12,8 @@ from racsim.cli import (
 )
 from racsim.fixtures import X0_SIX, six_node_damaged, six_node_graph
 from racsim.graph import LayeredVariant, generate_layered, read_edge_list, write_edge_list
-from racsim.sim import Scenario, scenario_to_json
+from racsim import golden
+from racsim.sim import Scenario, ScenarioError, scenario_to_json
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -89,6 +90,8 @@ class TestRunCommand:
                 {"from_round": 1, "until_round": 5, "action": {"kind": "Comply"}}]}]},
             {"adversaries": [{"node": 6, "schedule": [
                 {"from_round": 1, "action": {"kind": "TamperRelayed", "target": 2, "amout": 99}}]}]},
+            {"expect": "x"},
+            {"description": 5},
         ],
         ids=[
             "nan-x0", "accuse-outside", "text-x0", "huge-x0", "text-horizon", "text-f", "text-tol",
@@ -96,7 +99,7 @@ class TestRunCommand:
             "negative-degree", "text-value-tol", "zero-value-tol", "unknown-arithmetic", "text-sharing", "list-fixture",
             "adversaries-object", "text-round", "text-target",
             "misspelled-key", "unknown-graph-key", "unknown-adversary-key", "unknown-schedule-key",
-            "unknown-action-key",
+            "unknown-action-key", "text-expect", "number-description",
         ],
     )
     def test_bad_input_exits_invalid_with_one_line(self, tmp_path, scenario_file, capsys, change):
@@ -230,3 +233,14 @@ class TestGoldenCommand:
         assert code == EXIT_OK
         assert len(out) == 8
         assert all(line.startswith("PASS ") for line in out)
+
+    def test_a_malformed_expect_block_is_a_scenario_error(self, tmp_path, monkeypatch):
+        # the loader validates a case file before it reads its expect block
+        data = json.loads((SCENARIOS / "six-attack.json").read_text())
+        data["expect"] = "x"
+        (tmp_path / "scenarios").mkdir()
+        (tmp_path / "scenarios" / "six-attack.json").write_text(json.dumps(data))
+        monkeypatch.setattr(golden, "files", lambda package: tmp_path)
+        with pytest.raises(ScenarioError) as err:
+            golden._load()
+        assert err.value.problems == ["expect must be an object, got 'x'"]

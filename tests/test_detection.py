@@ -46,14 +46,14 @@ EXACT = ValueRule(exact=True)
 
 class TestVoteValue:
     def test_unanimous(self):
-        assert vote_value([(1, (2.0, 1.0)), (2, (2.0, 1.0))], FLOAT) == (2.0, 1.0)
+        assert vote_value([(2.0, 1.0), (2.0, 1.0)], FLOAT) == (2.0, 1.0)
 
     def test_majority_beats_minority(self):
-        reports = [(1, (2.0, 1.0)), (2, (2.0, 1.0)), (3, (9.0, 9.0))]
+        reports = [(2.0, 1.0), (2.0, 1.0), (9.0, 9.0)]
         assert vote_value(reports, FLOAT) == (2.0, 1.0)
 
     def test_even_split_has_no_majority(self):
-        reports = [(1, (2.0, 1.0)), (2, (9.0, 9.0))]
+        reports = [(2.0, 1.0), (9.0, 9.0)]
         assert vote_value(reports, FLOAT) is NO_MAJORITY
 
     def test_empty_reports_rejected(self):
@@ -62,7 +62,7 @@ class TestVoteValue:
 
     def test_tolerance_merges_near_equal_values(self):
         rule = ValueRule(tol=1e-6)
-        reports = [(1, (2.0, 1.0)), (2, (2.0 + 1e-9, 1.0)), (3, (5.0, 5.0))]
+        reports = [(2.0, 1.0), (2.0 + 1e-9, 1.0), (5.0, 5.0)]
         voted = vote_value(reports, rule)
         assert voted is not NO_MAJORITY and rule.pair_eq(voted, (2.0, 1.0))
 
@@ -77,9 +77,9 @@ class TestVoteValue:
                 reports = []
                 for p in range(m):
                     if p in forgers:
-                        reports.append((p, (100.0 + p, float(p))))
+                        reports.append((100.0 + p, float(p)))
                     else:
-                        reports.append((p, truth))
+                        reports.append(truth)
                 assert vote_value(reports, FLOAT) == truth
 
 
@@ -142,7 +142,7 @@ class TestClaimAudits:
         # node 1 claimed two-hop node 2 last round and claims nothing now
         state, args = _detect_at_node_5(claimed_before={1: frozenset({2})})
         audits = args[1]
-        assert audits[1].vanished == {2}
+        assert audits[1].claimed_before == {2}
         result = detect_alg3(state, *args)
         assert self._verdicts(result) == [(1, Cause.STEP1B, (("vanished", (2,)),))]
 
@@ -154,9 +154,22 @@ class TestClaimAudits:
         )
         audit = args[1][1]
         assert audit.fields == (Cause.STEP2, (("foreign_ids", (9,)),))
-        assert audit.vanished == {2}
+        assert audit.claimed_before == {2}
         result = detect_alg3(state, *args)
         assert self._verdicts(result) == [(1, Cause.STEP1B, (("vanished", (2,)),))]
+
+    def test_repeated_two_hop_claim_must_be_corroborated(self):
+        # node 1 claims two-hop node 2, which node 5 must know the status
+        # of, in this message and its previous one; nobody corroborates it
+        state, args = _detect_at_node_5(
+            claims={1: frozenset({2})}, claimed_before={1: frozenset({2})}
+        )
+        result = detect_alg3(state, *args)
+        assert self._verdicts(result) == [(1, Cause.STEP1B, (("persisted_uncorroborated", 2),))]
+
+    def test_first_two_hop_claim_is_not_yet_condemned(self):
+        state, args = _detect_at_node_5(claims={1: frozenset({2})})
+        assert detect_alg3(state, *args) == []
 
     def test_uncorroborated_claim_wins_over_omission(self):
         # node 5 already knows 6, an in-neighbor of 1-4 that each of
@@ -212,21 +225,21 @@ class TestReconstruction:
         per_round = self._exact_messages(5)
         for prev, now in zip(per_round, per_round[1:]):
             for i in (1, 2, 3):
-                rec = reconstruct_running_sums(now[i], prev[i], EXACT)
+                rec = reconstruct_running_sums(now[i], prev[i])
                 assert rec.eps_lam == 0 and rec.eps_gam == 0
                 assert rec.clean(EXACT)
 
     def test_first_message_replays_against_round_zero_message(self):
         per_round = self._exact_messages(1)
         assert set(per_round[0][1].relayed.values()) == {ZERO_PAIR}
-        rec = reconstruct_running_sums(per_round[1][1], per_round[0][1], EXACT)
+        rec = reconstruct_running_sums(per_round[1][1], per_round[0][1])
         assert rec.clean(EXACT)
 
     def test_perturbed_self_value_is_dirty(self):
         per_round = self._exact_messages(3)
         msg = per_round[3][1]
         forged = replace(msg, self_next=(msg.self_next[0] + 1, msg.self_next[1]))
-        rec = reconstruct_running_sums(forged, per_round[2][1], EXACT)
+        rec = reconstruct_running_sums(forged, per_round[2][1])
         assert not rec.clean(EXACT)
         assert rec.eps_lam == 1
 
@@ -236,7 +249,7 @@ class TestReconstruction:
         relayed = dict(msg.relayed)
         relayed[2] = (relayed[2][0] + 5, relayed[2][1])
         forged = replace(msg, relayed=relayed)
-        rec = reconstruct_running_sums(forged, per_round[2][1], EXACT)
+        rec = reconstruct_running_sums(forged, per_round[2][1])
         assert not rec.clean(EXACT)
 
 
@@ -766,6 +779,70 @@ def test_audit_verdicts_are_pinned(network, script, expected):
     trace = run(_audited_scenario(network, _AUDITED_ACTIONS[script], **setup))
     got = [(e.round, e.detector, e.suspect, e.cause.value, e.evidence) for e in trace.events]
     assert got == expected
+
+
+# network -> graph, x0, f, detection, accuser, accused: one false
+# accusation per claim audit
+_ACCUSATIONS = {
+    # 5 is two hops from 6
+    "six-two-hop": (six_node_graph(), X0_SIX, 1, DetectionMode.ALG3, 6, 5),
+    # 2 is an in-neighbor of 5
+    "six-in-neighbor": (six_node_graph(), X0_SIX, 1, DetectionMode.ALG3, 5, 2),
+    "k4-alg2": (complete_graph(4), (1.0, 2.0, 3.0, 6.0), 2, DetectionMode.ALG2, 2, 3),
+}
+
+
+def _accusation(network: str) -> Scenario:
+    """The accuser runs FalselyAccuse from round 5, to H 60."""
+    graph, x0, f, detection, node, target = _ACCUSATIONS[network]
+    action = AttackAction(ActionKind.FALSELY_ACCUSE, target=target)
+    return Scenario(
+        graph=graph,
+        x0=x0,
+        f=f,
+        detection=detection,
+        sharing_oracle=detection is DetectionMode.ALG2,
+        adversaries=(AttackScript(node=node, schedule=((5, action),)),),
+        horizon=60,
+    )
+
+
+@pytest.mark.parametrize(
+    "network, expected, converged",
+    [
+        pytest.param(
+            "six-two-hop",
+            [
+                *[(7, i, 6, "Step1b", (("persisted_uncorroborated", 5),)) for i in (1, 2, 3, 4)],
+                (8, 5, 6, "VoteMajority", (("reporters", 4),)),
+            ],
+            17,
+            id="six-alg3-Step1b-persisted",
+        ),
+        pytest.param(
+            "six-in-neighbor",
+            [
+                *[(6, i, 5, "Step1a", (("uncorroborated", 2),)) for i in (1, 2, 3, 4)],
+                (7, 6, 5, "VoteMajority", (("reporters", 4),)),
+            ],
+            16,
+            id="six-alg3-Step1a-uncorroborated",
+        ),
+        pytest.param(
+            "k4-alg2",
+            [(6, i, 2, "Step1", (("claimed", (3,)), ("shared", ()))) for i in (1, 3, 4)],
+            7,
+            id="k4-alg2-Step1",
+        ),
+    ],
+)
+def test_claim_audit_verdicts_are_pinned(network, expected, converged):
+    """A false accusation is caught by the claim audit of its kind, and
+    only the accuser is suspected."""
+    trace = run(_accusation(network))
+    got = [(e.round, e.detector, e.suspect, e.cause.value, e.evidence) for e in trace.events]
+    assert got == expected
+    assert summary(trace)["converged_round"] == converged
 
 
 # Actions from round 1 act on the first exchange, an ordinary round: its

@@ -405,6 +405,41 @@ class TestSerialization:
             scenario_from_json(data)
         assert err.value.problems == [problem]
 
+    @pytest.mark.parametrize(
+        "change, problem",
+        [
+            (lambda d: d.update(expect="x"), "expect must be an object, got 'x'"),
+            (
+                lambda d: d.update(expect={"tol": 1e-6}),
+                "expect must give exactly one of target and misses",
+            ),
+            (
+                lambda d: d.update(expect={"target": 4.8, "misses": 4.8, "tol": 0.1}),
+                "expect must give exactly one of target and misses",
+            ),
+            (
+                lambda d: d.update(expect={"target": "a", "tol": 1e-6}),
+                "expect: target must be a finite number, got 'a'",
+            ),
+            (
+                lambda d: d.update(expect={"target": 4.8, "tol": 0}),
+                "expect: tol must be a positive finite number, got 0",
+            ),
+            (
+                lambda d: d.update(expect={"target": 4.8, "tol": 1e-6, "tl": 1}),
+                "expect: unknown key 'tl'",
+            ),
+            (lambda d: d.update(description=5), "description must be a string, got 5"),
+        ],
+        ids=["text", "no-value", "two-values", "text-target", "zero-tol", "unknown-key", "description"],
+    )
+    def test_bad_expect_or_description_is_a_scenario_error(self, change, problem):
+        data = scenario_to_json(_tamper_scenario())
+        change(data)
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_json(data)
+        assert err.value.problems == [problem]
+
     def test_only_the_documented_extra_keys_are_allowed(self):
         data = scenario_to_json(_tamper_scenario())
         data.update(description="six", expect={"target": 4.8, "tol": 1e-6})
