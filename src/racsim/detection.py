@@ -21,6 +21,17 @@ in-neighbors claim:
   audit claim sets for uncorroborated or vanishing accusations against
   the sender's previous claims, which its per-sender audit carries.
 
+Every receiver audits the same broadcast, so audit_broadcast runs once
+per message sent and walks its relayed entries once: the walk sums the
+ledger flow that the update replay reads, in ledger order, and checks
+each entry against the public values both for == and for Step 3. The
+previous ledger is walked again only for the ids it relays and the
+current one lacks. An audit is quiet when no check on its broadcast can
+condemn anyone: no finding, consistent and faithful, and no claim in it
+or in the sender's previous message. A node-round that knew of no
+detection, shares none and hears only quiet broadcasts ends after the
+crash check; most rounds of a run without attacks are such rounds.
+
 Every detection lands in the detecting node's state as it is made: a
 neighbor in its detection set, any other node in its two-hop set. All
 checks are conservative: a value that cannot be verified (no majority,
@@ -96,13 +107,12 @@ def vote_value(reports: list[Pair], rule: ValueRule):
     return NO_MAJORITY
 
 
-def reconstruct_running_sums(
-    phi_now: InformationSet,
-    phi_prev: InformationSet,
-) -> ReconstructionResult:
-    """Replay the sender's update from its own two consecutive messages.
+def reconstruct_running_sums(phi_now: InformationSet, flow_y, flow_z) -> ReconstructionResult:
+    """Replay the sender's update from its relayed ledger's flow.
 
-    The sender's relayed ledger difference plus its declared
+    flow_y and flow_z sum how far each entry of the sender's ledger
+    moved since its previous message (an entry that only one of the two
+    relays counts against zero). That difference plus the declared
     compensation term determines what its next running sums must be;
     the residuals measure how far the reported self_next values are
     from that replay.
@@ -110,16 +120,6 @@ def reconstruct_running_sums(
     j = phi_now.sender
     d = 1 + phi_now.declared_out_degree
     self_now = phi_now.relayed[j]
-    now, prev = phi_now.relayed, phi_prev.relayed
-    flow_y = flow_z = 0
-    for h, (y, z) in now.items():
-        y_before, z_before = prev.get(h, ZERO_PAIR)
-        flow_y += y - y_before
-        flow_z += z - z_before
-    for h, (y_before, z_before) in prev.items():
-        if h not in now:
-            flow_y -= y_before
-            flow_z -= z_before
     y_prev = flow_y + phi_now.declared_removed_out * self_now[0]
     z_prev = flow_z + phi_now.declared_removed_out * self_now[1]
     lam_pred = self_now[0] + y_prev / d
@@ -214,7 +214,9 @@ class SenderAudit:
     passes Step 3 against, and is ==, the public value: what its id
     broadcast as its next running sums last round. claimed_before
     holds the claims of the sender's previous message (none for a first
-    message), whatever the other findings.
+    message), whatever the other findings. quiet says that no check on
+    the broadcast can condemn anyone: no finding, consistent and
+    faithful, and no claim in it or in the sender's previous message.
     """
 
     fields: Optional[Finding]
@@ -222,6 +224,7 @@ class SenderAudit:
     consistent: bool = False
     faithful: bool = False
     claimed_before: frozenset[int] = frozenset()
+    quiet: bool = False
 
 
 def audit_broadcast(
@@ -261,27 +264,44 @@ def audit_broadcast(
     if msg.declared_removed_out != expected_removed:
         evidence = ("declared_removed_out", msg.declared_removed_out, expected_removed)
         return SenderAudit((Cause.STEP4, (evidence,)), claimed_before=claimed_before)
-    if prev_msg is None:
-        lam, gam = msg.self_next
-        replay = init_range_check(float(lam / gam) if gam != 0 else float("inf"), interval)
-    else:
-        rec = reconstruct_running_sums(msg, prev_msg)
-        replay = None
-        if not rec.clean(rule):
-            evidence = (("reported", msg.self_next), ("reconstructed", (rec.lam_pred, rec.gam_pred)))
-            replay = (Cause.STEP4, evidence)
-    # faithful compares with == and not pair_eq, since tolerance
-    # comparisons are not transitive; consistent is Step 3 (see _step3)
-    # and is not implied by faithful: a NaN object is == itself
+    # one walk over the relayed entries: the replay's flow, summed in
+    # ledger order (the order of every float sum is pinned), and Step 3
+    # against the public values. faithful compares with == and not
+    # pair_eq, since tolerance comparisons are not transitive;
+    # consistent is Step 3 (see _step3) and is not implied by faithful:
+    # a NaN object is == itself
+    before = prev_msg.relayed if prev_msg is not None else {}
+    flow_y = flow_z = 0
     faithful = consistent = True
     for h, val in relayed.items():
+        y, z = val
+        y_before, z_before = before.get(h, ZERO_PAIR)
+        flow_y += y - y_before
+        flow_z += z - z_before
         value = public.get(h)
         if value != val:
             faithful = False
         expected = ZERO_PAIR if h != j and h in claims else value
         if consistent and expected is not None and not rule.pair_eq(val, expected):
             consistent = False
-    return SenderAudit(None, replay, consistent, faithful, claimed_before)
+    if prev_msg is None:
+        lam, gam = msg.self_next
+        replay = init_range_check(float(lam / gam) if gam != 0 else float("inf"), interval)
+    else:
+        # an id the previous ledger relays and this one does not
+        # counts against zero, after the walk
+        if not before.keys() <= relayed.keys():
+            for h, (y_before, z_before) in before.items():
+                if h not in relayed:
+                    flow_y -= y_before
+                    flow_z -= z_before
+        rec = reconstruct_running_sums(msg, flow_y, flow_z)
+        replay = None
+        if not rec.clean(rule):
+            evidence = (("reported", msg.self_next), ("reconstructed", (rec.lam_pred, rec.gam_pred)))
+            replay = (Cause.STEP4, evidence)
+    quiet = replay is None and consistent and faithful and not claims and not claimed_before
+    return SenderAudit(None, replay, consistent, faithful, claimed_before, quiet)
 
 
 def _step3(msg: InformationSet, values: Mapping[int, Pair], rule: ValueRule) -> Optional[Finding]:
@@ -328,9 +348,19 @@ def _detect(
         else:
             two_hop_detected.add(suspect)
 
+    # a node-round that knew of no detection, shares none and hears
+    # only quiet broadcasts ends after the crash check: every reporter
+    # is consistent and faithful, so no vote runs and Step 3 passes;
+    # no claim is made or was made before, so no claim audit fires;
+    # and no reporter has a field or replay finding
+    quiet = not known_before and not shared
     for j in active_in:
         if j not in inbox:
             condemn(j, Cause.CRASH)
+        elif quiet and not audits[j].quiet:
+            quiet = False
+    if quiet:
+        return verdicts
 
     # ascending, the order of the per-reporter audits below
     reporters = {j: inbox[j] for j in active_in if j in inbox}

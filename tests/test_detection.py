@@ -16,7 +16,6 @@ from racsim.detection import (
     detect_alg2,
     detect_alg3,
     init_range_check,
-    reconstruct_running_sums,
     vote_value,
 )
 from racsim.adversary import ActionKind, AttackAction, AttackScript, comply_script
@@ -208,6 +207,11 @@ def test_detections_land_in_state(alg3):
 
 
 class TestReconstruction:
+    """The Step 4 replay, through the one walk of audit_broadcast that
+    sums the ledger flow it reads."""
+
+    ORACLE = StructuralOracle(complete_graph(3), 1)
+
     def _exact_messages(self, rounds: int):
         """Every node's messages of rounds 0 (the first exchange) to rounds."""
         g = complete_graph(3)
@@ -221,27 +225,31 @@ class TestReconstruction:
             per_round.append({i: build_information_set(states[i]) for i in g.nodes})
         return per_round
 
+    def _replay(self, now, prev):
+        """The replay finding of now after prev; None when its exact
+        residuals are both zero."""
+        audit = audit_broadcast(now, prev, {}, self.ORACLE, EXACT)
+        assert audit.fields is None
+        return audit.replay
+
     def test_honest_messages_replay_exactly(self):
         per_round = self._exact_messages(5)
         for prev, now in zip(per_round, per_round[1:]):
             for i in (1, 2, 3):
-                rec = reconstruct_running_sums(now[i], prev[i])
-                assert rec.eps_lam == 0 and rec.eps_gam == 0
-                assert rec.clean(EXACT)
+                assert self._replay(now[i], prev[i]) is None
 
     def test_first_message_replays_against_round_zero_message(self):
         per_round = self._exact_messages(1)
         assert set(per_round[0][1].relayed.values()) == {ZERO_PAIR}
-        rec = reconstruct_running_sums(per_round[1][1], per_round[0][1])
-        assert rec.clean(EXACT)
+        assert self._replay(per_round[1][1], per_round[0][1]) is None
 
     def test_perturbed_self_value_is_dirty(self):
         per_round = self._exact_messages(3)
         msg = per_round[3][1]
         forged = replace(msg, self_next=(msg.self_next[0] + 1, msg.self_next[1]))
-        rec = reconstruct_running_sums(forged, per_round[2][1])
-        assert not rec.clean(EXACT)
-        assert rec.eps_lam == 1
+        cause, ((_, reported), (_, (lam_pred, gam_pred))) = self._replay(forged, per_round[2][1])
+        assert cause is Cause.STEP4
+        assert reported[0] - lam_pred == 1 and reported[1] - gam_pred == 0
 
     def test_tampered_relayed_entry_is_dirty(self):
         per_round = self._exact_messages(3)
@@ -249,8 +257,7 @@ class TestReconstruction:
         relayed = dict(msg.relayed)
         relayed[2] = (relayed[2][0] + 5, relayed[2][1])
         forged = replace(msg, relayed=relayed)
-        rec = reconstruct_running_sums(forged, per_round[2][1])
-        assert not rec.clean(EXACT)
+        assert self._replay(forged, per_round[2][1])[0] is Cause.STEP4
 
 
 class TestStructuralOracle:

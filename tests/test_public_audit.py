@@ -6,10 +6,11 @@ plus the two-hop values it votes on this round. It runs its votes only
 if some reporter's broadcast is not == the public values, and repeats
 Step 3 per edge only for a reporter whose broadcast failed Step 3
 against the public values or that relays a voted id whose vote is not
-== its public value. These tests check that the shortcut gives exactly
-the verdicts of the full per-receiver path, and that the one-walk
-audit_broadcast and replay give what their multi-pass reference
-versions below give.
+== its public value. A node-round that knows of no detection, shares
+none and hears only quiet broadcasts ends after the crash check. These
+tests check that the shortcuts give exactly the verdicts of the full
+per-receiver path, and that the one-walk audit_broadcast and replay
+give what their multi-pass reference versions below give.
 """
 
 import math
@@ -39,9 +40,9 @@ from racsim.detection import (
     detect_alg2,
     detect_alg3,
     init_range_check,
-    reconstruct_running_sums,
 )
 from racsim.fixtures import X0_SIX, six_node_graph
+from racsim.golden import GOLDEN_CASES
 from racsim.graph import DirectedGraph, complete_graph
 from racsim.protocol import (
     ZERO_PAIR,
@@ -51,6 +52,7 @@ from racsim.protocol import (
     build_information_set,
     honest_round,
 )
+from racsim import sim
 
 FLOAT = ValueRule()
 EXACT = ValueRule(exact=True)
@@ -113,8 +115,8 @@ def test_shortcut_matches_treating_every_check_id_as_deviating(case):
 
 
 def _reference_replay(phi_now, phi_prev, rule):
-    """reconstruct_running_sums as two generator sums over the union of
-    both ledgers' ids."""
+    """The replay of audit_broadcast, its ledger flow taken as two
+    generator sums over the union of both ledgers' ids."""
     j = phi_now.sender
     d = 1 + phi_now.declared_out_degree
     self_now = phi_now.relayed[j]
@@ -176,7 +178,8 @@ def _reference_audit(msg, prev_msg, public, oracle, rule, interval=None):
         if expected is not None and not rule.pair_eq(val, expected):
             consistent = False
             break
-    return SenderAudit(None, replay, consistent, faithful, claimed_before)
+    quiet = replay is None and consistent and faithful and not msg.detected and not claimed_before
+    return SenderAudit(None, replay, consistent, faithful, claimed_before, quiet)
 
 
 def _same(a, b) -> bool:
@@ -200,7 +203,8 @@ AUDIT_IDS = range(1, 8)
 def broadcasts(draw):
     """A broadcast from node 1 of K5, its predecessor (or None) and a
     public table: foreign, missing and claimed ids, ids that only the
-    predecessor relays, and declared fields that are often right."""
+    predecessor relays, declared fields that are often right and
+    reported values that often replay cleanly."""
     rule = draw(st.sampled_from([FLOAT, EXACT]))
     pairs = st.tuples(*[st.sampled_from(DYADIC_PARTS if rule is FLOAT else FRACTION_PARTS)] * 2)
     out = K5.out_neighbors(1)
@@ -210,7 +214,8 @@ def broadcasts(draw):
 
     def message(claimed_before):
         ids = often(range(1, 6), st.lists(st.sampled_from(AUDIT_IDS), unique=True))
-        claims = draw(st.frozensets(st.sampled_from(AUDIT_IDS)))
+        # as in a run, a claim set is often empty
+        claims = frozenset() if draw(st.booleans()) else draw(st.frozensets(st.sampled_from(AUDIT_IDS)))
         return InformationSet(
             sender=1,
             round=3,
@@ -223,6 +228,11 @@ def broadcasts(draw):
 
     prev = message(frozenset()) if draw(st.booleans()) else None
     msg = message(prev.detected if prev is not None else frozenset())
+    if prev is not None and draw(st.booleans()):
+        # report the replay's own values, so that the replay is often
+        # clean and the audit often quiet
+        rec = _reference_replay(msg, prev, rule)
+        msg = replace(msg, self_next=(rec.lam_pred, rec.gam_pred))
     # the relayed entries, with up to three ids dropped or redrawn
     public = dict(msg.relayed)
     for h in draw(st.lists(st.sampled_from(AUDIT_IDS), unique=True, max_size=3)):
@@ -245,46 +255,90 @@ def test_audit_broadcast_matches_the_multi_pass_reference(case):
         (want.fields, want.replay, want.consistent, want.faithful),
     )
     assert got.claimed_before == want.claimed_before
+    assert got.quiet is want.quiet
+
+
+def _honest_second_message():
+    """Node 1 of K5's first two honest messages and the public values
+    its second is audited against."""
+    states = {i: bootstrap(K5, i, float(i), FLOAT) for i in K5.nodes}
+    first = {i: build_information_set(states[i]) for i in K5.nodes}
+    for i in K5.nodes:
+        honest_round(states[i], first, FLOAT)
+    public = {i: m.self_next for i, m in first.items()}
+    return build_information_set(states[1]), first[1], public
+
+
+@pytest.mark.parametrize("change", ["none", "claims", "claimed_before", "unfaithful", "replay"])
+def test_quiet_fails_with_any_one_of_its_conditions(change):
+    """An honest second message is quiet; each change below breaks one
+    condition of quiet and leaves the others holding."""
+    msg, prev, public = _honest_second_message()
+    if change == "claims":
+        # a claim on itself changes neither declared field nor Step 3
+        msg = replace(msg, detected=frozenset({1}))
+    elif change == "claimed_before":
+        prev = replace(prev, detected=frozenset({3}))
+    elif change == "unfaithful":
+        y, z = public[2]
+        public[2] = (y + 6e-10, z)  # within tolerance, so still consistent
+    elif change == "replay":
+        msg = replace(msg, self_next=(msg.self_next[0] + 1.0, msg.self_next[1]))
+    audit = audit_broadcast(msg, prev, public, K5_ORACLE, FLOAT)
+    assert audit.fields is None and audit.consistent
+    assert (audit.replay is None) == (change != "replay")
+    assert audit.faithful == (change != "unfaithful")
+    assert audit.quiet == (change == "none")
 
 
 @st.composite
 def ledgers(draw):
-    """Two consecutive messages of node 1 with any ids in any order."""
+    """Two consecutive messages of node 1 of K5. The later one passes
+    Step 2 and the declared-field checks, with its ids in any order; the
+    earlier one relays any ids, so it may lack ids the later one relays
+    and relay ids the later one lacks."""
     rule = draw(st.sampled_from([FLOAT, EXACT]))
     if rule is FLOAT:
         numbers = st.floats(-10.0, 10.0)
     else:
         numbers = st.builds(Fraction, st.integers(-600, 600), st.integers(1, 60))
     pairs = st.tuples(numbers, numbers)
+    out = K5.out_neighbors(1)
 
-    def message():
-        ids = draw(st.lists(st.sampled_from(AUDIT_IDS), unique=True))
+    def message(ids, claims, claimed_before):
         return InformationSet(
             sender=1,
             round=3,
-            detected=frozenset(),
+            detected=claims,
             self_next=draw(pairs),
             relayed={h: draw(pairs) for h in [*ids, 1]},
-            declared_out_degree=draw(st.integers(0, 4)),
-            declared_removed_out=draw(st.integers(0, 4)),
+            declared_out_degree=len(out - claims),
+            declared_removed_out=len((out - claimed_before) & claims),
         )
 
-    return message(), message(), rule
+    claims_before = draw(st.frozensets(st.sampled_from(sorted(out))))
+    claims = draw(st.frozensets(st.sampled_from(sorted(out))))
+    prev = message(draw(st.lists(st.sampled_from(AUDIT_IDS), unique=True)), claims_before, frozenset())
+    now = message(draw(st.permutations(range(1, 6))), claims | claims_before, claims_before)
+    return now, prev, rule
 
 
 @settings(max_examples=300, deadline=None)
 @given(ledgers())
 def test_replay_matches_the_union_reference(case):
     now, prev, rule = case
-    got = reconstruct_running_sums(now, prev)
+    got = audit_broadcast(now, prev, {}, K5_ORACLE, rule)
     want = _reference_replay(now, prev, rule)
-    fields = ("lam_pred", "gam_pred", "eps_lam", "eps_gam")
-    for name in fields:
-        a, b = getattr(got, name), getattr(want, name)
-        if rule is EXACT:
-            assert a == b
-        else:
-            assert abs(a - b) <= 1e-12
+    assert got.fields is None
+    assert (got.replay is None) == want.clean(rule)
+    if got.replay is not None:
+        (_, reported), (_, predicted) = got.replay[1]
+        assert reported == now.self_next
+        for a, b in zip(predicted, (want.lam_pred, want.gam_pred)):
+            if rule is EXACT:
+                assert a == b
+            else:
+                assert abs(a - b) <= 1e-12
 
 
 # node 1 hears 2, 3 and 4, which each hear two-hop node 5
@@ -350,8 +404,8 @@ _NETWORKS = {
 @pytest.mark.parametrize("kind", list(ActionKind), ids=lambda k: k.value)
 @pytest.mark.parametrize("network", list(_NETWORKS))
 def test_empty_public_table_gives_the_same_detection(network, kind, rule):
-    """Audits that promise nothing, neither consistent nor faithful,
-    send every edge down the per-receiver Step 3 and run every vote;
+    """Audits that promise nothing, neither consistent nor faithful nor
+    quiet, send every edge down the per-receiver Step 3 and run every vote;
     the detectors must not notice. The twin reads the same public
     table, since the check set is built from it."""
     g, x0, adversary, alg3 = _NETWORKS[network]
@@ -370,7 +424,7 @@ def test_empty_public_table_gives_the_same_detection(network, kind, rule):
         msgs[adversary] = forge_information_set(msgs[adversary], script, k - 1, rng)
         sent = {j: m for j, m in msgs.items() if m is not None}
         audits = {j: audit_broadcast(m, prev[j], public, oracle, rule) for j, m in sent.items()}
-        blind = {j: replace(a, consistent=False, faithful=False) for j, a in audits.items()}
+        blind = {j: replace(a, consistent=False, faithful=False, quiet=False) for j, a in audits.items()}
         shortcuts += sum(a.consistent and a.faithful for a in audits.values())
         prev.update(sent)
         inboxes = {i: {j: sent[j] for j in states[i].in_nbrs if j in sent} for i in g.nodes}
@@ -447,3 +501,74 @@ def test_whole_broadcast_table_gives_the_same_detection(network, kind, rule):
             honest_round(states[adversary], tampered_inbox(inbox, script, k), rule)
     if kind is not ActionKind.COMPLY:
         assert verdicts > 0
+
+
+def _exit_scenarios():
+    """Each golden case, and each one with adversaries once more with
+    every adversary crashing from round 3, run to round 40."""
+    for case in GOLDEN_CASES:
+        yield pytest.param(case.build(), False, id=case.name)
+        if case.data["adversaries"]:
+            data = deepcopy(case.data)
+            for entry in data["adversaries"]:
+                entry["schedule"] = [{"from_round": 3, "action": {"kind": "Crash"}}]
+            data["horizon"] = 40
+            yield pytest.param(sim.scenario_from_json(data), True, id=f"{case.name}-crash")
+
+
+@pytest.mark.parametrize("scenario, crashing", list(_exit_scenarios()))
+def test_quiet_exit_gives_the_verdicts_of_the_full_pipeline(scenario, crashing, monkeypatch):
+    """Every detector call of a run, repeated on a copy of the node's
+    state with every audit's quiet forced False, gives the same verdicts
+    and detection sets. The exit is taken in every run, and in a crash
+    round in every crashing one."""
+    exits, crash_exits = 0, 0
+
+    def checked(detect, sharing):
+        last = [None, None]  # this round's audits and their loud copies
+
+        def wrapper(state, inbox, audits, public, policy, rule):
+            nonlocal exits, crash_exits
+            if audits is not last[0]:
+                last[:] = audits, {j: replace(a, quiet=False) for j, a in audits.items()}
+            twin = replace(state, detected=set(state.detected), detected_two_hop=set(state.detected_two_hop))
+            exit_taken = (
+                not state.detected
+                and not state.detected_two_hop
+                and not (sharing and policy)
+                and all(audits[j].quiet for j in state.in_nbrs if j in inbox)
+            )
+            want = detect(twin, inbox, last[1], public, policy, rule)
+            got = detect(state, inbox, audits, public, policy, rule)
+            assert got == want
+            assert state.detected == twin.detected
+            assert state.detected_two_hop == twin.detected_two_hop
+            exits += exit_taken
+            crash_exits += exit_taken and any(v.cause is Cause.CRASH for v in got)
+            return got
+
+        return wrapper
+
+    monkeypatch.setattr(sim, "detect_alg2", checked(detect_alg2, True))
+    monkeypatch.setattr(sim, "detect_alg3", checked(detect_alg3, False))
+    sim.run(scenario)
+    assert exits > 0
+    if crashing:
+        assert crash_exits > 0
+
+
+def test_a_shared_set_keeps_quiet_broadcasts_from_the_exit():
+    """Under sharing detection a node that knew of no detection, handed
+    a non-empty shared set (here its own id, which the engine leaves
+    out of its detection set), still audits the claims of quiet
+    broadcasts: each empty claim set is a Step 1 verdict."""
+    g = complete_graph(4)
+    oracle = StructuralOracle(g, 1)
+    public = {i: ZERO_PAIR for i in g.nodes}
+    sent = {i: build_information_set(bootstrap(g, i, float(i), FLOAT)) for i in g.nodes}
+    audits = {j: audit_broadcast(m, None, public, oracle, FLOAT) for j, m in sent.items()}
+    assert all(a.quiet for a in audits.values())
+    state = bootstrap(g, 1, 1.0, FLOAT)
+    verdicts = detect_alg2(state, sent, audits, public, frozenset({1}), FLOAT)
+    assert [(v.suspect, v.cause) for v in verdicts] == [(j, Cause.STEP1) for j in (2, 3, 4)]
+    assert state.detected == {2, 3, 4}

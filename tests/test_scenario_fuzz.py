@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 from racsim.adversary import ActionKind
 from racsim.sim import DetectionMode
@@ -16,3 +17,12 @@ def test_fuzz_sample_validates_covers_every_action_and_repeats():
     first = list(lines(3, 30))
     assert len(first) == 30
     assert list(lines(3, 30)) == first
+
+
+def test_fuzz_seed7_prefix_matches_the_recorded_lines():
+    """The first 60 of the 400 lines recorded at seed 7. A change meant
+    to move behaviour re-records the file and explains its diff; CI
+    compares all 400."""
+    recorded = (Path(__file__).parent / "data" / "fuzz_seed7.txt").read_text().splitlines()
+    assert len(recorded) == 400
+    assert list(lines(7, 60)) == recorded[:60]
