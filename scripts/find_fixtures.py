@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import sys
 
-from racsim.adversary import comply_script, validate_adversary_placement
+from racsim.adversary import AttackScript, validate_adversary_placement
 from racsim.fixtures import (
     eight_node_graph,
     five_node_graph,
@@ -23,7 +23,6 @@ from racsim.fixtures import (
 )
 from racsim.graph import (
     AdversaryKind,
-    AdversaryModel,
     DirectedGraph,
     check_alg2_condition,
     check_alg3_condition,
@@ -103,12 +102,11 @@ def main() -> int:
     )
 
     eight = eight_node_graph()
-    model = AdversaryModel(kind=AdversaryKind.LOCAL, f=1)
-    placement = [comply_script(v) for v in (3, 4, 5, 6, 7)]
+    placement = [AttackScript(v) for v in (3, 4, 5, 6, 7)]
     results.append(
         verify(
             "8-node fixture admits five adversaries via full-access receivers",
-            validate_adversary_placement(eight, placement, model).satisfied,
+            validate_adversary_placement(eight, placement, 1, AdversaryKind.LOCAL).satisfied,
         )
     )
 

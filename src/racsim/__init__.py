@@ -4,7 +4,6 @@ scripted adversaries, and a topology condition toolkit."""
 
 from .graph import (
     AdversaryKind,
-    AdversaryModel,
     ConditionReport,
     DirectedGraph,
     LayeredVariant,
@@ -31,7 +30,6 @@ from .detection import (
     Cause,
     DetectionVerdict,
     NO_MAJORITY,
-    ReconstructionResult,
     StructuralOracle,
     detect_alg2,
     detect_alg3,

@@ -12,11 +12,11 @@ outgoing message directly.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, Optional
 
-from .graph import AdversaryKind, AdversaryModel, ConditionReport, DirectedGraph, Violation, is_f_local
+from .graph import AdversaryKind, ConditionReport, DirectedGraph, Violation
 from .protocol import InformationSet, Pair, ValueRule, initial_share
 
 RANDOM_VALUE_RANGE = (-100.0, 100.0)
@@ -71,10 +71,6 @@ class AttackScript:
     def active_actions(self, k: int) -> tuple[AttackAction, ...]:
         """All actions whose start round has been reached."""
         return tuple(a for r, a in self.schedule if k >= r)
-
-
-def comply_script(node: int) -> AttackScript:
-    return AttackScript(node=node, schedule=())
 
 
 def make_colluding_tamper(
@@ -195,9 +191,10 @@ def scripted_self_value(script: AttackScript, k: int) -> Optional[float]:
 
 
 def validate_adversary_placement(
-    g: DirectedGraph, scripts: Iterable[AttackScript], model: AdversaryModel
+    g: DirectedGraph, scripts: Iterable[AttackScript], f: int, kind: AdversaryKind
 ) -> ConditionReport:
-    """Check the scripted adversary set against the adversary model.
+    """Check the scripted adversary set against the bound f under the
+    total or local adversary model kind.
 
     Full access nodes (in-neighbors of every other node's broadcasts,
     i.e. receivers from all) can verify everyone directly, so they are
@@ -210,10 +207,10 @@ def validate_adversary_placement(
             violations.append(Violation((v,), "unknown_node"))
     if violations:
         return ConditionReport(tuple(violations))
-    if model.kind is AdversaryKind.TOTAL:
-        if len(adversaries) > model.f:
+    if kind is AdversaryKind.TOTAL:
+        if len(adversaries) > f:
             violations.append(
-                Violation(tuple(sorted(adversaries)), "total_bound", (model.f,))
+                Violation(tuple(sorted(adversaries)), "total_bound", (f,))
             )
     else:
         for i in g.nodes:
@@ -222,7 +219,7 @@ def validate_adversary_placement(
             in_i = g.in_neighbors(i)
             bad = in_i & adversaries
             # a full access node hears every other node
-            if len(bad) > model.f and len(in_i) < g.n - 1:
+            if len(bad) > f and len(in_i) < g.n - 1:
                 violations.append(Violation((i,), "local_bound", tuple(sorted(bad))))
     return ConditionReport(tuple(violations))
 

@@ -5,7 +5,8 @@ check a graph file against the detection conditions, generate a
 layered graph, or replay all golden scenarios.
 
 Exit codes: 0 success, 1 unreadable input, 2 validation or argument
-error, 3 failed condition or golden check, 4 generator self-check bug.
+error (input that is not UTF-8 or nests too deeply, an unwritable
+--out), 3 failed condition or golden check, 4 generator self-check bug.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .graph import (
 from .golden import GOLDEN_CASES
 from .sim import (
     ScenarioError,
-    convergence_round,
     load_scenario,
     run as run_scenario,
     summary,
@@ -85,11 +85,11 @@ def cmd_run(args) -> int:
     except OSError as exc:
         print(f"cannot read scenario: {exc}", file=sys.stderr)
         return EXIT_UNREADABLE
-    except json.JSONDecodeError as exc:
-        print(f"invalid scenario: {exc}", file=sys.stderr)
-        return EXIT_INVALID
     except ScenarioError as exc:
         return _invalid_scenario(exc)
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        print(f"invalid scenario: {exc}", file=sys.stderr)
+        return EXIT_INVALID
     if args.seed is not None:
         scenario.seed = args.seed
     if args.exact:
@@ -101,11 +101,15 @@ def cmd_run(args) -> int:
     except ScenarioError as exc:
         return _invalid_scenario(exc)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_trace_csv(trace, out_dir / "trace.csv")
-    write_events_csv(trace, out_dir / "events.csv")
     result = summary(trace)
-    (out_dir / "summary.json").write_text(json.dumps(result, indent=2) + "\n")
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        write_trace_csv(trace, out_dir / "trace.csv")
+        write_events_csv(trace, out_dir / "events.csv")
+        (out_dir / "summary.json").write_text(json.dumps(result, indent=2) + "\n")
+    except OSError as exc:
+        print(f"invalid arguments: cannot write --out: {exc}", file=sys.stderr)
+        return EXIT_INVALID
     print(json.dumps(result))
     return EXIT_OK
 
@@ -122,7 +126,7 @@ def cmd_check_graph(args) -> int:
     except OSError as exc:
         print(f"cannot read graph: {exc}", file=sys.stderr)
         return EXIT_UNREADABLE
-    except GraphError as exc:
+    except (GraphError, UnicodeDecodeError) as exc:
         print(f"invalid graph: {exc}", file=sys.stderr)
         return EXIT_INVALID
     if args.alg2 and not g.undirected:
@@ -166,7 +170,11 @@ def cmd_gen_graph(args) -> int:
     if not report.satisfied:
         print("generated graph fails its own condition check", file=sys.stderr)
         return EXIT_GENERATOR_BUG
-    Path(args.out).write_text(write_edge_list(g))
+    try:
+        Path(args.out).write_text(write_edge_list(g))
+    except OSError as exc:
+        print(f"invalid arguments: cannot write --out: {exc}", file=sys.stderr)
+        return EXIT_INVALID
     print(f"wrote {g.n}-node graph to {args.out}")
     return EXIT_OK
 

@@ -76,26 +76,13 @@ class DetectionVerdict:
     evidence: tuple = ()
 
 
-class _NoMajority:
-    def __repr__(self) -> str:
-        return "NoMajority"
+Finding = tuple[Cause, tuple]  # cause and evidence of one verdict
 
 
-NO_MAJORITY = _NoMajority()
+NO_MAJORITY = None  # vote_value's answer when no value has a strict majority
 
 
-@dataclass(frozen=True)
-class ReconstructionResult:
-    lam_pred: object
-    gam_pred: object
-    eps_lam: object
-    eps_gam: object
-
-    def clean(self, rule: ValueRule) -> bool:
-        return rule.eq(self.eps_lam, 0) and rule.eq(self.eps_gam, 0)
-
-
-def vote_value(reports: list[Pair], rule: ValueRule):
+def vote_value(reports: list[Pair], rule: ValueRule) -> Optional[Pair]:
     """Value pair reported by strictly more than half, else NO_MAJORITY."""
     if not reports:
         raise ValueError("reports must be non-empty")
@@ -107,29 +94,29 @@ def vote_value(reports: list[Pair], rule: ValueRule):
     return NO_MAJORITY
 
 
-def reconstruct_running_sums(phi_now: InformationSet, flow_y, flow_z) -> ReconstructionResult:
+def reconstruct_running_sums(
+    phi_now: InformationSet, flow_y, flow_z, rule: ValueRule
+) -> Optional[Finding]:
     """Replay the sender's update from its relayed ledger's flow.
 
     flow_y and flow_z sum how far each entry of the sender's ledger
     moved since its previous message (an entry that only one of the two
     relays counts against zero). That difference plus the declared
-    compensation term determines what its next running sums must be;
-    the residuals measure how far the reported self_next values are
-    from that replay.
+    compensation term determines what its next running sums must be.
+    Returns the Step 4 finding, or None when both residuals (reported
+    self_next minus that replay) are zero under rule.
     """
     j = phi_now.sender
     d = 1 + phi_now.declared_out_degree
     self_now = phi_now.relayed[j]
     y_prev = flow_y + phi_now.declared_removed_out * self_now[0]
     z_prev = flow_z + phi_now.declared_removed_out * self_now[1]
-    lam_pred = self_now[0] + y_prev / d
-    gam_pred = self_now[1] + z_prev / d
-    return ReconstructionResult(
-        lam_pred=lam_pred,
-        gam_pred=gam_pred,
-        eps_lam=phi_now.self_next[0] - lam_pred,
-        eps_gam=phi_now.self_next[1] - gam_pred,
-    )
+    pred = (self_now[0] + y_prev / d, self_now[1] + z_prev / d)
+    # each residual against zero, not pair_eq(self_next, pred): in exact
+    # mode a forged float minus a Fraction is a float, and the two differ
+    if rule.eq(phi_now.self_next[0] - pred[0], 0) and rule.eq(phi_now.self_next[1] - pred[1], 0):
+        return None
+    return Cause.STEP4, (("reported", phi_now.self_next), ("reconstructed", pred))
 
 
 class StructuralOracle:
@@ -185,9 +172,6 @@ class StructuralOracle:
         return h == i or i in self.auditors[h] or (
             len(self.auditors[h] & self._in[i]) >= 2 * self.f + 1
         )
-
-
-Finding = tuple[Cause, tuple]  # cause and evidence of one verdict
 
 
 def init_range_check(
@@ -295,11 +279,7 @@ def audit_broadcast(
                 if h not in relayed:
                     flow_y -= y_before
                     flow_z -= z_before
-        rec = reconstruct_running_sums(msg, flow_y, flow_z)
-        replay = None
-        if not rec.clean(rule):
-            evidence = (("reported", msg.self_next), ("reconstructed", (rec.lam_pred, rec.gam_pred)))
-            replay = (Cause.STEP4, evidence)
+        replay = reconstruct_running_sums(msg, flow_y, flow_z, rule)
     quiet = replay is None and consistent and faithful and not claims and not claimed_before
     return SenderAudit(None, replay, consistent, faithful, claimed_before, quiet)
 

@@ -1,4 +1,4 @@
-"""Benchmark topologies and initial values.
+"""Benchmark topologies.
 
 The small graphs here were found by constrained search (see
 scripts/find_fixtures.py) so that each one satisfies the structural
@@ -95,16 +95,6 @@ def thirty_node_graph() -> DirectedGraph:
 def twelve_node_wrap_graph() -> DirectedGraph:
     return generate_layered(4, 1, LayeredVariant.DIRECTED_WRAP)
 
-
-X0_SIX = (9.0, 7.0, 1.0, 3.0, 4.0, 6.0)
-X0_FOURTEEN = (11.0, 2.0, 9.0, 3.0, 2.0, 10.0, 1.0, 4.0, 6.0, 9.0, 7.0, 5.0, 14.0, 8.0)
-X0_EIGHT = (3.0, 15.0, 9.0, 8.0, 4.0, 7.0, 1.0, 12.0)
-X0_FIVE = (8.0, 6.0, 1.0, 3.0, 9.0)
-X0_THIRTY = (
-    8.0, 7.0, 5.0, 3.0, 2.0, 11.0, 1.0, 4.0, 6.0, 9.0,
-    10.0, 12.0, 11.0, 13.0, 14.0, 3.0, 5.0, 2.0, 8.0, 7.0,
-    5.0, 3.0, 2.0, 11.0, 1.0, 4.0, 6.0, 9.0, 10.0, 12.0,
-)
 
 FIXTURE_GRAPHS = {
     "six": six_node_graph,

@@ -25,7 +25,6 @@ class GoldenCase:
     data: dict  # the parsed scenario file
     target: Optional[float]  # None marks the negative control
     tol: float
-    description: str = ""
     misses: Optional[float] = None  # the negative control's off-target value
 
     def build(self) -> Scenario:
@@ -53,7 +52,6 @@ def _load() -> tuple[GoldenCase, ...]:
                 data=data,
                 target=expect.get("target"),
                 tol=expect["tol"],
-                description=data.get("description", ""),
                 misses=expect.get("misses"),
             ))
     return tuple(cases)

@@ -12,9 +12,9 @@ variant that wraps the last layer to the first, which does not.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 DEFAULT_NODE_CAP = 20
 
@@ -34,16 +34,6 @@ class UnsupportedGraph(GraphError):
 class AdversaryKind(Enum):
     TOTAL = "total"
     LOCAL = "local"
-
-
-@dataclass(frozen=True)
-class AdversaryModel:
-    f: int
-    kind: AdversaryKind = AdversaryKind.LOCAL
-
-    def __post_init__(self) -> None:
-        if self.f < 0:
-            raise GraphError("f must be non-negative")
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ from .detection import (
     detect_alg3,
 )
 from .fixtures import FIXTURE_GRAPHS
-from .graph import AdversaryKind, AdversaryModel, DirectedGraph, read_edge_list, write_edge_list
+from .graph import AdversaryKind, DirectedGraph, read_edge_list, write_edge_list
 from .protocol import (
     DEFAULT_TOL,
     ZERO_PAIR,
@@ -104,8 +104,7 @@ class Scenario:
         for v in outside:
             problems.append(f"adversary node {v} outside 1..{self.graph.n}")
         if self.f >= 0 and not outside:
-            model = AdversaryModel(self.f, self.model)
-            report = validate_adversary_placement(self.graph, self.adversaries, model)
+            report = validate_adversary_placement(self.graph, self.adversaries, self.f, self.model)
             for v in report.violations:
                 problems.append(
                     f"adversary placement violates {v.condition} at {v.subject}"
@@ -135,13 +134,6 @@ class Scenario:
                 problems.append("safety interval is empty")
         return problems
 
-    @property
-    def adversary_nodes(self) -> frozenset[int]:
-        return frozenset(s.node for s in self.adversaries)
-
-    def rule(self) -> ValueRule:
-        return ValueRule(exact=self.exact, tol=self.value_tol)
-
 
 @dataclass
 class Trace:
@@ -163,7 +155,7 @@ class Trace:
 
     @property
     def normal_nodes(self) -> frozenset[int]:
-        return frozenset(set(self.scenario.graph.nodes) - self.scenario.adversary_nodes)
+        return frozenset(self.scenario.graph.nodes) - {s.node for s in self.scenario.adversaries}
 
     @property
     def settle_round(self) -> int:
@@ -184,7 +176,7 @@ def run(scenario: Scenario) -> Trace:
     if problems:
         raise ScenarioError(problems)
     g = scenario.graph
-    rule = scenario.rule()
+    rule = ValueRule(exact=scenario.exact, tol=scenario.value_tol)
     nodes = list(g.nodes)
     scripts = {s.node: s for s in scenario.adversaries}
     rngs = {v: adversary_rng(scenario.seed, v) for v in scripts}
@@ -193,8 +185,9 @@ def run(scenario: Scenario) -> Trace:
     sharing = scenario.detection is DetectionMode.ALG2
     if detecting:
         oracle = StructuralOracle(g, scenario.f)
-        # each sender's previous broadcast, for the per-sender audit
-        prev_msgs: dict[int, object] = {}
+        # each sender's previous broadcast is in last round's table: a node
+        # that sends now sent then too (crashes last, forge_round grows)
+        prev: dict[int, object] = {}
         # what each node broadcast as its next running sums last round;
         # every running sum starts at zero
         public = {i: ZERO_PAIR for i in nodes}
@@ -235,10 +228,10 @@ def run(scenario: Scenario) -> Trace:
         # receiver-independent checks run once per message sent; each
         # detector adds its suspects to its own state
         if detecting:
-            audits = {j: audit_broadcast(m, prev_msgs.get(j), public, oracle, rule,
+            audits = {j: audit_broadcast(m, prev.get(j), public, oracle, rule,
                                          scenario.safety_interval)
                       for j, m in sent.items()}
-            prev_msgs.update(sent)
+            prev = sent
             for i in normals:
                 if sharing:
                     verdicts = detect_alg2(states[i], sent, audits, public, shared, rule)

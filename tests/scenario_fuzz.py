@@ -24,11 +24,6 @@ from typing import Iterator
 
 from racsim.adversary import ActionKind, AttackAction, AttackScript, TamperMode
 from racsim.fixtures import (
-    X0_EIGHT,
-    X0_FIVE,
-    X0_FOURTEEN,
-    X0_SIX,
-    X0_THIRTY,
     eight_node_graph,
     five_node_graph,
     fourteen_node_graph,
@@ -36,21 +31,29 @@ from racsim.fixtures import (
     six_node_graph,
     thirty_node_graph,
 )
+from racsim.golden import golden_case
 from racsim.graph import complete_graph
 from racsim.sim import DetectionMode, Scenario, run
 
 ALG2, ALG3, NONE = DetectionMode.ALG2, DetectionMode.ALG3, DetectionMode.NONE
 
+# the initial values of the golden cases on each fixture graph
+SIX_X0 = tuple(golden_case("six-attack").data["x0"])
+FOURTEEN_X0 = tuple(golden_case("fourteen-attack").data["x0"])
+EIGHT_X0 = tuple(golden_case("eight-attack").data["x0"])
+FIVE_X0 = tuple(golden_case("five-sharing").data["x0"])
+THIRTY_X0 = tuple(golden_case("thirty-attack").data["x0"])
+
 # graph, x0, the f values drawn from, detection mode
 NETWORKS = (
-    (six_node_graph(), X0_SIX, (1,), ALG3),
-    (fourteen_node_graph(), X0_FOURTEEN, (1,), ALG3),
-    (eight_node_graph(), X0_EIGHT, (1,), ALG3),
-    (thirty_node_graph(), X0_THIRTY, (1,), ALG3),
-    (five_node_graph(), X0_FIVE, (1, 2), ALG2),
+    (six_node_graph(), SIX_X0, (1,), ALG3),
+    (fourteen_node_graph(), FOURTEEN_X0, (1,), ALG3),
+    (eight_node_graph(), EIGHT_X0, (1,), ALG3),
+    (thirty_node_graph(), THIRTY_X0, (1,), ALG3),
+    (five_node_graph(), FIVE_X0, (1, 2), ALG2),
     (complete_graph(4), (2.0, 4.0, 6.0, 20.0), (1, 2), ALG2),
-    (six_node_graph(), X0_SIX, (1,), NONE),
-    (six_node_damaged(), X0_SIX, (1,), ALG3),
+    (six_node_graph(), SIX_X0, (1,), NONE),
+    (six_node_damaged(), SIX_X0, (1,), ALG3),
 )
 KINDS = tuple(ActionKind)
 

@@ -22,14 +22,16 @@ from racsim.graph import (
 from racsim.protocol import ValueRule
 from racsim.sim import DetectionMode, Scenario, mass_sums, run
 from racsim.fixtures import (
-    X0_FIVE,
-    X0_FOURTEEN,
-    X0_SIX,
     five_node_graph,
     fourteen_node_graph,
     six_node_graph,
 )
 from oracles import brute_alg3_condition, brute_k_strongly_connected
+
+
+SIX_X0 = tuple(golden_case("six-attack").data["x0"])
+FOURTEEN_X0 = tuple(golden_case("fourteen-attack").data["x0"])
+FIVE_X0 = tuple(golden_case("five-sharing").data["x0"])
 
 
 @lru_cache(maxsize=None)

@@ -9,7 +9,6 @@ from racsim.adversary import (
     AttackScript,
     TamperMode,
     adversary_rng,
-    comply_script,
     forge_information_set,
     make_colluding_tamper,
     scripted_self_value,
@@ -17,7 +16,7 @@ from racsim.adversary import (
     validate_adversary_placement,
 )
 from racsim.fixtures import eight_node_graph, fourteen_node_graph
-from racsim.graph import AdversaryKind, AdversaryModel, DirectedGraph, complete_graph
+from racsim.graph import AdversaryKind, DirectedGraph, complete_graph
 from racsim.protocol import InformationSet, ValueRule, bootstrap, build_information_set
 
 # node 6 hears 2 and 3 and sends to 1 and 2
@@ -66,7 +65,7 @@ class TestForgeInformationSet:
     def test_comply_is_identity(self):
         truth = honest_message()
         rng = adversary_rng(0, 6)
-        forged = forge_information_set(truth, comply_script(6), 5, rng)
+        forged = forge_information_set(truth, AttackScript(6), 5, rng)
         assert forged == truth
 
     def test_crash_emits_nothing(self):
@@ -205,30 +204,25 @@ class TestScriptedSelfValue:
 class TestPlacementValidation:
     def test_total_model_counts_adversaries(self):
         g = complete_graph(5)
-        scripts = [comply_script(v) for v in (1, 2)]
-        model = AdversaryModel(kind=AdversaryKind.TOTAL, f=2)
-        assert validate_adversary_placement(g, scripts, model).satisfied
-        tight = AdversaryModel(kind=AdversaryKind.TOTAL, f=1)
-        assert not validate_adversary_placement(g, scripts, tight).satisfied
+        scripts = [AttackScript(v) for v in (1, 2)]
+        assert validate_adversary_placement(g, scripts, 2, AdversaryKind.TOTAL).satisfied
+        assert not validate_adversary_placement(g, scripts, 1, AdversaryKind.TOTAL).satisfied
 
     def test_local_model_bounds_per_neighborhood(self):
         g = fourteen_node_graph()
-        model = AdversaryModel(kind=AdversaryKind.LOCAL, f=1)
-        ok = [comply_script(v) for v in (2, 14)]
-        assert validate_adversary_placement(g, ok, model).satisfied
-        bad = [comply_script(v) for v in (1, 2)]
-        assert not validate_adversary_placement(g, bad, model).satisfied
+        ok = [AttackScript(v) for v in (2, 14)]
+        assert validate_adversary_placement(g, ok, 1, AdversaryKind.LOCAL).satisfied
+        bad = [AttackScript(v) for v in (1, 2)]
+        assert not validate_adversary_placement(g, bad, 1, AdversaryKind.LOCAL).satisfied
 
     def test_full_access_nodes_exempt_from_local_bound(self):
         # nodes 1 and 8 receive from everyone, so five malicious
         # in-neighbors do not violate their local bound
         g = eight_node_graph()
-        model = AdversaryModel(kind=AdversaryKind.LOCAL, f=1)
-        scripts = [comply_script(v) for v in (3, 4, 5, 6, 7)]
-        assert validate_adversary_placement(g, scripts, model).satisfied
+        scripts = [AttackScript(v) for v in (3, 4, 5, 6, 7)]
+        assert validate_adversary_placement(g, scripts, 1, AdversaryKind.LOCAL).satisfied
 
     def test_unknown_node_rejected(self):
         g = complete_graph(3)
-        model = AdversaryModel(kind=AdversaryKind.LOCAL, f=1)
-        report = validate_adversary_placement(g, [comply_script(9)], model)
+        report = validate_adversary_placement(g, [AttackScript(9)], 1, AdversaryKind.LOCAL)
         assert not report.satisfied

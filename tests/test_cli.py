@@ -10,17 +10,18 @@ from racsim.cli import (
     EXIT_UNREADABLE,
     main,
 )
-from racsim.fixtures import X0_SIX, six_node_damaged, six_node_graph
+from racsim.fixtures import six_node_damaged, six_node_graph
 from racsim.graph import LayeredVariant, generate_layered, read_edge_list, write_edge_list
 from racsim import golden
 from racsim.sim import Scenario, ScenarioError, scenario_to_json
 
+SIX_X0 = tuple(golden.golden_case("six-attack").data["x0"])
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 @pytest.fixture
 def scenario_file(tmp_path):
-    sc = Scenario(graph=six_node_graph(), x0=X0_SIX, horizon=30)
+    sc = Scenario(graph=six_node_graph(), x0=SIX_X0, horizon=30)
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(scenario_to_json(sc)))
     return path
@@ -57,11 +58,11 @@ class TestRunCommand:
     @pytest.mark.parametrize(
         "change",
         [
-            {"x0": [float("nan")] + list(X0_SIX[1:])},
+            {"x0": [float("nan")] + list(SIX_X0[1:])},
             {"adversaries": [{"node": 5, "schedule": [
                 {"from_round": 1, "action": {"kind": "FalselyAccuse", "target": 9}}]}]},
-            {"x0": ["a"] + list(X0_SIX[1:])},
-            {"x0": [10**400] + list(X0_SIX[1:])},
+            {"x0": ["a"] + list(SIX_X0[1:])},
+            {"x0": [10**400] + list(SIX_X0[1:])},
             {"horizon": "abc"},
             {"f": "one"},
             {"tol": "x"},
@@ -224,6 +225,46 @@ class TestGenGraphCommand:
         path = tmp_path / "g.txt"
         assert main(["gen-graph", "--layers", "3", "-f", "2", "--out", str(path)]) == EXIT_OK
         assert main(["check-graph", str(path), "-f", "2", "--alg3"]) == EXIT_OK
+
+
+# input files whose bytes do not decode as a scenario or a graph, and
+# paths that block --out: a file, or a path under one
+BAD_FILES = {
+    "not-utf8.json": b'{"x0": "\xff"}',
+    "deep.json": b"[" * 100_000 + b"]" * 100_000,
+    "not-utf8.txt": b"n 2\n1 2\n# \xff\n",
+    "a-file": b"",
+}
+
+
+@pytest.mark.parametrize(
+    "argv, prefix",
+    [
+        (["run", "--scenario", "not-utf8.json", "--out", "out"], "invalid scenario: "),
+        (["run", "--scenario", "deep.json", "--out", "out"], "invalid scenario: "),
+        (["check-graph", "not-utf8.txt", "-f", "1", "--alg3"], "invalid graph: "),
+        (["run", "--scenario", "scenario.json", "--out", "a-file"], "invalid arguments: "),
+        (["run", "--scenario", "scenario.json", "--out", "a-file/out"], "invalid arguments: "),
+        (["gen-graph", "--layers", "3", "-f", "1", "--out", "."], "invalid arguments: "),
+        (["gen-graph", "--layers", "3", "-f", "1", "--out", "missing/g.txt"], "invalid arguments: "),
+    ],
+    ids=[
+        "run-not-utf8", "run-nested-100000-deep", "check-graph-not-utf8", "run-out-is-a-file",
+        "run-out-under-a-file", "gen-graph-out-is-a-directory", "gen-graph-out-in-missing-directory",
+    ],
+)
+def test_undecodable_input_or_unwritable_out_exits_invalid_with_one_line(
+    tmp_path, scenario_file, monkeypatch, capsys, argv, prefix
+):
+    for name, content in BAD_FILES.items():
+        (tmp_path / name).write_bytes(content)
+    monkeypatch.chdir(tmp_path)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_INVALID
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith(prefix)
+    assert (tmp_path / "a-file").read_bytes() == b""
 
 
 class TestGoldenCommand:

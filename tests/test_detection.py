@@ -18,16 +18,14 @@ from racsim.detection import (
     init_range_check,
     vote_value,
 )
-from racsim.adversary import ActionKind, AttackAction, AttackScript, comply_script
+from racsim.adversary import ActionKind, AttackAction, AttackScript
 from racsim.fixtures import (
-    X0_EIGHT,
-    X0_FOURTEEN,
-    X0_SIX,
     eight_node_graph,
     fourteen_node_graph,
     six_node_damaged,
     six_node_graph,
 )
+from racsim.golden import golden_case
 from racsim.graph import DirectedGraph, complete_graph, is_detectable, two_hop_middle_nodes
 from racsim.protocol import (
     ZERO_PAIR,
@@ -38,6 +36,11 @@ from racsim.protocol import (
 )
 from racsim.sim import DetectionMode, Scenario, mass_sums, run, summary
 from oracles import brute_oracle_answers
+
+
+SIX_X0 = tuple(golden_case("six-attack").data["x0"])
+FOURTEEN_X0 = tuple(golden_case("fourteen-attack").data["x0"])
+EIGHT_X0 = tuple(golden_case("eight-attack").data["x0"])
 
 FLOAT = ValueRule()
 EXACT = ValueRule(exact=True)
@@ -94,7 +97,7 @@ def _detect_at_node_5(
     detection and the detection arguments."""
     g = six_node_graph()
     oracle = StructuralOracle(g, 1)
-    states = {i: bootstrap(g, i, X0_SIX[i - 1], FLOAT) for i in g.nodes}
+    states = {i: bootstrap(g, i, SIX_X0[i - 1], FLOAT) for i in g.nodes}
     first = {i: build_information_set(states[i]) for i in g.nodes}
     for i in g.nodes:
         honest_round(states[i], {j: first[j] for j in states[i].in_nbrs}, FLOAT)
@@ -323,7 +326,7 @@ class TestInitRangeCheck:
 def _six_scenario(*actions: tuple[int, AttackAction], node: int = 6) -> Scenario:
     return Scenario(
         graph=six_node_graph(),
-        x0=X0_SIX,
+        x0=SIX_X0,
         f=1,
         detection=DetectionMode.ALG3,
         adversaries=(AttackScript(node=node, schedule=actions),),
@@ -409,7 +412,7 @@ class TestDistributedDetectionEndToEnd:
         trace = run(
             Scenario(
                 graph=fourteen_node_graph(),
-                x0=X0_FOURTEEN,
+                x0=FOURTEEN_X0,
                 f=1,
                 detection=DetectionMode.ALG3,
                 adversaries=(
@@ -433,11 +436,11 @@ class TestDistributedDetectionEndToEnd:
         trace = run(
             Scenario(
                 graph=eight_node_graph(),
-                x0=X0_EIGHT,
+                x0=EIGHT_X0,
                 f=1,
                 detection=DetectionMode.ALG3,
                 adversaries=(
-                    comply_script(2),
+                    AttackScript(2),
                     AttackScript(
                         node=7, schedule=((3, AttackAction(ActionKind.SET_SELF_VALUE, value=50.0)),)
                     ),
@@ -448,7 +451,7 @@ class TestDistributedDetectionEndToEnd:
         assert _suspects(trace) == {7}
         survivors = sorted(trace.never_detected)
         sy, _ = mass_sums(trace, survivors)[-1]
-        assert abs(sy - sum(X0_EIGHT[i - 1] for i in survivors)) <= trace.scenario.tol
+        assert abs(sy - sum(EIGHT_X0[i - 1] for i in survivors)) <= trace.scenario.tol
         assert summary(trace)["converged_round"] is not None
 
     def test_forged_self_value_caught_by_replay(self):
@@ -460,7 +463,7 @@ class TestDistributedDetectionEndToEnd:
 
     def test_no_attack_means_no_events(self):
         trace = run(
-            Scenario(graph=six_node_graph(), x0=X0_SIX, f=1,
+            Scenario(graph=six_node_graph(), x0=SIX_X0, f=1,
                      detection=DetectionMode.ALG3, horizon=40)
         )
         assert trace.events == []
@@ -471,7 +474,7 @@ class TestDistributedDetectionEndToEnd:
         trace = run(
             Scenario(
                 graph=six_node_damaged(),
-                x0=X0_SIX,
+                x0=SIX_X0,
                 f=1,
                 detection=DetectionMode.ALG3,
                 adversaries=(
@@ -792,9 +795,9 @@ def test_audit_verdicts_are_pinned(network, script, expected):
 # accusation per claim audit
 _ACCUSATIONS = {
     # 5 is two hops from 6
-    "six-two-hop": (six_node_graph(), X0_SIX, 1, DetectionMode.ALG3, 6, 5),
+    "six-two-hop": (six_node_graph(), SIX_X0, 1, DetectionMode.ALG3, 6, 5),
     # 2 is an in-neighbor of 5
-    "six-in-neighbor": (six_node_graph(), X0_SIX, 1, DetectionMode.ALG3, 5, 2),
+    "six-in-neighbor": (six_node_graph(), SIX_X0, 1, DetectionMode.ALG3, 5, 2),
     "k4-alg2": (complete_graph(4), (1.0, 2.0, 3.0, 6.0), 2, DetectionMode.ALG2, 2, 3),
 }
 

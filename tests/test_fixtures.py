@@ -2,11 +2,6 @@ import pytest
 
 from racsim.fixtures import (
     FIXTURE_GRAPHS,
-    X0_EIGHT,
-    X0_FIVE,
-    X0_FOURTEEN,
-    X0_SIX,
-    X0_THIRTY,
     eight_node_graph,
     five_node_graph,
     fourteen_node_graph,
@@ -15,6 +10,7 @@ from racsim.fixtures import (
     thirty_node_graph,
     twelve_node_wrap_graph,
 )
+from racsim.golden import golden_case
 from racsim.graph import (
     check_alg2_condition,
     check_alg3_condition,
@@ -24,6 +20,13 @@ from racsim.graph import (
     two_hop_middle_nodes,
     vertex_connectivity_at_least,
 )
+
+
+SIX_X0 = tuple(golden_case("six-attack").data["x0"])
+FOURTEEN_X0 = tuple(golden_case("fourteen-attack").data["x0"])
+EIGHT_X0 = tuple(golden_case("eight-attack").data["x0"])
+FIVE_X0 = tuple(golden_case("five-sharing").data["x0"])
+THIRTY_X0 = tuple(golden_case("thirty-attack").data["x0"])
 
 
 class TestSixNode:
@@ -43,8 +46,8 @@ class TestSixNode:
             assert len(two_hop_middle_nodes(g, h, i)) == 4
 
     def test_initial_values(self):
-        assert sum(X0_SIX) / 6 == 5.0
-        assert sum(X0_SIX[:5]) / 5 == pytest.approx(4.8)
+        assert sum(SIX_X0) / 6 == 5.0
+        assert sum(SIX_X0[:5]) / 5 == pytest.approx(4.8)
 
 
 class TestSixNodeDamaged:
@@ -64,8 +67,8 @@ class TestFourteenNode:
         assert is_f_local(g, {2, 14}, 1)
 
     def test_initial_values(self):
-        assert sum(X0_FOURTEEN) / 14 == 6.5
-        keep = [v for i, v in enumerate(X0_FOURTEEN, start=1) if i not in (2, 14)]
+        assert sum(FOURTEEN_X0) / 14 == 6.5
+        keep = [v for i, v in enumerate(FOURTEEN_X0, start=1) if i not in (2, 14)]
         assert sum(keep) / len(keep) == 6.75
 
 
@@ -80,7 +83,7 @@ class TestEightNode:
         assert g.in_neighbors(2) & {3, 4, 5, 6, 7} == {3}
 
     def test_initial_values(self):
-        keep = [X0_EIGHT[0], X0_EIGHT[1], X0_EIGHT[7]]
+        keep = [EIGHT_X0[0], EIGHT_X0[1], EIGHT_X0[7]]
         assert sum(keep) / 3 == 10.0
 
 
@@ -92,7 +95,7 @@ class TestFiveNode:
         assert check_alg2_condition(g, 2).satisfied
 
     def test_initial_values(self):
-        assert sum(X0_FIVE[:3]) / 3 == 5.0
+        assert sum(FIVE_X0[:3]) / 3 == 5.0
 
 
 class TestThirtyNode:
@@ -105,8 +108,8 @@ class TestThirtyNode:
         assert is_f_local(thirty_node_graph(), {3, 6, 15, 18, 27, 30}, 1)
 
     def test_initial_values(self):
-        assert sum(X0_THIRTY) / 30 == pytest.approx(6.8)
-        keep = [v for i, v in enumerate(X0_THIRTY, start=1)
+        assert sum(THIRTY_X0) / 30 == pytest.approx(6.8)
+        keep = [v for i, v in enumerate(THIRTY_X0, start=1)
                 if i not in (3, 6, 15, 18, 27, 30)]
         assert sum(keep) / len(keep) == pytest.approx(154.0 / 24.0)
 

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from racsim.adversary import ActionKind, AttackAction, AttackScript, TamperMode
 from racsim.detection import Cause, DetectionVerdict
-from racsim.fixtures import FIXTURE_GRAPHS, X0_SIX, six_node_graph
+from racsim.fixtures import FIXTURE_GRAPHS, six_node_graph
+from racsim.golden import golden_case
 from racsim.graph import AdversaryKind, DirectedGraph, complete_graph
 from racsim.protocol import DEFAULT_TOL
 from racsim.sim import (
@@ -29,10 +30,13 @@ from racsim.sim import (
 from oracles import push_sum_ratios
 
 
+SIX_X0 = tuple(golden_case("six-attack").data["x0"])
+
+
 def _basic_scenario(**overrides) -> Scenario:
     defaults = dict(
         graph=six_node_graph(),
-        x0=X0_SIX,
+        x0=SIX_X0,
         f=1,
         detection=DetectionMode.ALG3,
         horizon=30,
@@ -157,8 +161,8 @@ class TestValidation:
     @pytest.mark.parametrize(
         "overrides, problem",
         [
-            (dict(x0=(math.nan,) + X0_SIX[1:]), "x0 has a non-finite entry"),
-            (dict(x0=X0_SIX[:5] + (-math.inf,)), "x0 has a non-finite entry"),
+            (dict(x0=(math.nan,) + SIX_X0[1:]), "x0 has a non-finite entry"),
+            (dict(x0=SIX_X0[:5] + (-math.inf,)), "x0 has a non-finite entry"),
             (
                 _attack(AttackAction(ActionKind.FALSELY_ACCUSE, target=9)),
                 "adversary 5 FalselyAccuse from round 1: target 9 outside 1..6",
@@ -217,7 +221,7 @@ class TestEngine:
         g = six_node_graph()
         sc = _basic_scenario(detection=DetectionMode.NONE, horizon=20)
         trace = run(sc)
-        oracle = push_sum_ratios(6, set(g.edges), list(X0_SIX), 20)
+        oracle = push_sum_ratios(6, set(g.edges), list(SIX_X0), 20)
         for k in range(21):
             for i in g.nodes:
                 assert float(trace.r[i][k]) == pytest.approx(oracle[k][i - 1], abs=1e-9)
@@ -225,7 +229,7 @@ class TestEngine:
     def test_round_zero_records_initial_values(self):
         trace = run(_basic_scenario())
         for i in range(1, 7):
-            assert trace.r[i][0] == X0_SIX[i - 1]
+            assert trace.r[i][0] == SIX_X0[i - 1]
             assert trace.z[i][0] == 1.0
             assert trace.detected_count[i][0] == 0
 
@@ -257,7 +261,7 @@ class TestEngine:
         # adversary, which sends nothing, keeps its round-0 sums
         trace = run(_basic_scenario(horizon=10, **_attack(AttackAction(ActionKind.CRASH))))
         assert trace.y[5][1] == trace.y[5][0] and trace.z[5][1] == trace.z[5][0]
-        assert set(trace.y[5]) == {X0_SIX[4]}
+        assert set(trace.y[5]) == {SIX_X0[4]}
 
     def test_adversary_trace_shows_the_value_its_first_message_announces(self):
         # the first exchange is forged with the actions of round 1, and
@@ -268,7 +272,7 @@ class TestEngine:
             **_attack(AttackAction(ActionKind.SET_SELF_VALUE, value=42.0)),
         )
         trace = run(sc)
-        assert trace.r[5][0] == X0_SIX[4]
+        assert trace.r[5][0] == SIX_X0[4]
         assert trace.r[5][1:] == [42.0] * 5
 
     def test_normal_mass_conserved_after_isolation(self):
@@ -325,7 +329,7 @@ class TestTraceProperties:
 
     def test_no_survivors_leave_no_target(self):
         sc = _basic_scenario(horizon=2)
-        series = {i: [X0_SIX[i - 1]] * 3 for i in sc.graph.nodes}
+        series = {i: [SIX_X0[i - 1]] * 3 for i in sc.graph.nodes}
         trace = Trace(
             scenario=sc,
             y=series,
@@ -367,7 +371,7 @@ class TestSerialization:
         assert run(back).r == run(sc).r
 
     def test_fixture_graph_reference(self):
-        sc = scenario_from_json({"graph": {"fixture": "six"}, "x0": list(X0_SIX)})
+        sc = scenario_from_json({"graph": {"fixture": "six"}, "x0": list(SIX_X0)})
         assert sc.graph == six_node_graph()
 
     def test_bad_scenario_collects_problems(self):
@@ -477,7 +481,7 @@ class TestCsvExport:
         assert len(lines) == 1 + 5 * 6
         row = lines[1].split(",")
         assert row[:2] == ["0", "1"]
-        assert float(row[2]) == X0_SIX[0]
+        assert float(row[2]) == SIX_X0[0]
 
     def test_events_csv_contents(self, tmp_path):
         trace = run(_tamper_scenario())
