@@ -5,8 +5,10 @@ check a graph file against the detection conditions, generate a
 layered graph, or replay all golden scenarios.
 
 Exit codes: 0 success, 1 unreadable input, 2 validation or argument
-error (input that is not UTF-8 or nests too deeply, an unwritable
---out), 3 failed condition or golden check, 4 generator self-check bug.
+error (undecodable or too deeply nested input, a bad graph header or
+graph source, a non-integral declared degree, an unwritable --out;
+run checks the scenario and creates --out before the first round), 3
+failed condition or golden check, 4 generator self-check bug.
 """
 
 from __future__ import annotations
@@ -73,9 +75,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _invalid_scenario(exc: ScenarioError) -> int:
-    for problem in exc.problems:
+def _invalid_scenario(problems: list[str]) -> int:
+    for problem in problems:
         print(f"invalid scenario: {problem}", file=sys.stderr)
+    return EXIT_INVALID
+
+
+def _unwritable_out(exc: OSError) -> int:
+    print(f"invalid arguments: cannot write --out: {exc}", file=sys.stderr)
     return EXIT_INVALID
 
 
@@ -86,7 +93,7 @@ def cmd_run(args) -> int:
         print(f"cannot read scenario: {exc}", file=sys.stderr)
         return EXIT_UNREADABLE
     except ScenarioError as exc:
-        return _invalid_scenario(exc)
+        return _invalid_scenario(exc.problems)
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         print(f"invalid scenario: {exc}", file=sys.stderr)
         return EXIT_INVALID
@@ -96,20 +103,23 @@ def cmd_run(args) -> int:
         scenario.exact = True
     if args.tol is not None:
         scenario.value_tol = args.tol
-    try:
-        trace = run_scenario(scenario)
-    except ScenarioError as exc:
-        return _invalid_scenario(exc)
+    # every argument error is reported before the first round
+    problems = scenario.validate()
+    if problems:
+        return _invalid_scenario(problems)
     out_dir = Path(args.out)
-    result = summary(trace)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        return _unwritable_out(exc)
+    trace = run_scenario(scenario)
+    result = summary(trace)
+    try:
         write_trace_csv(trace, out_dir / "trace.csv")
         write_events_csv(trace, out_dir / "events.csv")
         (out_dir / "summary.json").write_text(json.dumps(result, indent=2) + "\n")
     except OSError as exc:
-        print(f"invalid arguments: cannot write --out: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        return _unwritable_out(exc)
     print(json.dumps(result))
     return EXIT_OK
 
@@ -173,8 +183,7 @@ def cmd_gen_graph(args) -> int:
     try:
         Path(args.out).write_text(write_edge_list(g))
     except OSError as exc:
-        print(f"invalid arguments: cannot write --out: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        return _unwritable_out(exc)
     print(f"wrote {g.n}-node graph to {args.out}")
     return EXIT_OK
 

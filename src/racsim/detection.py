@@ -52,6 +52,7 @@ from .protocol import (
     Pair,
     ValueRule,
     ZERO_PAIR,
+    declared_fields,
 )
 
 
@@ -236,12 +237,7 @@ def audit_broadcast(
         else:
             evidence = ("missing_ids", tuple(sorted(expected_ids - relayed.keys())))
         return SenderAudit((Cause.STEP2, (evidence,)), claimed_before=claimed_before)
-    out_j = oracle.out_nbrs(j)
-    if claims:
-        expected_d = len(out_j - claims)
-        expected_removed = len((out_j - claimed_before) & claims)
-    else:
-        expected_d, expected_removed = len(out_j), 0
+    expected_d, expected_removed = declared_fields(oracle.out_nbrs(j), claims, claimed_before)
     if msg.declared_out_degree != expected_d:
         evidence = ("declared_out_degree", msg.declared_out_degree, expected_d)
         return SenderAudit((Cause.STEP4, (evidence,)), claimed_before=claimed_before)
@@ -309,7 +305,7 @@ def _detect(
     shared is given and the distributed one when it is None; see
     detect_alg2 and detect_alg3."""
     i = state.id
-    k = state.round + 1
+    k = state.next.round + 1
     in_nbrs = state.in_nbrs
     detected = state.detected
     two_hop_detected = state.detected_two_hop

@@ -317,21 +317,22 @@ def generate_layered(layers: int, f: int, variant: LayeredVariant) -> DirectedGr
 
 
 def read_edge_list(text: str) -> DirectedGraph:
-    """Parse the plain-text format: header `n <count> [undirected]`,
-    then one `j i` pair per line. Undirected files list each edge once.
+    """Parse the plain-text format: header `n <count>` or
+    `n <count> undirected`, then one `j i` pair per line. Undirected
+    files list each edge once.
     """
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     if not lines:
         raise GraphError("empty graph file")
     header = lines[0].split()
-    if len(header) < 2 or header[0] != "n":
-        raise GraphError(f"bad header: {lines[0]!r}")
+    if len(header) < 2 or header[0] != "n" or header[2:] not in ([], ["undirected"]):
+        raise GraphError(f"bad header: {lines[0]!r}, expected 'n <count>' or 'n <count> undirected'")
     try:
         n = int(header[1])
     except ValueError as exc:
         raise GraphError(f"bad node count: {header[1]!r}") from exc
-    undirected = len(header) > 2 and header[2] == "undirected"
+    undirected = len(header) == 3
     edges = []
     for ln in lines[1:]:
         parts = ln.split()

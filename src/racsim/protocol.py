@@ -1,13 +1,14 @@
 """Honest-node state machine for running-sum ratio consensus.
 
-A node is one flat record, NodeState. It keeps dual mass values y and
-z whose ratio tracks the average of initial values. Instead of raw
-masses, nodes broadcast cumulative running sums (lam for y, gam for
-z); receivers difference consecutive values to recover per-round
-contributions. Every detection is in the record's detection set
-before the update, which zeroes a detected in-neighbor's ledger entry
-to remove its accumulated contribution and compensates mass sent to a
-detected out-neighbor back into the node's own values.
+A node is one flat record, NodeState: its neighbors, dual mass values
+y and z whose ratio tracks the average of initial values, its
+detection sets, and the message it broadcasts next. That message
+carries cumulative running sums (lam for y, gam for z), which
+receivers difference to recover per-round contributions, and the
+ledger of the sums the node read last. honest_round zeroes a detected
+in-neighbor's ledger entry to remove its accumulated contribution,
+compensates mass sent to a detected out-neighbor back into the node's
+own values, and builds the next message.
 """
 
 from __future__ import annotations
@@ -89,22 +90,25 @@ class InformationSet:
 @dataclass
 class NodeState:
     id: int
-    round: int
     in_nbrs: frozenset[int]
     out_nbrs: frozenset[int]
     y: Number
     z: Number
-    # the running sums the node broadcasts as its next ones
-    lam: Number
-    gam: Number
     ratio: Number
-    # the running sums read this round, per in-neighbor, then the node's
-    # own, one step behind lam and gam: exactly what the node relays
-    ledger: dict[int, Pair]
+    # the message the node broadcasts next; the ledger it relays holds the
+    # running sums it read last, per in-neighbor, then its own
+    next: InformationSet
     detected: set[int] = field(default_factory=set)
     detected_two_hop: set[int] = field(default_factory=set)
-    active_out: frozenset[int] = frozenset()  # its size is the out-degree
-    removed_out_count: int = 0
+
+
+def declared_fields(out_nbrs: frozenset[int], claims, claimed_before) -> tuple[int, int]:
+    """The out-degree and removed count a broadcast declares: how many
+    out-neighbors of its sender it does not claim, and how many of them
+    it claims that its previous broadcast (claims claimed_before) did not."""
+    if not claims:
+        return len(out_nbrs), 0
+    return len(out_nbrs - claims), len((out_nbrs - claimed_before) & claims)
 
 
 def initial_share(x0: Number, out_degree: int, rule: ValueRule) -> Pair:
@@ -125,36 +129,25 @@ def bootstrap(g, i: int, x0: Number, rule: ValueRule) -> NodeState:
         raise ProtocolError(f"initial value must be finite, got {x0!r}")
     x0 = rule.convert(x0)
     in_nbrs, out_nbrs = g.in_neighbors(i), g.out_neighbors(i)
-    lam1, gam1 = initial_share(x0, len(out_nbrs), rule)
     ledger = {j: ZERO_PAIR for j in in_nbrs}
     ledger[i] = ZERO_PAIR
-    return NodeState(
-        id=i,
-        round=0,
-        in_nbrs=in_nbrs,
-        out_nbrs=out_nbrs,
-        y=x0,
-        z=rule.convert(1),
-        lam=lam1,
-        gam=gam1,
-        ratio=x0,
-        ledger=ledger,
-        active_out=out_nbrs,
-    )
+    share = initial_share(x0, len(out_nbrs), rule)
+    first = build_information_set(i, 0, (), share, ledger, len(out_nbrs), 0)
+    return NodeState(i, in_nbrs, out_nbrs, x0, rule.convert(1), x0, first)
 
 
-def build_information_set(s: NodeState) -> InformationSet:
-    """The message a node broadcasts after finishing its round. It
-    relays the ledger itself, which honest_round replaces and never
-    changes in place."""
-    return InformationSet(
-        s.id, s.round, frozenset(s.detected), (s.lam, s.gam), s.ledger,
-        len(s.active_out), s.removed_out_count,
-    )
+def build_information_set(
+    i: int, k: int, detected, self_next: Pair, ledger: dict[int, Pair], d_out: int, n_removed: int
+) -> InformationSet:
+    """The message node i broadcasts after finishing round k, claiming
+    its detection set as it stands. It relays the ledger itself, which
+    honest_round replaces and never changes in place."""
+    return InformationSet(i, k, frozenset(detected), self_next, ledger, d_out, n_removed)
 
 
 def honest_round(s: NodeState, inbox: Mapping[int, InformationSet], rule: ValueRule) -> None:
-    """Advance one round in place.
+    """Advance one round in place, from the message the node broadcast
+    this round (s.next) to the one it broadcasts next.
 
     s.detected already holds this round's detections. inbox may hold
     the messages of non-neighbors, such as the engine's whole broadcast
@@ -162,8 +155,9 @@ def honest_round(s: NodeState, inbox: Mapping[int, InformationSet], rule: ValueR
     as well.
     """
     detected = s.detected
-    lam_k, gam_k = s.lam, s.gam
-    old_ledger = s.ledger
+    sent = s.next
+    lam_k, gam_k = sent.self_next
+    old_ledger = sent.relayed
     ledger: dict[int, Pair] = {}
     own_y, own_z = old_ledger[s.id]
     y = lam_k - own_y
@@ -183,9 +177,7 @@ def honest_round(s: NodeState, inbox: Mapping[int, InformationSet], rule: ValueR
         old_y, old_z = old_ledger[j]
         y = y + (new_y - old_y)
         z = z + (new_z - old_z)
-    active_out = s.out_nbrs - detected
-    n_removed = len(s.active_out - active_out)
-    d_out = len(active_out)
+    d_out, n_removed = declared_fields(s.out_nbrs, detected, sent.detected)
     # mass previously sent to newly removed out-neighbors comes back
     y = y + n_removed * lam_k
     z = z + n_removed * gam_k
@@ -193,9 +185,6 @@ def honest_round(s: NodeState, inbox: Mapping[int, InformationSet], rule: ValueR
     ratio = y / z if rule.z_ok(z) else s.ratio
 
     ledger[s.id] = (lam_k, gam_k)
-    s.ledger = ledger
     s.y, s.z, s.ratio = y, z, ratio
-    s.lam, s.gam = lam_k + y / (1 + d_out), gam_k + z / (1 + d_out)
-    s.round += 1
-    s.active_out = active_out
-    s.removed_out_count = n_removed
+    self_next = (lam_k + y / (1 + d_out), gam_k + z / (1 + d_out))
+    s.next = build_information_set(s.id, sent.round + 1, detected, self_next, ledger, d_out, n_removed)

@@ -41,7 +41,6 @@ from .protocol import (
     ZERO_PAIR,
     ValueRule,
     bootstrap,
-    build_information_set,
     honest_round,
 )
 
@@ -124,8 +123,11 @@ class Scenario:
                 numbers = (a.amount, a.value, *(a.fake_values or ()))
                 if not all(_finite(v) for v in numbers if v is not None):
                     problems.append(f"{where}: amount, value and fake_values must be finite")
-                if a.kind is ActionKind.LIE_DECLARED_DEGREE and a.value is not None and a.value < 0:
-                    problems.append(f"{where}: a declared degree must not be negative")
+                if a.kind is ActionKind.LIE_DECLARED_DEGREE and a.value is not None:
+                    if a.value < 0:
+                        problems.append(f"{where}: a declared degree must not be negative")
+                    elif _finite(a.value) and a.value != int(a.value):
+                        problems.append(f"{where}: a declared degree must be an integer")
         if self.safety_interval is not None:
             lo, hi = self.safety_interval
             if not (_finite(lo) and _finite(hi)):
@@ -217,7 +219,7 @@ def run(scenario: Scenario) -> Trace:
         # round's one broadcast table; a crashed node sends nothing
         sent = {}
         for i in nodes:
-            msg = build_information_set(states[i])
+            msg = states[i].next
             if i in scripts:
                 msg = forge_information_set(msg, scripts[i], forge_round, rngs[i], rule)
                 if msg is None:
@@ -430,10 +432,11 @@ def scenario_from_json(data: dict, base_dir: Optional[Path] = None) -> Scenario:
         problems.append("missing graph specification")
     else:
         _unknown_keys(gspec, GRAPH_KEYS, "graph: ", problems)
-        source = next((key for key in GRAPH_KEYS if key in gspec), None)
+        sources = [key for key in GRAPH_KEYS if key in gspec]
+        source = sources[0] if len(sources) == 1 else None
         spec = gspec.get(source)
         if source is None:
-            problems.append("graph must give inline, file, or fixture")
+            problems.append("graph must give exactly one of inline, file and fixture")
         elif not isinstance(spec, str):
             problems.append(f"graph {source} must be a string, got {spec!r}")
         elif source == "fixture":

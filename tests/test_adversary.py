@@ -17,7 +17,7 @@ from racsim.adversary import (
 )
 from racsim.fixtures import eight_node_graph, fourteen_node_graph
 from racsim.graph import AdversaryKind, DirectedGraph, complete_graph
-from racsim.protocol import InformationSet, ValueRule, bootstrap, build_information_set
+from racsim.protocol import InformationSet, ValueRule, bootstrap
 
 # node 6 hears 2 and 3 and sends to 1 and 2
 NODE_6_GRAPH = DirectedGraph(6, [(2, 6), (3, 6), (6, 1), (6, 2)])
@@ -85,7 +85,7 @@ class TestForgeInformationSet:
     def test_first_exchange_announces_a_share_of_the_self_value(self, rule):
         # a round-0 message carries initial shares, so the forged value
         # is split like x0, in the run's arithmetic
-        truth = build_information_set(bootstrap(NODE_6_GRAPH, 6, 9.0, rule))
+        truth = bootstrap(NODE_6_GRAPH, 6, 9.0, rule).next
         script = AttackScript(
             node=6, schedule=((1, AttackAction(ActionKind.SET_SELF_VALUE, value=42.0)),)
         )
@@ -94,7 +94,7 @@ class TestForgeInformationSet:
         assert type(forged.self_next[0]) is type(truth.self_next[0])
 
     def test_first_exchange_random_self_value_draws_once(self):
-        truth = build_information_set(bootstrap(NODE_6_GRAPH, 6, 9.0, ValueRule()))
+        truth = bootstrap(NODE_6_GRAPH, 6, 9.0, ValueRule()).next
         script = AttackScript(node=6, schedule=((1, AttackAction(ActionKind.SET_SELF_VALUE)),))
         rng = adversary_rng(0, 6)
         forged = forge_information_set(truth, script, 1, rng)

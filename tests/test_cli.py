@@ -74,6 +74,8 @@ class TestRunCommand:
                 {"from_round": 1, "action": {"kind": "LieDeclaredDegree", "value": "x"}}]}]},
             {"adversaries": [{"node": 6, "schedule": [
                 {"from_round": 1, "action": {"kind": "LieDeclaredDegree", "value": -1}}]}]},
+            {"adversaries": [{"node": 6, "schedule": [
+                {"from_round": 1, "action": {"kind": "LieDeclaredDegree", "value": 2.5}}]}]},
             {"value_tol": "x"},
             {"value_tol": 0},
             {"arithmetic": "decimal"},
@@ -86,6 +88,7 @@ class TestRunCommand:
                 {"from_round": 1, "action": {"kind": "TamperRelayed", "target": "2"}}]}]},
             {"horizn": 5},
             {"graph": {"fixture": "six", "undirected": True}},
+            {"graph": {"fixture": "six", "inline": write_edge_list(six_node_graph())}},
             {"adversaries": [{"node": 6, "shedule": []}]},
             {"adversaries": [{"node": 6, "schedule": [
                 {"from_round": 1, "until_round": 5, "action": {"kind": "Comply"}}]}]},
@@ -97,9 +100,9 @@ class TestRunCommand:
         ids=[
             "nan-x0", "accuse-outside", "text-x0", "huge-x0", "text-horizon", "text-f", "text-tol",
             "short-interval", "nan-interval", "inf-interval", "text-node", "text-degree",
-            "negative-degree", "text-value-tol", "zero-value-tol", "unknown-arithmetic", "text-sharing", "list-fixture",
+            "negative-degree", "fractional-degree", "text-value-tol", "zero-value-tol", "unknown-arithmetic", "text-sharing", "list-fixture",
             "adversaries-object", "text-round", "text-target",
-            "misspelled-key", "unknown-graph-key", "unknown-adversary-key", "unknown-schedule-key",
+            "misspelled-key", "unknown-graph-key", "two-graph-sources", "unknown-adversary-key", "unknown-schedule-key",
             "unknown-action-key", "text-expect", "number-description",
         ],
     )
@@ -138,6 +141,16 @@ class TestRunCommand:
             for i in (3, 4)
         ]
 
+    def test_invalid_scenario_is_reported_before_out_is_made(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"graph": {"fixture": "six"}, "x0": [1.0]}))
+        out = tmp_path / "out"
+        code = main(["run", "--scenario", str(path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == EXIT_INVALID
+        assert err == "invalid scenario: x0 has 1 entries for 6 nodes\n"
+        assert not out.exists()
+
     def test_repeated_runs_byte_identical(self, tmp_path, scenario_file):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         assert main(["run", "--scenario", str(scenario_file), "--out", str(out_a)]) == EXIT_OK
@@ -168,6 +181,16 @@ class TestCheckGraphCommand:
         path.write_text("nodes six\n")
         code = main(["check-graph", str(path), "-f", "1", "--alg3"])
         assert code == EXIT_INVALID
+
+    @pytest.mark.parametrize("header", ["n 3 undirectd", "n 3 undirected junk"])
+    def test_bad_header_exits_invalid_with_one_line(self, tmp_path, capsys, header):
+        path = tmp_path / "g.txt"
+        path.write_text(f"{header}\n1 2\n2 3\n3 1\n")
+        code = main(["check-graph", str(path), "-f", "1", "--alg3"])
+        captured = capsys.readouterr()
+        assert code == EXIT_INVALID
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("invalid graph: bad header")
 
     def test_sharing_condition_rejects_directed_graph(self, tmp_path):
         path = tmp_path / "g.txt"
@@ -256,6 +279,11 @@ BAD_FILES = {
 def test_undecodable_input_or_unwritable_out_exits_invalid_with_one_line(
     tmp_path, scenario_file, monkeypatch, capsys, argv, prefix
 ):
+    def no_run(scenario):
+        raise AssertionError("the scenario ran")
+
+    # every one of these errors is reported before the first round
+    monkeypatch.setattr("racsim.cli.run_scenario", no_run)
     for name, content in BAD_FILES.items():
         (tmp_path / name).write_bytes(content)
     monkeypatch.chdir(tmp_path)

@@ -31,7 +31,6 @@ from racsim.protocol import (
     ZERO_PAIR,
     ValueRule,
     bootstrap,
-    build_information_set,
     honest_round,
 )
 from racsim.sim import DetectionMode, Scenario, mass_sums, run, summary
@@ -98,10 +97,10 @@ def _detect_at_node_5(
     g = six_node_graph()
     oracle = StructuralOracle(g, 1)
     states = {i: bootstrap(g, i, SIX_X0[i - 1], FLOAT) for i in g.nodes}
-    first = {i: build_information_set(states[i]) for i in g.nodes}
+    first = {i: states[i].next for i in g.nodes}
     for i in g.nodes:
         honest_round(states[i], {j: first[j] for j in states[i].in_nbrs}, FLOAT)
-    msgs = {i: build_information_set(states[i]) for i in g.nodes}
+    msgs = {i: states[i].next for i in g.nodes}
     for j, claimed in (claims or {}).items():
         msgs[j] = replace(msgs[j], detected=claimed)
     for j, entries in (foreign or {}).items():
@@ -220,12 +219,12 @@ class TestReconstruction:
         g = complete_graph(3)
         x0 = [Fraction(3), Fraction(6), Fraction(9)]
         states = {i: bootstrap(g, i, x0[i - 1], EXACT) for i in g.nodes}
-        per_round = [{i: build_information_set(states[i]) for i in g.nodes}]
+        per_round = [{i: states[i].next for i in g.nodes}]
         for _ in range(rounds):
             for i in g.nodes:
                 inbox = {j: per_round[-1][j] for j in states[i].in_nbrs}
                 honest_round(states[i], inbox, EXACT)
-            per_round.append({i: build_information_set(states[i]) for i in g.nodes})
+            per_round.append({i: states[i].next for i in g.nodes})
         return per_round
 
     def _replay(self, now, prev):

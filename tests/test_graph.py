@@ -278,6 +278,11 @@ class TestEdgeListFormat:
         with pytest.raises(GraphError):
             read_edge_list("nodes 4\n1 2\n")
 
+    @pytest.mark.parametrize("header", ["n 3 undirectd", "n 3 undirected junk", "n 3 directed", "n"])
+    def test_header_is_a_count_and_at_most_undirected(self, header):
+        with pytest.raises(GraphError, match="bad header"):
+            read_edge_list(f"{header}\n1 2\n2 3\n")
+
     def test_bad_edge_line(self):
         with pytest.raises(GraphError):
             read_edge_list("n 4\n1 2 3\n")

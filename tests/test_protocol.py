@@ -16,6 +16,7 @@ from racsim.protocol import (
     ValueRule,
     bootstrap,
     build_information_set,
+    declared_fields,
     honest_round,
     initial_share,
 )
@@ -30,7 +31,7 @@ def first_exchange(g: DirectedGraph, x0, rule: ValueRule = FLOAT, nodes=None):
     (default all), each hearing all its in-neighbors; return the states
     and the round-0 messages."""
     states = {i: bootstrap(g, i, x0[i - 1], rule) for i in g.nodes}
-    first = {i: build_information_set(states[i]) for i in g.nodes}
+    first = {i: states[i].next for i in g.nodes}
     for i in g.nodes if nodes is None else nodes:
         honest_round(states[i], {j: first[j] for j in states[i].in_nbrs}, rule)
     return states, first
@@ -42,7 +43,7 @@ def mini_run(g: DirectedGraph, x0, rounds: int, rule: ValueRule = FLOAT):
     states = {i: bootstrap(g, i, x0[i - 1], rule) for i in g.nodes}
     history = []
     for _ in range(rounds):
-        msgs = {i: build_information_set(states[i]) for i in g.nodes}
+        msgs = {i: states[i].next for i in g.nodes}
         for i in g.nodes:
             inbox = {j: msgs[j] for j in states[i].in_nbrs}
             honest_round(states[i], inbox, rule)
@@ -62,17 +63,26 @@ class TestInitialShare:
         assert gam == Fraction(1, 3)
 
 
+class TestDeclaredFields:
+    def test_no_claims_declare_every_out_neighbor(self):
+        assert declared_fields(frozenset({2, 3, 4}), frozenset(), frozenset({3})) == (3, 0)
+
+    def test_only_first_claims_of_out_neighbors_count_as_removed(self):
+        # 3 was claimed before, 4 is claimed first now, 9 is no out-neighbor
+        assert declared_fields(frozenset({2, 3, 4}), {3, 4, 9}, frozenset({3})) == (1, 1)
+
+
 class TestBootstrap:
     def test_round_zero_state(self):
         # all running sums start at zero and the initial share goes out next
         s = bootstrap(complete_graph(3), 1, 3.0, FLOAT)
-        assert s.round == 0
+        assert s.next.round == 0
         assert (s.y, s.z, s.ratio) == (3.0, 1, 3.0)
-        assert (s.lam, s.gam) == initial_share(3.0, 2, FLOAT)
+        assert s.next.self_next == initial_share(3.0, 2, FLOAT)
         # the in-neighbors' entries, then the node's own, last
-        assert list(s.ledger.items()) == [(2, ZERO_PAIR), (3, ZERO_PAIR), (1, ZERO_PAIR)]
-        assert s.detected == set()
-        assert (len(s.active_out), s.removed_out_count) == (2, 0)
+        assert list(s.next.relayed.items()) == [(2, ZERO_PAIR), (3, ZERO_PAIR), (1, ZERO_PAIR)]
+        assert s.detected == set() and s.next.detected == frozenset()
+        assert (s.next.declared_out_degree, s.next.declared_removed_out) == (2, 0)
 
     def test_three_node_values(self):
         g = complete_graph(3)
@@ -90,7 +100,7 @@ class TestBootstrap:
         s = states[1]
         honest_round(s, {2: first[2]}, FLOAT)
         assert s.detected == {3}
-        assert s.ledger[3] == ZERO_PAIR
+        assert s.next.relayed[3] == ZERO_PAIR
 
     def test_pre_detected_out_neighbor_compensated(self):
         g = complete_graph(3)
@@ -102,8 +112,8 @@ class TestBootstrap:
         # node 3's share is dropped and the share sent to it comes back
         lam1 = initial_share(3.0, 2, FLOAT)[0]
         assert s.y == pytest.approx(clean.y - initial_share(9.0, 2, FLOAT)[0] + lam1)
-        assert len(s.active_out) == 1
-        assert s.removed_out_count == 1
+        assert s.next.declared_out_degree == 1
+        assert s.next.declared_removed_out == 1
 
     def test_non_finite_initial_value_rejected(self):
         g = complete_graph(2)
@@ -189,13 +199,13 @@ class TestHonestRound:
         x0 = [3.0, 6.0, 30.0]
         states, _ = first_exchange(g, x0)
         for k in range(2, 40):
-            msgs = {i: build_information_set(states[i]) for i in g.nodes}
+            msgs = {i: states[i].next for i in g.nodes}
             for i in (1, 2):
                 inbox = {j: msgs[j] for j in states[i].in_nbrs}
                 if k == 2:
                     states[i].detected.add(3)
                 honest_round(states[i], inbox, FLOAT)
-        assert states[1].ledger[3] == ZERO_PAIR
+        assert states[1].next.relayed[3] == ZERO_PAIR
         assert states[1].ratio == pytest.approx(4.5, abs=1e-9)
         assert states[2].ratio == pytest.approx(4.5, abs=1e-9)
 
@@ -204,8 +214,8 @@ class TestHonestRound:
         x0 = [3.0, 6.0, 30.0]
         states, _ = first_exchange(g, x0)
         s = states[1]
-        lam_k = s.lam
-        msgs = {i: build_information_set(states[i]) for i in (2, 3)}
+        lam_k = s.next.self_next[0]
+        msgs = {i: states[i].next for i in (2, 3)}
         twin = deepcopy(s)
         honest_round(twin, msgs, FLOAT)
         s.detected.add(3)
@@ -213,18 +223,18 @@ class TestHonestRound:
         # same inbox, but detecting 3 zeroes its ledger entry and adds
         # back the lam mass previously sent to it
         assert s.y == pytest.approx(twin.y - msgs[3].self_next[0] + lam_k)
-        assert s.removed_out_count == 1
-        assert len(s.active_out) == 1
+        assert s.next.declared_removed_out == 1
+        assert s.next.declared_out_degree == 1
 
     def test_silent_neighbor_marked_crashed(self):
         g = complete_graph(3)
         x0 = [3.0, 6.0, 9.0]
         states, _ = first_exchange(g, x0)
-        msgs = {i: build_information_set(states[i]) for i in g.nodes}
+        msgs = {i: states[i].next for i in g.nodes}
         honest_round(states[1], {2: msgs[2]}, FLOAT)
         assert states[1].detected == {3}
         assert 3 in states[1].detected
-        assert states[1].ledger[3] == ZERO_PAIR
+        assert states[1].next.relayed[3] == ZERO_PAIR
 
     def test_low_mass_guard_carries_previous_ratio(self):
         g = complete_graph(2)
@@ -250,19 +260,29 @@ class TestInformationSet:
     def test_broadcast_includes_own_previous_sums(self):
         g = complete_graph(3)
         states, _ = mini_run(g, [3.0, 6.0, 9.0], 2)
-        before = {i: build_information_set(states[i]) for i in g.nodes}
+        before = {i: states[i].next for i in g.nodes}
         for i in g.nodes:
             honest_round(states[i], before, FLOAT)
-        msg = build_information_set(states[1])
+        msg = states[1].next
         assert msg.sender == 1
-        assert msg.round == states[1].round
-        # the ledger itself, whose last entry is the node's own sums
-        # as it broadcast them a round ago
-        assert msg.relayed is states[1].ledger
+        assert msg.round == 3
+        # the ledger's last entry is the node's own sums as it
+        # broadcast them a round ago
         assert list(msg.relayed.items())[-1] == (1, before[1].self_next)
-        assert msg.self_next == (states[1].lam, states[1].gam)
+        lam, gam = before[1].self_next
+        assert msg.self_next == (lam + states[1].y / 3, gam + states[1].z / 3)
         assert msg.declared_out_degree == 2
         assert msg.declared_removed_out == 0
+
+    def test_relays_the_ledger_itself_and_freezes_the_claims(self):
+        ledger = {2: (0.5, 0.5), 1: ZERO_PAIR}
+        detected = {2}
+        msg = build_information_set(1, 4, detected, (1.0, 1.0), ledger, 1, 1)
+        detected.add(3)
+        assert msg.relayed is ledger
+        assert msg.detected == frozenset({2})
+        assert (msg.sender, msg.round, msg.self_next) == (1, 4, (1.0, 1.0))
+        assert (msg.declared_out_degree, msg.declared_removed_out) == (1, 1)
 
     def test_must_relay_own_entry(self):
         with pytest.raises(AssertionError):
@@ -277,39 +297,41 @@ class TestInformationSet:
 
 
 def _reference_honest_round(s, inbox, rule):
-    """honest_round with a crash set and indexed pairs: the reference
-    the one-walk version must match."""
-    k = s.round + 1
+    """honest_round with a crash set, indexed pairs and the out-degree
+    and removed count as set differences: the reference the one-walk
+    version must match."""
+    sent = s.next
     crashed = frozenset(j for j in s.in_nbrs if j not in s.detected and j not in inbox)
     s.detected |= crashed
-    prev_active_out = s.active_out
+    prev_active_out = s.out_nbrs - sent.detected
     active_out = s.out_nbrs - s.detected
     removed_out = prev_active_out - active_out
     d_out = len(active_out)
 
-    lam_k, gam_k = s.lam, s.gam
+    lam_k, gam_k = sent.self_next
+    old_ledger = sent.relayed
     new_ledger = {}
-    y = lam_k - s.ledger[s.id][0]
-    z = gam_k - s.ledger[s.id][1]
+    y = lam_k - old_ledger[s.id][0]
+    z = gam_k - old_ledger[s.id][1]
     for j in s.in_nbrs:
         if j in s.detected:
             new_ledger[j] = ZERO_PAIR
         else:
             new_ledger[j] = inbox[j].self_next
-        y = y + (new_ledger[j][0] - s.ledger[j][0])
-        z = z + (new_ledger[j][1] - s.ledger[j][1])
+        y = y + (new_ledger[j][0] - old_ledger[j][0])
+        z = z + (new_ledger[j][1] - old_ledger[j][1])
     y = y + len(removed_out) * lam_k
     z = z + len(removed_out) * gam_k
 
     ratio = y / z if rule.z_ok(z) else s.ratio
 
     new_ledger[s.id] = (lam_k, gam_k)
-    s.ledger = new_ledger
     s.y, s.z, s.ratio = y, z, ratio
-    s.lam, s.gam = lam_k + y / (1 + d_out), gam_k + z / (1 + d_out)
-    s.round = k
-    s.active_out = active_out
-    s.removed_out_count = len(removed_out)
+    s.next = InformationSet(
+        s.id, sent.round + 1, frozenset(s.detected),
+        (lam_k + y / (1 + d_out), gam_k + z / (1 + d_out)), new_ledger,
+        d_out, len(removed_out),
+    )
 
 
 # zeros of every type and sign, a NaN, an infinity and values whose
@@ -334,20 +356,22 @@ def node_rounds(draw):
     detected_before = draw(st.frozensets(others, max_size=4))
     new_detected = draw(st.frozensets(others, max_size=4))
     y, z, lam, gam, ratio = (draw(values) for _ in range(5))
+    k = draw(st.integers(0, 5))
     state = NodeState(
         id=1,
-        round=draw(st.integers(0, 5)),
         in_nbrs=in_nbrs,
         out_nbrs=out_nbrs,
-        y=y, z=z, lam=lam, gam=gam, ratio=ratio,
-        ledger={**{j: draw(pairs) for j in in_nbrs}, 1: draw(pairs)},
+        y=y, z=z, ratio=ratio,
+        next=InformationSet(
+            1, k, detected_before, (lam, gam),
+            {**{j: draw(pairs) for j in in_nbrs}, 1: draw(pairs)},
+            len(out_nbrs - detected_before), draw(st.integers(0, 2)),
+        ),
         detected=set(detected_before | new_detected),
-        active_out=out_nbrs - detected_before,
-        removed_out_count=draw(st.integers(0, 2)),
     )
     senders = draw(st.lists(st.sampled_from(ROUND_IDS), unique=True))
     inbox = {
-        j: InformationSet(j, state.round, frozenset(), draw(pairs), {j: ZERO_PAIR}, 0)
+        j: InformationSet(j, k, frozenset(), draw(pairs), {j: ZERO_PAIR}, 0)
         for j in senders
     }
     return state, inbox, rule
@@ -364,9 +388,10 @@ def test_honest_round_matches_the_reference(case):
     # repr tells -0.0 from 0.0 and a Fraction from an int, and shows
     # the ledger's order; every NaN prints alike
     def outcome(s):
+        m = s.next
         return repr((
-            s.round, s.y, s.z, s.lam, s.gam, s.ratio, list(s.ledger.items()),
-            sorted(s.detected), sorted(s.active_out), s.removed_out_count,
+            m.sender, m.round, s.y, s.z, m.self_next, s.ratio, list(m.relayed.items()),
+            sorted(s.detected), sorted(m.detected), m.declared_out_degree, m.declared_removed_out,
         ))
 
     assert outcome(got) == outcome(want)

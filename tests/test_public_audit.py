@@ -48,7 +48,6 @@ from racsim.protocol import (
     InformationSet,
     ValueRule,
     bootstrap,
-    build_information_set,
     honest_round,
 )
 from racsim import sim
@@ -103,7 +102,7 @@ def edges(draw):
 @given(edges())
 def test_shortcut_matches_treating_every_check_id_as_deviating(case):
     msg, public, check, rule = case
-    prev = build_information_set(bootstrap(K5, 1, 1.0, rule))
+    prev = bootstrap(K5, 1, 1.0, rule).next
     audit = audit_broadcast(msg, prev, public, K5_ORACLE, rule)
     assert audit.fields is None
     deviating = {h for h, v in check.items() if public.get(h) != v}
@@ -265,11 +264,11 @@ def _honest_second_message():
     """Node 1 of K5's first two honest messages and the public values
     its second is audited against."""
     states = {i: bootstrap(K5, i, float(i), FLOAT) for i in K5.nodes}
-    first = {i: build_information_set(states[i]) for i in K5.nodes}
+    first = {i: states[i].next for i in K5.nodes}
     for i in K5.nodes:
         honest_round(states[i], first, FLOAT)
     public = {i: m.self_next for i, m in first.items()}
-    return build_information_set(states[1]), first[1], public
+    return states[1].next, first[1], public
 
 
 @pytest.mark.parametrize("change", ["none", "claims", "claimed_before", "unfaithful", "replay"])
@@ -417,13 +416,13 @@ def test_empty_public_table_gives_the_same_detection(network, kind, rule):
     rng = adversary_rng(0, adversary)
     normal = [i for i in g.nodes if i != adversary]
     states = {i: bootstrap(g, i, x0[i - 1], rule) for i in g.nodes}
-    prev = {i: build_information_set(states[i]) for i in g.nodes}
+    prev = {i: states[i].next for i in g.nodes}
     public = {i: m.self_next for i, m in prev.items()}
     for i in g.nodes:
         honest_round(states[i], {j: prev[j] for j in states[i].in_nbrs}, rule)
     shortcuts = 0
     for k in range(2, 9):
-        msgs = {i: build_information_set(states[i]) for i in g.nodes}
+        msgs = {i: states[i].next for i in g.nodes}
         msgs[adversary] = forge_information_set(msgs[adversary], script, k - 1, rng)
         sent = {j: m for j, m in msgs.items() if m is not None}
         audits = {j: audit_broadcast(m, prev[j], public, oracle, rule) for j, m in sent.items()}
@@ -473,7 +472,7 @@ def test_whole_broadcast_table_gives_the_same_detection(network, kind, rule):
     states = {i: bootstrap(g, i, x0[i - 1], rule) for i in g.nodes}
     prev, public, verdicts = {}, {i: ZERO_PAIR for i in g.nodes}, 0
     for k in range(1, 9):
-        msgs = {i: build_information_set(states[i]) for i in g.nodes}
+        msgs = {i: states[i].next for i in g.nodes}
         msgs[adversary] = forge_information_set(msgs[adversary], script, max(k - 1, 1), rng)
         sent = {j: m for j, m in msgs.items() if m is not None}
         audits = {j: audit_broadcast(m, prev.get(j), public, oracle, rule) for j, m in sent.items()}
@@ -568,7 +567,7 @@ def test_a_shared_set_keeps_quiet_broadcasts_from_the_exit():
     g = complete_graph(4)
     oracle = StructuralOracle(g, 1)
     public = {i: ZERO_PAIR for i in g.nodes}
-    sent = {i: build_information_set(bootstrap(g, i, float(i), FLOAT)) for i in g.nodes}
+    sent = {i: bootstrap(g, i, float(i), FLOAT).next for i in g.nodes}
     audits = {j: audit_broadcast(m, None, public, oracle, FLOAT) for j, m in sent.items()}
     assert all(a.quiet for a in audits.values())
     state = bootstrap(g, 1, 1.0, FLOAT)

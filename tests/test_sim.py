@@ -179,13 +179,17 @@ class TestValidation:
                 _attack(AttackAction(ActionKind.INJECT_FAKE_ID, target=4, fake_values=(1.0, math.inf))),
                 "adversary 5 InjectFakeId from round 1: amount, value and fake_values must be finite",
             ),
+            (
+                _attack(AttackAction(ActionKind.LIE_DECLARED_DEGREE, value=2.5)),
+                "adversary 5 LieDeclaredDegree from round 1: a declared degree must be an integer",
+            ),
             (dict(safety_interval=(math.nan, 10.0)), "safety interval bounds must be finite"),
             (dict(safety_interval=(0.0, math.inf)), "safety interval bounds must be finite"),
             (dict(safety_interval=(math.inf, -math.inf)), "safety interval bounds must be finite"),
         ],
         ids=[
             "nan-x0", "inf-x0", "accuse-outside", "inf-self-value", "nan-amount", "inf-fake-values",
-            "nan-interval", "inf-interval", "infinite-interval",
+            "fractional-degree", "nan-interval", "inf-interval", "infinite-interval",
         ],
     )
     def test_bad_input_is_a_scenario_error(self, overrides, problem):
@@ -443,6 +447,23 @@ class TestSerialization:
         with pytest.raises(ScenarioError) as err:
             scenario_from_json(data)
         assert err.value.problems == [problem]
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            {"fixture": "six", "inline": "n 3\n1 2\n2 3\n3 1\n"},
+            {"fixture": "six", "file": "six.txt"},
+            {"inline": "n 3\n1 2\n2 3\n3 1\n", "file": "six.txt", "fixture": "six"},
+            {},
+        ],
+        ids=["fixture-and-inline", "fixture-and-file", "all-three", "none"],
+    )
+    def test_graph_names_exactly_one_source(self, graph):
+        data = scenario_to_json(_tamper_scenario())
+        data["graph"] = graph
+        with pytest.raises(ScenarioError) as err:
+            scenario_from_json(data)
+        assert err.value.problems == ["graph must give exactly one of inline, file and fixture"]
 
     def test_only_the_documented_extra_keys_are_allowed(self):
         data = scenario_to_json(_tamper_scenario())
