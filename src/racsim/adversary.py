@@ -12,7 +12,7 @@ outgoing message directly.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional
 
@@ -176,7 +176,7 @@ def tampered_inbox(
             forged = (a.amount, gam)
         else:
             forged = (lam + a.amount, gam)
-        out[a.target] = replace(msg, self_next=forged)
+        out[a.target] = msg._replace(self_next=forged)
     return out
 
 

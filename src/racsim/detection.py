@@ -24,13 +24,18 @@ in-neighbors claim:
 Every receiver audits the same broadcast, so audit_broadcast runs once
 per message sent and walks its relayed entries once: the walk sums the
 ledger flow that the update replay reads, in ledger order, and checks
-each entry against the public values both for == and for Step 3. The
-previous ledger is walked again only for the ids it relays and the
-current one lacks. An audit is quiet when no check on its broadcast can
-condemn anyone: no finding, consistent and faithful, and no claim in it
-or in the sender's previous message. A node-round that knew of no
-detection, shares none and hears only quiet broadcasts ends after the
-crash check; most rounds of a run without attacks are such rounds.
+each entry for == against the public values. A faithful broadcast (all
+entries ==) that claims nobody passes Step 3 against the public values
+whenever its flow passes pair_eq against itself: a non-finite entry
+makes the flow inf or NaN for good, and a finite entry == its public
+value differs from it by exactly 0. Only other broadcasts take a second
+walk for Step 3. The previous ledger is walked again only for the ids
+it relays and the current one lacks. An audit is quiet when no check on
+its broadcast can condemn anyone: no finding, consistent and faithful,
+and no claim in it or in the sender's previous message. A node-round
+that knew of no detection, shares none and hears only quiet broadcasts
+ends after the crash check; most rounds of a run without attacks are
+such rounds.
 
 Every detection lands in the detecting node's state as it is made: a
 neighbor in its detection set, any other node in its two-hop set. All
@@ -245,25 +250,30 @@ def audit_broadcast(
         evidence = ("declared_removed_out", msg.declared_removed_out, expected_removed)
         return SenderAudit((Cause.STEP4, (evidence,)), claimed_before=claimed_before)
     # one walk over the relayed entries: the replay's flow, summed in
-    # ledger order (the order of every float sum is pinned), and Step 3
-    # against the public values. faithful compares with == and not
-    # pair_eq, since tolerance comparisons are not transitive;
-    # consistent is Step 3 (see _step3) and is not implied by faithful:
-    # a NaN object is == itself
+    # ledger order (the order of every float sum is pinned), and the ==
+    # test against the public values; faithful compares with == and not
+    # pair_eq, since tolerance comparisons are not transitive
     before = prev_msg.relayed if prev_msg is not None else {}
     flow_y = flow_z = 0
-    faithful = consistent = True
+    faithful = True
     for h, val in relayed.items():
         y, z = val
         y_before, z_before = before.get(h, ZERO_PAIR)
         flow_y += y - y_before
         flow_z += z - z_before
-        value = public.get(h)
-        if value != val:
+        if faithful and public.get(h) != val:
             faithful = False
-        expected = ZERO_PAIR if h != j and h in claims else value
-        if consistent and expected is not None and not rule.pair_eq(val, expected):
-            consistent = False
+    # Step 3 (see _step3) holds without a walk on a faithful broadcast
+    # that claims nobody and whose flow passes pair_eq against itself.
+    # A non-finite component of any entry makes its term, and then the
+    # flow, inf or NaN for good; so in float mode a finite flow means
+    # finite entries, each differing from its == public value by
+    # exactly 0. In exact mode pair_eq is ==, which an entry == its
+    # public value fails only on a NaN, and a NaN makes the flow NaN.
+    # An overflowing flow only takes the walk.
+    flow = (flow_y, flow_z)
+    settled = faithful and not claims and rule.pair_eq(flow, flow)
+    consistent = settled or _step3(msg, public, rule) is None
     if prev_msg is None:
         lam, gam = msg.self_next
         replay = init_range_check(float(lam / gam) if gam != 0 else float("inf"), interval)

@@ -2,13 +2,15 @@
 
 A node is one flat record, NodeState: its neighbors, dual mass values
 y and z whose ratio tracks the average of initial values, its
-detection sets, and the message it broadcasts next. That message
-carries cumulative running sums (lam for y, gam for z), which
-receivers difference to recover per-round contributions, and the
-ledger of the sums the node read last. honest_round zeroes a detected
-in-neighbor's ledger entry to remove its accumulated contribution,
-compensates mass sent to a detected out-neighbor back into the node's
-own values, and builds the next message.
+detection sets, and the message it broadcasts next. That message, an
+InformationSet, is an immutable tuple of named fields whose
+constructor and _replace both check its invariants. It carries
+cumulative running sums (lam for y, gam for z), which receivers
+difference to recover per-round contributions, and the ledger of the
+sums the node read last. honest_round zeroes a detected in-neighbor's
+ledger entry to remove its accumulated contribution, compensates mass
+sent to a detected out-neighbor back into the node's own values, and
+builds the next message.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Union
+from typing import Mapping, NamedTuple, Union
 
 Number = Union[int, float, Fraction]
 Pair = tuple[Number, Number]
@@ -62,17 +64,7 @@ class ValueRule:
         return z > Z_FLOOR
 
 
-@dataclass(frozen=True)
-class InformationSet:
-    """The per-round broadcast message of one node.
-
-    self_next carries the running sums the sender will difference from
-    next round; relayed carries the sender's current ledger, including
-    an entry for the sender itself. The declared fields expose the
-    sender's effective out-degree and the number of out-neighbors it
-    removed this round, both needed by receivers to replay its update.
-    """
-
+class _Fields(NamedTuple):
     sender: int
     round: int
     detected: frozenset[int]
@@ -81,10 +73,39 @@ class InformationSet:
     declared_out_degree: int
     declared_removed_out: int = 0
 
-    def __post_init__(self) -> None:
-        assert self.sender in self.relayed, "message must relay the sender's own entry"
-        assert self.declared_out_degree >= 0
-        assert self.declared_removed_out >= 0
+
+class InformationSet(_Fields):
+    """The per-round broadcast message of one node: an immutable tuple
+    of named fields.
+
+    self_next carries the running sums the sender will difference from
+    next round; relayed carries the sender's current ledger, including
+    an entry for the sender itself. The declared fields expose the
+    sender's effective out-degree and the number of out-neighbors it
+    removed this round, both needed by receivers to replay its update.
+    The constructor checks the message's invariants, and so does
+    _replace, which builds its copy through the constructor.
+    """
+
+    __slots__ = ()
+
+    # the fields spelled out again: forwarding *args to the base's
+    # constructor costs about twice as much per message
+    def __new__(
+        cls, sender, round, detected, self_next, relayed, declared_out_degree, declared_removed_out=0
+    ) -> InformationSet:
+        assert sender in relayed, "message must relay the sender's own entry"
+        assert declared_out_degree >= 0
+        assert declared_removed_out >= 0
+        return tuple.__new__(
+            cls, (sender, round, detected, self_next, relayed, declared_out_degree, declared_removed_out)
+        )
+
+    def _replace(self, /, **changes) -> InformationSet:
+        msg = InformationSet(*map(changes.pop, self._fields, self))
+        if changes:
+            raise ValueError(f"unexpected field names: {sorted(changes)}")
+        return msg
 
 
 @dataclass

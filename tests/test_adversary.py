@@ -1,4 +1,3 @@
-from dataclasses import replace
 
 import pytest
 
@@ -151,7 +150,7 @@ class TestTamperedInbox:
         msg2, msg3 = honest_message(sender=2), honest_message(sender=3)
         inbox = {2: msg2, 3: msg3}
         out = tampered_inbox(inbox, script, 5)
-        assert out[2] == replace(msg2, self_next=(msg2.self_next[0] + 30.0, msg2.self_next[1]))
+        assert out[2] == msg2._replace(self_next=(msg2.self_next[0] + 30.0, msg2.self_next[1]))
         assert out[3] is msg3
         assert inbox == {2: msg2, 3: msg3}
 
@@ -165,7 +164,7 @@ class TestTamperedInbox:
         )
         msg2 = honest_message(sender=2)
         out = tampered_inbox({2: msg2}, script, 5)
-        assert out[2] == replace(msg2, self_next=(7.0, msg2.self_next[1]))
+        assert out[2] == msg2._replace(self_next=(7.0, msg2.self_next[1]))
 
     def test_other_senders_untouched(self):
         script = AttackScript(

@@ -102,11 +102,11 @@ def _detect_at_node_5(
         honest_round(states[i], {j: first[j] for j in states[i].in_nbrs}, FLOAT)
     msgs = {i: states[i].next for i in g.nodes}
     for j, claimed in (claims or {}).items():
-        msgs[j] = replace(msgs[j], detected=claimed)
+        msgs[j] = msgs[j]._replace(detected=claimed)
     for j, entries in (foreign or {}).items():
-        msgs[j] = replace(msgs[j], relayed={**msgs[j].relayed, **entries})
+        msgs[j] = msgs[j]._replace(relayed={**msgs[j].relayed, **entries})
     for j, claimed in (claimed_before or {}).items():
-        first[j] = replace(first[j], detected=claimed)
+        first[j] = first[j]._replace(detected=claimed)
     public = {j: m.self_next for j, m in first.items()}
     audits = {j: audit_broadcast(m, first[j], public, oracle, FLOAT) for j, m in msgs.items()}
     inbox = {j: msgs[j] for j in states[5].in_nbrs}
@@ -248,7 +248,7 @@ class TestReconstruction:
     def test_perturbed_self_value_is_dirty(self):
         per_round = self._exact_messages(3)
         msg = per_round[3][1]
-        forged = replace(msg, self_next=(msg.self_next[0] + 1, msg.self_next[1]))
+        forged = msg._replace(self_next=(msg.self_next[0] + 1, msg.self_next[1]))
         cause, ((_, reported), (_, (lam_pred, gam_pred))) = self._replay(forged, per_round[2][1])
         assert cause is Cause.STEP4
         assert reported[0] - lam_pred == 1 and reported[1] - gam_pred == 0
@@ -258,7 +258,7 @@ class TestReconstruction:
         msg = per_round[3][1]
         relayed = dict(msg.relayed)
         relayed[2] = (relayed[2][0] + 5, relayed[2][1])
-        forged = replace(msg, relayed=relayed)
+        forged = msg._replace(relayed=relayed)
         assert self._replay(forged, per_round[2][1])[0] is Cause.STEP4
 
 

@@ -296,6 +296,52 @@ class TestInformationSet:
             )
 
 
+# one valid message, as keyword arguments, and one change that breaks
+# each invariant of the type
+VALID = dict(
+    sender=1,
+    round=2,
+    detected=frozenset(),
+    self_next=(1.0, 1.0),
+    relayed={1: (0.5, 0.5), 2: (0.5, 0.5)},
+    declared_out_degree=1,
+    declared_removed_out=0,
+)
+BROKEN = {
+    "unrelayed-sender": {"sender": 3},
+    "negative-degree": {"declared_out_degree": -1},
+    "negative-removed": {"declared_removed_out": -1},
+}
+
+
+class TestInformationSetContract:
+    def test_is_immutable(self):
+        msg = InformationSet(**VALID)
+        with pytest.raises(AttributeError):
+            msg.round = 3
+        with pytest.raises(AttributeError):
+            msg.note = "extra"
+
+    @pytest.mark.parametrize("broken", sorted(BROKEN))
+    @pytest.mark.parametrize("how", ["positional", "keyword", "_replace"])
+    def test_every_constructor_checks_the_invariants(self, broken, how):
+        fields = {**VALID, **BROKEN[broken]}
+        with pytest.raises(AssertionError):
+            if how == "positional":
+                InformationSet(*fields.values())
+            elif how == "keyword":
+                InformationSet(**fields)
+            else:
+                InformationSet(**VALID)._replace(**BROKEN[broken])
+
+    def test_replace_returns_an_information_set(self):
+        msg = InformationSet(**VALID)._replace(round=5)
+        assert type(msg) is InformationSet
+        assert msg == InformationSet(**{**VALID, "round": 5})
+        with pytest.raises(ValueError):
+            msg._replace(rounds=6)
+
+
 def _reference_honest_round(s, inbox, rule):
     """honest_round with a crash set, indexed pairs and the out-degree
     and removed count as set differences: the reference the one-walk

@@ -14,6 +14,7 @@ give what their multi-pass reference versions below give.
 """
 
 import math
+import sys
 from copy import deepcopy
 from dataclasses import replace
 from fractions import Fraction
@@ -116,21 +117,20 @@ def test_shortcut_matches_treating_every_check_id_as_deviating(case):
 
 
 def _reference_replay(phi_now, phi_prev, rule):
-    """The replay of audit_broadcast, its ledger flow taken as two
-    generator sums over the union of both ledgers' ids: the predicted
-    running sums and the residuals of the reported ones."""
+    """The replay of audit_broadcast, its ledger flow taken as two sums
+    of differences over the union of both ledgers' ids: the predicted
+    running sums and the residuals of the reported ones. Float sums are
+    pinned to one order, the later ledger's and then the ids only the
+    earlier one relays, and taken left to right: sum() compensates from
+    Python 3.12, and with ±float max in the pools the order matters."""
     j = phi_now.sender
     d = 1 + phi_now.declared_out_degree
     self_now = phi_now.relayed[j]
-    keys = set(phi_now.relayed) | set(phi_prev.relayed)
-    flow_y = sum(
-        phi_now.relayed.get(h, ZERO_PAIR)[0] - phi_prev.relayed.get(h, ZERO_PAIR)[0]
-        for h in keys
-    )
-    flow_z = sum(
-        phi_now.relayed.get(h, ZERO_PAIR)[1] - phi_prev.relayed.get(h, ZERO_PAIR)[1]
-        for h in keys
-    )
+    flow_y = flow_z = 0
+    for h in [*phi_now.relayed, *(h for h in phi_prev.relayed if h not in phi_now.relayed)]:
+        now, before = phi_now.relayed.get(h, ZERO_PAIR), phi_prev.relayed.get(h, ZERO_PAIR)
+        flow_y += now[0] - before[0]
+        flow_z += now[1] - before[1]
     y_prev = flow_y + phi_now.declared_removed_out * self_now[0]
     z_prev = flow_z + phi_now.declared_removed_out * self_now[1]
     lam_pred = self_now[0] + y_prev / d
@@ -193,10 +193,13 @@ def _same(a, b) -> bool:
     return type(a) is type(b) and a == b
 
 
-# dyadic offsets keep float sums exact, so the order of a sum cannot
-# move its result: 2**-31 is within the default tolerance, 2**-29 beyond
-DYADIC_PARTS = (1.0, 1.0 + 2**-31, 1.0 + 2**-29, 0, 0.0, -0.0, math.inf, NAN, OTHER_NAN)
-FRACTION_PARTS = (Fraction(1, 3), Fraction(2, 3), Fraction(1, 2), 1, Fraction(1), 0, Fraction(0))
+# dyadic offsets: 2**-31 is within the default tolerance, 2**-29
+# beyond; ±float max gives finite entries whose flow overflows or
+# rounds away the offsets; inf and NaN make the flow non-finite, in an
+# exact run as forged floats
+BIG = sys.float_info.max
+DYADIC_PARTS = (1.0, 1.0 + 2**-31, 1.0 + 2**-29, 0, 0.0, -0.0, math.inf, NAN, OTHER_NAN, BIG, -BIG)
+FRACTION_PARTS = (Fraction(1, 3), Fraction(2, 3), Fraction(1, 2), 1, Fraction(1), 0, Fraction(0), math.inf, NAN)
 # K5's ids plus two ids outside the graph
 AUDIT_IDS = range(1, 8)
 
@@ -234,7 +237,7 @@ def broadcasts(draw):
         # report the replay's own values, so that the replay is often
         # clean and the audit often quiet
         predicted, _ = _reference_replay(msg, prev, rule)
-        msg = replace(msg, self_next=predicted)
+        msg = msg._replace(self_next=predicted)
     # the relayed entries, with up to three ids dropped or redrawn
     public = dict(msg.relayed)
     for h in draw(st.lists(st.sampled_from(AUDIT_IDS), unique=True, max_size=3)):
@@ -278,14 +281,14 @@ def test_quiet_fails_with_any_one_of_its_conditions(change):
     msg, prev, public = _honest_second_message()
     if change == "claims":
         # a claim on itself changes neither declared field nor Step 3
-        msg = replace(msg, detected=frozenset({1}))
+        msg = msg._replace(detected=frozenset({1}))
     elif change == "claimed_before":
-        prev = replace(prev, detected=frozenset({3}))
+        prev = prev._replace(detected=frozenset({3}))
     elif change == "unfaithful":
         y, z = public[2]
         public[2] = (y + 6e-10, z)  # within tolerance, so still consistent
     elif change == "replay":
-        msg = replace(msg, self_next=(msg.self_next[0] + 1.0, msg.self_next[1]))
+        msg = msg._replace(self_next=(msg.self_next[0] + 1.0, msg.self_next[1]))
     audit = audit_broadcast(msg, prev, public, K5_ORACLE, FLOAT)
     assert audit.fields is None and audit.consistent
     assert (audit.replay is None) == (change != "replay")

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -11,8 +12,9 @@ from racsim.adversary import ActionKind, AttackAction, AttackScript, TamperMode
 from racsim.detection import Cause, DetectionVerdict
 from racsim.fixtures import FIXTURE_GRAPHS, six_node_graph
 from racsim.golden import golden_case
-from racsim.graph import AdversaryKind, DirectedGraph, complete_graph
-from racsim.protocol import DEFAULT_TOL
+from racsim import sim
+from racsim.graph import AdversaryKind, DirectedGraph, LayeredVariant, complete_graph, generate_layered
+from racsim.protocol import DEFAULT_TOL, honest_round
 from racsim.sim import (
     DetectionMode,
     Scenario,
@@ -315,6 +317,25 @@ class TestEngine:
         first = [e for e in trace.events if e.round == 1]
         assert first and all(e.suspect == 6 for e in first)
         assert {e.detector for e in first} == {1, 2, 3, 4}
+
+
+@pytest.mark.parametrize("layers", [10, 20, 40])
+def test_storage_per_node_does_not_grow_with_n(layers, monkeypatch):
+    """A node stores its next message, whose ledger holds its
+    in-neighbors and itself, and its detection sets: at most the
+    largest in-degree plus one entries, at n 30, 60 and 120."""
+    g = generate_layered(layers, 1, LayeredVariant.UNDIRECTED_PATH)
+    largest = 0
+
+    def measured(s, inbox, rule):
+        nonlocal largest
+        honest_round(s, inbox, rule)
+        largest = max(largest, len(s.next.relayed) + len(s.detected) + len(s.detected_two_hop))
+
+    monkeypatch.setattr(sim, "honest_round", measured)
+    rng = random.Random(layers)
+    run(Scenario(graph=g, x0=tuple(rng.uniform(0.0, 10.0) for _ in g.nodes), horizon=30))
+    assert largest == 7 == 1 + max(len(g.in_neighbors(i)) for i in g.nodes)
 
 
 class TestTraceProperties:
