@@ -18,24 +18,50 @@ in-neighbors claim:
 * fully distributed detection: no oracle; nodes extend their check
   sets to two-hop in-neighbors by majority voting over relayed copies,
   accept detection claims corroborated by f+1 distinct reporters, and
-  audit claim sets for uncorroborated or vanishing accusations against
-  the sender's previous claims, which its per-sender audit carries.
+  audit claim sets for uncorroborated, omitted or vanishing
+  accusations against the sender's previous claims, which its
+  per-sender audit carries.
 
 Every receiver audits the same broadcast, so audit_broadcast runs once
 per message sent and walks its relayed entries once: the walk sums the
-ledger flow that the update replay reads, in ledger order, and checks
-each entry for == against the public values. A faithful broadcast (all
-entries ==) that claims nobody passes Step 3 against the public values
-whenever its flow passes pair_eq against itself: a non-finite entry
-makes the flow inf or NaN for good, and a finite entry == its public
-value differs from it by exactly 0. Only other broadcasts take a second
-walk for Step 3. The previous ledger is walked again only for the ids
-it relays and the current one lacks. An audit is quiet when no check on
-its broadcast can condemn anyone: no finding, consistent and faithful,
-and no claim in it or in the sender's previous message. A node-round
-that knew of no detection, shares none and hears only quiet broadcasts
-ends after the crash check; most rounds of a run without attacks are
-such rounds.
+ledger flow that the update replay reads, in ledger order, and records
+the off-public ids, those whose entries are not == their public
+values. When the flow passes pair_eq against itself, Step 3 against
+the public values needs a test only on the off-public and the claimed
+ids: a non-finite entry makes the flow inf or NaN for good, and a
+finite entry == its public value differs from it by exactly 0. Only
+other broadcasts take a second walk for Step 3. The previous ledger is
+walked again only for the ids it relays and the current one lacks. A
+two-hop vote runs only on an id that some reporter relays off-public:
+a vote whose reports are all == the public value gives that value or
+no majority, so Step 3 against it cannot differ.
+
+An audit is quiet when it has no finding, passes Step 3 against the
+public values, keeps every claim of the sender's previous message, and
+claims every off-public id it relays. A node-round learns nothing new,
+and ends after the crash check, when every active reporter's audit is
+quiet and, under the sharing policy, the reporter claims exactly the
+shared set; under the distributed policy, it claims only nodes this
+node knew of before the round (known), and it claims every one of
+them that is its own in-neighbor. The checks skipped cannot fire:
+
+* no finding and Step 3 passes, so no field, replay or per-edge
+  Step 3 verdict, as long as no vote deviates;
+* claims are a subset of known, which the snapshot holds, so neither
+  the uncorroborated nor the persisted audit fires;
+* the previous claims are a subset of the claims, so the vanished
+  audit does not fire;
+* known ∩ in(j) is a subset of the claims, so the omitted audit does
+  not fire;
+* every claimed id is already known, so corroboration adds no one;
+* for a two-hop id this node does not know, every report is == its
+  public value, since each reporter claims its off-public ids and
+  claims only known ones, so no vote runs or deviates.
+
+The omission rule reads in(j) here because the omitted audit does; a
+wider omission rule must widen in(j) in this condition too. After an
+attack is detected and cut off, nearly every detector node-round ends
+at the crash check, as does every one of a run without attacks.
 
 Every detection lands in the detecting node's state as it is made: a
 neighbor in its detection set, any other node in its two-hop set. All
@@ -48,7 +74,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .graph import DirectedGraph, is_detectable
 from .protocol import (
@@ -192,27 +218,29 @@ def init_range_check(
     return Cause.INIT_RANGE, (("reported", x_reported), ("interval", interval))
 
 
-@dataclass(frozen=True)
-class SenderAudit:
+class SenderAudit(NamedTuple):
     """The receiver-independent part of auditing one broadcast.
 
     Every receiver audits the same message, so the engine computes this
     once per message sent. fields is the first Step 2 (id sanity) or
     Step 4 declared-field finding. Without one, replay is the Step 4
     update-replay finding (the safety-interval finding for a first
-    message), and consistent and faithful say that every relayed entry
-    passes Step 3 against, and is ==, the public value: what its id
-    broadcast as its next running sums last round. claimed_before
-    holds the claims of the sender's previous message (none for a first
-    message), whatever the other findings. quiet says that no check on
-    the broadcast can condemn anyone: no finding, consistent and
-    faithful, and no claim in it or in the sender's previous message.
+    message), and consistent says that every relayed entry passes
+    Step 3 against the public values: what each id broadcast as its
+    next running sums last round. off_public lists, in ledger order,
+    the relayed ids whose entries are not == their public values, and
+    claimed_before the claims of the sender's previous message (none
+    for a first message), both whatever the findings. quiet holds when
+    there is no finding, the broadcast is consistent, keeps every claim
+    of the previous message and claims every off-public id. A receiver
+    that already knows what a quiet broadcast claims learns nothing
+    from it; see _detect.
     """
 
     fields: Optional[Finding]
     replay: Optional[Finding] = None
     consistent: bool = False
-    faithful: bool = False
+    off_public: tuple[int, ...] = ()
     claimed_before: frozenset[int] = frozenset()
     quiet: bool = False
 
@@ -234,46 +262,52 @@ def audit_broadcast(
     claims = msg.detected
     # read by Step 1b, whose verdicts precede every finding below
     claimed_before = prev_msg.detected if prev_msg is not None else frozenset()
+    # one walk over the relayed entries: the replay's flow, summed in
+    # ledger order (the order of every float sum is pinned), and the
+    # off-public ids, found with == and not pair_eq, since tolerance
+    # comparisons are not transitive
+    before = prev_msg.relayed if prev_msg is not None else {}
+    flow_y = flow_z = 0
+    off_public = ()
+    for h, val in relayed.items():
+        y, z = val
+        y_before, z_before = before.get(h, ZERO_PAIR)
+        flow_y += y - y_before
+        flow_z += z - z_before
+        if public.get(h) != val:
+            off_public += (h,)
     expected_ids = oracle.relay_ids[j]
+    fields = None
     if relayed.keys() != expected_ids:
         foreign = relayed.keys() - expected_ids
         if foreign:
             evidence = ("foreign_ids", tuple(sorted(foreign)))
         else:
             evidence = ("missing_ids", tuple(sorted(expected_ids - relayed.keys())))
-        return SenderAudit((Cause.STEP2, (evidence,)), claimed_before=claimed_before)
-    expected_d, expected_removed = declared_fields(oracle.out_nbrs(j), claims, claimed_before)
-    if msg.declared_out_degree != expected_d:
-        evidence = ("declared_out_degree", msg.declared_out_degree, expected_d)
-        return SenderAudit((Cause.STEP4, (evidence,)), claimed_before=claimed_before)
-    if msg.declared_removed_out != expected_removed:
-        evidence = ("declared_removed_out", msg.declared_removed_out, expected_removed)
-        return SenderAudit((Cause.STEP4, (evidence,)), claimed_before=claimed_before)
-    # one walk over the relayed entries: the replay's flow, summed in
-    # ledger order (the order of every float sum is pinned), and the ==
-    # test against the public values; faithful compares with == and not
-    # pair_eq, since tolerance comparisons are not transitive
-    before = prev_msg.relayed if prev_msg is not None else {}
-    flow_y = flow_z = 0
-    faithful = True
-    for h, val in relayed.items():
-        y, z = val
-        y_before, z_before = before.get(h, ZERO_PAIR)
-        flow_y += y - y_before
-        flow_z += z - z_before
-        if faithful and public.get(h) != val:
-            faithful = False
-    # Step 3 (see _step3) holds without a walk on a faithful broadcast
-    # that claims nobody and whose flow passes pair_eq against itself.
-    # A non-finite component of any entry makes its term, and then the
+        fields = Cause.STEP2, (evidence,)
+    else:
+        expected_d, expected_removed = declared_fields(oracle.out_nbrs(j), claims, claimed_before)
+        if msg.declared_out_degree != expected_d:
+            fields = Cause.STEP4, (("declared_out_degree", msg.declared_out_degree, expected_d),)
+        elif msg.declared_removed_out != expected_removed:
+            fields = Cause.STEP4, (("declared_removed_out", msg.declared_removed_out, expected_removed),)
+    if fields is not None:
+        return SenderAudit(fields, off_public=off_public, claimed_before=claimed_before)
+    # Step 3 (see _step3) needs a pair_eq test only on the off-public and
+    # claimed ids when the flow passes pair_eq against itself. A
+    # non-finite component of any entry makes its term, and then the
     # flow, inf or NaN for good; so in float mode a finite flow means
-    # finite entries, each differing from its == public value by
-    # exactly 0. In exact mode pair_eq is ==, which an entry == its
+    # finite entries, and an entry == its public value differs from it
+    # by exactly 0. In exact mode pair_eq is ==, which an entry == its
     # public value fails only on a NaN, and a NaN makes the flow NaN.
     # An overflowing flow only takes the walk.
     flow = (flow_y, flow_z)
-    settled = faithful and not claims and rule.pair_eq(flow, flow)
-    consistent = settled or _step3(msg, public, rule) is None
+    if not rule.pair_eq(flow, flow):
+        consistent = _step3(msg, public, rule) is None
+    elif off_public or claims:
+        consistent = _step3(msg, public, rule, (*off_public, *claims)) is None
+    else:
+        consistent = True
     if prev_msg is None:
         lam, gam = msg.self_next
         replay = init_range_check(float(lam / gam) if gam != 0 else float("inf"), interval)
@@ -286,16 +320,24 @@ def audit_broadcast(
                     flow_y -= y_before
                     flow_z -= z_before
         replay = reconstruct_running_sums(msg, flow_y, flow_z, rule)
-    quiet = replay is None and consistent and faithful and not claims and not claimed_before
-    return SenderAudit(None, replay, consistent, faithful, claimed_before, quiet)
+    quiet = (
+        replay is None and consistent and claimed_before <= claims and claims.issuperset(off_public)
+    )
+    return SenderAudit(None, replay, consistent, off_public, claimed_before, quiet)
 
 
-def _step3(msg: InformationSet, values: Mapping[int, Pair], rule: ValueRule) -> Optional[Finding]:
-    """Step 3: the first relayed entry unequal to ZERO_PAIR if the sender
-    claims its id (not its own), else to its entry in values, if any."""
+def _step3(
+    msg: InformationSet, values: Mapping[int, Pair], rule: ValueRule, ids=None
+) -> Optional[Finding]:
+    """Step 3: the first relayed entry (in ledger order, or in the order
+    of ids if given, skipping ids the sender does not relay) unequal to
+    ZERO_PAIR if the sender claims its id (not its own), else to its
+    entry in values, if any."""
     j = msg.sender
     claims = msg.detected
-    for h, val in msg.relayed.items():
+    relayed = msg.relayed
+    entries = relayed.items() if ids is None else [(h, relayed[h]) for h in ids if h in relayed]
+    for h, val in entries:
         expected = ZERO_PAIR if h != j and h in claims else values.get(h)
         if expected is not None and not rule.pair_eq(val, expected):
             return Cause.STEP3, (("id", h), ("relayed", val), ("expected", expected))
@@ -334,17 +376,28 @@ def _detect(
         else:
             two_hop_detected.add(suspect)
 
-    # a node-round that knew of no detection, shares none and hears
-    # only quiet broadcasts ends after the crash check: every reporter
-    # is consistent and faithful, so no vote runs and Step 3 passes;
-    # no claim is made or was made before, so no claim audit fires;
-    # and no reporter has a field or replay finding
-    quiet = not known_before and not shared
+    # a node-round that learns nothing new ends after the crash check:
+    # every reporter's audit is quiet, and under the distributed policy
+    # it claims only nodes this node knew of, and every one of them
+    # among its own in-neighbors; under the sharing policy it claims
+    # exactly the shared set. The module docstring says why no skipped
+    # check can fire.
+    quiet = True
     for j in active_in:
         if j not in inbox:
             condemn(j, Cause.CRASH)
-        elif quiet and not audits[j].quiet:
-            quiet = False
+        elif quiet:
+            claims = inbox[j].detected
+            if shared is not None:
+                quiet = audits[j].quiet and claims == shared
+            elif claims or known_before:
+                quiet = (
+                    audits[j].quiet
+                    and claims <= known_before
+                    and known_before & oracle.in_nbrs(j) <= claims
+                )
+            else:
+                quiet = audits[j].quiet
     if quiet:
         return verdicts
 
@@ -357,11 +410,15 @@ def _detect(
     deviating: set[int] = set()
     if shared is None:
         f = oracle.f
-        # vote on two-hop values; if every report is == its public
-        # value, so is a vote, and Step 3 needs none
-        if not all(audits[j].consistent and audits[j].faithful for j in reporters):
+        # vote on the two-hop values some reporter relays off-public; a
+        # vote whose reports are all == the public value gives that value
+        # or NO_MAJORITY, so Step 3 against it cannot differ
+        off_public = set()
+        for j in reporters:
+            off_public.update(audits[j].off_public)
+        if off_public:
             for h, relays in oracle.two_hop_relays[i]:
-                if h in detected or h in two_hop_detected:
+                if h not in off_public or h in detected or h in two_hop_detected:
                     continue
                 reports = [
                     reporters[p].relayed[h]

@@ -56,6 +56,15 @@ def _finite(v) -> bool:
     return not isinstance(v, float) or math.isfinite(v)
 
 
+def _sums_finitely(values) -> bool:
+    """The magnitudes of finite values sum to a finite float; fsum
+    raises where an intermediate sum overflows."""
+    try:
+        return math.isfinite(math.fsum(map(abs, values)))
+    except OverflowError:
+        return False
+
+
 class ScenarioError(ValueError):
     def __init__(self, problems: list[str]):
         super().__init__("; ".join(problems))
@@ -111,6 +120,9 @@ class Scenario:
                 )
         if not all(_finite(v) for v in self.x0):
             problems.append("x0 has a non-finite entry")
+        elif not _sums_finitely(self.x0):
+            # the running sums and the survivors' average would overflow
+            problems.append("x0 magnitudes overflow when summed")
         for script in self.adversaries:
             for r, a in script.schedule:
                 where = f"adversary {script.node} {a.kind.value} from round {r}"

@@ -126,6 +126,18 @@ class TestRunCommand:
         assert code == EXIT_INVALID
         assert len(lines) == 3 and all(line.startswith("invalid scenario: ") for line in lines)
 
+    def test_x0_whose_magnitudes_overflow_when_summed_exits_invalid(self, tmp_path, capsys):
+        # each entry is finite, but their sum, and so the target, is not
+        data = json.loads((SCENARIOS / "six-attack.json").read_text())
+        data["x0"] = [1.7e308] * 6
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        code = main(["run", "--scenario", str(path), "--out", str(out)])
+        assert code == EXIT_INVALID
+        assert capsys.readouterr().err == "invalid scenario: x0 magnitudes overflow when summed\n"
+        assert not out.exists()
+
     def test_misplaced_adversaries_exit_invalid(self, tmp_path, capsys):
         # a second adversary at node 1 gives nodes 3 and 4 two malicious
         # in-neighbors each, beyond the local bound f = 1

@@ -2,18 +2,20 @@
 
 A receiver's check set is the public values (what each node broadcast
 as its next running sums last round) of its in-neighbors and itself,
-plus the two-hop values it votes on this round. It runs its votes only
-if some reporter's broadcast is not == the public values, and repeats
-Step 3 per edge only for a reporter whose broadcast failed Step 3
-against the public values or that relays a voted id whose vote is not
-== its public value. A node-round that knows of no detection, shares
-none and hears only quiet broadcasts ends after the crash check. These
-tests check that the shortcuts give exactly the verdicts of the full
-per-receiver path, and that the one-walk audit_broadcast and replay
-give what their multi-pass reference versions below give.
+plus the two-hop values it votes on this round. It votes only on the
+ids some reporter relays off-public (not == their public values), and
+repeats Step 3 per edge only for a reporter whose broadcast failed
+Step 3 against the public values or that relays a voted id whose vote
+is not == its public value. A node-round that learns nothing new, where
+every reporter's broadcast is quiet and claims only what the node knew
+(under sharing detection, exactly the shared set), ends after the crash
+check. These tests check that the shortcuts give exactly the verdicts
+of the full per-receiver path, and that the one-walk audit_broadcast
+and replay give what their multi-pass reference versions below give.
 """
 
 import math
+import random
 import sys
 from copy import deepcopy
 from dataclasses import replace
@@ -31,6 +33,7 @@ from racsim.adversary import (
     forge_information_set,
     tampered_inbox,
 )
+from racsim import detection
 from racsim.detection import (
     Cause,
     SenderAudit,
@@ -52,6 +55,7 @@ from racsim.protocol import (
     honest_round,
 )
 from racsim import sim
+from scenario_fuzz import random_scenario
 
 
 SIX_X0 = tuple(golden_case("six-attack").data["x0"])
@@ -143,27 +147,35 @@ def _clean(residuals, rule) -> bool:
     return rule.eq(residuals[0], 0) and rule.eq(residuals[1], 0)
 
 
+def _off_public(msg, public):
+    """The relayed ids whose entries are not == their public values."""
+    return tuple(h for h, val in msg.relayed.items() if public.get(h) != val)
+
+
 def _reference_audit(msg, prev_msg, public, oracle, rule, interval=None):
-    """audit_broadcast with every set built, faithful as an all() over
-    the relayed entries and Step 3 as a second walk over them."""
+    """audit_broadcast with every set built, the off-public ids as a
+    comprehension over the relayed entries and Step 3 as a second walk
+    over all of them."""
     j = msg.sender
     in_j, out_j = oracle.in_nbrs(j), oracle.out_nbrs(j)
     ids = set(msg.relayed)
     foreign = ids - in_j - {j}
     missing = (in_j | {j}) - ids
     claimed_before = prev_msg.detected if prev_msg is not None else frozenset()
+    off_public = _off_public(msg, public)
+    known = {"off_public": off_public, "claimed_before": claimed_before}
     expected_d = len(out_j - msg.detected)
     expected_removed = len((out_j - claimed_before) & msg.detected)
     if foreign:
-        return SenderAudit((Cause.STEP2, (("foreign_ids", tuple(sorted(foreign))),)), claimed_before=claimed_before)
+        return SenderAudit((Cause.STEP2, (("foreign_ids", tuple(sorted(foreign))),)), **known)
     if missing:
-        return SenderAudit((Cause.STEP2, (("missing_ids", tuple(sorted(missing))),)), claimed_before=claimed_before)
+        return SenderAudit((Cause.STEP2, (("missing_ids", tuple(sorted(missing))),)), **known)
     if msg.declared_out_degree != expected_d:
         evidence = ("declared_out_degree", msg.declared_out_degree, expected_d)
-        return SenderAudit((Cause.STEP4, (evidence,)), claimed_before=claimed_before)
+        return SenderAudit((Cause.STEP4, (evidence,)), **known)
     if msg.declared_removed_out != expected_removed:
         evidence = ("declared_removed_out", msg.declared_removed_out, expected_removed)
-        return SenderAudit((Cause.STEP4, (evidence,)), claimed_before=claimed_before)
+        return SenderAudit((Cause.STEP4, (evidence,)), **known)
     if prev_msg is None:
         lam, gam = msg.self_next
         replay = init_range_check(float(lam / gam) if gam != 0 else float("inf"), interval)
@@ -173,15 +185,19 @@ def _reference_audit(msg, prev_msg, public, oracle, rule, interval=None):
         if not _clean(residuals, rule):
             evidence = (("reported", msg.self_next), ("reconstructed", predicted))
             replay = (Cause.STEP4, evidence)
-    faithful = all(public.get(h) == val for h, val in msg.relayed.items())
     consistent = True
     for h, val in msg.relayed.items():
         expected = ZERO_PAIR if h != j and h in msg.detected else public.get(h)
         if expected is not None and not rule.pair_eq(val, expected):
             consistent = False
             break
-    quiet = replay is None and consistent and faithful and not msg.detected and not claimed_before
-    return SenderAudit(None, replay, consistent, faithful, claimed_before, quiet)
+    quiet = (
+        replay is None
+        and consistent
+        and claimed_before <= msg.detected
+        and set(off_public) <= msg.detected
+    )
+    return SenderAudit(None, replay, consistent, off_public, claimed_before, quiet)
 
 
 def _same(a, b) -> bool:
@@ -211,7 +227,12 @@ def broadcasts(draw):
     predecessor relays, declared fields that are often right and
     reported values that often replay cleanly."""
     rule = draw(st.sampled_from([FLOAT, EXACT]))
-    pairs = st.tuples(*[st.sampled_from(DYADIC_PARTS if rule is FLOAT else FRACTION_PARTS)] * 2)
+    parts = DYADIC_PARTS if rule is FLOAT else FRACTION_PARTS
+    if draw(st.booleans()):
+        # finite values only, so that audits are often consistent and
+        # claims often quiet
+        parts = tuple(v for v in parts if math.isfinite(v))
+    pairs = st.tuples(*[st.sampled_from(parts)] * 2)
     out = K5.out_neighbors(1)
 
     def often(right, wrong):
@@ -219,14 +240,17 @@ def broadcasts(draw):
 
     def message(claimed_before):
         ids = often(range(1, 6), st.lists(st.sampled_from(AUDIT_IDS), unique=True))
-        # as in a run, a claim set is often empty
+        # as in a run, a claim set is often empty, and a claimed id
+        # often relayed as zero
         claims = frozenset() if draw(st.booleans()) else draw(st.frozensets(st.sampled_from(AUDIT_IDS)))
         return InformationSet(
             sender=1,
             round=3,
             detected=claims,
             self_next=draw(pairs),
-            relayed={h: draw(pairs) for h in [*ids, 1]},
+            relayed={
+                h: often(ZERO_PAIR, pairs) if h in claims else draw(pairs) for h in [*ids, 1]
+            },
             declared_out_degree=often(len(out - claims), st.integers(0, 5)),
             declared_removed_out=often(len((out - claimed_before) & claims), st.integers(0, 5)),
         )
@@ -238,9 +262,12 @@ def broadcasts(draw):
         # clean and the audit often quiet
         predicted, _ = _reference_replay(msg, prev, rule)
         msg = msg._replace(self_next=predicted)
-    # the relayed entries, with up to three ids dropped or redrawn
+    # the relayed entries, with up to three ids dropped or redrawn, often
+    # claimed ones: in a run, a claimed in-neighbor's public value is
+    # its last broadcast, and the claim relays zero
+    ids = sorted(msg.detected) if msg.detected and draw(st.booleans()) else AUDIT_IDS
     public = dict(msg.relayed)
-    for h in draw(st.lists(st.sampled_from(AUDIT_IDS), unique=True, max_size=3)):
+    for h in draw(st.lists(st.sampled_from(ids), unique=True, max_size=3)):
         if draw(st.booleans()):
             public.pop(h, None)
         else:
@@ -256,31 +283,53 @@ def test_audit_broadcast_matches_the_multi_pass_reference(case):
     got = audit_broadcast(msg, prev, public, K5_ORACLE, rule, interval)
     want = _reference_audit(msg, prev, public, K5_ORACLE, rule, interval)
     assert _same(
-        (got.fields, got.replay, got.consistent, got.faithful),
-        (want.fields, want.replay, want.consistent, want.faithful),
+        (got.fields, got.replay, got.consistent, got.off_public),
+        (want.fields, want.replay, want.consistent, want.off_public),
     )
     assert got.claimed_before == want.claimed_before
     assert got.quiet is want.quiet
 
 
-def _honest_second_message():
+def _honest_second_message(claimed):
     """Node 1 of K5's first two honest messages and the public values
-    its second is audited against."""
+    its second is audited against; node 1 has detected the nodes in
+    claimed by its second exchange."""
     states = {i: bootstrap(K5, i, float(i), FLOAT) for i in K5.nodes}
     first = {i: states[i].next for i in K5.nodes}
+    states[1].detected |= claimed
     for i in K5.nodes:
         honest_round(states[i], first, FLOAT)
     public = {i: m.self_next for i, m in first.items()}
     return states[1].next, first[1], public
 
 
-@pytest.mark.parametrize("change", ["none", "claims", "claimed_before", "unfaithful", "replay"])
+# per change: what node 1 has detected by its second exchange, the
+# off-public ids, whether the audit is consistent and whether it is quiet
+_QUIET_CASES = {
+    "none": (set(), (), True, True),
+    # a claim on itself changes neither declared field nor Step 3, and
+    # a claim alone breaks no condition
+    "claims": (set(), (), True, True),
+    "claimed_before": (set(), (), True, False),
+    "unfaithful": (set(), (2,), True, False),
+    "replay": (set(), (), True, False),
+    # an honest claim: the in-neighbor 2 relayed as zero, off-public
+    "claimed_zero": ({2}, (2,), True, True),
+    # the same, with 3 off-public and not claimed
+    "unclaimed_off_public": ({2}, (2, 3), True, False),
+    # the claimed 2 relayed at its public value, not as zero
+    "claimed_not_zero": ({2}, (), False, False),
+}
+
+
+@pytest.mark.parametrize("change", list(_QUIET_CASES))
 def test_quiet_fails_with_any_one_of_its_conditions(change):
-    """An honest second message is quiet; each change below breaks one
-    condition of quiet and leaves the others holding."""
-    msg, prev, public = _honest_second_message()
+    """An honest second message is quiet, with or without claims; each
+    change below breaks one condition of quiet and leaves the others
+    holding."""
+    claimed, off_public, consistent, quiet = _QUIET_CASES[change]
+    msg, prev, public = _honest_second_message(claimed)
     if change == "claims":
-        # a claim on itself changes neither declared field nor Step 3
         msg = msg._replace(detected=frozenset({1}))
     elif change == "claimed_before":
         prev = prev._replace(detected=frozenset({3}))
@@ -289,11 +338,19 @@ def test_quiet_fails_with_any_one_of_its_conditions(change):
         public[2] = (y + 6e-10, z)  # within tolerance, so still consistent
     elif change == "replay":
         msg = msg._replace(self_next=(msg.self_next[0] + 1.0, msg.self_next[1]))
+    elif change == "unclaimed_off_public":
+        y, z = public[3]
+        public[3] = (y + 6e-10, z)
+    elif change == "claimed_not_zero":
+        msg = msg._replace(relayed={**msg.relayed, 2: public[2]})
+        # the sums the replay predicts, so that only Step 3 fails
+        msg = msg._replace(self_next=_reference_replay(msg, prev, FLOAT)[0])
     audit = audit_broadcast(msg, prev, public, K5_ORACLE, FLOAT)
-    assert audit.fields is None and audit.consistent
+    assert audit.fields is None
     assert (audit.replay is None) == (change != "replay")
-    assert audit.faithful == (change != "unfaithful")
-    assert audit.quiet == (change == "none")
+    assert audit.consistent == consistent
+    assert audit.off_public == off_public
+    assert audit.quiet == quiet
 
 
 @st.composite
@@ -367,7 +424,7 @@ def test_a_vote_that_is_not_public_reruns_step3(vote, public_5, deviates):
     edge exactly when its vote is not == its public value. Every audit
     says its broadcast passed Step 3 against the public values, so only
     the vote decides: 2 and 3 relay the vote, and 4's differing copy of
-    it fails Step 3 if Step 3 reruns."""
+    it, off-public, starts the vote and fails Step 3 if Step 3 reruns."""
     oracle = StructuralOracle(DIAMOND, 1)
     state = bootstrap(DIAMOND, 1, 1.0, FLOAT)
     public = {h: (float(h), 1.0) for h in range(1, 5)}
@@ -378,10 +435,43 @@ def test_a_vote_that_is_not_public_reruns_step3(vote, public_5, deviates):
         j: InformationSet(j, 1, frozenset(), (9.0, 1.0), {1: public[1], 5: relayed_5[j], j: public[j]}, 1)
         for j in (2, 3, 4)
     }
-    audits = {j: SenderAudit(None, None, consistent=True, faithful=False) for j in inbox}
+    audits = {j: SenderAudit(None, None, True, _off_public(msg, public)) for j, msg in inbox.items()}
+    assert 5 in audits[4].off_public
     verdicts = detect_alg3(state, inbox, audits, public, oracle, FLOAT)
     step3 = (4, Cause.STEP3, (("id", 5), ("relayed", (50.0, 50.0)), ("expected", vote)))
     assert [(v.suspect, v.cause, v.evidence) for v in verdicts] == ([step3] if deviates else [])
+
+@pytest.mark.parametrize("every_id_off_public", [False, True], ids=["audited", "all-off-public"])
+def test_no_vote_runs_on_an_id_every_reporter_relays_at_its_public_value(every_id_off_public, monkeypatch):
+    """2, 3 and 4 relay two-hop node 5 at its public value, and 4 also
+    relays this node's own value wrongly, so its broadcast fails Step 3
+    against the public values and reruns it per edge. No reporter
+    relays 5 off-public, so no vote on 5 runs; audits that mark every
+    relayed id off-public force the vote, and the verdicts are the
+    same."""
+    votes, vote_value = [], detection.vote_value
+
+    def counted(reports, rule):
+        votes.append(reports)
+        return vote_value(reports, rule)
+
+    monkeypatch.setattr(detection, "vote_value", counted)
+    oracle = StructuralOracle(DIAMOND, 1)
+    state = bootstrap(DIAMOND, 1, 1.0, FLOAT)
+    public = {h: (float(h), 1.0) for h in range(1, 6)}
+    relayed_1 = {2: public[1], 3: public[1], 4: (50.0, 50.0)}
+    inbox = {
+        j: InformationSet(j, 1, frozenset(), (9.0, 1.0), {1: relayed_1[j], 5: public[5], j: public[j]}, 1)
+        for j in (2, 3, 4)
+    }
+    audits = {}
+    for j, msg in inbox.items():
+        off_public = tuple(msg.relayed) if every_id_off_public else _off_public(msg, public)
+        audits[j] = SenderAudit(None, None, j != 4, off_public)
+    verdicts = detect_alg3(state, inbox, audits, public, oracle, FLOAT)
+    step3 = (4, Cause.STEP3, (("id", 1), ("relayed", (50.0, 50.0)), ("expected", public[1])))
+    assert [(v.suspect, v.cause, v.evidence) for v in verdicts] == [step3]
+    assert votes == ([[public[5]] * 3] if every_id_off_public else [])
 
 
 # one forged action per ActionKind, from round 3
@@ -409,8 +499,9 @@ _NETWORKS = {
 @pytest.mark.parametrize("kind", list(ActionKind), ids=lambda k: k.value)
 @pytest.mark.parametrize("network", list(_NETWORKS))
 def test_empty_public_table_gives_the_same_detection(network, kind, rule):
-    """Audits that promise nothing, neither consistent nor faithful nor
-    quiet, send every edge down the per-receiver Step 3 and run every vote;
+    """Audits that promise nothing, neither consistent nor quiet, with
+    every relayed id off-public, send every edge down the per-receiver
+    Step 3 and run every vote;
     the detectors must not notice. The twin reads the same public
     table, since the check set is built from it."""
     g, x0, adversary, alg3 = _NETWORKS[network]
@@ -429,8 +520,11 @@ def test_empty_public_table_gives_the_same_detection(network, kind, rule):
         msgs[adversary] = forge_information_set(msgs[adversary], script, k - 1, rng)
         sent = {j: m for j, m in msgs.items() if m is not None}
         audits = {j: audit_broadcast(m, prev[j], public, oracle, rule) for j, m in sent.items()}
-        blind = {j: replace(a, consistent=False, faithful=False, quiet=False) for j, a in audits.items()}
-        shortcuts += sum(a.consistent and a.faithful for a in audits.values())
+        blind = {
+            j: a._replace(consistent=False, off_public=tuple(sent[j].relayed), quiet=False)
+            for j, a in audits.items()
+        }
+        shortcuts += sum(a.consistent and not a.off_public for a in audits.values())
         prev.update(sent)
         inboxes = {i: {j: sent[j] for j in states[i].in_nbrs if j in sent} for i in g.nodes}
         shared = frozenset().union(*(states[i].detected for i in normal))
@@ -510,39 +604,63 @@ def test_whole_broadcast_table_gives_the_same_detection(network, kind, rule):
 
 def _exit_scenarios():
     """Each golden case, and each one with adversaries once more with
-    every adversary crashing from round 3, run to round 40."""
+    every adversary crashing from round 3, run to round 40; then the
+    first 40 fuzz draws at seed 7, which cover every ActionKind, both
+    arithmetics and crashes. The flags say whether the run has
+    adversaries and whether they all crash."""
     for case in GOLDEN_CASES:
-        yield pytest.param(case.build(), False, id=case.name)
-        if case.data["adversaries"]:
+        attacked = bool(case.data["adversaries"])
+        yield pytest.param(case.build(), attacked, False, id=case.name)
+        if attacked:
             data = deepcopy(case.data)
             for entry in data["adversaries"]:
                 entry["schedule"] = [{"from_round": 3, "action": {"kind": "Crash"}}]
             data["horizon"] = 40
-            yield pytest.param(sim.scenario_from_json(data), True, id=f"{case.name}-crash")
+            yield pytest.param(sim.scenario_from_json(data), False, True, id=f"{case.name}-crash")
+    rng = random.Random(7)
+    for n in range(40):
+        yield pytest.param(random_scenario(rng), False, False, id=f"fuzz-seed7-{n}")
 
 
-@pytest.mark.parametrize("scenario, crashing", list(_exit_scenarios()))
-def test_quiet_exit_gives_the_verdicts_of_the_full_pipeline(scenario, crashing, monkeypatch):
+def _learns_nothing(state, inbox, audits, policy, sharing) -> bool:
+    """The exit rule of _detect, restated: every active reporter's audit
+    is quiet, and it claims the shared set, or only what the node knew
+    and every known in-neighbor of its own."""
+    known = state.detected | state.detected_two_hop
+    for j in state.in_nbrs - state.detected:
+        if j not in inbox:
+            continue
+        claims = inbox[j].detected
+        if not audits[j].quiet:
+            return False
+        if sharing:
+            if claims != policy:
+                return False
+        elif not (claims <= known and known & policy.in_nbrs(j) <= claims):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("scenario, attacked, crashing", list(_exit_scenarios()))
+def test_quiet_exit_gives_the_verdicts_of_the_full_pipeline(scenario, attacked, crashing, monkeypatch):
     """Every detector call of a run, repeated on a copy of the node's
     state with every audit's quiet forced False, gives the same verdicts
-    and detection sets. The exit is taken in every run, and in a crash
-    round in every crashing one."""
-    exits, crash_exits = 0, 0
+    and detection sets. The exit is taken in every golden run, in a
+    crash round in every crashing one, and in every golden run with
+    adversaries in a round where the node already knew of a detection
+    (under sharing detection, held a non-empty shared set)."""
+    exits, crash_exits, informed_exits = 0, 0, 0
 
     def checked(detect, sharing):
         last = [None, None]  # this round's audits and their loud copies
 
         def wrapper(state, inbox, audits, public, policy, rule):
-            nonlocal exits, crash_exits
+            nonlocal exits, crash_exits, informed_exits
             if audits is not last[0]:
-                last[:] = audits, {j: replace(a, quiet=False) for j, a in audits.items()}
+                last[:] = audits, {j: a._replace(quiet=False) for j, a in audits.items()}
             twin = replace(state, detected=set(state.detected), detected_two_hop=set(state.detected_two_hop))
-            exit_taken = (
-                not state.detected
-                and not state.detected_two_hop
-                and not (sharing and policy)
-                and all(audits[j].quiet for j in state.in_nbrs if j in inbox)
-            )
+            exit_taken = _learns_nothing(state, inbox, audits, policy, sharing)
+            informed = policy if sharing else state.detected or state.detected_two_hop
             want = detect(twin, inbox, last[1], public, policy, rule)
             got = detect(state, inbox, audits, public, policy, rule)
             assert got == want
@@ -550,6 +668,7 @@ def test_quiet_exit_gives_the_verdicts_of_the_full_pipeline(scenario, crashing, 
             assert state.detected_two_hop == twin.detected_two_hop
             exits += exit_taken
             crash_exits += exit_taken and any(v.cause is Cause.CRASH for v in got)
+            informed_exits += exit_taken and bool(informed)
             return got
 
         return wrapper
@@ -557,9 +676,12 @@ def test_quiet_exit_gives_the_verdicts_of_the_full_pipeline(scenario, crashing, 
     monkeypatch.setattr(sim, "detect_alg2", checked(detect_alg2, True))
     monkeypatch.setattr(sim, "detect_alg3", checked(detect_alg3, False))
     sim.run(scenario)
-    assert exits > 0
+    if scenario.detection is not sim.DetectionMode.NONE:
+        assert exits > 0
     if crashing:
         assert crash_exits > 0
+    if attacked:
+        assert informed_exits > 0
 
 
 def test_a_shared_set_keeps_quiet_broadcasts_from_the_exit():
