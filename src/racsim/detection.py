@@ -5,12 +5,9 @@ ascending set of reporting in-neighbors, and one audit per reporter
 ending in the per-edge checks (Step 2 to Step 4). A node's check set,
 the relayed values it expects, is not stored: it is the public values
 (what each node broadcast as its next running sums last round) of its
-in-neighbors and itself, plus the two-hop values voted this round. So
-a reporter whose broadcast passed Step 3 against the public values
-needs the per-edge Step 3 again only if it relays a voted id whose
-vote is not == its public value. The two detectors differ only in
-their claim policy, how a node treats the detection sets its
-in-neighbors claim:
+in-neighbors and itself, plus the two-hop values voted this round.
+The two detectors differ only in their claim policy, how a node treats
+the detection sets its in-neighbors claim:
 
 * sharing detection: a trusted oracle shares every verified detection
   network-wide within the round, and each claim set must equal the
@@ -24,17 +21,18 @@ in-neighbors claim:
 
 Every receiver audits the same broadcast, so audit_broadcast runs once
 per message sent and walks its relayed entries once: the walk sums the
-ledger flow that the update replay reads, in ledger order, and records
+ledger flow that the update replay reads, in ledger order, and finds
 the off-public ids, those whose entries are not == their public
 values. When the flow passes pair_eq against itself, Step 3 against
 the public values needs a test only on the off-public and the claimed
 ids: a non-finite entry makes the flow inf or NaN for good, and a
 finite entry == its public value differs from it by exactly 0. Only
 other broadcasts take a second walk for Step 3. The previous ledger is
-walked again only for the ids it relays and the current one lacks. A
-two-hop vote runs only on an id that some reporter relays off-public:
-a vote whose reports are all == the public value gives that value or
-no majority, so Step 3 against it cannot differ.
+walked again only for the ids it relays and the current one lacks.
+Step 3 against the public values and the off-public ids decide only
+whether the audit is quiet; past the exit below, each receiver votes
+on every two-hop id it does not know and runs Step 3 against its own
+check set for every reporter without a field finding.
 
 An audit is quiet when it has no finding, passes Step 3 against the
 public values, keeps every claim of the sender's previous message, and
@@ -45,8 +43,9 @@ shared set; under the distributed policy, it claims only nodes this
 node knew of before the round (known), and it claims every one of
 them that is its own in-neighbor. The checks skipped cannot fire:
 
-* no finding and Step 3 passes, so no field, replay or per-edge
-  Step 3 verdict, as long as no vote deviates;
+* no finding and Step 3 passes against the public values, so no
+  field, replay or per-edge Step 3 verdict, as long as no vote
+  differs from a public value;
 * claims are a subset of known, which the snapshot holds, so neither
   the uncorroborated nor the persisted audit fires;
 * the previous claims are a subset of the claims, so the vanished
@@ -56,7 +55,8 @@ them that is its own in-neighbor. The checks skipped cannot fire:
 * every claimed id is already known, so corroboration adds no one;
 * for a two-hop id this node does not know, every report is == its
   public value, since each reporter claims its off-public ids and
-  claims only known ones, so no vote runs or deviates.
+  claims only known ones, so its vote gives that value or no
+  majority.
 
 The omission rule reads in(j) here because the omitted audit does; a
 wider omission rule must widen in(j) in this condition too. After an
@@ -225,22 +225,18 @@ class SenderAudit(NamedTuple):
     once per message sent. fields is the first Step 2 (id sanity) or
     Step 4 declared-field finding. Without one, replay is the Step 4
     update-replay finding (the safety-interval finding for a first
-    message), and consistent says that every relayed entry passes
-    Step 3 against the public values: what each id broadcast as its
-    next running sums last round. off_public lists, in ledger order,
-    the relayed ids whose entries are not == their public values, and
-    claimed_before the claims of the sender's previous message (none
-    for a first message), both whatever the findings. quiet holds when
-    there is no finding, the broadcast is consistent, keeps every claim
-    of the previous message and claims every off-public id. A receiver
-    that already knows what a quiet broadcast claims learns nothing
-    from it; see _detect.
+    message). claimed_before holds the claims of the sender's previous
+    message (none for a first message), whatever the findings. quiet
+    holds when there is no finding, every relayed entry passes Step 3
+    against the public values (what each id broadcast as its next
+    running sums last round), the broadcast keeps every claim of the
+    previous message, and it claims every relayed id whose entry is
+    not == its public value. A receiver that already knows what a quiet
+    broadcast claims learns nothing from it; see _detect.
     """
 
     fields: Optional[Finding]
     replay: Optional[Finding] = None
-    consistent: bool = False
-    off_public: tuple[int, ...] = ()
     claimed_before: frozenset[int] = frozenset()
     quiet: bool = False
 
@@ -265,7 +261,7 @@ def audit_broadcast(
     # one walk over the relayed entries: the replay's flow, summed in
     # ledger order (the order of every float sum is pinned), and the
     # off-public ids, found with == and not pair_eq, since tolerance
-    # comparisons are not transitive
+    # comparisons are not transitive; quiet reads them
     before = prev_msg.relayed if prev_msg is not None else {}
     flow_y = flow_z = 0
     off_public = ()
@@ -292,7 +288,7 @@ def audit_broadcast(
         elif msg.declared_removed_out != expected_removed:
             fields = Cause.STEP4, (("declared_removed_out", msg.declared_removed_out, expected_removed),)
     if fields is not None:
-        return SenderAudit(fields, off_public=off_public, claimed_before=claimed_before)
+        return SenderAudit(fields, claimed_before=claimed_before)
     # Step 3 (see _step3) needs a pair_eq test only on the off-public and
     # claimed ids when the flow passes pair_eq against itself. A
     # non-finite component of any entry makes its term, and then the
@@ -323,7 +319,7 @@ def audit_broadcast(
     quiet = (
         replay is None and consistent and claimed_before <= claims and claims.issuperset(off_public)
     )
-    return SenderAudit(None, replay, consistent, off_public, claimed_before, quiet)
+    return SenderAudit(None, replay, claimed_before, quiet)
 
 
 def _step3(
@@ -405,34 +401,24 @@ def _detect(
     reporters = {j: inbox[j] for j in active_in if j in inbox}
 
     # the public values of the node's in-neighbors and itself, which
-    # the votes below extend; only a voted value can deviate from them
+    # the votes below extend
     check = {h: public[h] for h in (*in_nbrs, i) if h in public}
-    deviating: set[int] = set()
     if shared is None:
         f = oracle.f
-        # vote on the two-hop values some reporter relays off-public; a
-        # vote whose reports are all == the public value gives that value
-        # or NO_MAJORITY, so Step 3 against it cannot differ
-        off_public = set()
-        for j in reporters:
-            off_public.update(audits[j].off_public)
-        if off_public:
-            for h, relays in oracle.two_hop_relays[i]:
-                if h not in off_public or h in detected or h in two_hop_detected:
-                    continue
-                reports = [
-                    reporters[p].relayed[h]
-                    for p in relays
-                    if p in reporters and h in reporters[p].relayed
-                ]
-                if len(reports) < 2 * f + 1:
-                    continue
-                value = vote_value(reports, rule)
-                if value is NO_MAJORITY:
-                    continue
+        # vote on the two-hop values of nodes not yet known
+        for h, relays in oracle.two_hop_relays[i]:
+            if h in detected or h in two_hop_detected:
+                continue
+            reports = [
+                reporters[p].relayed[h]
+                for p in relays
+                if p in reporters and h in reporters[p].relayed
+            ]
+            if len(reports) < 2 * f + 1:
+                continue
+            value = vote_value(reports, rule)
+            if value is not NO_MAJORITY:
                 check[h] = value
-                if public.get(h) != value:
-                    deviating.add(h)
 
         # corroborated detection claims
         counts: dict[int, int] = {}
@@ -448,32 +434,29 @@ def _detect(
         if j in detected:
             continue
         # the claim policy; the distributed claim audits run in this
-        # order, as the first verdict on j wins, and only on non-empty
-        # input: most claim sets are empty
+        # order, as the first verdict on j wins
         claims = msg.detected
+        audit = audits[j]
         if shared is None:
             in_j = oracle.in_nbrs(j)
 
             # claims about j's own in-neighbors
-            if claims:
-                for h in sorted(claims & in_j):
-                    if h not in snapshot and oracle.must_know_status(i, h):
-                        condemn(j, Cause.STEP1A, ("uncorroborated", h))
-            if known_before:
-                for h in sorted((known_before & in_j) - claims):
-                    if oracle.must_detect(j, h):
-                        condemn(j, Cause.STEP1A, ("omitted", h))
+            for h in sorted(claims & in_j):
+                if h not in snapshot and oracle.must_know_status(i, h):
+                    condemn(j, Cause.STEP1A, ("uncorroborated", h))
+            for h in sorted((known_before & in_j) - claims):
+                if oracle.must_detect(j, h):
+                    condemn(j, Cause.STEP1A, ("omitted", h))
 
             # two-hop claims: must never vanish from the claim set, and
             # must be corroborated once repeated; both read j's previous
             # claims, which hold every earlier one that has not vanished
-            claimed_before = audits[j].claimed_before
+            claimed_before = audit.claimed_before
             if not claimed_before <= claims:
                 condemn(j, Cause.STEP1B, ("vanished", tuple(sorted(claimed_before - claims))))
-            if claims:
-                for m in sorted((claims & claimed_before) - in_j - {j}):
-                    if m not in snapshot and oracle.must_know_status(i, m):
-                        condemn(j, Cause.STEP1B, ("persisted_uncorroborated", m))
+            for m in sorted((claims & claimed_before) - in_j - {j}):
+                if m not in snapshot and oracle.must_know_status(i, m):
+                    condemn(j, Cause.STEP1B, ("persisted_uncorroborated", m))
         elif claims != shared:
             claimed = ("claimed", tuple(sorted(claims)))
             condemn(j, Cause.STEP1, claimed, ("shared", tuple(sorted(shared))))
@@ -481,14 +464,8 @@ def _detect(
         if j in detected:
             continue
         # Step 2 and the Step 4 declared fields, Step 3 against the check
-        # set, the Step 4 replay; a consistent sender relaying no
-        # deviating id passes Step 3 against the check set too
-        audit = audits[j]
-        finding = audit.fields
-        if finding is None and (not audit.consistent or not deviating.isdisjoint(msg.relayed)):
-            finding = _step3(msg, check, rule)
-        if finding is None:
-            finding = audit.replay
+        # set, the Step 4 replay
+        finding = audit.fields or _step3(msg, check, rule) or audit.replay
         if finding is not None:
             condemn(j, finding[0], *finding[1])
     return verdicts

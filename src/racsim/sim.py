@@ -56,11 +56,12 @@ def _finite(v) -> bool:
     return not isinstance(v, float) or math.isfinite(v)
 
 
-def _sums_finitely(values) -> bool:
-    """The magnitudes of finite values sum to a finite float; fsum
-    raises where an intermediate sum overflows."""
+def _sums_finitely(values, times: int = 1) -> bool:
+    """times the summed magnitudes of finite values is a finite float;
+    fsum raises where an intermediate sum overflows, and the product
+    where times is beyond the float range."""
     try:
-        return math.isfinite(math.fsum(map(abs, values)))
+        return math.isfinite(times * math.fsum(map(abs, values)))
     except OverflowError:
         return False
 
@@ -123,6 +124,16 @@ class Scenario:
         elif not _sums_finitely(self.x0):
             # the running sums and the survivors' average would overflow
             problems.append("x0 magnitudes overflow when summed")
+        elif not _sums_finitely(self.x0, self.horizon + len(self.x0)):
+            # The mixing never grows Σ|y| beyond Σ|x0|, and each round a
+            # node adds a share of its mass to its running sums, so after
+            # k rounds every running sum, and every sum the update and the
+            # audits take of them (a ledger's flow, the mass returned to
+            # removed out-neighbors), is within k·Σ|x0| in magnitude. The
+            # last message carries round horizon + 1's sums, and n more
+            # rounds leave room for rounding: (horizon + n)·Σ|x0| finite
+            # keeps every honest sum finite.
+            problems.append(f"x0 magnitudes overflow the running sums within {self.horizon} rounds")
         for script in self.adversaries:
             for r, a in script.schedule:
                 where = f"adversary {script.node} {a.kind.value} from round {r}"
@@ -280,7 +291,11 @@ def run(scenario: Scenario) -> Trace:
 
 
 def convergence_round(trace: Trace, target: float, tol: float) -> Optional[int]:
-    """Smallest round from which every normal ratio stays within tol."""
+    """Smallest round from which every normal ratio stays within tol,
+    or within 8 float spacings of the target where those are wider: a
+    ratio of two float running sums lands a few spacings off even when
+    every node holds the target, and near 1e300 one spacing is 1e284."""
+    tol = max(tol, 8 * math.ulp(target))
     normals = sorted(trace.normal_nodes)
     last_bad = -1
     for k in range(trace.horizon + 1):

@@ -63,6 +63,8 @@ class TestRunCommand:
                 {"from_round": 1, "action": {"kind": "FalselyAccuse", "target": 9}}]}]},
             {"x0": ["a"] + list(SIX_X0[1:])},
             {"x0": [10**400] + list(SIX_X0[1:])},
+            # Σ|x0| is finite, but 200 rounds of running sums are not
+            {"x0": [5e306] * 6, "horizon": 200},
             {"horizon": "abc"},
             {"f": "one"},
             {"tol": "x"},
@@ -98,7 +100,8 @@ class TestRunCommand:
             {"description": 5},
         ],
         ids=[
-            "nan-x0", "accuse-outside", "text-x0", "huge-x0", "text-horizon", "text-f", "text-tol",
+            "nan-x0", "accuse-outside", "text-x0", "huge-x0", "overflowing-running-sums",
+            "text-horizon", "text-f", "text-tol",
             "short-interval", "nan-interval", "inf-interval", "text-node", "text-degree",
             "negative-degree", "fractional-degree", "text-value-tol", "zero-value-tol", "unknown-arithmetic", "text-sharing", "list-fixture",
             "adversaries-object", "text-round", "text-target",

@@ -33,6 +33,7 @@ from racsim.protocol import (
     bootstrap,
     honest_round,
 )
+from racsim import sim
 from racsim.sim import DetectionMode, Scenario, mass_sums, run, summary
 from oracles import brute_oracle_answers
 
@@ -520,6 +521,35 @@ class TestSharingDetectionEndToEnd:
         counts = [trace.detected_count[i][first] for i in (1, 2, 3)]
         assert counts == [1, 1, 1]
 
+    def test_claims_are_the_shared_set_beyond_the_neighbors(self, monkeypatch):
+        """A node under sharing detection claims the whole shared set,
+        not only its neighbors. On five-sharing, node 3, no neighbor of
+        5, claims it in every message it builds from round 5 on, and
+        node 2, no neighbor of 4, claims 4 from round 14 on; every
+        normal node's claim set is the shared set."""
+        normals = {1, 2, 3}
+        beyond: dict[tuple, list[int]] = {}
+        detect, update = sim.detect_alg2, sim.honest_round
+
+        def checked(state, inbox, audits, public, shared, rule):
+            for j in normals & inbox.keys():
+                assert inbox[j].detected == shared
+            return detect(state, inbox, audits, public, shared, rule)
+
+        def recorded(s, inbox, rule):
+            update(s, inbox, rule)
+            far = s.next.detected - s.in_nbrs - s.out_nbrs
+            if far:
+                beyond.setdefault((s.id, far), []).append(s.next.round)
+
+        monkeypatch.setattr(sim, "detect_alg2", checked)
+        monkeypatch.setattr(sim, "honest_round", recorded)
+        sim.run(golden_case("five-sharing").build())
+        assert {key: (rounds[0], len(rounds)) for key, rounds in beyond.items()} == {
+            (3, frozenset({5})): (5, 196),
+            (2, frozenset({4})): (14, 187),
+        }
+
 
 # Scripts whose first verdict comes from a check that each receiver
 # used to repeat per edge; all actions start in round 3 unless
@@ -546,9 +576,9 @@ _AUDITED_ACTIONS = {
     "TwoHopRelayDisagrees": (AttackAction(ActionKind.TAMPER_RELAYED, target=6, amount=30.0),),
 }
 
-# Scripts under which a receiver leaves the once-per-broadcast Step 3
-# for its per-edge loop, or runs its two-hop votes, and how their
-# set-up differs from the others
+# Scripts whose verdicts need their own set-up: a first message
+# screened against the safety interval, a claimed id relayed as zero,
+# and a two-hop vote over relays that disagree
 _SLOW_PATH_SETUPS = {
     # round-1 safety-interval screening: the forged first share is public
     "screened-SetSelfValue": {"start": 1, "interval": (0.0, 12.0)},

@@ -1,17 +1,17 @@
-"""Step 3 once per broadcast against the public values.
+"""The once-per-broadcast audit and the quiet exit.
 
 A receiver's check set is the public values (what each node broadcast
 as its next running sums last round) of its in-neighbors and itself,
-plus the two-hop values it votes on this round. It votes only on the
-ids some reporter relays off-public (not == their public values), and
-repeats Step 3 per edge only for a reporter whose broadcast failed
-Step 3 against the public values or that relays a voted id whose vote
-is not == its public value. A node-round that learns nothing new, where
-every reporter's broadcast is quiet and claims only what the node knew
-(under sharing detection, exactly the shared set), ends after the crash
-check. These tests check that the shortcuts give exactly the verdicts
-of the full per-receiver path, and that the one-walk audit_broadcast
-and replay give what their multi-pass reference versions below give.
+plus the two-hop values it votes on this round. audit_broadcast runs
+Step 3 once per broadcast against the public values, and with it
+decides whether the broadcast is quiet. A node-round that learns
+nothing new, where every reporter's broadcast is quiet and claims only
+what the node knew (under sharing detection, exactly the shared set),
+ends after the crash check; any other node-round votes on every
+unknown two-hop id and runs Step 3 per edge against its check set.
+These tests check that the exit gives exactly the verdicts of the full
+per-receiver path, and that the one-walk audit_broadcast and replay
+give what their multi-pass reference versions below give.
 """
 
 import math
@@ -33,7 +33,6 @@ from racsim.adversary import (
     forge_information_set,
     tampered_inbox,
 )
-from racsim import detection
 from racsim.detection import (
     Cause,
     SenderAudit,
@@ -65,59 +64,9 @@ EXACT = ValueRule(exact=True)
 
 NAN = float("nan")
 OTHER_NAN = float("nan")
-# equal, within the default tolerance 1e-9 and just beyond it; int and
-# float zeros of both signs; inf and two distinct NaN objects
-FLOAT_PARTS = (1.0, 1.0 + 6e-10, 1.0 + 1.2e-9, 0, 0.0, -0.0, math.inf, NAN, OTHER_NAN)
-EXACT_PARTS = (Fraction(1, 3), Fraction(2, 3), Fraction(1, 2), 0.5, 1, Fraction(1), 0, Fraction(0))
 
 K5 = complete_graph(5)
 K5_ORACLE = StructuralOracle(K5, 1)
-
-
-@st.composite
-def edges(draw):
-    """One broadcast from node 1 of K5 that passes Step 2 and the
-    declared-field checks, with a public table and a receiver's check
-    set drawn so that values often coincide."""
-    rule = draw(st.sampled_from([FLOAT, EXACT]))
-    pairs = st.tuples(*[st.sampled_from(FLOAT_PARTS if rule is FLOAT else EXACT_PARTS)] * 2)
-    ids = range(1, 6)
-    public = {h: draw(pairs) for h in ids if draw(st.booleans())}
-
-    def near(h):
-        return st.one_of(st.just(public[h]), pairs) if h in public else pairs
-
-    claims = draw(st.frozensets(st.sampled_from(ids)))
-    relayed = {h: draw(st.one_of(near(h), st.just(ZERO_PAIR))) for h in ids}
-    check = {h: draw(near(h)) for h in ids if draw(st.integers(0, 3))}
-    out = K5.out_neighbors(1)
-    msg = InformationSet(
-        sender=1,
-        round=3,
-        detected=claims,
-        self_next=draw(pairs),
-        relayed=relayed,
-        declared_out_degree=len(out - claims),
-        declared_removed_out=len(out & claims),
-    )
-    return msg, public, check, rule
-
-
-@settings(max_examples=500, deadline=None)
-@given(edges())
-def test_shortcut_matches_treating_every_check_id_as_deviating(case):
-    msg, public, check, rule = case
-    prev = bootstrap(K5, 1, 1.0, rule).next
-    audit = audit_broadcast(msg, prev, public, K5_ORACLE, rule)
-    assert audit.fields is None
-    deviating = {h for h, v in check.items() if public.get(h) != v}
-    if audit.consistent:
-        # each check id the shortcut trusts passes Step 3 on its own, so
-        # a consistent sender relaying no deviating id passes it in full
-        trusted = {h: v for h, v in check.items() if h not in deviating}
-        assert _step3(msg, trusted, rule) is None
-        if deviating.isdisjoint(msg.relayed):
-            assert _step3(msg, check, rule) is None
 
 
 def _reference_replay(phi_now, phi_prev, rule):
@@ -155,15 +104,14 @@ def _off_public(msg, public):
 def _reference_audit(msg, prev_msg, public, oracle, rule, interval=None):
     """audit_broadcast with every set built, the off-public ids as a
     comprehension over the relayed entries and Step 3 as a second walk
-    over all of them."""
+    over all of them; quiet reads both."""
     j = msg.sender
     in_j, out_j = oracle.in_nbrs(j), oracle.out_nbrs(j)
     ids = set(msg.relayed)
     foreign = ids - in_j - {j}
     missing = (in_j | {j}) - ids
     claimed_before = prev_msg.detected if prev_msg is not None else frozenset()
-    off_public = _off_public(msg, public)
-    known = {"off_public": off_public, "claimed_before": claimed_before}
+    known = {"claimed_before": claimed_before}
     expected_d = len(out_j - msg.detected)
     expected_removed = len((out_j - claimed_before) & msg.detected)
     if foreign:
@@ -195,9 +143,9 @@ def _reference_audit(msg, prev_msg, public, oracle, rule, interval=None):
         replay is None
         and consistent
         and claimed_before <= msg.detected
-        and set(off_public) <= msg.detected
+        and set(_off_public(msg, public)) <= msg.detected
     )
-    return SenderAudit(None, replay, consistent, off_public, claimed_before, quiet)
+    return SenderAudit(None, replay, claimed_before, quiet)
 
 
 def _same(a, b) -> bool:
@@ -282,10 +230,7 @@ def test_audit_broadcast_matches_the_multi_pass_reference(case):
     msg, prev, public, interval, rule = case
     got = audit_broadcast(msg, prev, public, K5_ORACLE, rule, interval)
     want = _reference_audit(msg, prev, public, K5_ORACLE, rule, interval)
-    assert _same(
-        (got.fields, got.replay, got.consistent, got.off_public),
-        (want.fields, want.replay, want.consistent, want.off_public),
-    )
+    assert _same((got.fields, got.replay), (want.fields, want.replay))
     assert got.claimed_before == want.claimed_before
     assert got.quiet is want.quiet
 
@@ -304,7 +249,8 @@ def _honest_second_message(claimed):
 
 
 # per change: what node 1 has detected by its second exchange, the
-# off-public ids, whether the audit is consistent and whether it is quiet
+# off-public ids, whether the broadcast passes Step 3 against the public
+# values and whether its audit is quiet
 _QUIET_CASES = {
     "none": (set(), (), True, True),
     # a claim on itself changes neither declared field nor Step 3, and
@@ -345,11 +291,12 @@ def test_quiet_fails_with_any_one_of_its_conditions(change):
         msg = msg._replace(relayed={**msg.relayed, 2: public[2]})
         # the sums the replay predicts, so that only Step 3 fails
         msg = msg._replace(self_next=_reference_replay(msg, prev, FLOAT)[0])
+    assert _off_public(msg, public) == off_public
+    assert (_step3(msg, public, FLOAT) is None) == consistent
     audit = audit_broadcast(msg, prev, public, K5_ORACLE, FLOAT)
     assert audit.fields is None
     assert (audit.replay is None) == (change != "replay")
-    assert audit.consistent == consistent
-    assert audit.off_public == off_public
+    assert audit.claimed_before == prev.detected
     assert audit.quiet == quiet
 
 
@@ -409,69 +356,34 @@ VOTED = (1.0, 1.0)
 
 
 @pytest.mark.parametrize(
-    "vote, public_5, deviates",
-    [
-        ((0, 0.0), (0.0, -0.0), False),  # int and float zeros of both signs are ==
-        (VOTED, VOTED, False),
-        (VOTED, (NAN, 1.0), True),  # a NaN is never == a vote
-        (VOTED, (1.0 + 6e-10, 1.0), True),  # within tolerance, but not ==
-        (VOTED, None, True),  # public holds no value for 5
-    ],
-    ids=["signed-zeros", "same-pair", "nan", "within-tol", "missing"],
+    "copy_4, fails",
+    [((50.0, 50.0), True), ((1.0 + 6e-10, 1.0), False)],
+    ids=["differs", "within-tol"],
 )
-def test_a_vote_that_is_not_public_reruns_step3(vote, public_5, deviates):
-    """A voted id sends the reporters relaying it through Step 3 per
-    edge exactly when its vote is not == its public value. Every audit
-    says its broadcast passed Step 3 against the public values, so only
-    the vote decides: 2 and 3 relay the vote, and 4's differing copy of
-    it, off-public, starts the vote and fails Step 3 if Step 3 reruns."""
+@pytest.mark.parametrize(
+    "public_5",
+    [VOTED, (NAN, 1.0), (1.0 + 6e-10, 1.0), None],
+    ids=["public-is-vote", "public-nan", "public-within-tol", "no-public"],
+)
+def test_a_relayer_whose_copy_differs_from_the_vote_fails_step3(public_5, copy_4, fails):
+    """2 and 3 relay two-hop node 5 at the vote and 4 relays its own
+    copy. No audit is quiet, so node 1 votes on 5 and runs Step 3 on
+    every edge: 4 fails it exactly when its copy is beyond tolerance of
+    the vote, whatever 5's public value."""
     oracle = StructuralOracle(DIAMOND, 1)
     state = bootstrap(DIAMOND, 1, 1.0, FLOAT)
     public = {h: (float(h), 1.0) for h in range(1, 5)}
     if public_5 is not None:
         public[5] = public_5
-    relayed_5 = {2: vote, 3: vote, 4: (50.0, 50.0)}
+    relayed_5 = {2: VOTED, 3: VOTED, 4: copy_4}
     inbox = {
         j: InformationSet(j, 1, frozenset(), (9.0, 1.0), {1: public[1], 5: relayed_5[j], j: public[j]}, 1)
         for j in (2, 3, 4)
     }
-    audits = {j: SenderAudit(None, None, True, _off_public(msg, public)) for j, msg in inbox.items()}
-    assert 5 in audits[4].off_public
+    audits = {j: SenderAudit(None) for j in inbox}
     verdicts = detect_alg3(state, inbox, audits, public, oracle, FLOAT)
-    step3 = (4, Cause.STEP3, (("id", 5), ("relayed", (50.0, 50.0)), ("expected", vote)))
-    assert [(v.suspect, v.cause, v.evidence) for v in verdicts] == ([step3] if deviates else [])
-
-@pytest.mark.parametrize("every_id_off_public", [False, True], ids=["audited", "all-off-public"])
-def test_no_vote_runs_on_an_id_every_reporter_relays_at_its_public_value(every_id_off_public, monkeypatch):
-    """2, 3 and 4 relay two-hop node 5 at its public value, and 4 also
-    relays this node's own value wrongly, so its broadcast fails Step 3
-    against the public values and reruns it per edge. No reporter
-    relays 5 off-public, so no vote on 5 runs; audits that mark every
-    relayed id off-public force the vote, and the verdicts are the
-    same."""
-    votes, vote_value = [], detection.vote_value
-
-    def counted(reports, rule):
-        votes.append(reports)
-        return vote_value(reports, rule)
-
-    monkeypatch.setattr(detection, "vote_value", counted)
-    oracle = StructuralOracle(DIAMOND, 1)
-    state = bootstrap(DIAMOND, 1, 1.0, FLOAT)
-    public = {h: (float(h), 1.0) for h in range(1, 6)}
-    relayed_1 = {2: public[1], 3: public[1], 4: (50.0, 50.0)}
-    inbox = {
-        j: InformationSet(j, 1, frozenset(), (9.0, 1.0), {1: relayed_1[j], 5: public[5], j: public[j]}, 1)
-        for j in (2, 3, 4)
-    }
-    audits = {}
-    for j, msg in inbox.items():
-        off_public = tuple(msg.relayed) if every_id_off_public else _off_public(msg, public)
-        audits[j] = SenderAudit(None, None, j != 4, off_public)
-    verdicts = detect_alg3(state, inbox, audits, public, oracle, FLOAT)
-    step3 = (4, Cause.STEP3, (("id", 1), ("relayed", (50.0, 50.0)), ("expected", public[1])))
-    assert [(v.suspect, v.cause, v.evidence) for v in verdicts] == [step3]
-    assert votes == ([[public[5]] * 3] if every_id_off_public else [])
+    step3 = (4, Cause.STEP3, (("id", 5), ("relayed", copy_4), ("expected", VOTED)))
+    assert [(v.suspect, v.cause, v.evidence) for v in verdicts] == ([step3] if fails else [])
 
 
 # one forged action per ActionKind, from round 3
@@ -499,9 +411,7 @@ _NETWORKS = {
 @pytest.mark.parametrize("kind", list(ActionKind), ids=lambda k: k.value)
 @pytest.mark.parametrize("network", list(_NETWORKS))
 def test_empty_public_table_gives_the_same_detection(network, kind, rule):
-    """Audits that promise nothing, neither consistent nor quiet, with
-    every relayed id off-public, send every edge down the per-receiver
-    Step 3 and run every vote;
+    """Audits that are never quiet send every node-round past the exit;
     the detectors must not notice. The twin reads the same public
     table, since the check set is built from it."""
     g, x0, adversary, alg3 = _NETWORKS[network]
@@ -514,17 +424,14 @@ def test_empty_public_table_gives_the_same_detection(network, kind, rule):
     public = {i: m.self_next for i, m in prev.items()}
     for i in g.nodes:
         honest_round(states[i], {j: prev[j] for j in states[i].in_nbrs}, rule)
-    shortcuts = 0
+    quiet = 0
     for k in range(2, 9):
         msgs = {i: states[i].next for i in g.nodes}
         msgs[adversary] = forge_information_set(msgs[adversary], script, k - 1, rng)
         sent = {j: m for j, m in msgs.items() if m is not None}
         audits = {j: audit_broadcast(m, prev[j], public, oracle, rule) for j, m in sent.items()}
-        blind = {
-            j: a._replace(consistent=False, off_public=tuple(sent[j].relayed), quiet=False)
-            for j, a in audits.items()
-        }
-        shortcuts += sum(a.consistent and not a.off_public for a in audits.values())
+        blind = {j: a._replace(quiet=False) for j, a in audits.items()}
+        quiet += sum(a.quiet for a in audits.values())
         prev.update(sent)
         inboxes = {i: {j: sent[j] for j in states[i].in_nbrs if j in sent} for i in g.nodes}
         shared = frozenset().union(*(states[i].detected for i in normal))
@@ -551,7 +458,7 @@ def test_empty_public_table_gives_the_same_detection(network, kind, rule):
             if msgs[i] is None:
                 continue
             honest_round(states[i], inboxes[i], rule)
-    assert shortcuts > 0
+    assert quiet > 0
 
 
 @pytest.mark.parametrize("rule", [FLOAT, EXACT], ids=["float", "exact"])

@@ -165,6 +165,11 @@ class TestValidation:
         [
             (dict(x0=(math.nan,) + SIX_X0[1:]), "x0 has a non-finite entry"),
             (dict(x0=SIX_X0[:5] + (-math.inf,)), "x0 has a non-finite entry"),
+            # Σ|x0| = 3e307 is finite, but 200 rounds of running sums may not be
+            (
+                dict(x0=(5e306,) * 6, horizon=200),
+                "x0 magnitudes overflow the running sums within 200 rounds",
+            ),
             (
                 _attack(AttackAction(ActionKind.FALSELY_ACCUSE, target=9)),
                 "adversary 5 FalselyAccuse from round 1: target 9 outside 1..6",
@@ -190,7 +195,8 @@ class TestValidation:
             (dict(safety_interval=(math.inf, -math.inf)), "safety interval bounds must be finite"),
         ],
         ids=[
-            "nan-x0", "inf-x0", "accuse-outside", "inf-self-value", "nan-amount", "inf-fake-values",
+            "nan-x0", "inf-x0", "overflowing-running-sums", "accuse-outside", "inf-self-value",
+            "nan-amount", "inf-fake-values",
             "fractional-degree", "nan-interval", "inf-interval", "infinite-interval",
         ],
     )
@@ -382,6 +388,31 @@ class TestTraceProperties:
     def test_convergence_round_zero_when_always_converged(self):
         trace = run(_basic_scenario())
         assert convergence_round(trace, 5.0, 100.0) == 0
+
+    @pytest.mark.parametrize("x0", [1e300, 1e305])
+    def test_a_run_at_a_huge_common_value_converges(self, x0):
+        # tol 1e-6 is far below the float spacing at x0; at 1e305 the
+        # running sums of 200 rounds stay finite, so the scenario is valid
+        s = summary(run(_basic_scenario(x0=(x0,) * 6, horizon=200)))
+        assert s["target"] == pytest.approx(x0)
+        assert s["never_detected"] == [1, 2, 3, 4, 5, 6]
+        assert isinstance(s["converged_round"], int)
+
+    def test_convergence_round_allows_a_few_float_spacings(self):
+        # every ratio 4 spacings off 8e305, but node 1's 16 off in round 1
+        target = 8e305
+        ulp = math.ulp(target)
+        sc = _basic_scenario(horizon=2)
+        r = {i: [target + 4 * ulp, target - (16 if i == 1 else 4) * ulp, target - 4 * ulp] for i in sc.graph.nodes}
+        trace = Trace(
+            scenario=sc,
+            y=r,
+            z={i: [1.0] * 3 for i in sc.graph.nodes},
+            r=r,
+            detected_count={i: [0] * 3 for i in sc.graph.nodes},
+            events=[],
+        )
+        assert convergence_round(trace, target, 1e-6) == 2
 
 
 class TestSerialization:
