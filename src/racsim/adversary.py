@@ -121,7 +121,6 @@ def forge_information_set(
     self_next = truth.self_next
     relayed = dict(truth.relayed)
     declared_out_degree = truth.declared_out_degree
-    declared_removed_out = truth.declared_removed_out
     for a in actions:
         if a.kind is ActionKind.SET_SELF_VALUE:
             if truth.round == 0:
@@ -145,14 +144,11 @@ def forge_information_set(
         # a dropped self entry would crash receivers' bookkeeping; the
         # message type requires it, so restore the honest value
         relayed[truth.sender] = truth.relayed[truth.sender]
-    return InformationSet(
-        sender=truth.sender,
-        round=truth.round,
+    return truth._replace(
         detected=frozenset(detected),
         self_next=self_next,
         relayed=relayed,
         declared_out_degree=declared_out_degree,
-        declared_removed_out=declared_removed_out,
     )
 
 

@@ -55,9 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run a scenario and export trace files")
     p_run.add_argument("--scenario", required=True, help="scenario JSON file")
     p_run.add_argument("--out", required=True, help="output directory")
-    p_run.add_argument("--seed", type=int, default=None, help="override scenario seed")
-    p_run.add_argument("--exact", action="store_true", help="use exact rational arithmetic")
-    p_run.add_argument("--tol", type=float, default=None, help="override value-comparison tolerance")
 
     p_check = sub.add_parser("check-graph", help="check a graph file against detection conditions")
     p_check.add_argument("graph", help="edge-list file")
@@ -97,12 +94,6 @@ def cmd_run(args) -> int:
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         print(f"invalid scenario: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    if args.seed is not None:
-        scenario.seed = args.seed
-    if args.exact:
-        scenario.exact = True
-    if args.tol is not None:
-        scenario.value_tol = args.tol
     # every argument error is reported before the first round
     problems = scenario.validate()
     if problems:

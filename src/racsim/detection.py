@@ -23,25 +23,29 @@ Every receiver audits the same broadcast, so audit_broadcast runs once
 per message sent and walks its relayed entries once: the walk sums the
 ledger flow that the update replay reads, in ledger order, and finds
 the off-public ids, those whose entries are not == their public
-values. When the flow passes pair_eq against itself, Step 3 against
-the public values needs a test only on the off-public and the claimed
-ids: a non-finite entry makes the flow inf or NaN for good, and a
-finite entry == its public value differs from it by exactly 0. Only
-other broadcasts take a second walk for Step 3. The previous ledger is
-walked again only for the ids it relays and the current one lacks.
-Step 3 against the public values and the off-public ids decide only
-whether the audit is quiet; past the exit below, each receiver votes
-on every two-hop id it does not know and runs Step 3 against its own
-check set for every reporter without a field finding.
+values. The previous ledger is walked again only for the ids it
+relays and the current one lacks. Past the exit below, each receiver
+votes on every two-hop id it does not know and runs Step 3 against its
+own check set for every reporter without a field finding.
 
-An audit is quiet when it has no finding, passes Step 3 against the
-public values, keeps every claim of the sender's previous message, and
-claims every off-public id it relays. A node-round learns nothing new,
-and ends after the crash check, when every active reporter's audit is
-quiet and, under the sharing policy, the reporter claims exactly the
-shared set; under the distributed policy, it claims only nodes this
-node knew of before the round (known), and it claims every one of
-them that is its own in-neighbor. The checks skipped cannot fire:
+The audit also decides, by one conservative rule, whether a broadcast
+is quiet: it has no finding, keeps its previous claims, relays zero
+for each id it claims (its own, if claimed, within pair_eq of its
+public value), and relays exactly the public value, finite, for every
+other id. Finite is read off the ledger flow, which must pass pair_eq
+against itself; a non-finite entry would make the flow inf or NaN for
+good. An entry == its public value then passes Step 3 against it (in
+exact mode pair_eq is ==, which such an entry fails only on a NaN), so
+Step 3 needs a test only on the claimed ids. Finite entries whose flow
+overflows fail the rule, and such a broadcast only takes the full
+pipeline.
+
+A node-round learns nothing new, and ends after the crash check, when
+every active reporter's broadcast is quiet and, under the sharing
+policy, the reporter claims exactly the shared set; under the
+distributed policy, it claims only nodes this node knew of before the
+round (known), and it claims every one of them that is its own
+in-neighbor. The checks skipped cannot fire:
 
 * no finding and Step 3 passes against the public values, so no
   field, replay or per-edge Step 3 verdict, as long as no vote
@@ -165,13 +169,14 @@ class StructuralOracle:
 
     def __init__(self, g: DirectedGraph, f: int):
         self.f = f
-        self._in = {i: g.in_neighbors(i) for i in g.nodes}
-        self._out = {i: g.out_neighbors(i) for i in g.nodes}
+        # each node's neighbor sets, looked up by the detectors
+        self.in_nbrs = {i: g.in_neighbors(i) for i in g.nodes}
+        self.out_nbrs = {i: g.out_neighbors(i) for i in g.nodes}
         # the ids an honest broadcast of i relays: its in-neighbors and i
-        self.relay_ids = {i: self._in[i] | {i} for i in g.nodes}
+        self.relay_ids = {i: self.in_nbrs[i] | {i} for i in g.nodes}
         self.auditors = {
             h: frozenset(
-                a for a in self._out[h]
+                a for a in self.out_nbrs[h]
                 if all(x == a or is_detectable(g, f, x, a) for x in self.relay_ids[h])
             )
             for h in g.nodes
@@ -180,19 +185,13 @@ class StructuralOracle:
         # in-neighbors, ascending, with the in-neighbors of i relaying h
         self.two_hop_relays: dict[int, tuple[tuple[int, tuple[int, ...]], ...]] = {}
         for i in g.nodes:
-            in_i = self._in[i]
+            in_i = self.in_nbrs[i]
             relays: dict[int, list[int]] = {}
             for p in sorted(in_i):
-                for h in self._in[p]:
+                for h in self.in_nbrs[p]:
                     if h != i and h not in in_i:
                         relays.setdefault(h, []).append(p)
             self.two_hop_relays[i] = tuple((h, tuple(relays[h])) for h in sorted(relays))
-
-    def in_nbrs(self, i: int) -> frozenset[int]:
-        return self._in[i]
-
-    def out_nbrs(self, i: int) -> frozenset[int]:
-        return self._out[i]
 
     def must_detect(self, j: int, h: int) -> bool:
         """j is guaranteed to detect a misbehaving h on its own."""
@@ -202,7 +201,7 @@ class StructuralOracle:
         """i is guaranteed to learn of h's detection, directly or by a
         vote among 2f+1 in-neighbors that each audit h fully."""
         return h == i or i in self.auditors[h] or (
-            len(self.auditors[h] & self._in[i]) >= 2 * self.f + 1
+            len(self.auditors[h] & self.in_nbrs[i]) >= 2 * self.f + 1
         )
 
 
@@ -227,12 +226,9 @@ class SenderAudit(NamedTuple):
     update-replay finding (the safety-interval finding for a first
     message). claimed_before holds the claims of the sender's previous
     message (none for a first message), whatever the findings. quiet
-    holds when there is no finding, every relayed entry passes Step 3
-    against the public values (what each id broadcast as its next
-    running sums last round), the broadcast keeps every claim of the
-    previous message, and it claims every relayed id whose entry is
-    not == its public value. A receiver that already knows what a quiet
-    broadcast claims learns nothing from it; see _detect.
+    holds when the broadcast follows the quiet rule of the module
+    docstring; a receiver that already knows what a quiet broadcast
+    claims learns nothing from it (see _detect).
     """
 
     fields: Optional[Finding]
@@ -251,8 +247,9 @@ def audit_broadcast(
 ) -> SenderAudit:
     """Id sanity, declared-field cross-checks, the full arithmetic
     replay of the sender's update from its two consecutive messages,
-    and Step 3 against the public values. A first message (prev_msg
-    None) is screened against the safety interval instead of replayed."""
+    and the quiet rule of the module docstring. A first message
+    (prev_msg None) is screened against the safety interval instead of
+    replayed."""
     j = msg.sender
     relayed = msg.relayed
     claims = msg.detected
@@ -261,7 +258,7 @@ def audit_broadcast(
     # one walk over the relayed entries: the replay's flow, summed in
     # ledger order (the order of every float sum is pinned), and the
     # off-public ids, found with == and not pair_eq, since tolerance
-    # comparisons are not transitive; quiet reads them
+    # comparisons are not transitive
     before = prev_msg.relayed if prev_msg is not None else {}
     flow_y = flow_z = 0
     off_public = ()
@@ -282,28 +279,15 @@ def audit_broadcast(
             evidence = ("missing_ids", tuple(sorted(expected_ids - relayed.keys())))
         fields = Cause.STEP2, (evidence,)
     else:
-        expected_d, expected_removed = declared_fields(oracle.out_nbrs(j), claims, claimed_before)
+        expected_d, expected_removed = declared_fields(oracle.out_nbrs[j], claims, claimed_before)
         if msg.declared_out_degree != expected_d:
             fields = Cause.STEP4, (("declared_out_degree", msg.declared_out_degree, expected_d),)
         elif msg.declared_removed_out != expected_removed:
             fields = Cause.STEP4, (("declared_removed_out", msg.declared_removed_out, expected_removed),)
     if fields is not None:
         return SenderAudit(fields, claimed_before=claimed_before)
-    # Step 3 (see _step3) needs a pair_eq test only on the off-public and
-    # claimed ids when the flow passes pair_eq against itself. A
-    # non-finite component of any entry makes its term, and then the
-    # flow, inf or NaN for good; so in float mode a finite flow means
-    # finite entries, and an entry == its public value differs from it
-    # by exactly 0. In exact mode pair_eq is ==, which an entry == its
-    # public value fails only on a NaN, and a NaN makes the flow NaN.
-    # An overflowing flow only takes the walk.
+    # the flow as walked, which the quiet rule reads
     flow = (flow_y, flow_z)
-    if not rule.pair_eq(flow, flow):
-        consistent = _step3(msg, public, rule) is None
-    elif off_public or claims:
-        consistent = _step3(msg, public, rule, (*off_public, *claims)) is None
-    else:
-        consistent = True
     if prev_msg is None:
         lam, gam = msg.self_next
         replay = init_range_check(float(lam / gam) if gam != 0 else float("inf"), interval)
@@ -316,8 +300,13 @@ def audit_broadcast(
                     flow_y -= y_before
                     flow_z -= z_before
         replay = reconstruct_running_sums(msg, flow_y, flow_z, rule)
+    # the quiet rule of the module docstring
     quiet = (
-        replay is None and consistent and claimed_before <= claims and claims.issuperset(off_public)
+        replay is None
+        and claimed_before <= claims
+        and claims.issuperset(off_public)
+        and rule.pair_eq(flow, flow)
+        and (not claims or _step3(msg, public, rule, claims) is None)
     )
     return SenderAudit(None, replay, claimed_before, quiet)
 
@@ -390,7 +379,7 @@ def _detect(
                 quiet = (
                     audits[j].quiet
                     and claims <= known_before
-                    and known_before & oracle.in_nbrs(j) <= claims
+                    and known_before & oracle.in_nbrs[j] <= claims
                 )
             else:
                 quiet = audits[j].quiet
@@ -438,7 +427,7 @@ def _detect(
         claims = msg.detected
         audit = audits[j]
         if shared is None:
-            in_j = oracle.in_nbrs(j)
+            in_j = oracle.in_nbrs[j]
 
             # claims about j's own in-neighbors
             for h in sorted(claims & in_j):

@@ -292,15 +292,18 @@ def run(scenario: Scenario) -> Trace:
 
 def convergence_round(trace: Trace, target: float, tol: float) -> Optional[int]:
     """Smallest round from which every normal ratio stays within tol,
-    or within 8 float spacings of the target where those are wider: a
-    ratio of two float running sums lands a few spacings off even when
-    every node holds the target, and near 1e300 one spacing is 1e284."""
-    tol = max(tol, 8 * math.ulp(target))
+    or within 8·k float spacings of the target at round k ≥ 1 where
+    those are wider; near 1e300 one spacing is 1e284. The floor grows
+    with k because y and z are differences of running sums that grow
+    by about x0 each round: each round adds a few spacings of rounding,
+    so a ratio can land further off than 8 spacings even when every
+    node holds the target."""
+    spacing = 8 * math.ulp(target)
     normals = sorted(trace.normal_nodes)
     last_bad = -1
     for k in range(trace.horizon + 1):
         err = max(abs(float(trace.r[i][k]) - target) for i in normals)
-        if err >= tol:
+        if err >= max(tol, max(k, 1) * spacing):
             last_bad = k
     if last_bad == trace.horizon:
         return None

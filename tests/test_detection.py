@@ -406,7 +406,7 @@ class TestDistributedDetectionEndToEnd:
 
     @pytest.mark.xfail(
         strict=True,
-        reason="ROADMAP item 1: a false accusation makes ALG3 condemn normal nodes",
+        reason="ROADMAP item 2: a false accusation makes ALG3 condemn normal nodes",
     )
     def test_false_accusation_on_fourteen_spares_normal_nodes(self):
         trace = run(
@@ -428,7 +428,7 @@ class TestDistributedDetectionEndToEnd:
 
     @pytest.mark.xfail(
         strict=True,
-        reason="ROADMAP item 1: an adversary that only complies keeps feeding a condemned out-neighbour",
+        reason="ROADMAP item 2: an adversary that only complies keeps feeding a condemned out-neighbour",
     )
     def test_complying_adversary_isolates_its_condemned_out_neighbour(self):
         # 2 -> 7 is one of eight's one-way edges; 2 runs no detector, so
@@ -453,6 +453,26 @@ class TestDistributedDetectionEndToEnd:
         sy, _ = mass_sums(trace, survivors)[-1]
         assert abs(sy - sum(EIGHT_X0[i - 1] for i in survivors)) <= trace.scenario.tol
         assert summary(trace)["converged_round"] is not None
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="ROADMAP item 2: ValueRule's absolute value_tol condemns normal nodes at large x0",
+    )
+    def test_large_initial_values_draw_no_verdict(self):
+        # no adversary; at x0 × 1e8 the running sums' rounding exceeds
+        # the absolute value_tol 1e-9, and replays and votes fail from
+        # round 2 on
+        trace = run(
+            Scenario(
+                graph=fourteen_node_graph(),
+                x0=tuple(v * 1e8 for v in golden_case("fourteen-no-attack").data["x0"]),
+                f=1,
+                detection=DetectionMode.ALG3,
+                horizon=30,
+            )
+        )
+        assert trace.events == []
 
     def test_forged_self_value_caught_by_replay(self):
         trace = run(

@@ -3,13 +3,13 @@
 A receiver's check set is the public values (what each node broadcast
 as its next running sums last round) of its in-neighbors and itself,
 plus the two-hop values it votes on this round. audit_broadcast runs
-Step 3 once per broadcast against the public values, and with it
-decides whether the broadcast is quiet. A node-round that learns
-nothing new, where every reporter's broadcast is quiet and claims only
-what the node knew (under sharing detection, exactly the shared set),
-ends after the crash check; any other node-round votes on every
-unknown two-hop id and runs Step 3 per edge against its check set.
-These tests check that the exit gives exactly the verdicts of the full
+once per broadcast and decides whether it is quiet, by the rule in the
+racsim.detection docstring. A node-round that learns nothing new,
+where every reporter's broadcast is quiet and claims only what the
+node knew (under sharing detection, exactly the shared set), ends
+after the crash check; any other node-round votes on every unknown
+two-hop id and runs Step 3 per edge against its check set. These tests
+check that the exit gives exactly the verdicts of the full
 per-receiver path, and that the one-walk audit_broadcast and replay
 give what their multi-pass reference versions below give.
 """
@@ -25,14 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from racsim.adversary import (
-    ActionKind,
-    AttackAction,
-    AttackScript,
-    adversary_rng,
-    forge_information_set,
-    tampered_inbox,
-)
+from racsim.adversary import ActionKind, AttackAction, AttackScript
 from racsim.detection import (
     Cause,
     SenderAudit,
@@ -101,12 +94,25 @@ def _off_public(msg, public):
     return tuple(h for h, val in msg.relayed.items() if public.get(h) != val)
 
 
+def _walked_flow(msg, prev_msg):
+    """The ledger flow as audit_broadcast's walk sums it, over the
+    relayed entries in ledger order."""
+    before = prev_msg.relayed if prev_msg is not None else {}
+    flow_y = flow_z = 0
+    for h, (y, z) in msg.relayed.items():
+        y_before, z_before = before.get(h, ZERO_PAIR)
+        flow_y += y - y_before
+        flow_z += z - z_before
+    return flow_y, flow_z
+
+
 def _reference_audit(msg, prev_msg, public, oracle, rule, interval=None):
     """audit_broadcast with every set built, the off-public ids as a
     comprehension over the relayed entries and Step 3 as a second walk
-    over all of them; quiet reads both."""
+    over all of them; quiet reads both, and not the flow, so it is
+    audit_broadcast's quiet without the finite-flow condition."""
     j = msg.sender
-    in_j, out_j = oracle.in_nbrs(j), oracle.out_nbrs(j)
+    in_j, out_j = oracle.in_nbrs[j], oracle.out_nbrs[j]
     ids = set(msg.relayed)
     foreign = ids - in_j - {j}
     missing = (in_j | {j}) - ids
@@ -232,7 +238,12 @@ def test_audit_broadcast_matches_the_multi_pass_reference(case):
     want = _reference_audit(msg, prev, public, K5_ORACLE, rule, interval)
     assert _same((got.fields, got.replay), (want.fields, want.replay))
     assert got.claimed_before == want.claimed_before
-    assert got.quiet is want.quiet
+    # the quiet rule is the reference's, and also asks for a finite flow
+    if got.quiet:
+        assert want.quiet
+    flow = _walked_flow(msg, prev)
+    if rule.pair_eq(flow, flow):
+        assert got.quiet is want.quiet
 
 
 def _honest_second_message(claimed):
@@ -265,6 +276,8 @@ _QUIET_CASES = {
     "unclaimed_off_public": ({2}, (2, 3), True, False),
     # the claimed 2 relayed at its public value, not as zero
     "claimed_not_zero": ({2}, (), False, False),
+    # finite entries, each at its public value, whose flow overflows
+    "overflowing_flow": (set(), (), True, False),
 }
 
 
@@ -272,7 +285,9 @@ _QUIET_CASES = {
 def test_quiet_fails_with_any_one_of_its_conditions(change):
     """An honest second message is quiet, with or without claims; each
     change below breaks one condition of quiet and leaves the others
-    holding."""
+    holding. The overflowing flow is shown on a first message, which is
+    screened and not replayed, since a replay of an infinite flow
+    fails."""
     claimed, off_public, consistent, quiet = _QUIET_CASES[change]
     msg, prev, public = _honest_second_message(claimed)
     if change == "claims":
@@ -291,12 +306,16 @@ def test_quiet_fails_with_any_one_of_its_conditions(change):
         msg = msg._replace(relayed={**msg.relayed, 2: public[2]})
         # the sums the replay predicts, so that only Step 3 fails
         msg = msg._replace(self_next=_reference_replay(msg, prev, FLOAT)[0])
+    elif change == "overflowing_flow":
+        big = (0.0, 1.797e308)
+        msg, prev = prev._replace(relayed={**prev.relayed, 1: big, 5: big}), None
+        public = dict(msg.relayed)
     assert _off_public(msg, public) == off_public
     assert (_step3(msg, public, FLOAT) is None) == consistent
     audit = audit_broadcast(msg, prev, public, K5_ORACLE, FLOAT)
     assert audit.fields is None
     assert (audit.replay is None) == (change != "replay")
-    assert audit.claimed_before == prev.detected
+    assert audit.claimed_before == (prev.detected if prev is not None else frozenset())
     assert audit.quiet == quiet
 
 
@@ -407,126 +426,40 @@ _NETWORKS = {
 }
 
 
-@pytest.mark.parametrize("rule", [FLOAT, EXACT], ids=["float", "exact"])
-@pytest.mark.parametrize("kind", list(ActionKind), ids=lambda k: k.value)
-@pytest.mark.parametrize("network", list(_NETWORKS))
-def test_empty_public_table_gives_the_same_detection(network, kind, rule):
-    """Audits that are never quiet send every node-round past the exit;
-    the detectors must not notice. The twin reads the same public
-    table, since the check set is built from it."""
-    g, x0, adversary, alg3 = _NETWORKS[network]
-    oracle = StructuralOracle(g, 1)
-    script = AttackScript(node=adversary, schedule=((3, _ACTIONS[kind]),))
-    rng = adversary_rng(0, adversary)
-    normal = [i for i in g.nodes if i != adversary]
-    states = {i: bootstrap(g, i, x0[i - 1], rule) for i in g.nodes}
-    prev = {i: states[i].next for i in g.nodes}
-    public = {i: m.self_next for i, m in prev.items()}
-    for i in g.nodes:
-        honest_round(states[i], {j: prev[j] for j in states[i].in_nbrs}, rule)
-    quiet = 0
-    for k in range(2, 9):
-        msgs = {i: states[i].next for i in g.nodes}
-        msgs[adversary] = forge_information_set(msgs[adversary], script, k - 1, rng)
-        sent = {j: m for j, m in msgs.items() if m is not None}
-        audits = {j: audit_broadcast(m, prev[j], public, oracle, rule) for j, m in sent.items()}
-        blind = {j: a._replace(quiet=False) for j, a in audits.items()}
-        quiet += sum(a.quiet for a in audits.values())
-        prev.update(sent)
-        inboxes = {i: {j: sent[j] for j in states[i].in_nbrs if j in sent} for i in g.nodes}
-        shared = frozenset().union(*(states[i].detected for i in normal))
-        for i in normal:
-            state, twin = deepcopy(states[i]), deepcopy(states[i])
-            if alg3:
-                got = detect_alg3(state, inboxes[i], audits, public, oracle, rule)
-                want = detect_alg3(twin, inboxes[i], blind, public, oracle, rule)
-            else:
-                got = detect_alg2(state, inboxes[i], audits, public, shared, rule)
-                want = detect_alg2(twin, inboxes[i], blind, public, shared, rule)
-            assert got == want
-            assert state == twin
-            states[i] = state
-        if not alg3:
-            # the sharing oracle merges the detections into every sender, as in the engine
-            shared = frozenset().union(*(states[i].detected for i in normal))
-            for i in sent:
-                states[i].detected |= shared - {i}
-        public = {j: m.self_next for j, m in sent.items()}
-        # the adversary's own view is tampered, as in the engine
-        inboxes[adversary] = tampered_inbox(inboxes[adversary], script, k)
-        for i in g.nodes:
-            if msgs[i] is None:
-                continue
-            honest_round(states[i], inboxes[i], rule)
-    assert quiet > 0
-
-
-@pytest.mark.parametrize("rule", [FLOAT, EXACT], ids=["float", "exact"])
-@pytest.mark.parametrize("kind", list(ActionKind), ids=lambda k: k.value)
-@pytest.mark.parametrize("network", list(_NETWORKS))
-def test_whole_broadcast_table_gives_the_same_detection(network, kind, rule):
-    """The engine hands each detector the round's whole broadcast
-    table; it must give the verdicts and the state that a per-receiver
-    inbox gives."""
-    g, x0, adversary, alg3 = _NETWORKS[network]
-    oracle = StructuralOracle(g, 1)
-    script = AttackScript(node=adversary, schedule=((3, _ACTIONS[kind]),))
-    rng = adversary_rng(0, adversary)
-    normal = [i for i in g.nodes if i != adversary]
-    states = {i: bootstrap(g, i, x0[i - 1], rule) for i in g.nodes}
-    prev, public, verdicts = {}, {i: ZERO_PAIR for i in g.nodes}, 0
-    for k in range(1, 9):
-        msgs = {i: states[i].next for i in g.nodes}
-        msgs[adversary] = forge_information_set(msgs[adversary], script, max(k - 1, 1), rng)
-        sent = {j: m for j, m in msgs.items() if m is not None}
-        audits = {j: audit_broadcast(m, prev.get(j), public, oracle, rule) for j, m in sent.items()}
-        prev.update(sent)
-        shared = frozenset().union(*(states[i].detected for i in normal))
-        for i in normal:
-            inbox = {j: sent[j] for j in states[i].in_nbrs if j in sent}
-            state, twin = states[i], deepcopy(states[i])
-            if alg3:
-                got = detect_alg3(state, sent, audits, public, oracle, rule)
-                want = detect_alg3(twin, inbox, audits, public, oracle, rule)
-            else:
-                got = detect_alg2(state, sent, audits, public, shared, rule)
-                want = detect_alg2(twin, inbox, audits, public, shared, rule)
-            verdicts += len(got)
-            assert got == want
-            assert state == twin
-        if not alg3:
-            # the sharing oracle merges the detections into every sender, as in the engine
-            shared = frozenset().union(*(states[i].detected for i in normal))
-            for i in sent:
-                states[i].detected |= shared - {i}
-        public = {j: m.self_next for j, m in sent.items()}
-        for i in normal:
-            honest_round(states[i], sent, rule)
-        if msgs[adversary] is not None:
-            inbox = {j: sent[j] for j in states[adversary].in_nbrs if j in sent}
-            honest_round(states[adversary], tampered_inbox(inbox, script, k), rule)
-    if kind is not ActionKind.COMPLY:
-        assert verdicts > 0
-
-
 def _exit_scenarios():
     """Each golden case, and each one with adversaries once more with
     every adversary crashing from round 3, run to round 40; then the
     first 40 fuzz draws at seed 7, which cover every ActionKind, both
-    arithmetics and crashes. The flags say whether the run has
-    adversaries and whether they all crash."""
+    arithmetics and crashes; then each ActionKind from round 3 on each
+    of _NETWORKS, in float and exact arithmetic, run to round 8. The
+    flags say whether the run has adversaries, whether they all crash
+    and whether its one adversary acts, so that it must be caught."""
     for case in GOLDEN_CASES:
         attacked = bool(case.data["adversaries"])
-        yield pytest.param(case.build(), attacked, False, id=case.name)
+        yield pytest.param(case.build(), attacked, False, False, id=case.name)
         if attacked:
             data = deepcopy(case.data)
             for entry in data["adversaries"]:
                 entry["schedule"] = [{"from_round": 3, "action": {"kind": "Crash"}}]
             data["horizon"] = 40
-            yield pytest.param(sim.scenario_from_json(data), False, True, id=f"{case.name}-crash")
+            yield pytest.param(sim.scenario_from_json(data), False, True, False, id=f"{case.name}-crash")
     rng = random.Random(7)
     for n in range(40):
-        yield pytest.param(random_scenario(rng), False, False, id=f"fuzz-seed7-{n}")
+        yield pytest.param(random_scenario(rng), False, False, False, id=f"fuzz-seed7-{n}")
+    for network, (g, x0, adversary, alg3) in _NETWORKS.items():
+        for kind, action in _ACTIONS.items():
+            for arithmetic in ("float", "exact"):
+                scenario = sim.Scenario(
+                    graph=g,
+                    x0=x0,
+                    detection=sim.DetectionMode.ALG3 if alg3 else sim.DetectionMode.ALG2,
+                    sharing_oracle=not alg3,
+                    adversaries=(AttackScript(node=adversary, schedule=((3, action),)),),
+                    horizon=8,
+                    exact=arithmetic == "exact",
+                )
+                acting = kind is not ActionKind.COMPLY
+                yield pytest.param(scenario, False, False, acting, id=f"{network}-{kind.value}-{arithmetic}")
 
 
 def _learns_nothing(state, inbox, audits, policy, sharing) -> bool:
@@ -543,39 +476,52 @@ def _learns_nothing(state, inbox, audits, policy, sharing) -> bool:
         if sharing:
             if claims != policy:
                 return False
-        elif not (claims <= known and known & policy.in_nbrs(j) <= claims):
+        elif not (claims <= known and known & policy.in_nbrs[j] <= claims):
             return False
     return True
 
 
-@pytest.mark.parametrize("scenario, attacked, crashing", list(_exit_scenarios()))
-def test_quiet_exit_gives_the_verdicts_of_the_full_pipeline(scenario, attacked, crashing, monkeypatch):
-    """Every detector call of a run, repeated on a copy of the node's
-    state with every audit's quiet forced False, gives the same verdicts
-    and detection sets. The exit is taken in every golden run, in a
-    crash round in every crashing one, and in every golden run with
-    adversaries in a round where the node already knew of a detection
-    (under sharing detection, held a non-empty shared set)."""
-    exits, crash_exits, informed_exits = 0, 0, 0
+def _twin(state):
+    return replace(state, detected=set(state.detected), detected_two_hop=set(state.detected_two_hop))
+
+
+@pytest.mark.parametrize("scenario, attacked, crashing, acting", list(_exit_scenarios()))
+def test_quiet_exit_gives_the_verdicts_of_the_full_pipeline(scenario, attacked, crashing, acting, monkeypatch):
+    """Every detector call of a run gives the verdicts and detection
+    sets of two repeats on copies of the node's state: one with every
+    audit's quiet forced False, one reading a per-receiver inbox of the
+    node's in-neighbors' messages in place of the engine's whole
+    broadcast table. Every run with detection has a quiet audit and
+    takes the exit; the exit is taken in a crash round in every
+    crashing run, and in every golden run with adversaries in a round
+    where the node already knew of a detection (under sharing
+    detection, held a non-empty shared set). Every acting adversary
+    draws a verdict."""
+    exits, crash_exits, informed_exits, quiet_audits, verdicts = 0, 0, 0, 0, 0
 
     def checked(detect, sharing):
         last = [None, None]  # this round's audits and their loud copies
 
         def wrapper(state, inbox, audits, public, policy, rule):
-            nonlocal exits, crash_exits, informed_exits
+            nonlocal exits, crash_exits, informed_exits, quiet_audits, verdicts
             if audits is not last[0]:
                 last[:] = audits, {j: a._replace(quiet=False) for j, a in audits.items()}
-            twin = replace(state, detected=set(state.detected), detected_two_hop=set(state.detected_two_hop))
+                quiet_audits += sum(a.quiet for a in audits.values())
+            loud, own = _twin(state), _twin(state)
             exit_taken = _learns_nothing(state, inbox, audits, policy, sharing)
             informed = policy if sharing else state.detected or state.detected_two_hop
-            want = detect(twin, inbox, last[1], public, policy, rule)
+            own_inbox = {j: inbox[j] for j in state.in_nbrs if j in inbox}
+            want = detect(loud, inbox, last[1], public, policy, rule)
+            want_own = detect(own, own_inbox, audits, public, policy, rule)
             got = detect(state, inbox, audits, public, policy, rule)
-            assert got == want
-            assert state.detected == twin.detected
-            assert state.detected_two_hop == twin.detected_two_hop
+            for twin, twin_verdicts in ((loud, want), (own, want_own)):
+                assert got == twin_verdicts
+                assert state.detected == twin.detected
+                assert state.detected_two_hop == twin.detected_two_hop
             exits += exit_taken
             crash_exits += exit_taken and any(v.cause is Cause.CRASH for v in got)
             informed_exits += exit_taken and bool(informed)
+            verdicts += len(got)
             return got
 
         return wrapper
@@ -584,11 +530,14 @@ def test_quiet_exit_gives_the_verdicts_of_the_full_pipeline(scenario, attacked, 
     monkeypatch.setattr(sim, "detect_alg3", checked(detect_alg3, False))
     sim.run(scenario)
     if scenario.detection is not sim.DetectionMode.NONE:
+        assert quiet_audits > 0
         assert exits > 0
     if crashing:
         assert crash_exits > 0
     if attacked:
         assert informed_exits > 0
+    if acting:
+        assert verdicts > 0
 
 
 def test_a_shared_set_keeps_quiet_broadcasts_from_the_exit():

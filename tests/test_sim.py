@@ -414,6 +414,15 @@ class TestTraceProperties:
         )
         assert convergence_round(trace, target, 1e-6) == 2
 
+    @pytest.mark.parametrize("name, converged", [("six-attack", 20), ("fourteen-no-attack", 132)])
+    def test_rounding_that_grows_each_round_still_converges(self, name, converged):
+        # x0 × 1e10 with no adversaries and no detection: the ratios end
+        # 93 (six) and 365 (fourteen) float spacings off the target, as
+        # rounding grows with the running sums
+        data = {**golden_case(name).data, "adversaries": [], "detection": "none", "horizon": 200}
+        data["x0"] = [v * 1e10 for v in data["x0"]]
+        assert summary(run(scenario_from_json(data)))["converged_round"] == converged
+
 
 class TestSerialization:
     def test_json_round_trip_preserves_run(self):
