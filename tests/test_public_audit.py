@@ -17,6 +17,7 @@ give what their multi-pass reference versions below give.
 import math
 import random
 import sys
+from collections import Counter
 from copy import deepcopy
 from dataclasses import replace
 from fractions import Fraction
@@ -430,22 +431,26 @@ def _exit_scenarios():
     """Each golden case, and each one with adversaries once more with
     every adversary crashing from round 3, run to round 40; then the
     first 40 fuzz draws at seed 7, which cover every ActionKind, both
-    arithmetics and crashes; then each ActionKind from round 3 on each
-    of _NETWORKS, in float and exact arithmetic, run to round 8. The
-    flags say whether the run has adversaries, whether they all crash
-    and whether its one adversary acts, so that it must be caught."""
+    arithmetics and crashes. The flags say whether the run has
+    adversaries and whether they all crash."""
     for case in GOLDEN_CASES:
         attacked = bool(case.data["adversaries"])
-        yield pytest.param(case.build(), attacked, False, False, id=case.name)
+        yield pytest.param(case.build(), attacked, False, id=case.name)
         if attacked:
             data = deepcopy(case.data)
             for entry in data["adversaries"]:
                 entry["schedule"] = [{"from_round": 3, "action": {"kind": "Crash"}}]
             data["horizon"] = 40
-            yield pytest.param(sim.scenario_from_json(data), False, True, False, id=f"{case.name}-crash")
+            yield pytest.param(sim.scenario_from_json(data), False, True, id=f"{case.name}-crash")
     rng = random.Random(7)
     for n in range(40):
-        yield pytest.param(random_scenario(rng), False, False, False, id=f"fuzz-seed7-{n}")
+        yield pytest.param(random_scenario(rng), False, False, id=f"fuzz-seed7-{n}")
+
+
+def _action_scenarios():
+    """Each ActionKind from round 3 on each of _NETWORKS, in float and
+    exact arithmetic, run to round 8. The flag says whether the one
+    adversary acts, so that it must be caught."""
     for network, (g, x0, adversary, alg3) in _NETWORKS.items():
         for kind, action in _ACTIONS.items():
             for arithmetic in ("float", "exact"):
@@ -459,7 +464,7 @@ def _exit_scenarios():
                     exact=arithmetic == "exact",
                 )
                 acting = kind is not ActionKind.COMPLY
-                yield pytest.param(scenario, False, False, acting, id=f"{network}-{kind.value}-{arithmetic}")
+                yield pytest.param(scenario, acting, id=f"{network}-{kind.value}-{arithmetic}")
 
 
 def _learns_nothing(state, inbox, audits, policy, sharing) -> bool:
@@ -485,43 +490,44 @@ def _twin(state):
     return replace(state, detected=set(state.detected), detected_two_hop=set(state.detected_two_hop))
 
 
-@pytest.mark.parametrize("scenario, attacked, crashing, acting", list(_exit_scenarios()))
-def test_quiet_exit_gives_the_verdicts_of_the_full_pipeline(scenario, attacked, crashing, acting, monkeypatch):
-    """Every detector call of a run gives the verdicts and detection
-    sets of two repeats on copies of the node's state: one with every
-    audit's quiet forced False, one reading a per-receiver inbox of the
+def _checked_run(scenario, monkeypatch, *, loud, per_receiver):
+    """sim.run(scenario) with every detector call repeated on copies of
+    the node's state: with loud, one with every audit's quiet forced
+    False; with per_receiver, one reading a per-receiver inbox of the
     node's in-neighbors' messages in place of the engine's whole
-    broadcast table. Every run with detection has a quiet audit and
-    takes the exit; the exit is taken in a crash round in every
-    crashing run, and in every golden run with adversaries in a round
-    where the node already knew of a detection (under sharing
-    detection, held a non-empty shared set). Every acting adversary
-    draws a verdict."""
-    exits, crash_exits, informed_exits, quiet_audits, verdicts = 0, 0, 0, 0, 0
+    broadcast table. Each repeat must give the call's verdicts and
+    detection sets. Returns the counts of exits, exits in a round with
+    a crash verdict, exits of a node that knew of a detection (under
+    sharing detection, held a non-empty shared set), quiet audits and
+    verdicts."""
+    counts = Counter()
 
     def checked(detect, sharing):
         last = [None, None]  # this round's audits and their loud copies
 
         def wrapper(state, inbox, audits, public, policy, rule):
-            nonlocal exits, crash_exits, informed_exits, quiet_audits, verdicts
             if audits is not last[0]:
                 last[:] = audits, {j: a._replace(quiet=False) for j, a in audits.items()}
-                quiet_audits += sum(a.quiet for a in audits.values())
-            loud, own = _twin(state), _twin(state)
+                counts["quiet_audits"] += sum(a.quiet for a in audits.values())
+            repeats = []
+            if loud:
+                twin = _twin(state)
+                repeats.append((twin, detect(twin, inbox, last[1], public, policy, rule)))
+            if per_receiver:
+                twin = _twin(state)
+                own_inbox = {j: inbox[j] for j in state.in_nbrs if j in inbox}
+                repeats.append((twin, detect(twin, own_inbox, audits, public, policy, rule)))
             exit_taken = _learns_nothing(state, inbox, audits, policy, sharing)
             informed = policy if sharing else state.detected or state.detected_two_hop
-            own_inbox = {j: inbox[j] for j in state.in_nbrs if j in inbox}
-            want = detect(loud, inbox, last[1], public, policy, rule)
-            want_own = detect(own, own_inbox, audits, public, policy, rule)
             got = detect(state, inbox, audits, public, policy, rule)
-            for twin, twin_verdicts in ((loud, want), (own, want_own)):
+            for twin, twin_verdicts in repeats:
                 assert got == twin_verdicts
                 assert state.detected == twin.detected
                 assert state.detected_two_hop == twin.detected_two_hop
-            exits += exit_taken
-            crash_exits += exit_taken and any(v.cause is Cause.CRASH for v in got)
-            informed_exits += exit_taken and bool(informed)
-            verdicts += len(got)
+            counts["exits"] += exit_taken
+            counts["crash_exits"] += exit_taken and any(v.cause is Cause.CRASH for v in got)
+            counts["informed_exits"] += exit_taken and bool(informed)
+            counts["verdicts"] += len(got)
             return got
 
         return wrapper
@@ -529,15 +535,45 @@ def test_quiet_exit_gives_the_verdicts_of_the_full_pipeline(scenario, attacked, 
     monkeypatch.setattr(sim, "detect_alg2", checked(detect_alg2, True))
     monkeypatch.setattr(sim, "detect_alg3", checked(detect_alg3, False))
     sim.run(scenario)
+    return counts
+
+
+@pytest.mark.parametrize("scenario, attacked, crashing", list(_exit_scenarios()))
+def test_quiet_exit_gives_the_verdicts_of_the_full_pipeline(scenario, attacked, crashing, monkeypatch):
+    """Every detector call of a run gives the verdicts and detection
+    sets of its loud and per-receiver repeats (see _checked_run). Every
+    run with detection has a quiet audit and takes the exit; the exit
+    is taken in a crash round in every crashing run, and in every
+    golden run with adversaries in a round where the node already knew
+    of a detection."""
+    counts = _checked_run(scenario, monkeypatch, loud=True, per_receiver=True)
     if scenario.detection is not sim.DetectionMode.NONE:
-        assert quiet_audits > 0
-        assert exits > 0
+        assert counts["quiet_audits"] > 0
+        assert counts["exits"] > 0
     if crashing:
-        assert crash_exits > 0
+        assert counts["crash_exits"] > 0
     if attacked:
-        assert informed_exits > 0
+        assert counts["informed_exits"] > 0
+
+
+@pytest.mark.parametrize("scenario, acting", list(_action_scenarios()))
+def test_empty_public_table_gives_the_same_detection(scenario, acting, monkeypatch):
+    """Audits that are never quiet send every node-round past the exit;
+    the detectors must not notice. Some audit of the run is quiet, so
+    the exit is exercised."""
+    counts = _checked_run(scenario, monkeypatch, loud=True, per_receiver=False)
+    assert counts["quiet_audits"] > 0
+    assert counts["exits"] > 0
+
+
+@pytest.mark.parametrize("scenario, acting", list(_action_scenarios()))
+def test_whole_broadcast_table_gives_the_same_detection(scenario, acting, monkeypatch):
+    """The engine hands each detector the round's whole broadcast
+    table; it must give the verdicts and the state that a per-receiver
+    inbox gives. Every acting adversary draws a verdict."""
+    counts = _checked_run(scenario, monkeypatch, loud=False, per_receiver=True)
     if acting:
-        assert verdicts > 0
+        assert counts["verdicts"] > 0
 
 
 def test_a_shared_set_keeps_quiet_broadcasts_from_the_exit():
