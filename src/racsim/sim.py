@@ -550,14 +550,28 @@ def load_scenario(path: Path) -> Scenario:
 
 
 def write_trace_csv(trace: Trace, path: Path) -> None:
-    lines = ["round,node,y,z,ratio,detected_count"]
-    for k in range(trace.horizon + 1):
-        for i in trace.scenario.graph.nodes:
-            lines.append(
-                f"{k},{i},{_fmt(trace.y[i][k])},{_fmt(trace.z[i][k])},"
-                f"{_fmt(trace.r[i][k])},{trace.detected_count[i][k]}"
-            )
-    Path(path).write_text("\n".join(lines) + "\n")
+    """One row per round, then per node, each value as repr(float(v)),
+    written a round at a time. Nodes of a layer share values in a round, so
+    each is formatted once per round; zeros skip the memo (0.0 == -0.0)."""
+    y, z, r, d = trace.y, trace.z, trace.r, trace.detected_count
+    with Path(path).open("w") as out:
+        out.write("round,node,y,z,ratio,detected_count\n")
+        for k in range(trace.horizon + 1):
+            memo: dict[float, str] = {}
+
+            def fmt(v) -> str:
+                v = float(v)
+                s = memo.get(v)
+                if s is None:
+                    s = repr(v)
+                    if v:
+                        memo[v] = s
+                return s
+
+            out.write("".join(
+                f"{k},{i},{fmt(y[i][k])},{fmt(z[i][k])},{fmt(r[i][k])},{d[i][k]}\n"
+                for i in trace.scenario.graph.nodes
+            ))
 
 
 def write_events_csv(trace: Trace, path: Path) -> None:
@@ -565,10 +579,6 @@ def write_events_csv(trace: Trace, path: Path) -> None:
     for e in trace.events:
         lines.append(f"{e.round},{e.detector},{e.suspect},{e.cause.value}")
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-def _fmt(v) -> str:
-    return repr(float(v))
 
 
 def summary(trace: Trace) -> dict:

@@ -7,13 +7,15 @@ arithmetic at their own horizon, and in exact arithmetic at horizon 60.
 
 import hashlib
 import json
+import random
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from racsim.golden import GOLDEN_CASES
-from racsim.sim import load_scenario, run, write_events_csv, write_trace_csv
+from racsim.graph import LayeredVariant, generate_layered
+from racsim.sim import DetectionMode, Scenario, load_scenario, run, write_events_csv, write_trace_csv
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = sorted((ROOT / "scenarios").glob("*.json"))
@@ -49,3 +51,21 @@ def test_float_trace_matches_digest(path, tmp_path):
 def test_exact_trace_matches_digest(path, tmp_path):
     sc = replace(load_scenario(path), exact=True, horizon=EXACT_HORIZON)
     assert _digests(run(sc), tmp_path) == DIGESTS["exact-golden"][path.stem]
+
+
+# trace.csv of a 30-node layered run, no detection, H 60, recorded with
+# a plain writer that formatted every cell as repr(float(v))
+LAYERED_TRACE = "43218ba4cc50832bfa25677ba82e40f6a31875d8687b63fde3e7d8adb494b617"
+
+
+def test_layered_trace_matches_digest(tmp_path):
+    g = generate_layered(10, 1, LayeredVariant.UNDIRECTED_PATH)
+    rng = random.Random(3)
+    x0 = tuple(rng.uniform(0, 10) for _ in g.nodes)
+    trace = run(Scenario(graph=g, x0=x0, f=1, detection=DetectionMode.NONE, horizon=60))
+    # nodes of a layer share values within a round, so the writer
+    # formats some value once for two nodes
+    rounds = ([trace.y[i][k] for i in g.nodes if trace.y[i][k]] for k in range(61))
+    assert any(len(ys) > len(set(ys)) for ys in rounds)
+    write_trace_csv(trace, tmp_path / "trace.csv")
+    assert hashlib.sha256((tmp_path / "trace.csv").read_bytes()).hexdigest() == LAYERED_TRACE

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -578,5 +579,70 @@ class TestCsvExport:
         path = tmp_path / "trace.csv"
         write_trace_csv(trace, path)
         for line in path.read_text().splitlines()[1:]:
-            k, i, y, *_ = line.split(",")
-            assert float(y) == float(trace.y[int(i)][int(k)])
+            k, i, y, z, ratio, _ = line.split(",")
+            k, i = int(k), int(i)
+            assert float(y) == float(trace.y[i][k])
+            assert float(z) == float(trace.z[i][k])
+            assert float(ratio) == float(trace.r[i][k])
+
+    @pytest.mark.parametrize(
+        "grid, exact",
+        [
+            # 0.0 and -0.0 in one round at different nodes, and in
+            # consecutive rounds of one node: 0.0 == -0.0, reprs differ
+            ([[0.0, -0.0, 0.0], [-0.0, 0.0, -0.0], [0, 0.0, -0.0]], False),
+            ([[math.nan, math.inf, 1e300], [-math.inf, 5e-324, math.nan], [1e300, -5e-324, -1e300]], False),
+            ([[3, -7, 0], [3, 2, -0.0], [10**20, 3, 3.0]], False),
+            # one nonzero value at several nodes, next to its zeros
+            ([[2.5, 2.5, -0.0], [2.5, 0.0, 2.5], [2.5, 2.5, 2.5]], False),
+            # unequal rationals that round to the same float
+            (
+                [
+                    [Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10**40), Fraction(-1, 3)],
+                    [Fraction(10**400 + 1, 10**399), Fraction(10), Fraction(0)],
+                    [Fraction(1, 3) - Fraction(1, 10**40), Fraction(1, 3), Fraction(1, 3)],
+                ],
+                True,
+            ),
+        ],
+        ids=["signed-zeros", "non-finite-and-extremes", "ints", "shared-value", "exact-near-ties"],
+    )
+    def test_trace_csv_matches_a_plain_writer(self, tmp_path, grid, exact):
+        """grid[node][round] fills y; z rotates the nodes and the ratio
+        reverses the rounds, so every value reaches every column."""
+        n, rounds = len(grid), len(grid[0])
+        sc = Scenario(graph=complete_graph(n), x0=(1.0,) * n, detection=DetectionMode.NONE,
+                      horizon=rounds - 1, exact=exact)
+        trace = Trace(
+            scenario=sc,
+            y={i: list(grid[i - 1]) for i in sc.graph.nodes},
+            z={i: list(grid[i % n]) for i in sc.graph.nodes},
+            r={i: list(reversed(grid[i - 1])) for i in sc.graph.nodes},
+            detected_count={i: [i * k for k in range(rounds)] for i in sc.graph.nodes},
+        )
+        path = tmp_path / "trace.csv"
+        write_trace_csv(trace, path)
+        rows = ["round,node,y,z,ratio,detected_count"] + [
+            f"{k},{i},{repr(float(trace.y[i][k]))},{repr(float(trace.z[i][k]))},"
+            f"{repr(float(trace.r[i][k]))},{trace.detected_count[i][k]}"
+            for k in range(rounds)
+            for i in sc.graph.nodes
+        ]
+        assert path.read_bytes() == ("\n".join(rows) + "\n").encode()
+
+    def test_trace_csv_writer_holds_a_small_share_of_the_file(self, tmp_path):
+        """The writer keeps one round in memory, not the whole file."""
+        g = generate_layered(20, 1, LayeredVariant.UNDIRECTED_PATH)
+        rng = random.Random(3)
+        x0 = tuple(rng.uniform(0.0, 10.0) for _ in g.nodes)
+        trace = run(Scenario(graph=g, x0=x0, detection=DetectionMode.NONE, horizon=400))
+        path = tmp_path / "trace.csv"
+        tracemalloc.start()
+        try:
+            write_trace_csv(trace, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert size > 1_000_000
+        assert peak < size / 4
