@@ -134,16 +134,13 @@ def forge_information_set(
         elif a.kind is ActionKind.INJECT_FAKE_ID:
             values = a.fake_values if a.fake_values is not None else (_draw(rng), _draw(rng))
             relayed[a.target] = values
-        elif a.kind is ActionKind.DROP_RELAYED_ENTRY:
+        elif a.kind is ActionKind.DROP_RELAYED_ENTRY and a.target != truth.sender:
+            # the message type requires the own entry, so dropping it does nothing
             relayed.pop(a.target, None)
         elif a.kind is ActionKind.FALSELY_ACCUSE:
             detected.add(a.target)
         elif a.kind is ActionKind.LIE_DECLARED_DEGREE:
             declared_out_degree = int(a.value if a.value is not None else 0)
-    if truth.sender not in relayed:
-        # a dropped self entry would crash receivers' bookkeeping; the
-        # message type requires it, so restore the honest value
-        relayed[truth.sender] = truth.relayed[truth.sender]
     return truth._replace(
         detected=frozenset(detected),
         self_next=self_next,

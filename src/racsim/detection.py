@@ -21,22 +21,23 @@ the detection sets its in-neighbors claim:
 
 Every receiver audits the same broadcast, so audit_broadcast runs once
 per message sent and walks its relayed entries once: the walk sums the
-ledger flow that the update replay reads, in ledger order, and finds
-the off-public ids, those whose entries are not == their public
-values. The previous ledger is walked again only for the ids it
-relays and the current one lacks. Past the exit below, each receiver
+ledger flow that the update replay reads in ledger order, the order
+the sender summed in, so an honest replay gets the sender's floats bit
+for bit and every comparison is exact. It also finds the off-public
+ids, those whose entries are not == their public values. The previous
+ledger is walked again only for the ids it relays and the current one
+lacks. Past the exit below, each receiver
 votes on every two-hop id it does not know and runs Step 3 against its
 own check set for every reporter without a field finding.
 
 The audit also decides, by one conservative rule, whether a broadcast
 is quiet: it has no finding, keeps its previous claims, relays zero
-for each id it claims (its own, if claimed, within pair_eq of its
-public value), and relays exactly the public value, finite, for every
-other id. Finite is read off the ledger flow, which must pass pair_eq
-against itself; a non-finite entry would make the flow inf or NaN for
-good. An entry == its public value then passes Step 3 against it (in
-exact mode pair_eq is ==, which such an entry fails only on a NaN), so
-Step 3 needs a test only on the claimed ids. Finite entries whose flow
+for each id it claims (its own, if claimed, its public value), and
+relays exactly the public value, finite, for every other id. Finite
+is read off the ledger flow, which must pass pair_eq against itself;
+a non-finite entry would make the flow inf or NaN for good. A finite
+entry == its public value then passes Step 3 against it, so Step 3
+needs a test only on the claimed ids. Finite entries whose flow
 overflows fail the rule, and such a broadcast only takes the full
 pipeline.
 
@@ -119,14 +120,18 @@ NO_MAJORITY = None  # vote_value's answer when no value has a strict majority
 
 
 def vote_value(reports: list[Pair], rule: ValueRule) -> Optional[Pair]:
-    """Value pair reported by strictly more than half, else NO_MAJORITY."""
+    """Value pair reported by strictly more than half, as first reported,
+    else NO_MAJORITY. A report unequal to itself under rule (inf or NaN)
+    never counts."""
     if not reports:
         raise ValueError("reports must be non-empty")
-    m = len(reports)
-    for candidate in reports:
-        count = sum(1 for v in reports if rule.pair_eq(v, candidate))
-        if 2 * count > m:
-            return candidate
+    counts: dict[Pair, int] = {}
+    for v in reports:
+        if rule.pair_eq(v, v):
+            counts[v] = counts.get(v, 0) + 1
+    for v, count in counts.items():
+        if 2 * count > len(reports):
+            return v
     return NO_MAJORITY
 
 
@@ -139,8 +144,8 @@ def reconstruct_running_sums(
     moved since its previous message (an entry that only one of the two
     relays counts against zero). That difference plus the declared
     compensation term determines what its next running sums must be.
-    Returns the Step 4 finding, or None when both residuals (reported
-    self_next minus that replay) are zero under rule.
+    Returns the Step 4 finding, or None when the reported self_next
+    equals that replay under rule.
     """
     j = phi_now.sender
     d = 1 + phi_now.declared_out_degree
@@ -148,9 +153,7 @@ def reconstruct_running_sums(
     y_prev = flow_y + phi_now.declared_removed_out * self_now[0]
     z_prev = flow_z + phi_now.declared_removed_out * self_now[1]
     pred = (self_now[0] + y_prev / d, self_now[1] + z_prev / d)
-    # each residual against zero, not pair_eq(self_next, pred): in exact
-    # mode a forged float minus a Fraction is a float, and the two differ
-    if rule.eq(phi_now.self_next[0] - pred[0], 0) and rule.eq(phi_now.self_next[1] - pred[1], 0):
+    if rule.pair_eq(phi_now.self_next, pred):
         return None
     return Cause.STEP4, (("reported", phi_now.self_next), ("reconstructed", pred))
 
@@ -256,9 +259,9 @@ def audit_broadcast(
     # read by Step 1b, whose verdicts precede every finding below
     claimed_before = prev_msg.detected if prev_msg is not None else frozenset()
     # one walk over the relayed entries: the replay's flow, summed in
-    # ledger order (the order of every float sum is pinned), and the
-    # off-public ids, found with == and not pair_eq, since tolerance
-    # comparisons are not transitive
+    # ledger order, and the off-public ids, found with != (one tuple
+    # comparison, which takes a missing public value too); an entry ==
+    # its public value passes Step 3 unless inf or NaN, as the flow shows
     before = prev_msg.relayed if prev_msg is not None else {}
     flow_y = flow_z = 0
     off_public = ()

@@ -7,10 +7,14 @@ InformationSet, is an immutable tuple of named fields whose
 constructor and _replace both check its invariants. It carries
 cumulative running sums (lam for y, gam for z), which receivers
 difference to recover per-round contributions, and the ledger of the
-sums the node read last. honest_round zeroes a detected in-neighbor's
-ledger entry to remove its accumulated contribution, compensates mass
-sent to a detected out-neighbor back into the node's own values, and
-builds the next message.
+sums the node read last. The ledger's order is its summation order:
+the node's own entry first, then its in-neighbors in in_nbrs order,
+the order in which honest_round adds their flows. So a receiver that
+replays the update by walking the ledger adds the same floats in the
+same order and gets the sender's sums bit for bit. honest_round zeroes
+a detected in-neighbor's ledger entry to remove its accumulated
+contribution, compensates mass sent to a detected out-neighbor back
+into the node's own values, and builds the next message.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ Number = Union[int, float, Fraction]
 Pair = tuple[Number, Number]
 
 Z_FLOOR = 1e-12
-DEFAULT_TOL = 1e-9
 
 ZERO_PAIR: Pair = (0, 0)
 
@@ -37,26 +40,21 @@ class ProtocolError(ValueError):
 class ValueRule:
     """Equality and guard rules for protocol values.
 
-    Float mode compares with an absolute tolerance; exact mode runs the
-    whole protocol over rationals and compares exactly.
+    Exact mode runs the whole protocol over rationals; float mode over
+    floats. Both compare exactly: an honest replay adds the sender's
+    floats in the sender's order, so it has zero residual in both.
     """
 
     exact: bool = False
-    tol: float = DEFAULT_TOL
 
     def convert(self, x: Number) -> Number:
         return Fraction(x) if self.exact else x
 
-    def eq(self, a: Number, b: Number) -> bool:
-        if self.exact:
-            return a == b
-        return abs(a - b) <= self.tol
-
     def pair_eq(self, a: Pair, b: Pair) -> bool:
-        if self.exact:
-            return a[0] == b[0] and a[1] == b[1]
-        tol = self.tol
-        return abs(a[0] - b[0]) <= tol and abs(a[1] - b[1]) <= tol
+        """Both differences are zero: false for inf and NaN, whose
+        differences are NaN. A float minus a Fraction is a float, so a
+        forged float meets a Fraction in float arithmetic."""
+        return a[0] - b[0] == 0 and a[1] - b[1] == 0
 
     def z_ok(self, z: Number) -> bool:
         if self.exact:
@@ -79,12 +77,12 @@ class InformationSet(_Fields):
     of named fields.
 
     self_next carries the running sums the sender will difference from
-    next round; relayed carries the sender's current ledger, including
-    an entry for the sender itself. The declared fields expose the
-    sender's effective out-degree and the number of out-neighbors it
-    removed this round, both needed by receivers to replay its update.
-    The constructor checks the message's invariants, and so does
-    _replace, which builds its copy through the constructor.
+    next round; relayed carries the sender's current ledger, in the
+    order the sender summed it, its own entry first. The declared
+    fields expose the sender's effective out-degree and the number of
+    out-neighbors it removed this round, both needed by receivers to
+    replay its update. The constructor checks the message's invariants,
+    and so does _replace, which builds its copy through the constructor.
     """
 
     __slots__ = ()
@@ -117,7 +115,7 @@ class NodeState:
     z: Number
     ratio: Number
     # the message the node broadcasts next; the ledger it relays holds the
-    # running sums it read last, per in-neighbor, then its own
+    # running sums it read last, its own first, then per in-neighbor
     next: InformationSet
     detected: set[int] = field(default_factory=set)
     detected_two_hop: set[int] = field(default_factory=set)
@@ -150,8 +148,7 @@ def bootstrap(g, i: int, x0: Number, rule: ValueRule) -> NodeState:
         raise ProtocolError(f"initial value must be finite, got {x0!r}")
     x0 = rule.convert(x0)
     in_nbrs, out_nbrs = g.in_neighbors(i), g.out_neighbors(i)
-    ledger = {j: ZERO_PAIR for j in in_nbrs}
-    ledger[i] = ZERO_PAIR
+    ledger = dict.fromkeys((i, *in_nbrs), ZERO_PAIR)
     share = initial_share(x0, len(out_nbrs), rule)
     first = build_information_set(i, 0, (), share, ledger, len(out_nbrs), 0)
     return NodeState(i, in_nbrs, out_nbrs, x0, rule.convert(1), x0, first)
@@ -179,7 +176,8 @@ def honest_round(s: NodeState, inbox: Mapping[int, InformationSet], rule: ValueR
     sent = s.next
     lam_k, gam_k = sent.self_next
     old_ledger = sent.relayed
-    ledger: dict[int, Pair] = {}
+    # the own entry first: the ledger's order is the order of the sums
+    ledger: dict[int, Pair] = {s.id: (lam_k, gam_k)}
     own_y, own_z = old_ledger[s.id]
     y = lam_k - own_y
     z = gam_k - own_z
@@ -205,7 +203,6 @@ def honest_round(s: NodeState, inbox: Mapping[int, InformationSet], rule: ValueR
 
     ratio = y / z if rule.z_ok(z) else s.ratio
 
-    ledger[s.id] = (lam_k, gam_k)
     s.y, s.z, s.ratio = y, z, ratio
     self_next = (lam_k + y / (1 + d_out), gam_k + z / (1 + d_out))
     s.next = build_information_set(s.id, sent.round + 1, detected, self_next, ledger, d_out, n_removed)

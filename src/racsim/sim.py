@@ -37,7 +37,6 @@ from .detection import (
 from .fixtures import FIXTURE_GRAPHS
 from .graph import AdversaryKind, DirectedGraph, read_edge_list, write_edge_list
 from .protocol import (
-    DEFAULT_TOL,
     ZERO_PAIR,
     ValueRule,
     bootstrap,
@@ -86,7 +85,8 @@ class Scenario:
     seed: int = 0
     safety_interval: Optional[tuple[float, float]] = None
     exact: bool = False
-    value_tol: float = DEFAULT_TOL
+    # parsed and validated, read by no part of the simulator
+    value_tol: float = 1e-9
 
     def validate(self) -> list[str]:
         problems = []
@@ -112,6 +112,8 @@ class Scenario:
         outside = [v for v in nodes if not (1 <= v <= self.graph.n)]
         for v in outside:
             problems.append(f"adversary node {v} outside 1..{self.graph.n}")
+        if set(self.graph.nodes) <= set(nodes):
+            problems.append("at least one node must be normal")
         if self.f >= 0 and not outside:
             report = validate_adversary_placement(self.graph, self.adversaries, self.f, self.model)
             for v in report.violations:
@@ -201,7 +203,7 @@ def run(scenario: Scenario) -> Trace:
     if problems:
         raise ScenarioError(problems)
     g = scenario.graph
-    rule = ValueRule(exact=scenario.exact, tol=scenario.value_tol)
+    rule = ValueRule(exact=scenario.exact)
     nodes = list(g.nodes)
     scripts = {s.node: s for s in scenario.adversaries}
     rngs = {v: adversary_rng(scenario.seed, v) for v in scripts}
@@ -502,7 +504,7 @@ def scenario_from_json(data: dict, base_dir: Optional[Path] = None) -> Scenario:
     horizon = typed("horizon", 200, _integer, "an integer")
     tol = typed("tol", 1e-6, _number, "a number")
     seed = typed("seed", 0, _integer, "an integer")
-    value_tol = typed("value_tol", DEFAULT_TOL, _number, "a number")
+    value_tol = typed("value_tol", Scenario.value_tol, _number, "a number")
     sharing = typed("sharing_oracle", False, lambda v: isinstance(v, bool), "true or false")
     arithmetic = typed("arithmetic", "float", lambda v: v in ("float", "exact"), "float or exact")
     interval = typed("safety_interval", None, lambda v: v is None or _two_numbers(v), "two numbers")

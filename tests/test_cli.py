@@ -98,6 +98,10 @@ class TestRunCommand:
                 {"from_round": 1, "action": {"kind": "TamperRelayed", "target": 2, "amout": 99}}]}]},
             {"expect": "x"},
             {"description": 5},
+            {"adversaries": [
+                {"node": v, "schedule": [{"from_round": 1, "action": {"kind": "Comply"}}]}
+                for v in range(1, 7)
+            ]},
         ],
         ids=[
             "nan-x0", "accuse-outside", "text-x0", "huge-x0", "overflowing-running-sums",
@@ -106,7 +110,7 @@ class TestRunCommand:
             "negative-degree", "fractional-degree", "text-value-tol", "zero-value-tol", "unknown-arithmetic", "text-sharing", "list-fixture",
             "adversaries-object", "text-round", "text-target",
             "misspelled-key", "unknown-graph-key", "two-graph-sources", "unknown-adversary-key", "unknown-schedule-key",
-            "unknown-action-key", "text-expect", "number-description",
+            "unknown-action-key", "text-expect", "number-description", "no-normal-node",
         ],
     )
     def test_bad_input_exits_invalid_with_one_line(self, tmp_path, scenario_file, capsys, change):
@@ -118,6 +122,7 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert code == EXIT_INVALID
         assert len(err.splitlines()) == 1 and err.startswith("invalid scenario: ")
+        assert not (tmp_path / "out").exists()
 
     def test_every_problem_gets_its_own_line(self, tmp_path, scenario_file, capsys):
         data = json.loads(scenario_file.read_text())

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -20,12 +21,13 @@ from racsim.detection import (
 )
 from racsim.adversary import ActionKind, AttackAction, AttackScript
 from racsim.fixtures import (
+    FIXTURE_GRAPHS,
     eight_node_graph,
     fourteen_node_graph,
     six_node_damaged,
     six_node_graph,
 )
-from racsim.golden import golden_case
+from racsim.golden import GOLDEN_CASES, golden_case
 from racsim.graph import DirectedGraph, complete_graph, is_detectable, two_hop_middle_nodes
 from racsim.protocol import (
     ZERO_PAIR,
@@ -62,11 +64,23 @@ class TestVoteValue:
         with pytest.raises(ValueError):
             vote_value([], FLOAT)
 
-    def test_tolerance_merges_near_equal_values(self):
-        rule = ValueRule(tol=1e-6)
-        reports = [(2.0, 1.0), (2.0 + 1e-9, 1.0), (5.0, 5.0)]
-        voted = vote_value(reports, rule)
-        assert voted is not NO_MAJORITY and rule.pair_eq(voted, (2.0, 1.0))
+    def test_values_one_spacing_apart_do_not_merge(self):
+        reports = [(2.0, 1.0), (math.nextafter(2.0, 3.0), 1.0), (5.0, 5.0)]
+        assert vote_value(reports, FLOAT) is NO_MAJORITY
+        assert vote_value([*reports, (2.0, 1.0)], FLOAT) is NO_MAJORITY
+        assert vote_value([*reports, (2.0, 1.0), (2.0, 1.0)], FLOAT) == (2.0, 1.0)
+
+    def test_equal_values_merge_across_types_and_the_first_report_wins(self):
+        reports = [(Fraction(2), Fraction(1)), (2.0, 1.0), (5, 5)]
+        voted = vote_value(reports, EXACT)
+        assert voted == (2, 1) and type(voted[0]) is Fraction
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_reports_are_never_counted(self, bad):
+        # one tuple object, which a dict would count as one value
+        same = (bad, 1.0)
+        assert vote_value([same, same, (2.0, 1.0)], FLOAT) is NO_MAJORITY
+        assert vote_value([same, (2.0, 1.0), (2.0, 1.0)], FLOAT) == (2.0, 1.0)
 
     @pytest.mark.parametrize("f", [1, 2])
     def test_any_forger_placement_loses(self, f):
@@ -253,6 +267,36 @@ class TestReconstruction:
         cause, ((_, reported), (_, (lam_pred, gam_pred))) = self._replay(forged, per_round[2][1])
         assert cause is Cause.STEP4
         assert reported[0] - lam_pred == 1 and reported[1] - gam_pred == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(sorted(FIXTURE_GRAPHS)), st.data())
+    def test_honest_float_messages_replay_bit_for_bit(self, name, data):
+        """In a float run whose x0 magnitudes range from 1e-8 to 1e250,
+        with one node crashing so that others zero its entry and take
+        back its share, the replay of every honest broadcast adds the
+        sender's floats in the sender's order: no finding, and the
+        reconstructed sums are the reported ones, bit for bit."""
+        g = FIXTURE_GRAPHS[name]()
+        oracle = StructuralOracle(g, 1)
+        magnitudes = st.floats(1.0, 10.0).flatmap(
+            lambda m: st.integers(-8, 249).map(lambda e: m * 10.0**e)
+        )
+        x0 = data.draw(st.lists(st.tuples(magnitudes, st.booleans()), min_size=g.n, max_size=g.n))
+        crashed, crash_round = data.draw(st.tuples(st.sampled_from(list(g.nodes)), st.integers(1, 8)))
+        states = {i: bootstrap(g, i, -v if neg else v, FLOAT) for i, (v, neg) in zip(g.nodes, x0)}
+        prev, public = {}, {i: ZERO_PAIR for i in g.nodes}
+        for k in range(1, 9):
+            sent = {i: s.next for i, s in states.items() if not (i == crashed and k >= crash_round)}
+            for j in prev.keys() & sent.keys():
+                audit = audit_broadcast(sent[j], prev[j], public, oracle, FLOAT)
+                assert audit.fields is None and audit.replay is None
+                # a NaN report draws the finding, whose evidence is the replay
+                forged = sent[j]._replace(self_next=(math.nan, math.nan))
+                _, (_, (_, reconstructed)) = audit_broadcast(forged, prev[j], public, oracle, FLOAT).replay
+                assert repr(reconstructed) == repr(sent[j].self_next)
+            prev, public = sent, {j: m.self_next for j, m in sent.items()}
+            for i in sent:
+                honest_round(states[i], sent, FLOAT)
 
     def test_tampered_relayed_entry_is_dirty(self):
         per_round = self._exact_messages(3)
@@ -454,15 +498,9 @@ class TestDistributedDetectionEndToEnd:
         assert abs(sy - sum(EIGHT_X0[i - 1] for i in survivors)) <= trace.scenario.tol
         assert summary(trace)["converged_round"] is not None
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="ROADMAP item 2: ValueRule's absolute value_tol condemns normal nodes at large x0",
-    )
     def test_large_initial_values_draw_no_verdict(self):
-        # no adversary; at x0 × 1e8 the running sums' rounding exceeds
-        # the absolute value_tol 1e-9, and replays and votes fail from
-        # round 2 on
+        # no adversary; at x0 × 1e8 the running sums round, and the
+        # replays match only because they add in the senders' order
         trace = run(
             Scenario(
                 graph=fourteen_node_graph(),
@@ -472,6 +510,14 @@ class TestDistributedDetectionEndToEnd:
                 horizon=30,
             )
         )
+        assert trace.events == []
+
+    @pytest.mark.parametrize("case", GOLDEN_CASES, ids=lambda c: c.name)
+    def test_golden_graphs_at_large_initial_values_draw_no_verdict(self, case):
+        # every golden graph and detector with its adversaries removed,
+        # x0 × 1e100; a replay out of the sender's order fails from round 2
+        sc = case.build()
+        trace = run(replace(sc, x0=tuple(v * 1e100 for v in sc.x0), adversaries=(), horizon=12))
         assert trace.events == []
 
     def test_forged_self_value_caught_by_replay(self):

@@ -79,8 +79,9 @@ class TestBootstrap:
         assert s.next.round == 0
         assert (s.y, s.z, s.ratio) == (3.0, 1, 3.0)
         assert s.next.self_next == initial_share(3.0, 2, FLOAT)
-        # the in-neighbors' entries, then the node's own, last
-        assert list(s.next.relayed.items()) == [(2, ZERO_PAIR), (3, ZERO_PAIR), (1, ZERO_PAIR)]
+        # the node's own entry first, then the in-neighbors' in in_nbrs
+        # order: the order in which honest_round sums the ledger
+        assert list(s.next.relayed.items()) == [(1, ZERO_PAIR), (2, ZERO_PAIR), (3, ZERO_PAIR)]
         assert s.detected == set() and s.next.detected == frozenset()
         assert (s.next.declared_out_degree, s.next.declared_removed_out) == (2, 0)
 
@@ -266,9 +267,11 @@ class TestInformationSet:
         msg = states[1].next
         assert msg.sender == 1
         assert msg.round == 3
-        # the ledger's last entry is the node's own sums as it
-        # broadcast them a round ago
-        assert list(msg.relayed.items())[-1] == (1, before[1].self_next)
+        # the ledger's first entry is the node's own sums as it
+        # broadcast them a round ago, then the in-neighbors' in in_nbrs order
+        assert list(msg.relayed.items()) == [
+            (1, before[1].self_next), *((j, before[j].self_next) for j in states[1].in_nbrs)
+        ]
         lam, gam = before[1].self_next
         assert msg.self_next == (lam + states[1].y / 3, gam + states[1].z / 3)
         assert msg.declared_out_degree == 2
@@ -356,7 +359,7 @@ def _reference_honest_round(s, inbox, rule):
 
     lam_k, gam_k = sent.self_next
     old_ledger = sent.relayed
-    new_ledger = {}
+    new_ledger = {s.id: (lam_k, gam_k)}
     y = lam_k - old_ledger[s.id][0]
     z = gam_k - old_ledger[s.id][1]
     for j in s.in_nbrs:
@@ -371,7 +374,6 @@ def _reference_honest_round(s, inbox, rule):
 
     ratio = y / z if rule.z_ok(z) else s.ratio
 
-    new_ledger[s.id] = (lam_k, gam_k)
     s.y, s.z, s.ratio = y, z, ratio
     s.next = InformationSet(
         s.id, sent.round + 1, frozenset(s.detected),

@@ -86,8 +86,8 @@ def _reference_replay(phi_now, phi_prev, rule):
     return (lam_pred, gam_pred), residuals
 
 
-def _clean(residuals, rule) -> bool:
-    return rule.eq(residuals[0], 0) and rule.eq(residuals[1], 0)
+def _clean(residuals) -> bool:
+    return residuals[0] == 0 and residuals[1] == 0
 
 
 def _off_public(msg, public):
@@ -137,7 +137,7 @@ def _reference_audit(msg, prev_msg, public, oracle, rule, interval=None):
     else:
         predicted, residuals = _reference_replay(msg, prev_msg, rule)
         replay = None
-        if not _clean(residuals, rule):
+        if not _clean(residuals):
             evidence = (("reported", msg.self_next), ("reconstructed", predicted))
             replay = (Cause.STEP4, evidence)
     consistent = True
@@ -164,8 +164,8 @@ def _same(a, b) -> bool:
     return type(a) is type(b) and a == b
 
 
-# dyadic offsets: 2**-31 is within the default tolerance, 2**-29
-# beyond; ±float max gives finite entries whose flow overflows or
+# dyadic offsets of 2**-31 and 2**-29, each unequal to 1.0 under the
+# exact rule; ±float max gives finite entries whose flow overflows or
 # rounds away the offsets; inf and NaN make the flow non-finite, in an
 # exact run as forged floats
 BIG = sys.float_info.max
@@ -269,12 +269,17 @@ _QUIET_CASES = {
     # a claim alone breaks no condition
     "claims": (set(), (), True, True),
     "claimed_before": (set(), (), True, False),
-    "unfaithful": (set(), (2,), True, False),
+    # one float spacing off the public value: off-public, and Step 3
+    # fails, as comparisons are exact
+    "unfaithful": (set(), (2,), False, False),
     "replay": (set(), (), True, False),
+    # an unclaimed in-neighbor with no public value: off-public, and
+    # Step 3 has nothing to check it against
+    "unpublished": (set(), (2,), True, False),
     # an honest claim: the in-neighbor 2 relayed as zero, off-public
     "claimed_zero": ({2}, (2,), True, True),
     # the same, with 3 off-public and not claimed
-    "unclaimed_off_public": ({2}, (2, 3), True, False),
+    "unclaimed_off_public": ({2}, (2, 3), False, False),
     # the claimed 2 relayed at its public value, not as zero
     "claimed_not_zero": ({2}, (), False, False),
     # finite entries, each at its public value, whose flow overflows
@@ -286,7 +291,8 @@ _QUIET_CASES = {
 def test_quiet_fails_with_any_one_of_its_conditions(change):
     """An honest second message is quiet, with or without claims; each
     change below breaks one condition of quiet and leaves the others
-    holding. The overflowing flow is shown on a first message, which is
+    holding, except that an unclaimed entry off its public value also
+    fails Step 3. The overflowing flow is shown on a first message, which is
     screened and not replayed, since a replay of an infinite flow
     fails."""
     claimed, off_public, consistent, quiet = _QUIET_CASES[change]
@@ -297,12 +303,14 @@ def test_quiet_fails_with_any_one_of_its_conditions(change):
         prev = prev._replace(detected=frozenset({3}))
     elif change == "unfaithful":
         y, z = public[2]
-        public[2] = (y + 6e-10, z)  # within tolerance, so still consistent
+        public[2] = (math.nextafter(y, math.inf), z)
     elif change == "replay":
         msg = msg._replace(self_next=(msg.self_next[0] + 1.0, msg.self_next[1]))
     elif change == "unclaimed_off_public":
         y, z = public[3]
-        public[3] = (y + 6e-10, z)
+        public[3] = (math.nextafter(y, math.inf), z)
+    elif change == "unpublished":
+        del public[2]
     elif change == "claimed_not_zero":
         msg = msg._replace(relayed={**msg.relayed, 2: public[2]})
         # the sums the replay predicts, so that only Step 3 fails
@@ -359,15 +367,12 @@ def test_replay_matches_the_union_reference(case):
     got = audit_broadcast(now, prev, {}, K5_ORACLE, rule)
     want, residuals = _reference_replay(now, prev, rule)
     assert got.fields is None
-    assert (got.replay is None) == _clean(residuals, rule)
+    assert (got.replay is None) == _clean(residuals)
     if got.replay is not None:
         (_, reported), (_, predicted) = got.replay[1]
         assert reported == now.self_next
-        for a, b in zip(predicted, want):
-            if rule is EXACT:
-                assert a == b
-            else:
-                assert abs(a - b) <= 1e-12
+        # both sum the flow in ledger order
+        assert predicted == want
 
 
 # node 1 hears 2, 3 and 4, which each hear two-hop node 5
@@ -376,20 +381,20 @@ VOTED = (1.0, 1.0)
 
 
 @pytest.mark.parametrize(
-    "copy_4, fails",
-    [((50.0, 50.0), True), ((1.0 + 6e-10, 1.0), False)],
-    ids=["differs", "within-tol"],
+    "copy_4",
+    [(50.0, 50.0), (math.nextafter(1.0, 2.0), 1.0)],
+    ids=["differs", "one-spacing"],
 )
 @pytest.mark.parametrize(
     "public_5",
-    [VOTED, (NAN, 1.0), (1.0 + 6e-10, 1.0), None],
-    ids=["public-is-vote", "public-nan", "public-within-tol", "no-public"],
+    [VOTED, (NAN, 1.0), (math.nextafter(1.0, 2.0), 1.0), None],
+    ids=["public-is-vote", "public-nan", "public-one-spacing", "no-public"],
 )
-def test_a_relayer_whose_copy_differs_from_the_vote_fails_step3(public_5, copy_4, fails):
+def test_a_relayer_whose_copy_differs_from_the_vote_fails_step3(public_5, copy_4):
     """2 and 3 relay two-hop node 5 at the vote and 4 relays its own
     copy. No audit is quiet, so node 1 votes on 5 and runs Step 3 on
-    every edge: 4 fails it exactly when its copy is beyond tolerance of
-    the vote, whatever 5's public value."""
+    every edge: 4 fails it whenever its copy differs from the vote,
+    even by one float spacing, whatever 5's public value."""
     oracle = StructuralOracle(DIAMOND, 1)
     state = bootstrap(DIAMOND, 1, 1.0, FLOAT)
     public = {h: (float(h), 1.0) for h in range(1, 5)}
@@ -403,7 +408,7 @@ def test_a_relayer_whose_copy_differs_from_the_vote_fails_step3(public_5, copy_4
     audits = {j: SenderAudit(None) for j in inbox}
     verdicts = detect_alg3(state, inbox, audits, public, oracle, FLOAT)
     step3 = (4, Cause.STEP3, (("id", 5), ("relayed", copy_4), ("expected", VOTED)))
-    assert [(v.suspect, v.cause, v.evidence) for v in verdicts] == ([step3] if fails else [])
+    assert [(v.suspect, v.cause, v.evidence) for v in verdicts] == [step3]
 
 
 # one forged action per ActionKind, from round 3

@@ -15,7 +15,7 @@ from racsim.fixtures import FIXTURE_GRAPHS, six_node_graph
 from racsim.golden import golden_case
 from racsim import sim
 from racsim.graph import AdversaryKind, DirectedGraph, LayeredVariant, complete_graph, generate_layered
-from racsim.protocol import DEFAULT_TOL, honest_round
+from racsim.protocol import honest_round
 from racsim.sim import (
     DetectionMode,
     Scenario,
@@ -194,11 +194,17 @@ class TestValidation:
             (dict(safety_interval=(math.nan, 10.0)), "safety interval bounds must be finite"),
             (dict(safety_interval=(0.0, math.inf)), "safety interval bounds must be finite"),
             (dict(safety_interval=(math.inf, -math.inf)), "safety interval bounds must be finite"),
+            # every node complying as an adversary: no normal node to converge
+            (
+                dict(adversaries=tuple(AttackScript(node=v) for v in range(1, 7))),
+                "at least one node must be normal",
+            ),
         ],
         ids=[
             "nan-x0", "inf-x0", "overflowing-running-sums", "accuse-outside", "inf-self-value",
             "nan-amount", "inf-fake-values",
             "fractional-degree", "nan-interval", "inf-interval", "infinite-interval",
+            "no-normal-node",
         ],
     )
     def test_bad_input_is_a_scenario_error(self, overrides, problem):
@@ -544,7 +550,7 @@ class TestSerialization:
         data = json.loads(json.dumps(scenario_to_json(_basic_scenario(value_tol=1e-6))))
         assert scenario_from_json(data).value_tol == 1e-6
         del data["value_tol"]
-        assert scenario_from_json(data).value_tol == DEFAULT_TOL
+        assert scenario_from_json(data).value_tol == Scenario.value_tol == 1e-9
 
     @pytest.mark.parametrize("name", ["tol", "value_tol"])
     @pytest.mark.parametrize("value", [0.0, -1e-9, math.inf, math.nan])
