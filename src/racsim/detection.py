@@ -24,11 +24,14 @@ per message sent and walks its relayed entries once: the walk sums the
 ledger flow that the update replay reads in ledger order, the order
 the sender summed in, so an honest replay gets the sender's floats bit
 for bit and every comparison is exact. It also finds the off-public
-ids, those whose entries are not == their public values. The previous
-ledger is walked again only for the ids it relays and the current one
-lacks. Past the exit below, each receiver
-votes on every two-hop id it does not know and runs Step 3 against its
-own check set for every reporter without a field finding.
+ids, those whose entries are not == their public values. In exact
+arithmetic the flow is exact_flow's order-free sum over a common
+denominator and the off-public ids take their own pass, unless the
+ledger holds a float (a forged value). The previous ledger is walked
+again only for the ids it relays and the current one lacks. Past the
+exit below, each receiver votes on every two-hop id it does not know
+and runs Step 3 against its own check set for every reporter without
+a field finding.
 
 The audit also decides, by one conservative rule, whether a broadcast
 is quiet: it has no finding, keeps its previous claims, relays zero
@@ -89,6 +92,7 @@ from .protocol import (
     ValueRule,
     ZERO_PAIR,
     declared_fields,
+    exact_flow,
 )
 
 
@@ -263,15 +267,20 @@ def audit_broadcast(
     # comparison, which takes a missing public value too); an entry ==
     # its public value passes Step 3 unless inf or NaN, as the flow shows
     before = prev_msg.relayed if prev_msg is not None else {}
-    flow_y = flow_z = 0
-    off_public = ()
-    for h, val in relayed.items():
-        y, z = val
-        y_before, z_before = before.get(h, ZERO_PAIR)
-        flow_y += y - y_before
-        flow_z += z - z_before
-        if public.get(h) != val:
-            off_public += (h,)
+    flow = exact_flow(relayed, before) if rule.exact else None
+    if flow is not None:
+        flow_y, flow_z = flow
+        off_public = tuple(h for h, val in relayed.items() if public.get(h) != val)
+    else:
+        flow_y = flow_z = 0
+        off_public = ()
+        for h, val in relayed.items():
+            y, z = val
+            y_before, z_before = before.get(h, ZERO_PAIR)
+            flow_y += y - y_before
+            flow_z += z - z_before
+            if public.get(h) != val:
+                off_public += (h,)
     expected_ids = oracle.relay_ids[j]
     fields = None
     if relayed.keys() != expected_ids:

@@ -7,14 +7,15 @@ InformationSet, is an immutable tuple of named fields whose
 constructor and _replace both check its invariants. It carries
 cumulative running sums (lam for y, gam for z), which receivers
 difference to recover per-round contributions, and the ledger of the
-sums the node read last. The ledger's order is its summation order:
-the node's own entry first, then its in-neighbors in in_nbrs order,
-the order in which honest_round adds their flows. So a receiver that
-replays the update by walking the ledger adds the same floats in the
-same order and gets the sender's sums bit for bit. honest_round zeroes
-a detected in-neighbor's ledger entry to remove its accumulated
-contribution, compensates mass sent to a detected out-neighbor back
-into the node's own values, and builds the next message.
+sums the node read last. For floats, the ledger's order is its
+summation order: the node's own entry first, then its in-neighbors in
+in_nbrs order, as honest_round adds their flows. So a receiver that
+walks the ledger adds the same floats in the same order and gets the
+sender's sums bit for bit. An exact flow is free of order: exact_flow
+sums it over one common denominator. honest_round zeroes a detected
+in-neighbor's ledger entry to remove its accumulated contribution,
+compensates mass sent to a detected out-neighbor back into the node's
+own values, and builds the next message.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, NamedTuple, Union
+from operator import itemgetter
+from typing import Mapping, NamedTuple, Optional, Union
 
 Number = Union[int, float, Fraction]
 Pair = tuple[Number, Number]
@@ -163,6 +165,28 @@ def build_information_set(
     return InformationSet(i, k, frozenset(detected), self_next, ledger, d_out, n_removed)
 
 
+def exact_flow(now: Mapping[int, Pair], before: Mapping[int, Pair]) -> Optional[Pair]:
+    """The ledger flow, the sum over now's ids h of now[h] - before[h]
+    (ZERO_PAIR for an id before lacks), as one integer sum per component
+    over the least common denominator of its terms, normalised once. Its
+    value and type are the ordered walk's: an int where every term is an
+    int, else a Fraction. None when an entry is neither (a forged float)."""
+    then = [before.get(h, ZERO_PAIR) for h in now]
+    flow = []
+    for get in (itemgetter(0), itemgetter(1)):
+        new, old = list(map(get, now.values())), list(map(get, then))
+        kinds = {*map(type, new), *map(type, old)}
+        if kinds <= {int}:
+            flow.append(sum(new) - sum(old))
+        elif kinds <= {int, Fraction}:
+            d = math.lcm(*[x.denominator for x in new], *[x.denominator for x in old])
+            total = sum([x.numerator * (d // x.denominator) for x in new])
+            flow.append(Fraction(total - sum([x.numerator * (d // x.denominator) for x in old]), d))
+        else:
+            return None
+    return flow[0], flow[1]
+
+
 def honest_round(s: NodeState, inbox: Mapping[int, InformationSet], rule: ValueRule) -> None:
     """Advance one round in place, from the message the node broadcast
     this round (s.next) to the one it broadcasts next.
@@ -176,26 +200,38 @@ def honest_round(s: NodeState, inbox: Mapping[int, InformationSet], rule: ValueR
     sent = s.next
     lam_k, gam_k = sent.self_next
     old_ledger = sent.relayed
-    # the own entry first: the ledger's order is the order of the sums
-    ledger: dict[int, Pair] = {s.id: (lam_k, gam_k)}
-    own_y, own_z = old_ledger[s.id]
-    y = lam_k - own_y
-    z = gam_k - own_z
-    for j in s.in_nbrs:
-        if j in detected:
-            pair = ZERO_PAIR
-        else:
-            msg = inbox.get(j)
-            if msg is None:
+    flow = None
+    if rule.exact:
+        # the ledger as the loop below reads it, summed in one exact step
+        ledger: dict[int, Pair] = {s.id: (lam_k, gam_k)}
+        for j in s.in_nbrs:
+            if j not in detected and j not in inbox:
                 detected.add(j)  # crashed
+            ledger[j] = ZERO_PAIR if j in detected else inbox[j].self_next
+        flow = exact_flow(ledger, old_ledger)
+    if flow is not None:
+        y, z = flow
+    else:
+        # the own entry first: the ledger's order is the order of the sums
+        ledger = {s.id: (lam_k, gam_k)}
+        own_y, own_z = old_ledger[s.id]
+        y = lam_k - own_y
+        z = gam_k - own_z
+        for j in s.in_nbrs:
+            if j in detected:
                 pair = ZERO_PAIR
             else:
-                pair = msg.self_next
-        ledger[j] = pair
-        new_y, new_z = pair
-        old_y, old_z = old_ledger[j]
-        y = y + (new_y - old_y)
-        z = z + (new_z - old_z)
+                msg = inbox.get(j)
+                if msg is None:
+                    detected.add(j)  # crashed
+                    pair = ZERO_PAIR
+                else:
+                    pair = msg.self_next
+            ledger[j] = pair
+            new_y, new_z = pair
+            old_y, old_z = old_ledger[j]
+            y = y + (new_y - old_y)
+            z = z + (new_z - old_z)
     d_out, n_removed = declared_fields(s.out_nbrs, detected, sent.detected)
     # mass previously sent to newly removed out-neighbors comes back
     y = y + n_removed * lam_k

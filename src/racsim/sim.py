@@ -194,7 +194,7 @@ class Trace:
         keep = sorted(self.never_detected)
         if not keep:
             return None
-        total = sum(self.scenario.x0[i - 1] for i in keep)
+        total = math.fsum(self.scenario.x0[i - 1] for i in keep)
         return total / len(keep)
 
 

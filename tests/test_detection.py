@@ -19,13 +19,14 @@ from racsim.detection import (
     init_range_check,
     vote_value,
 )
-from racsim.adversary import ActionKind, AttackAction, AttackScript
+from racsim.adversary import ActionKind, AttackAction, AttackScript, TamperMode
 from racsim.fixtures import (
     FIXTURE_GRAPHS,
     eight_node_graph,
     fourteen_node_graph,
     six_node_damaged,
     six_node_graph,
+    thirty_node_graph,
 )
 from racsim.golden import GOLDEN_CASES, golden_case
 from racsim.graph import DirectedGraph, complete_graph, is_detectable, two_hop_middle_nodes
@@ -43,6 +44,7 @@ from oracles import brute_oracle_answers
 SIX_X0 = tuple(golden_case("six-attack").data["x0"])
 FOURTEEN_X0 = tuple(golden_case("fourteen-attack").data["x0"])
 EIGHT_X0 = tuple(golden_case("eight-attack").data["x0"])
+THIRTY_X0 = tuple(golden_case("thirty-attack").data["x0"])
 
 FLOAT = ValueRule()
 EXACT = ValueRule(exact=True)
@@ -497,6 +499,42 @@ class TestDistributedDetectionEndToEnd:
         sy, _ = mass_sums(trace, survivors)[-1]
         assert abs(sy - sum(EIGHT_X0[i - 1] for i in survivors)) <= trace.scenario.tol
         assert summary(trace)["converged_round"] is not None
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 3 (defect C): a relayer's (0, 0) for a node it claims counts in the two-hop vote",
+    )
+    def test_relayed_zero_for_a_claimed_node_condemns_no_normal_node_by_step3(self):
+        # nodes 4, 5 and 6 condemn 7 in round 5 and relay (0, 0) for it;
+        # in round 6 that zero wins node 8's and 9's vote on 7, and at
+        # the parent both condemn normal nodes 10 and 11 by Step3 ('id', 7)
+        trace = run(
+            Scenario(
+                graph=thirty_node_graph(),
+                x0=THIRTY_X0,
+                f=1,
+                detection=DetectionMode.ALG3,
+                adversaries=(
+                    AttackScript(
+                        node=7,
+                        schedule=((7, AttackAction(
+                            ActionKind.TAMPER_RELAYED, target=6, mode=TamperMode.SET, amount=-5.5
+                        )),),
+                    ),
+                    AttackScript(
+                        node=12,
+                        schedule=(
+                            (2, AttackAction(ActionKind.FALSELY_ACCUSE, target=3)),
+                            (8, AttackAction(ActionKind.FALSELY_ACCUSE, target=26)),
+                        ),
+                    ),
+                ),
+                horizon=8,
+                seed=860,
+            )
+        )
+        normals = trace.normal_nodes
+        assert [e for e in trace.events if e.cause is Cause.STEP3 and e.suspect in normals] == []
 
     def test_large_initial_values_draw_no_verdict(self):
         # no adversary; at x0 × 1e8 the running sums round, and the

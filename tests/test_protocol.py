@@ -1,12 +1,15 @@
 import math
 import random
 from copy import deepcopy
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from racsim import detection, protocol
+from racsim.golden import golden_case
 from racsim.graph import DirectedGraph, complete_graph, is_strongly_connected
 from racsim.protocol import (
     ZERO_PAIR,
@@ -17,9 +20,11 @@ from racsim.protocol import (
     bootstrap,
     build_information_set,
     declared_fields,
+    exact_flow,
     honest_round,
     initial_share,
 )
+from racsim.sim import run
 from oracles import push_sum_ratios
 
 FLOAT = ValueRule()
@@ -443,3 +448,62 @@ def test_honest_round_matches_the_reference(case):
         ))
 
     assert outcome(got) == outcome(want)
+
+
+# ints, negative Fractions, integral Fractions and Fractions whose
+# denominators are large; a float in some examples
+FLOW_RATIONALS = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.builds(Fraction, st.integers(-10**30, 10**30), st.sampled_from((1, 2, 7, 3**40, 2**61 - 1))),
+)
+FLOW_FLOATS = st.floats(-1e6, 1e6)
+
+
+@st.composite
+def flow_ledgers(draw):
+    """Two ledgers over ids 1-6, each in any order, each possibly with
+    ids the other lacks."""
+    values = draw(st.sampled_from((FLOW_RATIONALS, st.one_of(FLOW_RATIONALS, FLOW_FLOATS))))
+    pairs = st.tuples(values, values)
+    ids = st.lists(st.integers(1, 6), unique=True, max_size=6)
+    now = {h: draw(pairs) for h in draw(ids)}
+    before = {h: draw(pairs) for h in draw(ids)}
+    return now, before
+
+
+@settings(max_examples=500, deadline=None)
+@given(flow_ledgers())
+def test_exact_flow_matches_the_ordered_walk_in_value_and_type(ledgers):
+    now, before = ledgers
+    terms = [x for h in now for x in (*now[h], *before.get(h, ZERO_PAIR))]
+    got = exact_flow(now, before)
+    if any(isinstance(x, float) for x in terms):
+        assert got is None
+        return
+    # the left fold in now's order, as honest_round and the replay add
+    want = []
+    for c in (0, 1):
+        acc = 0
+        for h, pair in now.items():
+            acc = acc + (pair[c] - before.get(h, ZERO_PAIR)[c])
+        want.append(acc)
+    assert got == tuple(want)
+    assert [type(v) for v in got] == [type(v) for v in want]
+
+
+def test_an_exact_run_without_forged_floats_never_falls_back(monkeypatch):
+    # every flow of an exact run on rationals alone takes the one exact
+    # sum, in the sender's update and in the replay
+    results = []
+
+    def recorded(now, before):
+        results.append(exact_flow(now, before))
+        return results[-1]
+
+    monkeypatch.setattr(protocol, "exact_flow", recorded)
+    monkeypatch.setattr(detection, "exact_flow", recorded)
+    sc = golden_case("fourteen-no-attack").build()
+    run(replace(sc, exact=True, horizon=10))
+    # each round, 14 updates and 14 replays (the first against no ledger)
+    assert len(results) == 2 * 14 * 10
+    assert None not in results

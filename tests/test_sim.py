@@ -365,6 +365,16 @@ class TestTraceProperties:
         assert s["settle_round"] >= 4
         assert isinstance(s["converged_round"], int)
 
+    def test_target_is_the_same_on_every_python_version(self):
+        # the built-in sum compensates float sums from Python 3.12 on, and
+        # gives 4.671428571428571 here before it
+        x0 = (1.3, 8.5, 7.6, 2.6, 5.0, 4.5, 6.5, 7.9, 0.9, 0.3, 8.4, 4.3, 7.6, 0.0)
+        sc = Scenario(graph=FIXTURE_GRAPHS["fourteen"](), x0=x0, f=1,
+                      detection=DetectionMode.NONE, horizon=200)
+        s = summary(run(sc))
+        assert s["target"] == 4.671428571428572
+        assert '"target": 4.671428571428572' in json.dumps(s)
+
     def test_no_survivors_leave_no_target(self):
         sc = _basic_scenario(horizon=2)
         series = {i: [SIX_X0[i - 1]] * 3 for i in sc.graph.nodes}
