@@ -25,13 +25,13 @@ ledger flow that the update replay reads in ledger order, the order
 the sender summed in, so an honest replay gets the sender's floats bit
 for bit and every comparison is exact. It also finds the off-public
 ids, those whose entries are not == their public values. In exact
-arithmetic the flow is exact_flow's order-free sum over a common
-denominator and the off-public ids take their own pass, unless the
-ledger holds a float (a forged value). The previous ledger is walked
-again only for the ids it relays and the current one lacks. Past the
-exit below, each receiver votes on every two-hop id it does not know
-and runs Step 3 against its own check set for every reporter without
-a field finding.
+arithmetic the flow is exact_flow's, the sender's own function on the
+same two ledgers (rational columns over one common denominator, a
+column holding a forged float in ledger order), and the off-public ids
+take their own pass. The previous ledger is walked again only for the
+ids it relays and the current one lacks. Past the exit below, each
+receiver votes on every two-hop id it does not know and runs Step 3
+against its own check set for every reporter without a field finding.
 
 The audit also decides, by one conservative rule, whether a broadcast
 is quiet: it has no finding, keeps its previous claims, relays zero
@@ -267,9 +267,8 @@ def audit_broadcast(
     # comparison, which takes a missing public value too); an entry ==
     # its public value passes Step 3 unless inf or NaN, as the flow shows
     before = prev_msg.relayed if prev_msg is not None else {}
-    flow = exact_flow(relayed, before) if rule.exact else None
-    if flow is not None:
-        flow_y, flow_z = flow
+    if rule.exact:
+        flow_y, flow_z = exact_flow(relayed, before)
         off_public = tuple(h for h, val in relayed.items() if public.get(h) != val)
     else:
         flow_y = flow_z = 0

@@ -246,16 +246,16 @@ def _subset_strongly_connected(g: DirectedGraph, nodes: frozenset[int]) -> bool:
     return True
 
 
-def is_k_strongly_connected(g: DirectedGraph, k: int, node_cap: int = DEFAULT_NODE_CAP) -> bool:
+def is_k_strongly_connected(g: DirectedGraph, k: int) -> bool:
     """Removal of any (k-1)-local node set leaves a strongly connected graph."""
     if k < 1:
         raise GraphError("k must be at least 1")
-    if g.n > node_cap:
-        raise InstanceTooLarge(f"n={g.n} exceeds cap {node_cap}")
     if k == 1:
         # only the empty set is 0-local in a strongly connected graph,
         # and a disconnected graph already fails on the empty set
         return is_strongly_connected(g)
+    if g.n > DEFAULT_NODE_CAP:
+        raise InstanceTooLarge(f"n={g.n} exceeds cap {DEFAULT_NODE_CAP}")
     all_nodes = frozenset(g.nodes)
     for s in _iter_local_sets(g, k - 1):
         if not _subset_strongly_connected(g, all_nodes - s):
@@ -263,14 +263,14 @@ def is_k_strongly_connected(g: DirectedGraph, k: int, node_cap: int = DEFAULT_NO
     return True
 
 
-def vertex_connectivity_at_least(g: DirectedGraph, k: int, node_cap: int = DEFAULT_NODE_CAP) -> bool:
+def vertex_connectivity_at_least(g: DirectedGraph, k: int) -> bool:
     """No removal of k-1 nodes disconnects the undirected graph."""
     if not g.undirected:
         raise UnsupportedGraph("vertex connectivity is defined for undirected graphs")
     if k < 1:
         raise GraphError("k must be at least 1")
-    if g.n > node_cap:
-        raise InstanceTooLarge(f"n={g.n} exceeds cap {node_cap}")
+    if g.n > DEFAULT_NODE_CAP:
+        raise InstanceTooLarge(f"n={g.n} exceeds cap {DEFAULT_NODE_CAP}")
     if g.n < k + 1:
         return False
     all_nodes = frozenset(g.nodes)

@@ -11,8 +11,9 @@ sums the node read last. For floats, the ledger's order is its
 summation order: the node's own entry first, then its in-neighbors in
 in_nbrs order, as honest_round adds their flows. So a receiver that
 walks the ledger adds the same floats in the same order and gets the
-sender's sums bit for bit. An exact flow is free of order: exact_flow
-sums it over one common denominator. honest_round zeroes a detected
+sender's sums bit for bit. In exact runs the sender and every replay
+take each flow from exact_flow: rationals over one common denominator,
+a forged float in ledger order. honest_round zeroes a detected
 in-neighbor's ledger entry to remove its accumulated contribution,
 compensates mass sent to a detected out-neighbor back into the node's
 own values, and builds the next message.
@@ -23,8 +24,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import itemgetter
-from typing import Mapping, NamedTuple, Optional, Union
+from functools import reduce
+from operator import add, itemgetter, sub
+from typing import Mapping, NamedTuple, Union
 
 Number = Union[int, float, Fraction]
 Pair = tuple[Number, Number]
@@ -165,12 +167,12 @@ def build_information_set(
     return InformationSet(i, k, frozenset(detected), self_next, ledger, d_out, n_removed)
 
 
-def exact_flow(now: Mapping[int, Pair], before: Mapping[int, Pair]) -> Optional[Pair]:
+def exact_flow(now: Mapping[int, Pair], before: Mapping[int, Pair]) -> Pair:
     """The ledger flow, the sum over now's ids h of now[h] - before[h]
-    (ZERO_PAIR for an id before lacks), as one integer sum per component
-    over the least common denominator of its terms, normalised once. Its
-    value and type are the ordered walk's: an int where every term is an
-    int, else a Fraction. None when an entry is neither (a forged float)."""
+    (ZERO_PAIR for an id before lacks), of the ordered walk's value and
+    type: per column, one integer sum over the least common denominator
+    of its ints and Fractions, normalised once, or, for a column holding
+    a float (a forged value), the walk's + in ledger order."""
     then = [before.get(h, ZERO_PAIR) for h in now]
     flow = []
     for get in (itemgetter(0), itemgetter(1)):
@@ -183,7 +185,8 @@ def exact_flow(now: Mapping[int, Pair], before: Mapping[int, Pair]) -> Optional[
             total = sum([x.numerator * (d // x.denominator) for x in new])
             flow.append(Fraction(total - sum([x.numerator * (d // x.denominator) for x in old]), d))
         else:
-            return None
+            # not sum(), which compensates float sums from Python 3.12 on
+            flow.append(reduce(add, map(sub, new, old)))
     return flow[0], flow[1]
 
 
@@ -200,17 +203,14 @@ def honest_round(s: NodeState, inbox: Mapping[int, InformationSet], rule: ValueR
     sent = s.next
     lam_k, gam_k = sent.self_next
     old_ledger = sent.relayed
-    flow = None
     if rule.exact:
-        # the ledger as the loop below reads it, summed in one exact step
+        # the ledger as the loop below reads it, summed by exact_flow
         ledger: dict[int, Pair] = {s.id: (lam_k, gam_k)}
         for j in s.in_nbrs:
             if j not in detected and j not in inbox:
                 detected.add(j)  # crashed
             ledger[j] = ZERO_PAIR if j in detected else inbox[j].self_next
-        flow = exact_flow(ledger, old_ledger)
-    if flow is not None:
-        y, z = flow
+        y, z = exact_flow(ledger, old_ledger)
     else:
         # the own entry first: the ledger's order is the order of the sums
         ledger = {s.id: (lam_k, gam_k)}

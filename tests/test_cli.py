@@ -10,7 +10,7 @@ from racsim.cli import (
     EXIT_UNREADABLE,
     main,
 )
-from racsim.fixtures import six_node_damaged, six_node_graph
+from racsim.fixtures import five_node_graph, six_node_damaged, six_node_graph
 from racsim.graph import LayeredVariant, generate_layered, read_edge_list, write_edge_list
 from racsim import golden
 from racsim.sim import Scenario, ScenarioError, scenario_to_json
@@ -171,6 +171,34 @@ class TestRunCommand:
         assert err == "invalid scenario: x0 has 1 entries for 6 nodes\n"
         assert not out.exists()
 
+    def test_graph_file_resolves_against_the_scenario_directory(self, tmp_path, monkeypatch):
+        data = scenario_to_json(Scenario(graph=six_node_graph(), x0=SIX_X0, horizon=30))
+        inline = tmp_path / "inline.json"
+        inline.write_text(json.dumps(data))
+        scenarios = tmp_path / "scenarios"
+        scenarios.mkdir()
+        (scenarios / "g.txt").write_text(data["graph"]["inline"])
+        from_file = scenarios / "from-file.json"
+        from_file.write_text(json.dumps({**data, "graph": {"file": "g.txt"}}))
+        # the file is not found from the working directory
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        assert main(["run", "--scenario", str(inline), "--out", str(tmp_path / "a")]) == EXIT_OK
+        assert main(["run", "--scenario", str(from_file), "--out", str(tmp_path / "b")]) == EXIT_OK
+        assert (tmp_path / "a" / "trace.csv").read_bytes() == (tmp_path / "b" / "trace.csv").read_bytes()
+
+    def test_missing_graph_file_exits_invalid_with_one_line(self, tmp_path, capsys):
+        data = scenario_to_json(Scenario(graph=six_node_graph(), x0=SIX_X0, horizon=30))
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({**data, "graph": {"file": "missing.txt"}}))
+        out = tmp_path / "out"
+        code = main(["run", "--scenario", str(path), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == EXIT_INVALID
+        assert len(err.splitlines()) == 1 and err.startswith("invalid scenario: bad graph: ")
+        assert not out.exists()
+
     def test_repeated_runs_byte_identical(self, tmp_path, scenario_file):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         assert main(["run", "--scenario", str(scenario_file), "--out", str(out_a)]) == EXIT_OK
@@ -228,6 +256,34 @@ class TestCheckGraphCommand:
         err = capsys.readouterr().err
         assert code == EXIT_INVALID
         assert len(err.splitlines()) == 1 and err.startswith("invalid arguments: ")
+
+    def test_k_strong_1_takes_thirty_nodes(self, tmp_path, capsys):
+        # strong connectivity is one search each way, so the node cap of
+        # the exhaustive check does not apply
+        path = tmp_path / "thirty.txt"
+        path.write_text(write_edge_list(generate_layered(10, 1, LayeredVariant.UNDIRECTED_PATH)))
+        code = main(["check-graph", str(path), "-f", "1", "--k-strong", "1"])
+        assert code == EXIT_OK
+        assert capsys.readouterr().out == "1-strong connectivity: pass\n"
+
+    def test_sharing_condition_passes_on_five(self, tmp_path, capsys):
+        path = tmp_path / "five.txt"
+        path.write_text(write_edge_list(five_node_graph()))
+        code = main(["check-graph", str(path), "-f", "2", "--alg2"])
+        assert code == EXIT_OK
+        assert capsys.readouterr().out == "sharing-detection condition: pass\n"
+
+    def test_sharing_condition_fails_on_a_four_cycle(self, tmp_path, capsys):
+        # adjacent nodes of a 4-cycle share no neighbor; f 2 needs one
+        path = tmp_path / "cycle.txt"
+        path.write_text("n 4 undirected\n1 2\n2 3\n3 4\n4 1\n")
+        code = main(["check-graph", str(path), "-f", "2", "--alg2"])
+        assert code == EXIT_CHECK_FAILED
+        head, *violations = capsys.readouterr().out.splitlines()
+        assert head == "sharing-detection condition: fail"
+        assert sorted(violations) == [
+            f"  violation common_neighbors at {edge}" for edge in ((1, 2), (1, 4), (2, 3), (3, 4))
+        ]
 
     @pytest.mark.parametrize(
         "flags",

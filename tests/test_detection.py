@@ -452,7 +452,7 @@ class TestDistributedDetectionEndToEnd:
 
     @pytest.mark.xfail(
         strict=True,
-        reason="ROADMAP item 2: a false accusation makes ALG3 condemn normal nodes",
+        reason="ROADMAP item 3 (defect A): a false accusation makes ALG3 condemn normal nodes by the Step 1a omitted audit",
     )
     def test_false_accusation_on_fourteen_spares_normal_nodes(self):
         trace = run(

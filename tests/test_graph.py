@@ -210,10 +210,7 @@ class TestKStrongConnectivity:
 
     def test_cap_enforced(self):
         with pytest.raises(InstanceTooLarge):
-            is_k_strongly_connected(directed_cycle(25), 1)
-
-    def test_cap_overridable(self):
-        assert is_k_strongly_connected(directed_cycle(25), 1, node_cap=30)
+            is_k_strongly_connected(directed_cycle(25), 2)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=10_000))
