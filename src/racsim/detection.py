@@ -20,18 +20,24 @@ the detection sets its in-neighbors claim:
   per-sender audit carries.
 
 Every receiver audits the same broadcast, so audit_broadcast runs once
-per message sent and walks its relayed entries once: the walk sums the
-ledger flow that the update replay reads in ledger order, the order
-the sender summed in, so an honest replay gets the sender's floats bit
-for bit and every comparison is exact. It also finds the off-public
-ids, those whose entries are not == their public values. In exact
-arithmetic the flow is exact_flow's, the sender's own function on the
-same two ledgers (rational columns over one common denominator, a
-column holding a forged float in ledger order), and the off-public ids
-take their own pass. The previous ledger is walked again only for the
-ids it relays and the current one lacks. Past the exit below, each
-receiver votes on every two-hop id it does not know and runs Step 3
-against its own check set for every reporter without a field finding.
+per message sent and walks its relayed entries once, to find the
+off-public ids, those whose entries are not == their public values.
+The update replay reads the ledger flow. A normal node's message is
+never forged and its previous message is the one its update
+differenced against, so the engine hands the audit the flow the node
+summed (NodeState.flow) and the audit takes it as it is. An
+adversary's broadcast, a fresh forged copy, and a first message are
+summed by the walk itself, in ledger order, the order the sender
+summed in, so an honest replay gets the sender's floats bit for bit
+and every comparison is exact. In exact arithmetic that sum is
+exact_flow's, the sender's own function on the same two ledgers
+(rational columns over one common denominator, a column holding a
+forged float in ledger order), and the off-public ids take their own
+pass, as they do whenever a flow is given. The previous ledger is
+walked again only for the ids it relays and the current one lacks.
+Past the exit below, each receiver votes on every two-hop id it does
+not know and runs Step 3 against its own check set for every reporter
+without a field finding.
 
 The audit also decides, by one conservative rule, whether a broadcast
 is quiet: it has no finding, keeps its previous claims, relays zero
@@ -251,24 +257,29 @@ def audit_broadcast(
     oracle: StructuralOracle,
     rule: ValueRule,
     interval: Optional[tuple[float, float]] = None,
+    flow: Optional[Pair] = None,
 ) -> SenderAudit:
     """Id sanity, declared-field cross-checks, the full arithmetic
     replay of the sender's update from its two consecutive messages,
     and the quiet rule of the module docstring. A first message
     (prev_msg None) is screened against the safety interval instead of
-    replayed."""
+    replayed. flow, when given, is the flow of msg's ledger since
+    prev_msg's as the sender summed it, and the audit takes it in place
+    of its own sum: only the sender's own unforged message may come
+    with it."""
     j = msg.sender
     relayed = msg.relayed
     claims = msg.detected
     # read by Step 1b, whose verdicts precede every finding below
     claimed_before = prev_msg.detected if prev_msg is not None else frozenset()
     # one walk over the relayed entries: the replay's flow, summed in
-    # ledger order, and the off-public ids, found with != (one tuple
-    # comparison, which takes a missing public value too); an entry ==
-    # its public value passes Step 3 unless inf or NaN, as the flow shows
+    # ledger order unless the sender's sum is given, and the off-public
+    # ids, found with != (one tuple comparison, which takes a missing
+    # public value too); an entry == its public value passes Step 3
+    # unless inf or NaN, as the flow shows
     before = prev_msg.relayed if prev_msg is not None else {}
-    if rule.exact:
-        flow_y, flow_z = exact_flow(relayed, before)
+    if flow is not None or rule.exact:
+        flow_y, flow_z = flow if flow is not None else exact_flow(relayed, before)
         off_public = tuple(h for h, val in relayed.items() if public.get(h) != val)
     else:
         flow_y = flow_z = 0
@@ -297,7 +308,8 @@ def audit_broadcast(
             fields = Cause.STEP4, (("declared_removed_out", msg.declared_removed_out, expected_removed),)
     if fields is not None:
         return SenderAudit(fields, claimed_before=claimed_before)
-    # the flow as walked, which the quiet rule reads
+    # the flow over the relayed entries, given or walked, which the
+    # quiet rule reads
     flow = (flow_y, flow_z)
     if prev_msg is None:
         lam, gam = msg.self_next

@@ -11,12 +11,14 @@ sums the node read last. For floats, the ledger's order is its
 summation order: the node's own entry first, then its in-neighbors in
 in_nbrs order, as honest_round adds their flows. So a receiver that
 walks the ledger adds the same floats in the same order and gets the
-sender's sums bit for bit. In exact runs the sender and every replay
-take each flow from exact_flow: rationals over one common denominator,
-a forged float in ledger order. honest_round zeroes a detected
-in-neighbor's ledger entry to remove its accumulated contribution,
-compensates mass sent to a detected out-neighbor back into the node's
-own values, and builds the next message.
+sender's sums bit for bit. The node also keeps the flow it summed
+(NodeState.flow), which the replay of its own unforged message takes
+in place of a second walk. In exact runs the sender and every replay
+that sums its own take each flow from exact_flow: rationals over one
+common denominator, a forged float in ledger order. honest_round
+zeroes a detected in-neighbor's ledger entry to remove its accumulated
+contribution, compensates mass sent to a detected out-neighbor back
+into the node's own values, and builds the next message.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from operator import add, itemgetter, sub
-from typing import Mapping, NamedTuple, Union
+from typing import Mapping, NamedTuple, Optional, Union
 
 Number = Union[int, float, Fraction]
 Pair = tuple[Number, Number]
@@ -123,6 +125,10 @@ class NodeState:
     next: InformationSet
     detected: set[int] = field(default_factory=set)
     detected_two_hop: set[int] = field(default_factory=set)
+    # the flow of next's ledger since the node's previous message, as
+    # honest_round summed it before the compensation term; the replay of
+    # next takes it in place of its own sum (None before the first update)
+    flow: Optional[Pair] = None
 
 
 def declared_fields(out_nbrs: frozenset[int], claims, claimed_before) -> tuple[int, int]:
@@ -232,6 +238,7 @@ def honest_round(s: NodeState, inbox: Mapping[int, InformationSet], rule: ValueR
             old_y, old_z = old_ledger[j]
             y = y + (new_y - old_y)
             z = z + (new_z - old_z)
+    s.flow = (y, z)
     d_out, n_removed = declared_fields(s.out_nbrs, detected, sent.detected)
     # mass previously sent to newly removed out-neighbors comes back
     y = y + n_removed * lam_k

@@ -253,10 +253,15 @@ def run(scenario: Scenario) -> Trace:
 
         # detect: every receiver audits the same broadcast, so its
         # receiver-independent checks run once per message sent; each
-        # detector adds its suspects to its own state
+        # detector adds its suspects to its own state. A normal node's
+        # message is never forged and its previous one is the message
+        # honest_round differenced against, so its replay takes the flow
+        # the node summed; an adversary's forged copy and a first
+        # message are summed by the audit itself
         if detecting:
             audits = {j: audit_broadcast(m, prev.get(j), public, oracle, rule,
-                                         scenario.safety_interval)
+                                         scenario.safety_interval,
+                                         states[j].flow if j in prev and j not in scripts else None)
                       for j, m in sent.items()}
             prev = sent
             for i in normals:
@@ -299,13 +304,14 @@ def convergence_round(trace: Trace, target: float, tol: float) -> Optional[int]:
     with k because y and z are differences of running sums that grow
     by about x0 each round: each round adds a few spacings of rounding,
     so a ratio can land further off than 8 spacings even when every
-    node holds the target."""
+    node holds the target. A NaN ratio is within no bound."""
     spacing = 8 * math.ulp(target)
     normals = sorted(trace.normal_nodes)
     last_bad = -1
     for k in range(trace.horizon + 1):
-        err = max(abs(float(trace.r[i][k]) - target) for i in normals)
-        if err >= max(tol, max(k, 1) * spacing):
+        bound = max(tol, max(k, 1) * spacing)
+        # < is False for NaN, where >= would be too
+        if not all(abs(float(trace.r[i][k]) - target) < bound for i in normals):
             last_bad = k
     if last_bad == trace.horizon:
         return None

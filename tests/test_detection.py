@@ -39,6 +39,7 @@ from racsim.protocol import (
 from racsim import sim
 from racsim.sim import DetectionMode, Scenario, mass_sums, run, summary
 from oracles import brute_oracle_answers
+from test_public_audit import _flow_checked_run
 
 
 SIX_X0 = tuple(golden_case("six-attack").data["x0"])
@@ -536,26 +537,30 @@ class TestDistributedDetectionEndToEnd:
         normals = trace.normal_nodes
         assert [e for e in trace.events if e.cause is Cause.STEP3 and e.suspect in normals] == []
 
-    def test_large_initial_values_draw_no_verdict(self):
+    def test_large_initial_values_draw_no_verdict(self, monkeypatch):
         # no adversary; at x0 × 1e8 the running sums round, and the
-        # replays match only because they add in the senders' order
-        trace = run(
+        # replays match only because they add in the senders' order; each
+        # replay given its sender's flow is repeated on the audit's own sum
+        trace, _ = _flow_checked_run(
             Scenario(
                 graph=fourteen_node_graph(),
                 x0=tuple(v * 1e8 for v in golden_case("fourteen-no-attack").data["x0"]),
                 f=1,
                 detection=DetectionMode.ALG3,
                 horizon=30,
-            )
+            ),
+            monkeypatch,
         )
         assert trace.events == []
 
     @pytest.mark.parametrize("case", GOLDEN_CASES, ids=lambda c: c.name)
-    def test_golden_graphs_at_large_initial_values_draw_no_verdict(self, case):
+    def test_golden_graphs_at_large_initial_values_draw_no_verdict(self, case, monkeypatch):
         # every golden graph and detector with its adversaries removed,
-        # x0 × 1e100; a replay out of the sender's order fails from round 2
+        # x0 × 1e100; an audit sum out of the sender's order fails from
+        # round 2, and the wrapper repeats each replay given a flow on one
         sc = case.build()
-        trace = run(replace(sc, x0=tuple(v * 1e100 for v in sc.x0), adversaries=(), horizon=12))
+        scenario = replace(sc, x0=tuple(v * 1e100 for v in sc.x0), adversaries=(), horizon=12)
+        trace, _ = _flow_checked_run(scenario, monkeypatch)
         assert trace.events == []
 
     def test_forged_self_value_caught_by_replay(self):

@@ -495,7 +495,8 @@ def test_exact_flow_matches_the_ordered_walk_in_value_and_type(ledgers):
 
 def test_an_exact_run_without_forged_floats_never_falls_back(monkeypatch):
     # every flow of an exact run on rationals alone is the exact sum
-    # over one denominator, in the sender's update and in the replay
+    # over one denominator, in the sender's update and in a replay that
+    # sums the ledger itself
     results = []
 
     def recorded(now, before):
@@ -506,6 +507,7 @@ def test_an_exact_run_without_forged_floats_never_falls_back(monkeypatch):
     monkeypatch.setattr(detection, "exact_flow", recorded)
     sc = golden_case("fourteen-no-attack").build()
     run(replace(sc, exact=True, horizon=10))
-    # each round, 14 updates and 14 replays (the first against no ledger)
-    assert len(results) == 2 * 14 * 10
+    # each round, 14 updates; a replay takes its sender's flow, but in
+    # round 1 it sums the first message's ledger against no ledger
+    assert len(results) == 14 * 10 + 14
     assert not any(isinstance(v, float) for flow in results for v in flow)

@@ -543,6 +543,58 @@ def _checked_run(scenario, monkeypatch, *, loud, per_receiver):
     return counts
 
 
+def _flow_checked_run(scenario, monkeypatch):
+    """sim.run(scenario) with every audit_broadcast call that was given
+    the sender's flow repeated without it, so that the audit sums the
+    ledger itself: both must give the same SenderAudit, repr for repr.
+    No adversary's broadcast may come with a flow, and every normal
+    node's broadcast after its first must. Returns the trace and the
+    number of calls given a flow."""
+    adversaries = {s.node for s in scenario.adversaries}
+    given_flow = 0
+
+    def checked(msg, prev_msg, public, oracle, rule, interval=None, flow=None):
+        nonlocal given_flow
+        got = audit_broadcast(msg, prev_msg, public, oracle, rule, interval, flow)
+        if msg.sender in adversaries:
+            assert flow is None
+        else:
+            assert (flow is not None) == (msg.round > 0)
+        if flow is not None:
+            given_flow += 1
+            assert repr(got) == repr(audit_broadcast(msg, prev_msg, public, oracle, rule, interval))
+        return got
+
+    monkeypatch.setattr(sim, "audit_broadcast", checked)
+    return sim.run(scenario), given_flow
+
+
+def _flow_scenarios():
+    """The golden cases in float and, at the exact-golden benchmark's
+    horizon 60, in exact arithmetic; every action of _action_scenarios;
+    the first 60 fuzz draws at seed 7."""
+    for case in GOLDEN_CASES:
+        sc = case.build()
+        yield pytest.param(sc, id=f"{case.name}-float")
+        yield pytest.param(replace(sc, exact=True, horizon=60), id=f"{case.name}-exact")
+    for param in _action_scenarios():
+        yield pytest.param(param.values[0], id=param.id)
+    rng = random.Random(7)
+    for n in range(60):
+        yield pytest.param(random_scenario(rng), id=f"fuzz-seed7-{n}")
+
+
+@pytest.mark.parametrize("scenario", list(_flow_scenarios()))
+def test_the_senders_flow_gives_the_audit_of_the_audits_own_sum(scenario, monkeypatch):
+    """A normal node's replay takes the flow the node summed in its
+    update; the audit that sums the ledger itself must give the same
+    findings, evidence and quiet flag. Every run with detection hands
+    some audit a flow."""
+    _, given_flow = _flow_checked_run(scenario, monkeypatch)
+    if scenario.detection is not sim.DetectionMode.NONE:
+        assert given_flow > 0
+
+
 @pytest.mark.parametrize("scenario, attacked, crashing", list(_exit_scenarios()))
 def test_quiet_exit_gives_the_verdicts_of_the_full_pipeline(scenario, attacked, crashing, monkeypatch):
     """Every detector call of a run gives the verdicts and detection

@@ -440,6 +440,17 @@ class TestTraceProperties:
         data["x0"] = [v * 1e10 for v in data["x0"]]
         assert summary(run(scenario_from_json(data)))["converged_round"] == converged
 
+    def test_nan_ratios_never_converge(self):
+        # an undetected offset near float max on node 1's relayed entry
+        # drives every normal ratio to inf and then NaN by round 9;
+        # nan >= bound is False, so NaN rounds once read as converged
+        data = {**golden_case("six-attack").data, "detection": "none", "horizon": 60}
+        action = {"kind": "TamperRelayed", "target": 1, "mode": "offset", "amount": 1.7e308}
+        data["adversaries"] = [{"node": 6, "schedule": [{"from_round": 3, "action": action}]}]
+        trace = run(scenario_from_json(data))
+        assert all(math.isnan(trace.r[i][-1]) for i in trace.normal_nodes)
+        assert summary(trace)["converged_round"] is None
+
 
 class TestSerialization:
     def test_json_round_trip_preserves_run(self):
