@@ -20,24 +20,15 @@ the detection sets its in-neighbors claim:
   per-sender audit carries.
 
 Every receiver audits the same broadcast, so audit_broadcast runs once
-per message sent and walks its relayed entries once, to find the
-off-public ids, those whose entries are not == their public values.
-The update replay reads the ledger flow. A normal node's message is
-never forged and its previous message is the one its update
-differenced against, so the engine hands the audit the flow the node
-summed (NodeState.flow) and the audit takes it as it is. An
-adversary's broadcast, a fresh forged copy, and a first message are
-summed by the walk itself, in ledger order, the order the sender
-summed in, so an honest replay gets the sender's floats bit for bit
-and every comparison is exact. In exact arithmetic that sum is
-exact_flow's, the sender's own function on the same two ledgers
-(rational columns over one common denominator, a column holding a
-forged float in ledger order), and the off-public ids take their own
-pass, as they do whenever a flow is given. The previous ledger is
-walked again only for the ids it relays and the current one lacks.
-Past the exit below, each receiver votes on every two-hop id it does
-not know and runs Step 3 against its own check set for every reporter
-without a field finding.
+per message sent. Its update replay reads the ledger flow: a normal
+sender's flow is handed over (NodeState.flow), and an adversary's
+broadcast is summed by ledger_flow, in ledger order, the order an
+honest sender sums in, so every comparison is exact. The off-public
+ids are those whose entries are not == their public values, and the
+previous ledger is walked again only for the ids it relays and the
+current one lacks. Past the exit below, each receiver votes on every
+two-hop id it does not know and runs Step 3 against its own check set
+for every reporter without a field finding.
 
 The audit also decides, by one conservative rule, whether a broadcast
 is quiet: it has no finding, keeps its previous claims, relays zero
@@ -98,7 +89,7 @@ from .protocol import (
     ValueRule,
     ZERO_PAIR,
     declared_fields,
-    exact_flow,
+    ledger_flow,
 )
 
 
@@ -263,34 +254,21 @@ def audit_broadcast(
     replay of the sender's update from its two consecutive messages,
     and the quiet rule of the module docstring. A first message
     (prev_msg None) is screened against the safety interval instead of
-    replayed. flow, when given, is the flow of msg's ledger since
-    prev_msg's as the sender summed it, and the audit takes it in place
-    of its own sum: only the sender's own unforged message may come
-    with it."""
+    replayed. flow is the flow of msg's ledger since prev_msg's: a
+    normal sender's is handed over, and an adversary's (flow None) is
+    summed by ledger_flow."""
     j = msg.sender
     relayed = msg.relayed
     claims = msg.detected
     # read by Step 1b, whose verdicts precede every finding below
     claimed_before = prev_msg.detected if prev_msg is not None else frozenset()
-    # one walk over the relayed entries: the replay's flow, summed in
-    # ledger order unless the sender's sum is given, and the off-public
-    # ids, found with != (one tuple comparison, which takes a missing
-    # public value too); an entry == its public value passes Step 3
-    # unless inf or NaN, as the flow shows
     before = prev_msg.relayed if prev_msg is not None else {}
-    if flow is not None or rule.exact:
-        flow_y, flow_z = flow if flow is not None else exact_flow(relayed, before)
-        off_public = tuple(h for h, val in relayed.items() if public.get(h) != val)
-    else:
-        flow_y = flow_z = 0
-        off_public = ()
-        for h, val in relayed.items():
-            y, z = val
-            y_before, z_before = before.get(h, ZERO_PAIR)
-            flow_y += y - y_before
-            flow_z += z - z_before
-            if public.get(h) != val:
-                off_public += (h,)
+    if flow is None:
+        flow = ledger_flow(relayed, before, rule)
+    # != is one tuple comparison, which takes a missing public value
+    # too; an entry == its public value passes Step 3 unless inf or NaN,
+    # as the flow shows
+    off_public = [h for h, val in relayed.items() if public.get(h) != val]
     expected_ids = oracle.relay_ids[j]
     fields = None
     if relayed.keys() != expected_ids:
@@ -308,15 +286,14 @@ def audit_broadcast(
             fields = Cause.STEP4, (("declared_removed_out", msg.declared_removed_out, expected_removed),)
     if fields is not None:
         return SenderAudit(fields, claimed_before=claimed_before)
-    # the flow over the relayed entries, given or walked, which the
-    # quiet rule reads
-    flow = (flow_y, flow_z)
     if prev_msg is None:
         lam, gam = msg.self_next
         replay = init_range_check(float(lam / gam) if gam != 0 else float("inf"), interval)
     else:
-        # an id the previous ledger relays and this one does not
-        # counts against zero, after the walk
+        # the replay counts an id the previous ledger relays and this
+        # one does not against zero; the quiet rule reads the flow over
+        # the relayed entries alone
+        flow_y, flow_z = flow
         if not before.keys() <= relayed.keys():
             for h, (y_before, z_before) in before.items():
                 if h not in relayed:

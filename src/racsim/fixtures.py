@@ -93,7 +93,11 @@ def thirty_node_graph() -> DirectedGraph:
 
 
 def twelve_node_wrap_graph() -> DirectedGraph:
-    return generate_layered(4, 1, LayeredVariant.DIRECTED_WRAP)
+    """The 4-layer path of twelve plus one-way edges from the last
+    layer to the first: strongly connected, and a negative control
+    that fails the distributed-detection condition."""
+    path = generate_layered(4, 1, LayeredVariant.UNDIRECTED_PATH)
+    return DirectedGraph(12, [*path.edges, *((a, b) for a in (10, 11, 12) for b in (1, 2, 3))])
 
 
 FIXTURE_GRAPHS = {

@@ -5,8 +5,7 @@ checkers cover the conditions needed by the two detection algorithms:
 two-hop detectability, common-neighbor counts, f-local admissibility,
 k-strong connectivity, and vertex connectivity. A layered-graph
 generator builds an undirected path of layers, which satisfies the
-distributed-detection condition by construction, and a directed
-variant that wraps the last layer to the first, which does not.
+distributed-detection condition by construction.
 """
 
 from __future__ import annotations
@@ -283,14 +282,12 @@ def vertex_connectivity_at_least(g: DirectedGraph, k: int) -> bool:
 
 class LayeredVariant(Enum):
     UNDIRECTED_PATH = "undirected-path"
-    DIRECTED_WRAP = "directed-wrap"
 
 
 def generate_layered(layers: int, f: int, variant: LayeredVariant) -> DirectedGraph:
     """Path of layers, each of size 2f+1, complete bipartite between
     adjacent layers. Node ids are layer-major: layer t holds nodes
-    (t-1)*(2f+1)+1 .. t*(2f+1). The wrap variant adds directed edges
-    from every last-layer node to every first-layer node.
+    (t-1)*(2f+1)+1 .. t*(2f+1).
     """
     if layers < 2:
         raise GraphError("need at least 2 layers")
@@ -308,11 +305,6 @@ def generate_layered(layers: int, f: int, variant: LayeredVariant) -> DirectedGr
             for b in layer_nodes(t + 1):
                 edges.append((a, b))
                 edges.append((b, a))
-    if variant is LayeredVariant.DIRECTED_WRAP:
-        for a in layer_nodes(layers):
-            for b in layer_nodes(1):
-                edges.append((a, b))
-        return DirectedGraph(n, edges, undirected=False)
     return DirectedGraph(n, edges, undirected=True)
 
 

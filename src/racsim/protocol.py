@@ -7,18 +7,15 @@ InformationSet, is an immutable tuple of named fields whose
 constructor and _replace both check its invariants. It carries
 cumulative running sums (lam for y, gam for z), which receivers
 difference to recover per-round contributions, and the ledger of the
-sums the node read last. For floats, the ledger's order is its
-summation order: the node's own entry first, then its in-neighbors in
-in_nbrs order, as honest_round adds their flows. So a receiver that
-walks the ledger adds the same floats in the same order and gets the
-sender's sums bit for bit. The node also keeps the flow it summed
-(NodeState.flow), which the replay of its own unforged message takes
-in place of a second walk. In exact runs the sender and every replay
-that sums its own take each flow from exact_flow: rationals over one
-common denominator, a forged float in ledger order. honest_round
-zeroes a detected in-neighbor's ledger entry to remove its accumulated
-contribution, compensates mass sent to a detected out-neighbor back
-into the node's own values, and builds the next message.
+sums the node read last. The ledger's order is its summation order:
+the node's own entry first, then its in-neighbors in in_nbrs order.
+A normal node keeps the flow of its ledger (NodeState.flow), which the
+replay of its message takes; an adversary's broadcast is summed by
+ledger_flow, which adds in ledger order as honest_round does.
+honest_round zeroes a detected in-neighbor's ledger entry to remove
+its accumulated contribution, compensates mass sent to a detected
+out-neighbor back into the node's own values, and builds the next
+message.
 """
 
 from __future__ import annotations
@@ -28,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from operator import add, itemgetter, sub
-from typing import Mapping, NamedTuple, Optional, Union
+from typing import Mapping, NamedTuple, Union
 
 Number = Union[int, float, Fraction]
 Pair = tuple[Number, Number]
@@ -125,10 +122,10 @@ class NodeState:
     next: InformationSet
     detected: set[int] = field(default_factory=set)
     detected_two_hop: set[int] = field(default_factory=set)
-    # the flow of next's ledger since the node's previous message, as
-    # honest_round summed it before the compensation term; the replay of
-    # next takes it in place of its own sum (None before the first update)
-    flow: Optional[Pair] = None
+    # the flow of next's ledger since the node's previous message, which
+    # the replay of next takes; ZERO_PAIR is the flow of the all-zero
+    # first ledger
+    flow: Pair = ZERO_PAIR
 
 
 def declared_fields(out_nbrs: frozenset[int], claims, claimed_before) -> tuple[int, int]:
@@ -152,7 +149,8 @@ def bootstrap(g, i: int, x0: Number, rule: ValueRule) -> NodeState:
 
     All running sums start at zero, so the first exchange is an
     ordinary round: the node broadcasts its initial share as its next
-    running sums and relays a zero ledger.
+    running sums and relays a zero ledger, whose flow is NodeState.flow's
+    ZERO_PAIR.
     """
     if isinstance(x0, float) and not math.isfinite(x0):
         raise ProtocolError(f"initial value must be finite, got {x0!r}")
@@ -173,12 +171,24 @@ def build_information_set(
     return InformationSet(i, k, frozenset(detected), self_next, ledger, d_out, n_removed)
 
 
-def exact_flow(now: Mapping[int, Pair], before: Mapping[int, Pair]) -> Pair:
+def ledger_flow(now: Mapping[int, Pair], before: Mapping[int, Pair], rule: ValueRule) -> Pair:
     """The ledger flow, the sum over now's ids h of now[h] - before[h]
-    (ZERO_PAIR for an id before lacks), of the ordered walk's value and
-    type: per column, one integer sum over the least common denominator
-    of its ints and Fractions, normalised once, or, for a column holding
-    a float (a forged value), the walk's + in ledger order."""
+    (ZERO_PAIR for an id before lacks), as the sender adds it: the left
+    fold in ledger order from the first term. In exact arithmetic it
+    has the fold's value and type: per column, one integer sum over the
+    least common denominator of its ints and Fractions, normalised
+    once, or, for a column holding a float (a forged value), the fold."""
+    if not rule.exact:
+        # an empty ledger flows ZERO_PAIR
+        items = iter(now.items())
+        h, (y, z) = next(items, (None, ZERO_PAIR))
+        y_before, z_before = before.get(h, ZERO_PAIR)
+        y, z = y - y_before, z - z_before
+        for h, (new_y, new_z) in items:
+            old_y, old_z = before.get(h, ZERO_PAIR)
+            y = y + (new_y - old_y)
+            z = z + (new_z - old_z)
+        return y, z
     then = [before.get(h, ZERO_PAIR) for h in now]
     flow = []
     for get in (itemgetter(0), itemgetter(1)):
@@ -210,15 +220,18 @@ def honest_round(s: NodeState, inbox: Mapping[int, InformationSet], rule: ValueR
     lam_k, gam_k = sent.self_next
     old_ledger = sent.relayed
     if rule.exact:
-        # the ledger as the loop below reads it, summed by exact_flow
+        # the ledger as the loop below reads it, summed by ledger_flow
         ledger: dict[int, Pair] = {s.id: (lam_k, gam_k)}
         for j in s.in_nbrs:
             if j not in detected and j not in inbox:
                 detected.add(j)  # crashed
             ledger[j] = ZERO_PAIR if j in detected else inbox[j].self_next
-        y, z = exact_flow(ledger, old_ledger)
+        y, z = ledger_flow(ledger, old_ledger, rule)
     else:
-        # the own entry first: the ledger's order is the order of the sums
+        # ledger_flow's float fold, fused with building the ledger: built
+        # first and then summed by ledger_flow, layered-none ran about 10%
+        # slower. The own entry first: the ledger's order is the order of
+        # the sums
         ledger = {s.id: (lam_k, gam_k)}
         own_y, own_z = old_ledger[s.id]
         y = lam_k - own_y

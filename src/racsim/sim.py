@@ -253,15 +253,13 @@ def run(scenario: Scenario) -> Trace:
 
         # detect: every receiver audits the same broadcast, so its
         # receiver-independent checks run once per message sent; each
-        # detector adds its suspects to its own state. A normal node's
-        # message is never forged and its previous one is the message
-        # honest_round differenced against, so its replay takes the flow
-        # the node summed; an adversary's forged copy and a first
-        # message are summed by the audit itself
+        # detector adds its suspects to its own state. A normal sender's
+        # flow is handed over, and an adversary's broadcast is summed by
+        # ledger_flow
         if detecting:
             audits = {j: audit_broadcast(m, prev.get(j), public, oracle, rule,
                                          scenario.safety_interval,
-                                         states[j].flow if j in prev and j not in scripts else None)
+                                         states[j].flow if j not in scripts else None)
                       for j, m in sent.items()}
             prev = sent
             for i in normals:

@@ -232,39 +232,44 @@ class TestReconstruction:
 
     ORACLE = StructuralOracle(complete_graph(3), 1)
 
-    def _exact_messages(self, rounds: int):
+    def _messages(self, rounds: int, rule=EXACT, x0=(Fraction(3), Fraction(6), Fraction(9))):
         """Every node's messages of rounds 0 (the first exchange) to rounds."""
         g = complete_graph(3)
-        x0 = [Fraction(3), Fraction(6), Fraction(9)]
-        states = {i: bootstrap(g, i, x0[i - 1], EXACT) for i in g.nodes}
+        states = {i: bootstrap(g, i, x0[i - 1], rule) for i in g.nodes}
         per_round = [{i: states[i].next for i in g.nodes}]
         for _ in range(rounds):
             for i in g.nodes:
                 inbox = {j: per_round[-1][j] for j in states[i].in_nbrs}
-                honest_round(states[i], inbox, EXACT)
+                honest_round(states[i], inbox, rule)
             per_round.append({i: states[i].next for i in g.nodes})
         return per_round
 
-    def _replay(self, now, prev):
-        """The replay finding of now after prev; None when its exact
-        residuals are both zero."""
-        audit = audit_broadcast(now, prev, {}, self.ORACLE, EXACT)
+    def _replay(self, now, prev, rule=EXACT):
+        """The replay finding of now after prev, summed by the audit
+        itself; None when its residuals are both zero."""
+        audit = audit_broadcast(now, prev, {}, self.ORACLE, rule)
         assert audit.fields is None
         return audit.replay
 
-    def test_honest_messages_replay_exactly(self):
-        per_round = self._exact_messages(5)
+    @pytest.mark.parametrize("rule, x0, rounds", [
+        pytest.param(EXACT, (Fraction(3), Fraction(6), Fraction(9)), 5, id="exact"),
+        # at x0 × 1e100 the running sums round, so a replay that adds
+        # out of the sender's order misses
+        pytest.param(FLOAT, tuple(v * 1e100 for v in (3.1, 6.7, 9.3)), 8, id="float"),
+    ])
+    def test_honest_messages_replay_exactly(self, rule, x0, rounds):
+        per_round = self._messages(rounds, rule, x0)
         for prev, now in zip(per_round, per_round[1:]):
             for i in (1, 2, 3):
-                assert self._replay(now[i], prev[i]) is None
+                assert self._replay(now[i], prev[i], rule) is None
 
     def test_first_message_replays_against_round_zero_message(self):
-        per_round = self._exact_messages(1)
+        per_round = self._messages(1)
         assert set(per_round[0][1].relayed.values()) == {ZERO_PAIR}
         assert self._replay(per_round[1][1], per_round[0][1]) is None
 
     def test_perturbed_self_value_is_dirty(self):
-        per_round = self._exact_messages(3)
+        per_round = self._messages(3)
         msg = per_round[3][1]
         forged = msg._replace(self_next=(msg.self_next[0] + 1, msg.self_next[1]))
         cause, ((_, reported), (_, (lam_pred, gam_pred))) = self._replay(forged, per_round[2][1])
@@ -302,7 +307,7 @@ class TestReconstruction:
                 honest_round(states[i], sent, FLOAT)
 
     def test_tampered_relayed_entry_is_dirty(self):
-        per_round = self._exact_messages(3)
+        per_round = self._messages(3)
         msg = per_round[3][1]
         relayed = dict(msg.relayed)
         relayed[2] = (relayed[2][0] + 5, relayed[2][1])
@@ -553,13 +558,16 @@ class TestDistributedDetectionEndToEnd:
         )
         assert trace.events == []
 
+    @pytest.mark.parametrize("scale", [1e100, 1e250])
     @pytest.mark.parametrize("case", GOLDEN_CASES, ids=lambda c: c.name)
-    def test_golden_graphs_at_large_initial_values_draw_no_verdict(self, case, monkeypatch):
+    def test_golden_graphs_at_large_initial_values_draw_no_verdict(self, case, scale, monkeypatch):
         # every golden graph and detector with its adversaries removed,
-        # x0 × 1e100; an audit sum out of the sender's order fails from
-        # round 2, and the wrapper repeats each replay given a flow on one
+        # x0 × scale; the wrapper repeats each replay on ledger_flow's own
+        # sum. With that sum in reverse ledger order every case but one
+        # fails at each scale (five-sharing at 1e100, six-damaged at
+        # 1e250), so the two scales together pin the order on every graph
         sc = case.build()
-        scenario = replace(sc, x0=tuple(v * 1e100 for v in sc.x0), adversaries=(), horizon=12)
+        scenario = replace(sc, x0=tuple(v * scale for v in sc.x0), adversaries=(), horizon=12)
         trace, _ = _flow_checked_run(scenario, monkeypatch)
         assert trace.events == []
 

@@ -120,6 +120,14 @@ class TestTwelveWrap:
         assert g.n == 12 and not g.undirected
         assert is_strongly_connected(g)
 
+    def test_wrap_edges_fail_the_alg3_condition(self):
+        # the 4-layer path's 54 edges and 9 one-way edges from the last
+        # layer to the first, which break the condition: a negative control
+        g = twelve_node_wrap_graph()
+        assert len(g.edges) == 63
+        assert {(a, b) for a in (10, 11, 12) for b in (1, 2, 3)} <= g.edges
+        assert len(check_alg3_condition(g, 1).violations) == 9
+
 
 class TestRegistry:
     def test_all_fixtures_buildable(self):

@@ -243,12 +243,6 @@ class TestGenerateLayered:
         for a in (1, 2, 3):
             assert g.out_neighbors(a) == {4, 5, 6}
 
-    def test_wrap_variant_strongly_connected(self):
-        g = generate_layered(4, 1, LayeredVariant.DIRECTED_WRAP)
-        assert g.n == 12
-        assert not g.undirected
-        assert is_strongly_connected(g)
-
     def test_too_few_layers(self):
         with pytest.raises(GraphError):
             generate_layered(1, 1, LayeredVariant.UNDIRECTED_PATH)

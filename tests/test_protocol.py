@@ -20,9 +20,9 @@ from racsim.protocol import (
     bootstrap,
     build_information_set,
     declared_fields,
-    exact_flow,
     honest_round,
     initial_share,
+    ledger_flow,
 )
 from racsim.sim import run
 from oracles import push_sum_ratios
@@ -461,27 +461,33 @@ FLOW_FLOATS = st.floats(-1e6, 1e6)
 
 @st.composite
 def flow_ledgers(draw):
-    """Two ledgers over ids 1-6, each in any order, each possibly with
-    ids the other lacks."""
-    values = draw(st.sampled_from((FLOW_RATIONALS, st.one_of(FLOW_RATIONALS, FLOW_FLOATS))))
+    """An arithmetic and two ledgers over ids 1-6, each in any order,
+    each possibly with ids the other lacks: in float arithmetic floats
+    and int zeros, in exact arithmetic rationals and some floats."""
+    rule = draw(st.sampled_from((FLOAT, EXACT)))
+    if rule.exact:
+        values = draw(st.sampled_from((FLOW_RATIONALS, st.one_of(FLOW_RATIONALS, FLOW_FLOATS))))
+    else:
+        values = st.one_of(FLOW_FLOATS, st.just(0))
     pairs = st.tuples(values, values)
     ids = st.lists(st.integers(1, 6), unique=True, max_size=6)
     now = {h: draw(pairs) for h in draw(ids)}
     before = {h: draw(pairs) for h in draw(ids)}
-    return now, before
+    return rule, now, before
 
 
 @settings(max_examples=500, deadline=None)
 @given(flow_ledgers())
 # a float in y alone: z is still the exact Fraction
-@example(({1: (0.5, Fraction(1, 3)), 2: (1, Fraction(2, 7))}, {1: (Fraction(1, 3), Fraction(1, 5))}))
+@example((EXACT, {1: (0.5, Fraction(1, 3)), 2: (1, Fraction(2, 7))}, {1: (Fraction(1, 3), Fraction(1, 5))}))
 # a leading -0.0 stays -0.0, as the sender's walk keeps it
-@example(({1: (-0.0, 1), 2: (-0.0, 2)}, {2: (0, 1)}))
-def test_exact_flow_matches_the_ordered_walk_in_value_and_type(ledgers):
-    now, before = ledgers
-    got = exact_flow(now, before)
+@example((EXACT, {1: (-0.0, 1), 2: (-0.0, 2)}, {2: (0, 1)}))
+@example((FLOAT, {1: (-0.0, 1), 2: (-0.0, 2)}, {2: (0, 1)}))
+def test_ledger_flow_matches_the_ordered_walk_in_value_and_type(ledgers):
+    rule, now, before = ledgers
+    got = ledger_flow(now, before, rule)
     # the left fold in now's order from its first term, as honest_round
-    # and the replay add
+    # adds
     want = []
     for c in (0, 1):
         terms = [pair[c] - before.get(h, ZERO_PAIR)[c] for h, pair in now.items()]
@@ -493,21 +499,20 @@ def test_exact_flow_matches_the_ordered_walk_in_value_and_type(ledgers):
     assert repr(got) == repr(tuple(want))
 
 
-def test_an_exact_run_without_forged_floats_never_falls_back(monkeypatch):
+def test_an_exact_run_without_forged_floats_sums_every_flow_exactly(monkeypatch):
     # every flow of an exact run on rationals alone is the exact sum
-    # over one denominator, in the sender's update and in a replay that
-    # sums the ledger itself
+    # over one denominator
     results = []
 
-    def recorded(now, before):
-        results.append(exact_flow(now, before))
+    def recorded(now, before, rule):
+        results.append(ledger_flow(now, before, rule))
         return results[-1]
 
-    monkeypatch.setattr(protocol, "exact_flow", recorded)
-    monkeypatch.setattr(detection, "exact_flow", recorded)
+    monkeypatch.setattr(protocol, "ledger_flow", recorded)
+    monkeypatch.setattr(detection, "ledger_flow", recorded)
     sc = golden_case("fourteen-no-attack").build()
     run(replace(sc, exact=True, horizon=10))
-    # each round, 14 updates; a replay takes its sender's flow, but in
-    # round 1 it sums the first message's ledger against no ledger
-    assert len(results) == 14 * 10 + 14
+    # each round, 14 updates; with no adversary every replay takes its
+    # sender's flow
+    assert len(results) == 14 * 10
     assert not any(isinstance(v, float) for flow in results for v in flow)

@@ -547,19 +547,16 @@ def _flow_checked_run(scenario, monkeypatch):
     """sim.run(scenario) with every audit_broadcast call that was given
     the sender's flow repeated without it, so that the audit sums the
     ledger itself: both must give the same SenderAudit, repr for repr.
-    No adversary's broadcast may come with a flow, and every normal
-    node's broadcast after its first must. Returns the trace and the
-    number of calls given a flow."""
+    Every normal node's broadcast, its first included, must come with a
+    flow, and no adversary's may. Returns the trace and the number of
+    calls given a flow."""
     adversaries = {s.node for s in scenario.adversaries}
     given_flow = 0
 
     def checked(msg, prev_msg, public, oracle, rule, interval=None, flow=None):
         nonlocal given_flow
         got = audit_broadcast(msg, prev_msg, public, oracle, rule, interval, flow)
-        if msg.sender in adversaries:
-            assert flow is None
-        else:
-            assert (flow is not None) == (msg.round > 0)
+        assert (flow is None) == (msg.sender in adversaries)
         if flow is not None:
             given_flow += 1
             assert repr(got) == repr(audit_broadcast(msg, prev_msg, public, oracle, rule, interval))
