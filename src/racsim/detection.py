@@ -90,6 +90,7 @@ from .protocol import (
     ZERO_PAIR,
     declared_fields,
     ledger_flow,
+    update,
 )
 
 
@@ -136,24 +137,18 @@ def vote_value(reports: list[Pair], rule: ValueRule) -> Optional[Pair]:
     return NO_MAJORITY
 
 
-def reconstruct_running_sums(
-    phi_now: InformationSet, flow_y, flow_z, rule: ValueRule
-) -> Optional[Finding]:
+def reconstruct_running_sums(phi_now: InformationSet, flow: Pair, rule: ValueRule) -> Optional[Finding]:
     """Replay the sender's update from its relayed ledger's flow.
 
-    flow_y and flow_z sum how far each entry of the sender's ledger
-    moved since its previous message (an entry that only one of the two
-    relays counts against zero). That difference plus the declared
-    compensation term determines what its next running sums must be.
-    Returns the Step 4 finding, or None when the reported self_next
-    equals that replay under rule.
+    flow sums how far each entry of the sender's ledger moved since its
+    previous message (an entry that only one of the two relays counts
+    against zero). protocol.update takes it with the declared fields to
+    the next running sums the sender must report. Returns the Step 4
+    finding, or None when the reported self_next equals that replay
+    under rule.
     """
-    j = phi_now.sender
-    d = 1 + phi_now.declared_out_degree
-    self_now = phi_now.relayed[j]
-    y_prev = flow_y + phi_now.declared_removed_out * self_now[0]
-    z_prev = flow_z + phi_now.declared_removed_out * self_now[1]
-    pred = (self_now[0] + y_prev / d, self_now[1] + z_prev / d)
+    own = phi_now.relayed[phi_now.sender]
+    _, pred = update(own, flow, phi_now.declared_out_degree, phi_now.declared_removed_out)
     if rule.pair_eq(phi_now.self_next, pred):
         return None
     return Cause.STEP4, (("reported", phi_now.self_next), ("reconstructed", pred))
@@ -299,7 +294,7 @@ def audit_broadcast(
                 if h not in relayed:
                     flow_y -= y_before
                     flow_z -= z_before
-        replay = reconstruct_running_sums(msg, flow_y, flow_z, rule)
+        replay = reconstruct_running_sums(msg, (flow_y, flow_z), rule)
     # the quiet rule of the module docstring
     quiet = (
         replay is None

@@ -15,7 +15,11 @@ ledger_flow, which adds in ledger order as honest_round does.
 honest_round zeroes a detected in-neighbor's ledger entry to remove
 its accumulated contribution, compensates mass sent to a detected
 out-neighbor back into the node's own values, and builds the next
-message.
+message. update holds the update formula, which the replay of a
+message takes too. Over Fractions, ledger_flow and update combine
+integer numerators and denominators and normalise once per value they
+return, in place of a gcd per Fraction operator; a forged float still
+takes the operators.
 """
 
 from __future__ import annotations
@@ -56,7 +60,12 @@ class ValueRule:
     def pair_eq(self, a: Pair, b: Pair) -> bool:
         """Both differences are zero: false for inf and NaN, whose
         differences are NaN. A float minus a Fraction is a float, so a
-        forged float meets a Fraction in float arithmetic."""
+        forged float meets a Fraction in float arithmetic. Fractions are
+        in lowest terms, so four compare by their integer parts."""
+        if self.exact and Fraction is type(a[0]) is type(a[1]) is type(b[0]) is type(b[1]):
+            return a[0].as_integer_ratio() == b[0].as_integer_ratio() and (
+                a[1].as_integer_ratio() == b[1].as_integer_ratio()
+            )
         return a[0] - b[0] == 0 and a[1] - b[1] == 0
 
     def z_ok(self, z: Number) -> bool:
@@ -175,9 +184,11 @@ def ledger_flow(now: Mapping[int, Pair], before: Mapping[int, Pair], rule: Value
     """The ledger flow, the sum over now's ids h of now[h] - before[h]
     (ZERO_PAIR for an id before lacks), as the sender adds it: the left
     fold in ledger order from the first term. In exact arithmetic it
-    has the fold's value and type: per column, one integer sum over the
-    least common denominator of its ints and Fractions, normalised
-    once, or, for a column holding a float (a forged value), the fold."""
+    has the fold's value and type. A column of ints and Fractions reads
+    each term's integer parts once, sums the numerators per denominator,
+    and adds those sums over a common denominator that grows only by a
+    denominator it is not a multiple of; it builds one Fraction. A
+    column holding a float (a forged value) is the fold."""
     if not rule.exact:
         # an empty ledger flows ZERO_PAIR
         items = iter(now.items())
@@ -197,13 +208,49 @@ def ledger_flow(now: Mapping[int, Pair], before: Mapping[int, Pair], rule: Value
         if kinds <= {int}:
             flow.append(sum(new) - sum(old))
         elif kinds <= {int, Fraction}:
-            d = math.lcm(*[x.denominator for x in new], *[x.denominator for x in old])
-            total = sum([x.numerator * (d // x.denominator) for x in new])
-            flow.append(Fraction(total - sum([x.numerator * (d // x.denominator) for x in old]), d))
+            by_den: dict[int, int] = {}
+            for sign, terms in ((1, new), (-1, old)):
+                for x in terms:
+                    n, q = x.as_integer_ratio()
+                    by_den[q] = by_den.get(q, 0) + sign * n
+            total, d = 0, 1
+            for q, n in by_den.items():
+                if d % q:
+                    grow = q // math.gcd(d, q)
+                    total, d = total * grow, d * grow
+                total += n * (d // q)
+            flow.append(Fraction(total, d))
         else:
             # not sum(), which compensates float sums from Python 3.12 on
             flow.append(reduce(add, map(sub, new, old)))
     return flow[0], flow[1]
+
+
+def _plus(a: Fraction, b: Fraction, m: int, k: int) -> Fraction:
+    """a + b·m/k (k > 0) from the integer parts, normalised once."""
+    an, ad = a.as_integer_ratio()
+    bn, bd = b.as_integer_ratio()
+    g = math.gcd(ad, bd)
+    return Fraction(an * (bd // g) * k + bn * m * (ad // g), ad // g * bd * k)
+
+
+def update(own: Pair, flow: Pair, d_out: int, n_removed: int) -> tuple[Pair, Pair]:
+    """A node's values (y, z) = flow + n_removed·own, where
+    n_removed·own is the mass it had sent to the out-neighbors removed
+    this round, and its next running sums own + (y, z) / (1 + d_out).
+    Over four Fractions, one Fraction per result from integer parts;
+    otherwise (ints, floats, or a float forged into an exact run) the
+    operators, in that order."""
+    lam, gam = own
+    y, z = flow
+    d = 1 + d_out
+    if Fraction is type(lam) is type(gam) is type(y) is type(z):
+        if n_removed:
+            y, z = _plus(y, lam, n_removed, 1), _plus(z, gam, n_removed, 1)
+        return (y, z), (_plus(lam, y, 1, d), _plus(gam, z, 1, d))
+    y = y + n_removed * lam
+    z = z + n_removed * gam
+    return (y, z), (lam + y / d, gam + z / d)
 
 
 def honest_round(s: NodeState, inbox: Mapping[int, InformationSet], rule: ValueRule) -> None:
@@ -226,12 +273,14 @@ def honest_round(s: NodeState, inbox: Mapping[int, InformationSet], rule: ValueR
             if j not in detected and j not in inbox:
                 detected.add(j)  # crashed
             ledger[j] = ZERO_PAIR if j in detected else inbox[j].self_next
-        y, z = ledger_flow(ledger, old_ledger, rule)
+        s.flow = ledger_flow(ledger, old_ledger, rule)
+        d_out, n_removed = declared_fields(s.out_nbrs, detected, sent.detected)
+        (y, z), self_next = update((lam_k, gam_k), s.flow, d_out, n_removed)
     else:
-        # ledger_flow's float fold, fused with building the ledger: built
-        # first and then summed by ledger_flow, layered-none ran about 10%
-        # slower. The own entry first: the ledger's order is the order of
-        # the sums
+        # ledger_flow's float fold and update's operators, fused with
+        # building the ledger: built first and then summed by
+        # ledger_flow, layered-none ran about 10% slower. The own entry
+        # first: the ledger's order is the order of the sums
         ledger = {s.id: (lam_k, gam_k)}
         own_y, own_z = old_ledger[s.id]
         y = lam_k - own_y
@@ -251,14 +300,14 @@ def honest_round(s: NodeState, inbox: Mapping[int, InformationSet], rule: ValueR
             old_y, old_z = old_ledger[j]
             y = y + (new_y - old_y)
             z = z + (new_z - old_z)
-    s.flow = (y, z)
-    d_out, n_removed = declared_fields(s.out_nbrs, detected, sent.detected)
-    # mass previously sent to newly removed out-neighbors comes back
-    y = y + n_removed * lam_k
-    z = z + n_removed * gam_k
+        s.flow = (y, z)
+        d_out, n_removed = declared_fields(s.out_nbrs, detected, sent.detected)
+        # mass previously sent to newly removed out-neighbors comes back
+        y = y + n_removed * lam_k
+        z = z + n_removed * gam_k
+        self_next = (lam_k + y / (1 + d_out), gam_k + z / (1 + d_out))
 
     ratio = y / z if rule.z_ok(z) else s.ratio
 
     s.y, s.z, s.ratio = y, z, ratio
-    self_next = (lam_k + y / (1 + d_out), gam_k + z / (1 + d_out))
     s.next = build_information_set(s.id, sent.round + 1, detected, self_next, ledger, d_out, n_removed)

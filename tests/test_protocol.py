@@ -23,6 +23,7 @@ from racsim.protocol import (
     honest_round,
     initial_share,
     ledger_flow,
+    update,
 )
 from racsim.sim import run
 from oracles import push_sum_ratios
@@ -388,9 +389,13 @@ def _reference_honest_round(s, inbox, rule):
 
 
 # zeros of every type and sign, a NaN, an infinity and values whose
-# sums round; Fractions and ints under EXACT
+# sums round; Fractions and ints under EXACT, with a large denominator
+# and a float (a forged value) that take update's integer path and its
+# fallback
 ROUND_FLOATS = (0, 0.0, -0.0, 1.0, -2.5, 1.0 + 2**-40, 1e300, math.inf, math.nan)
-ROUND_FRACTIONS = (0, Fraction(0), 1, Fraction(1, 3), Fraction(-2, 7), Fraction(5, 2))
+ROUND_FRACTIONS = (
+    0, Fraction(0), 1, Fraction(1, 3), Fraction(-2, 7), Fraction(5, 2), Fraction(2**70 + 1, 3**40), 0.5,
+)
 ROUND_IDS = range(1, 9)
 
 
@@ -452,10 +457,8 @@ def test_honest_round_matches_the_reference(case):
 
 # ints, negative Fractions, integral Fractions and Fractions whose
 # denominators are large; a float in some examples
-FLOW_RATIONALS = st.one_of(
-    st.integers(-10**6, 10**6),
-    st.builds(Fraction, st.integers(-10**30, 10**30), st.sampled_from((1, 2, 7, 3**40, 2**61 - 1))),
-)
+FLOW_FRACTIONS = st.builds(Fraction, st.integers(-10**30, 10**30), st.sampled_from((1, 2, 7, 3**40, 2**61 - 1)))
+FLOW_RATIONALS = st.one_of(st.integers(-10**6, 10**6), FLOW_FRACTIONS)
 FLOW_FLOATS = st.floats(-1e6, 1e6)
 
 
@@ -516,3 +519,59 @@ def test_an_exact_run_without_forged_floats_sums_every_flow_exactly(monkeypatch)
     # sender's flow
     assert len(results) == 14 * 10
     assert not any(isinstance(v, float) for flow in results for v in flow)
+
+
+@st.composite
+def update_inputs(draw):
+    """An arithmetic and update's four arguments: under EXACT
+    Fractions alone, or rationals with ints, or with floats too; under
+    FLOAT floats of every kind."""
+    rule = draw(st.sampled_from((FLOAT, EXACT)))
+    if rule.exact:
+        values = draw(st.sampled_from((FLOW_FRACTIONS, FLOW_RATIONALS, st.one_of(FLOW_RATIONALS, FLOW_FLOATS))))
+    else:
+        values = st.one_of(FLOW_FLOATS, st.sampled_from(ROUND_FLOATS))
+    pairs = st.tuples(values, values)
+    return draw(pairs), draw(pairs), draw(st.integers(0, 8)), draw(st.integers(0, 3))
+
+
+@settings(max_examples=500, deadline=None)
+@given(update_inputs())
+@example(((Fraction(1, 3**40), Fraction(-5, 2**61 - 1)), (Fraction(7, 2), Fraction(3, 7)), 8, 3))
+@example(((-0.0, 1.0), (-0.0, 0.5), 2, 0))
+@example(((Fraction(1, 3), Fraction(2, 7)), (0.25, Fraction(1, 5)), 1, 1))
+def test_update_matches_the_operator_formula_in_value_and_type(inputs):
+    own, flow, d_out, n_removed = inputs
+    y = flow[0] + n_removed * own[0]
+    z = flow[1] + n_removed * own[1]
+    want = (y, z), (own[0] + y / (1 + d_out), own[1] + z / (1 + d_out))
+    # repr tells -0.0 from 0.0 and a Fraction from an int or a float
+    assert repr(update(own, flow, d_out, n_removed)) == repr(want)
+
+
+PAIR_EQ_VALUES = st.one_of(
+    FLOW_RATIONALS,
+    FLOW_FLOATS,
+    st.sampled_from((0.0, -0.0, math.inf, -math.inf, math.nan, 1 / 3, Fraction(1, 3), 1, 0)),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.sampled_from((FLOAT, EXACT)),
+    st.tuples(PAIR_EQ_VALUES, PAIR_EQ_VALUES),
+    st.tuples(PAIR_EQ_VALUES, PAIR_EQ_VALUES),
+)
+# equal only once the Fraction is rounded to a float
+@example(EXACT, (Fraction(1, 3), 1), (1 / 3, 1))
+@example(EXACT, (Fraction(2**70 + 1, 3**40), Fraction(1, 7)), (Fraction(2**70 + 1, 3**40), Fraction(1, 7)))
+@example(EXACT, (Fraction(1, 7), Fraction(0)), (Fraction(1, 7), 0))
+# equal numerators, or equal denominators, over unequal values
+@example(EXACT, (Fraction(1, 3), Fraction(2, 7)), (Fraction(1, 3), Fraction(2, 9)))
+@example(EXACT, (Fraction(1, 3), Fraction(2, 7)), (Fraction(2, 3), Fraction(2, 7)))
+@example(EXACT, (0.0, math.nan), (-0.0, math.nan))
+@example(FLOAT, (math.inf, 1.0), (math.inf, 1.0))
+def test_pair_eq_is_zero_differences_under_both_rules(rule, a, b):
+    assert rule.pair_eq(a, b) == (a[0] - b[0] == 0 and a[1] - b[1] == 0)
+    # a pair meets itself, unless it holds inf or NaN
+    assert rule.pair_eq(a, a) == all(map(math.isfinite, a))
