@@ -107,7 +107,8 @@ def forge_information_set(
 ) -> Optional[InformationSet]:
     """Apply the active actions for round k to an honest message.
 
-    Returns None when the node crashes (no emission). TamperRelayed
+    Returns None when the node crashes (no emission), and truth itself
+    when every active action is Comply or TamperRelayed. TamperRelayed
     takes effect through tampered_inbox alone: the sender's state was
     evolved with the tampered inputs, so its relayed entries already
     carry the forgery. In the first exchange (a round-0 message)
@@ -117,6 +118,8 @@ def forge_information_set(
     actions = script.active_actions(k)
     if any(a.kind is ActionKind.CRASH for a in actions):
         return None
+    if all(a.kind in (ActionKind.COMPLY, ActionKind.TAMPER_RELAYED) for a in actions):
+        return truth
     detected = set(truth.detected)
     self_next = truth.self_next
     relayed = dict(truth.relayed)
@@ -156,11 +159,11 @@ def tampered_inbox(
 ) -> dict[int, InformationSet]:
     """Perturb the adversary's own view of tampered targets' running
     sums so its internal arithmetic stays consistent with the forged
-    relayed entries it will broadcast."""
-    out = dict(inbox)
-    for a in script.active_actions(k):
-        if a.kind is not ActionKind.TAMPER_RELAYED:
-            continue
+    relayed entries it will broadcast. Returns inbox itself when no
+    TamperRelayed action is active, else a copy."""
+    tampers = [a for a in script.active_actions(k) if a.kind is ActionKind.TAMPER_RELAYED]
+    out = dict(inbox) if tampers else inbox
+    for a in tampers:
         msg = out.get(a.target)
         if msg is None:
             continue

@@ -20,15 +20,15 @@ the detection sets its in-neighbors claim:
   per-sender audit carries.
 
 Every receiver audits the same broadcast, so audit_broadcast runs once
-per message sent. Its update replay reads the ledger flow: a normal
-sender's flow is handed over (NodeState.flow), and an adversary's
-broadcast is summed by ledger_flow, in ledger order, the order an
-honest sender sums in, so every comparison is exact. The off-public
-ids are those whose entries are not == their public values, and the
-previous ledger is walked again only for the ids it relays and the
-current one lacks. Past the exit below, each receiver votes on every
-two-hop id it does not know and runs Step 3 against its own check set
-for every reporter without a field finding.
+per message some detecting node hears. Its update replay reads the
+ledger flow: a normal sender's flow is handed over (NodeState.flow),
+and an adversary's broadcast is summed by ledger_flow, in ledger
+order, the order an honest sender sums in, so every comparison is
+exact. The off-public ids are those whose entries are not == their
+public values, and the previous ledger is walked again only for the
+ids it relays and the current one lacks. A detector that runs votes on
+every two-hop id it does not know and runs Step 3 against its own
+check set for every reporter without a field finding.
 
 The audit also decides, by one conservative rule, whether a broadcast
 is quiet: it has no finding, keeps its previous claims, relays zero
@@ -41,12 +41,14 @@ needs a test only on the claimed ids. Finite entries whose flow
 overflows fail the rule, and such a broadcast only takes the full
 pipeline.
 
-A node-round learns nothing new, and ends after the crash check, when
-every active reporter's broadcast is quiet and, under the sharing
-policy, the reporter claims exactly the shared set; under the
+A node-round learns nothing new when every sender it hears (an
+in-neighbor it has not detected) sent a quiet broadcast that, under
+the sharing policy, claims exactly the shared set; under the
 distributed policy, it claims only nodes this node knew of before the
-round (known), and it claims every one of them that is its own
-in-neighbor. The checks skipped cannot fire:
+round (known), and every one of them that is its own in-neighbor.
+RoundPlan skips such a node-round with no detector call; _detect
+holds only the crash check and the full pipeline. The checks skipped
+cannot fire:
 
 * no finding and Step 3 passes against the public values, so no
   field, replay or per-edge Step 3 verdict, as long as no vote
@@ -64,9 +66,12 @@ in-neighbor. The checks skipped cannot fire:
   majority.
 
 The omission rule reads in(j) here because the omitted audit does; a
-wider omission rule must widen in(j) in this condition too. After an
-attack is detected and cut off, nearly every detector node-round ends
-at the crash check, as does every one of a run without attacks.
+wider omission rule must widen in(j) in this condition too. RoundPlan
+keeps each node's claim check until an input changes: known grows (it
+only grows, so its size shows it; a sender stops being heard only by
+being detected), a heard sender's claims differ from claimed_before, or
+the shared set changes. Once attacks are cut off, nearly every
+node-round is skipped, as is every one of a run without attacks.
 
 Every detection lands in the detecting node's state as it is made: a
 neighbor in its detection set, any other node in its two-hop set. All
@@ -227,7 +232,7 @@ class SenderAudit(NamedTuple):
     message (none for a first message), whatever the findings. quiet
     holds when the broadcast follows the quiet rule of the module
     docstring; a receiver that already knows what a quiet broadcast
-    claims learns nothing from it (see _detect).
+    claims learns nothing from it (see RoundPlan).
     """
 
     fields: Optional[Finding]
@@ -260,10 +265,6 @@ def audit_broadcast(
     before = prev_msg.relayed if prev_msg is not None else {}
     if flow is None:
         flow = ledger_flow(relayed, before, rule)
-    # != is one tuple comparison, which takes a missing public value
-    # too; an entry == its public value passes Step 3 unless inf or NaN,
-    # as the flow shows
-    off_public = [h for h, val in relayed.items() if public.get(h) != val]
     expected_ids = oracle.relay_ids[j]
     fields = None
     if relayed.keys() != expected_ids:
@@ -295,11 +296,13 @@ def audit_broadcast(
                     flow_y -= y_before
                     flow_z -= z_before
         replay = reconstruct_running_sums(msg, (flow_y, flow_z), rule)
-    # the quiet rule of the module docstring
+    # the quiet rule of the module docstring; the items test compares as
+    # == does, identity first, and != takes a missing public value too
     quiet = (
         replay is None
         and claimed_before <= claims
-        and claims.issuperset(off_public)
+        and (relayed.items() <= public.items()
+             or claims.issuperset(h for h, val in relayed.items() if public.get(h) != val))
         and rule.pair_eq(flow, flow)
         and (not claims or _step3(msg, public, rule, claims) is None)
     )
@@ -322,6 +325,51 @@ def _step3(
         if expected is not None and not rule.pair_eq(val, expected):
             return Cause.STEP3, (("id", h), ("relayed", val), ("expected", expected))
     return None
+
+
+class RoundPlan:
+    """Each round, the senders to audit (heard) and the nodes whose
+    detector must run (to_run), by the rule of the module docstring."""
+
+    def __init__(self, states: list[NodeState], oracle: StructuralOracle):
+        self._in_nbrs = oracle.in_nbrs
+        # per node: its state, and as of its last check its known set (a
+        # copy), the senders it hears and whether their claims passed
+        self._nodes = [[s, None, frozenset(), None] for s in states]
+        self._heard: frozenset[int] = frozenset()
+        self._shared: Optional[frozenset[int]] = None
+
+    def heard(self) -> frozenset[int]:
+        """The senders some detecting node hears, before the round's detectors run."""
+        for node in self._nodes:
+            s, known = node[0], node[1]
+            # the two sets are disjoint and only grow
+            if known is None or len(known) != len(s.detected) + len(s.detected_two_hop):
+                node[1:] = s.detected | s.detected_two_hop, s.in_nbrs - s.detected, None
+        self._heard = frozenset().union(*(node[2] for node in self._nodes))
+        return self._heard
+
+    def to_run(self, sent, audits: Mapping[int, SenderAudit], shared=None) -> list[NodeState]:
+        """The states whose detector must run, in the constructor's order;
+        shared is None under the distributed policy."""
+        alarms = {j for j, a in audits.items() if not a.quiet}
+        alarms.update(self._heard.difference(sent))  # crashed
+        changed = {j for j, a in audits.items() if a.claimed_before != sent[j].detected}
+        recheck, self._shared = shared != self._shared, shared
+        run = []
+        for node in self._nodes:
+            s, known, heard, ok = node
+            if ok is None or recheck or not changed.isdisjoint(heard):
+                # a crashed sender claims nothing
+                claims = [(j, sent[j].detected) for j in heard if j in sent]
+                if shared is None:
+                    ok = all(c <= known and known & self._in_nbrs[j] <= c for j, c in claims)
+                else:
+                    ok = all(c == shared for _, c in claims)
+                node[3] = ok
+            if not ok or not alarms.isdisjoint(heard):
+                run.append(s)
+        return run
 
 
 def _detect(
@@ -356,30 +404,10 @@ def _detect(
         else:
             two_hop_detected.add(suspect)
 
-    # a node-round that learns nothing new ends after the crash check:
-    # every reporter's audit is quiet, and under the distributed policy
-    # it claims only nodes this node knew of, and every one of them
-    # among its own in-neighbors; under the sharing policy it claims
-    # exactly the shared set. The module docstring says why no skipped
-    # check can fire.
-    quiet = True
+    # an in-neighbor that sent nothing has crashed
     for j in active_in:
         if j not in inbox:
             condemn(j, Cause.CRASH)
-        elif quiet:
-            claims = inbox[j].detected
-            if shared is not None:
-                quiet = audits[j].quiet and claims == shared
-            elif claims or known_before:
-                quiet = (
-                    audits[j].quiet
-                    and claims <= known_before
-                    and known_before & oracle.in_nbrs[j] <= claims
-                )
-            else:
-                quiet = audits[j].quiet
-    if quiet:
-        return verdicts
 
     # ascending, the order of the per-reporter audits below
     reporters = {j: inbox[j] for j in active_in if j in inbox}
@@ -468,7 +496,8 @@ def detect_alg2(
     inbox maps senders to this round's messages, and may hold those of
     non-neighbors (the engine passes its whole broadcast table); only
     in-neighbors' are read. audits holds this round's audit_broadcast
-    result per sender, made against the public values; shared is the
+    result for every sender the node hears, made against the public
+    values; shared is the
     oracle-distributed detection set as of last round, and every
     honest claim set must equal it exactly. Returns the verdicts, whose
     suspects are already in state.detected. perfbench/tracer.py times

@@ -16,10 +16,10 @@ honest_round zeroes a detected in-neighbor's ledger entry to remove
 its accumulated contribution, compensates mass sent to a detected
 out-neighbor back into the node's own values, and builds the next
 message. update holds the update formula, which the replay of a
-message takes too. Over Fractions, ledger_flow and update combine
-integer numerators and denominators and normalise once per value they
-return, in place of a gcd per Fraction operator; a forged float still
-takes the operators.
+message takes too. Over Fractions, ledger_flow, update and the ratio
+combine integer numerators and denominators and normalise once per
+value they return, in place of a gcd per Fraction operator; a forged
+float still takes the operators.
 """
 
 from __future__ import annotations
@@ -70,7 +70,8 @@ class ValueRule:
 
     def z_ok(self, z: Number) -> bool:
         if self.exact:
-            return z > 0
+            # a Fraction's sign is its numerator's; its > runs an ABC check
+            return (z.numerator if type(z) is Fraction else z) > 0
         return z > Z_FLOOR
 
 
@@ -276,6 +277,12 @@ def honest_round(s: NodeState, inbox: Mapping[int, InformationSet], rule: ValueR
         s.flow = ledger_flow(ledger, old_ledger, rule)
         d_out, n_removed = declared_fields(s.out_nbrs, detected, sent.detected)
         (y, z), self_next = update((lam_k, gam_k), s.flow, d_out, n_removed)
+        if not rule.z_ok(z):
+            ratio = s.ratio
+        elif Fraction is type(y) is type(z):
+            ratio = Fraction(y.numerator * z.denominator, y.denominator * z.numerator)
+        else:
+            ratio = y / z
     else:
         # ledger_flow's float fold and update's operators, fused with
         # building the ledger: built first and then summed by
@@ -306,8 +313,7 @@ def honest_round(s: NodeState, inbox: Mapping[int, InformationSet], rule: ValueR
         y = y + n_removed * lam_k
         z = z + n_removed * gam_k
         self_next = (lam_k + y / (1 + d_out), gam_k + z / (1 + d_out))
-
-    ratio = y / z if rule.z_ok(z) else s.ratio
+        ratio = y / z if rule.z_ok(z) else s.ratio
 
     s.y, s.z, s.ratio = y, z, ratio
     s.next = build_information_set(s.id, sent.round + 1, detected, self_next, ledger, d_out, n_removed)

@@ -29,6 +29,7 @@ from .adversary import (
 )
 from .detection import (
     DetectionVerdict,
+    RoundPlan,
     StructuralOracle,
     audit_broadcast,
     detect_alg2,
@@ -210,18 +211,19 @@ def run(scenario: Scenario) -> Trace:
     normals = [i for i in nodes if i not in scripts]
     detecting = scenario.detection is not DetectionMode.NONE
     sharing = scenario.detection is DetectionMode.ALG2
+    states = {i: bootstrap(g, i, scenario.x0[i - 1], rule) for i in nodes}
     if detecting:
         oracle = StructuralOracle(g, scenario.f)
+        plan = RoundPlan([states[i] for i in normals], oracle)
         # each sender's previous broadcast is in last round's table: a node
         # that sends now sent then too (crashes last, forge_round grows)
         prev: dict[int, object] = {}
         # what each node broadcast as its next running sums last round;
         # every running sum starts at zero
         public = {i: ZERO_PAIR for i in nodes}
-        # the sharing oracle's set, the union of the normal nodes' detection
-        # sets; none changes from one round's merge to the next's detectors
-        shared: frozenset[int] = frozenset()
-    states = {i: bootstrap(g, i, scenario.x0[i - 1], rule) for i in nodes}
+        # the sharing oracle's set (None without it): the union of the normal
+        # nodes' detection sets as of the last round's merge
+        shared = frozenset() if sharing else None
 
     # round 0 is recorded as the trace is built
     trace = Trace(
@@ -252,21 +254,21 @@ def run(scenario: Scenario) -> Trace:
             sent[i] = msg
 
         # detect: every receiver audits the same broadcast, so its
-        # receiver-independent checks run once per message sent; each
-        # detector adds its suspects to its own state. A normal sender's
-        # flow is handed over, and an adversary's broadcast is summed by
-        # ledger_flow
+        # receiver-independent checks run once per message a normal node
+        # hears; a detector runs only where it can learn something. A
+        # normal sender's flow is handed over, and an adversary's
+        # broadcast is summed by ledger_flow
         if detecting:
-            audits = {j: audit_broadcast(m, prev.get(j), public, oracle, rule,
+            audits = {j: audit_broadcast(sent[j], prev.get(j), public, oracle, rule,
                                          scenario.safety_interval,
                                          states[j].flow if j not in scripts else None)
-                      for j, m in sent.items()}
+                      for j in plan.heard() if j in sent}
             prev = sent
-            for i in normals:
+            for s in plan.to_run(sent, audits, shared):
                 if sharing:
-                    verdicts = detect_alg2(states[i], sent, audits, public, shared, rule)
+                    verdicts = detect_alg2(s, sent, audits, public, shared, rule)
                 else:
-                    verdicts = detect_alg3(states[i], sent, audits, public, oracle, rule)
+                    verdicts = detect_alg3(s, sent, audits, public, oracle, rule)
                 trace.events.extend(verdicts)
             if sharing:
                 # the oracle hands this round's detections to every node

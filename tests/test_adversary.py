@@ -112,6 +112,28 @@ class TestForgeInformationSet:
         truth = honest_message()
         assert forge_information_set(truth, script, 5, adversary_rng(0, 6)) == truth
 
+    @pytest.mark.parametrize("schedule", [
+        (),
+        ((3, AttackAction(ActionKind.COMPLY)),),
+        ((3, AttackAction(ActionKind.TAMPER_RELAYED, target=2, amount=30.0)),),
+        ((3, AttackAction(ActionKind.COMPLY)), (4, AttackAction(ActionKind.TAMPER_RELAYED, target=3))),
+        ((9, AttackAction(ActionKind.FALSELY_ACCUSE, target=1)),),
+    ], ids=["none", "comply", "tamper", "comply-then-tamper", "not-yet-active"])
+    def test_a_message_no_active_action_rewrites_is_sent_as_it_is(self, schedule):
+        # no copy is made: the honest message itself goes out
+        truth = honest_message()
+        assert forge_information_set(truth, AttackScript(6, schedule), 5, adversary_rng(0, 6)) is truth
+
+    def test_a_rewriting_action_next_to_a_tamper_builds_a_new_message(self):
+        script = AttackScript(node=6, schedule=(
+            (3, AttackAction(ActionKind.TAMPER_RELAYED, target=2, amount=30.0)),
+            (4, AttackAction(ActionKind.FALSELY_ACCUSE, target=1)),
+        ))
+        truth = honest_message()
+        forged = forge_information_set(truth, script, 5, adversary_rng(0, 6))
+        assert forged is not truth
+        assert forged == truth._replace(detected=frozenset({1}))
+
     def test_dropping_own_entry_is_restored(self):
         # the message type requires the own entry, so the drop does
         # nothing: the entry keeps its place, first, which is the order
@@ -168,6 +190,26 @@ class TestTamperedInbox:
         msg2 = honest_message(sender=2)
         out = tampered_inbox({2: msg2}, script, 5)
         assert out[2] == msg2._replace(self_next=(7.0, msg2.self_next[1]))
+
+    @pytest.mark.parametrize("schedule", [
+        (),
+        ((3, AttackAction(ActionKind.SET_SELF_VALUE, value=1.0)),),
+        ((9, AttackAction(ActionKind.TAMPER_RELAYED, target=2, amount=30.0)),),
+    ], ids=["none", "other-action", "not-yet-active"])
+    def test_without_an_active_tamper_the_table_itself_is_returned(self, schedule):
+        inbox = {2: honest_message(sender=2), 3: honest_message(sender=3)}
+        assert tampered_inbox(inbox, AttackScript(6, schedule), 5) is inbox
+
+    def test_an_active_tamper_reads_a_copy_of_the_table(self):
+        script = AttackScript(
+            node=6,
+            schedule=((3, AttackAction(ActionKind.TAMPER_RELAYED, target=2, amount=30.0)),),
+        )
+        msg2 = honest_message(sender=2)
+        inbox = {2: msg2}
+        out = tampered_inbox(inbox, script, 5)
+        assert out is not inbox
+        assert inbox[2] is msg2
 
     def test_other_senders_untouched(self):
         script = AttackScript(

@@ -549,6 +549,31 @@ def test_update_matches_the_operator_formula_in_value_and_type(inputs):
     assert repr(update(own, flow, d_out, n_removed)) == repr(want)
 
 
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from((FLOW_FRACTIONS, FLOW_RATIONALS, st.one_of(FLOW_RATIONALS, FLOW_FLOATS))).flatmap(
+    lambda values: st.tuples(values, values)
+))
+@example((Fraction(-7, 3**40), Fraction(2**61 - 1, 3)))
+@example((Fraction(5, 2), Fraction(0)))
+@example((Fraction(5, 2), Fraction(-1, 7)))
+@example((Fraction(1, 3), 0.25))
+@example((0.5, Fraction(2, 7)))
+def test_exact_ratio_and_z_guard_match_the_operators_in_value_and_type(sums):
+    """An exact node-round's ratio is y / z while z > 0, else the ratio
+    the node held; over two Fractions it is built from their integer
+    parts, and must equal the operators' in value and type, as must the
+    guard over every value."""
+    held = Fraction(7)
+    # a node with no neighbors, whose running sums moved by sums from zero
+    first = InformationSet(1, 0, frozenset(), sums, {1: ZERO_PAIR}, 0)
+    state = NodeState(1, frozenset(), frozenset(), 0, 1, held, first)
+    honest_round(state, {}, EXACT)
+    y, z = state.y, state.z
+    assert EXACT.z_ok(z) == (z > 0)
+    # repr tells a Fraction from an int or a float
+    assert repr(state.ratio) == repr(y / z if z > 0 else held)
+
+
 PAIR_EQ_VALUES = st.one_of(
     FLOW_RATIONALS,
     FLOW_FLOATS,

@@ -1,17 +1,18 @@
-"""The once-per-broadcast audit and the quiet exit.
+"""The once-per-broadcast audit and the skipped node-rounds.
 
 A receiver's check set is the public values (what each node broadcast
 as its next running sums last round) of its in-neighbors and itself,
 plus the two-hop values it votes on this round. audit_broadcast runs
-once per broadcast and decides whether it is quiet, by the rule in the
-racsim.detection docstring. A node-round that learns nothing new,
-where every reporter's broadcast is quiet and claims only what the
-node knew (under sharing detection, exactly the shared set), ends
-after the crash check; any other node-round votes on every unknown
-two-hop id and runs Step 3 per edge against its check set. These tests
-check that the exit gives exactly the verdicts of the full
-per-receiver path, and that the one-walk audit_broadcast and replay
-give what their multi-pass reference versions below give.
+once per broadcast some normal node hears and decides whether it is
+quiet, by the rule in the racsim.detection docstring. The engine skips
+a node-round that learns nothing new, where every sender the node
+hears sent a quiet broadcast that claims only what the node knew
+(under sharing detection, exactly the shared set); any other
+node-round runs the detector, which votes on every unknown two-hop id
+and runs Step 3 per edge against its check set. These tests check that
+the skipped node-rounds are exactly those, that the full pipeline
+gives none of them a verdict, and that the one-walk audit_broadcast
+and replay give what their multi-pass reference versions below give.
 """
 
 import math
@@ -29,6 +30,7 @@ from hypothesis import strategies as st
 from racsim.adversary import ActionKind, AttackAction, AttackScript
 from racsim.detection import (
     Cause,
+    RoundPlan,
     SenderAudit,
     StructuralOracle,
     _step3,
@@ -473,9 +475,10 @@ def _action_scenarios():
 
 
 def _learns_nothing(state, inbox, audits, policy, sharing) -> bool:
-    """The exit rule of _detect, restated: every active reporter's audit
-    is quiet, and it claims the shared set, or only what the node knew
-    and every known in-neighbor of its own."""
+    """The skip rule of RoundPlan, restated: every sender the node hears
+    (an in-neighbor it has not detected) that sent is quiet, and claims
+    the shared set, or only what the node knew and every known
+    in-neighbor of its own. A crashed sender is passed over here."""
     known = state.detected | state.detected_two_hop
     for j in state.in_nbrs - state.detected:
         if j not in inbox:
@@ -491,55 +494,92 @@ def _learns_nothing(state, inbox, audits, policy, sharing) -> bool:
     return True
 
 
+def _hears_a_crash(state, inbox) -> bool:
+    return any(j not in inbox for j in state.in_nbrs - state.detected)
+
+
 def _twin(state):
     return replace(state, detected=set(state.detected), detected_two_hop=set(state.detected_two_hop))
 
 
 def _checked_run(scenario, monkeypatch, *, loud, per_receiver):
-    """sim.run(scenario) with every detector call repeated on copies of
-    the node's state: with loud, one with every audit's quiet forced
-    False; with per_receiver, one reading a per-receiver inbox of the
-    node's in-neighbors' messages in place of the engine's whole
-    broadcast table. Each repeat must give the call's verdicts and
-    detection sets. Returns the counts of exits, exits in a round with
-    a crash verdict, exits of a node that knew of a detection (under
-    sharing detection, held a non-empty shared set), quiet audits and
-    verdicts."""
+    """sim.run(scenario), checked each round against the full pipeline.
+
+    The engine must run a node's detector exactly where _learns_nothing
+    fails or the node hears a crashed sender. Each node-round it skips
+    is replayed through the detector on a copy of the node's state: it
+    must give no verdict and leave the copy's detection sets as they
+    were. With per_receiver, each detector call is repeated on a copy
+    reading a per-receiver inbox of the node's in-neighbors' messages
+    in place of the engine's whole broadcast table, and must give the
+    call's verdicts and detection sets. With loud, the run is repeated
+    with every audit's quiet forced False, so that every node that hears
+    a sender runs its detector, and must give the same verdicts.
+    Returns the counts of skipped node-rounds, skipped node-rounds of a
+    node that knew of a detection (under sharing detection, held a
+    non-empty shared set), detector calls that only the crash check
+    sent to the detector and that gave a crash verdict, quiet audits
+    and verdicts."""
     counts = Counter()
+    rule = ValueRule(exact=scenario.exact)
+    if loud:
+        with monkeypatch.context() as m:
+            m.setattr(sim, "audit_broadcast", lambda *args: audit_broadcast(*args)._replace(quiet=False))
+            loud_events = sim.run(scenario).events
+
+    class CheckedPlan(sim.RoundPlan):
+        def __init__(self, states, oracle):
+            super().__init__(states, oracle)
+            self.states, self.oracle = states, oracle
+            self.public = {i: ZERO_PAIR for i in scenario.graph.nodes}
+
+        def to_run(self, sent, audits, shared=None):
+            run = super().to_run(sent, audits, shared)
+            counts["quiet_audits"] += sum(a.quiet for a in audits.values())
+            sharing = shared is not None
+            detect, policy = (detect_alg2, shared) if sharing else (detect_alg3, self.oracle)
+            for state in self.states:
+                learns = not _learns_nothing(state, sent, audits, policy, sharing)
+                ran = any(state is s for s in run)
+                assert ran == (learns or _hears_a_crash(state, sent))
+                if ran:
+                    continue
+                twin = _twin(state)
+                assert detect(twin, sent, audits, self.public, policy, rule) == []
+                assert twin.detected == state.detected
+                assert twin.detected_two_hop == state.detected_two_hop
+                informed = shared if sharing else state.detected | state.detected_two_hop
+                counts["skips"] += 1
+                counts["informed_skips"] += bool(informed)
+            # the public values of the next round
+            self.public = {j: msg.self_next for j, msg in sent.items()}
+            return run
 
     def checked(detect, sharing):
-        last = [None, None]  # this round's audits and their loud copies
-
         def wrapper(state, inbox, audits, public, policy, rule):
-            if audits is not last[0]:
-                last[:] = audits, {j: a._replace(quiet=False) for j, a in audits.items()}
-                counts["quiet_audits"] += sum(a.quiet for a in audits.values())
-            repeats = []
-            if loud:
-                twin = _twin(state)
-                repeats.append((twin, detect(twin, inbox, last[1], public, policy, rule)))
             if per_receiver:
                 twin = _twin(state)
                 own_inbox = {j: inbox[j] for j in state.in_nbrs if j in inbox}
-                repeats.append((twin, detect(twin, own_inbox, audits, public, policy, rule)))
-            exit_taken = _learns_nothing(state, inbox, audits, policy, sharing)
-            informed = policy if sharing else state.detected or state.detected_two_hop
+                twin_verdicts = detect(twin, own_inbox, audits, public, policy, rule)
+            crash_only = _learns_nothing(state, inbox, audits, policy, sharing)
             got = detect(state, inbox, audits, public, policy, rule)
-            for twin, twin_verdicts in repeats:
+            if per_receiver:
                 assert got == twin_verdicts
                 assert state.detected == twin.detected
                 assert state.detected_two_hop == twin.detected_two_hop
-            counts["exits"] += exit_taken
-            counts["crash_exits"] += exit_taken and any(v.cause is Cause.CRASH for v in got)
-            counts["informed_exits"] += exit_taken and bool(informed)
+            counts["crash_runs"] += crash_only and any(v.cause is Cause.CRASH for v in got)
             counts["verdicts"] += len(got)
             return got
 
         return wrapper
 
+    monkeypatch.setattr(sim, "RoundPlan", CheckedPlan)
     monkeypatch.setattr(sim, "detect_alg2", checked(detect_alg2, True))
     monkeypatch.setattr(sim, "detect_alg3", checked(detect_alg3, False))
-    sim.run(scenario)
+    events = sim.run(scenario).events
+    if loud:
+        # repr, as a NaN in the evidence equals only itself
+        assert repr(events) == repr(loud_events)
     return counts
 
 
@@ -585,39 +625,43 @@ def _flow_scenarios():
 def test_the_senders_flow_gives_the_audit_of_the_audits_own_sum(scenario, monkeypatch):
     """A normal node's replay takes the flow the node summed in its
     update; the audit that sums the ledger itself must give the same
-    findings, evidence and quiet flag. Every run with detection hands
-    some audit a flow."""
+    findings, evidence and quiet flag. Every run with detection in
+    which a normal node hears a normal node hands some audit a flow."""
     _, given_flow = _flow_checked_run(scenario, monkeypatch)
-    if scenario.detection is not sim.DetectionMode.NONE:
+    g = scenario.graph
+    normals = set(g.nodes) - {s.node for s in scenario.adversaries}
+    if scenario.detection is not sim.DetectionMode.NONE and any(g.in_neighbors(i) & normals for i in normals):
         assert given_flow > 0
 
 
 @pytest.mark.parametrize("scenario, attacked, crashing", list(_exit_scenarios()))
 def test_quiet_exit_gives_the_verdicts_of_the_full_pipeline(scenario, attacked, crashing, monkeypatch):
-    """Every detector call of a run gives the verdicts and detection
-    sets of its loud and per-receiver repeats (see _checked_run). Every
-    run with detection has a quiet audit and takes the exit; the exit
-    is taken in a crash round in every crashing run, and in every
-    golden run with adversaries in a round where the node already knew
-    of a detection."""
+    """The engine skips exactly the node-rounds that learn nothing, each
+    of which the full pipeline passes without a verdict, and every
+    detector call gives the verdicts and detection sets of its
+    per-receiver repeat and the run those of its loud repeat (see
+    _checked_run). Every run with detection has a quiet audit and skips
+    a node-round; in every crashing run the crash check alone sends
+    some node-round to its detector; in every golden run with
+    adversaries a node that already knew of a detection is skipped."""
     counts = _checked_run(scenario, monkeypatch, loud=True, per_receiver=True)
     if scenario.detection is not sim.DetectionMode.NONE:
         assert counts["quiet_audits"] > 0
-        assert counts["exits"] > 0
+        assert counts["skips"] > 0
     if crashing:
-        assert counts["crash_exits"] > 0
+        assert counts["crash_runs"] > 0
     if attacked:
-        assert counts["informed_exits"] > 0
+        assert counts["informed_skips"] > 0
 
 
 @pytest.mark.parametrize("scenario, acting", list(_action_scenarios()))
 def test_empty_public_table_gives_the_same_detection(scenario, acting, monkeypatch):
-    """Audits that are never quiet send every node-round past the exit;
-    the detectors must not notice. Some audit of the run is quiet, so
-    the exit is exercised."""
+    """Audits that are never quiet send every node-round that hears a
+    sender to its detector; the verdicts must not change. Some audit of
+    the run is quiet, so node-rounds are skipped."""
     counts = _checked_run(scenario, monkeypatch, loud=True, per_receiver=False)
     assert counts["quiet_audits"] > 0
-    assert counts["exits"] > 0
+    assert counts["skips"] > 0
 
 
 @pytest.mark.parametrize("scenario, acting", list(_action_scenarios()))
@@ -630,11 +674,38 @@ def test_whole_broadcast_table_gives_the_same_detection(scenario, acting, monkey
         assert counts["verdicts"] > 0
 
 
+def test_a_broadcast_no_normal_node_hears_is_not_audited(monkeypatch):
+    """On eight-attack each sender's broadcast is audited up to the
+    round in which the last normal node that hears it condemns it, and
+    in every round if one never does: each adversary's in rounds 1 to 4,
+    and then no more, so 980 of the run's 1,600 broadcasts go
+    unaudited."""
+    scenario = golden_case("eight-attack").build()
+    audited = Counter()
+
+    def counted(msg, *args):
+        audited[msg.sender] += 1
+        return audit_broadcast(msg, *args)
+
+    monkeypatch.setattr(sim, "audit_broadcast", counted)
+    trace = sim.run(scenario)
+    g = scenario.graph
+    adversaries = {s.node for s in scenario.adversaries}
+    normals = set(g.nodes) - adversaries
+    condemned = {(e.detector, e.suspect): e.round for e in trace.events}
+    for j in g.nodes:
+        hearers = [i for i in normals if j in g.in_neighbors(i)]
+        assert audited[j] == max((condemned.get((i, j), scenario.horizon) for i in hearers), default=0)
+    assert {audited[a] for a in adversaries} == {4}
+    assert scenario.horizon * g.n - sum(audited.values()) == 980
+
+
 def test_a_shared_set_keeps_quiet_broadcasts_from_the_exit():
     """Under sharing detection a node that knew of no detection, handed
     a non-empty shared set (here its own id, which the engine leaves
-    out of its detection set), still audits the claims of quiet
-    broadcasts: each empty claim set is a Step 1 verdict."""
+    out of its detection set), still runs its detector on quiet
+    broadcasts, which audits their claims: each empty claim set is a
+    Step 1 verdict. Handed the empty set, it is skipped."""
     g = complete_graph(4)
     oracle = StructuralOracle(g, 1)
     public = {i: ZERO_PAIR for i in g.nodes}
@@ -642,6 +713,35 @@ def test_a_shared_set_keeps_quiet_broadcasts_from_the_exit():
     audits = {j: audit_broadcast(m, None, public, oracle, FLOAT) for j, m in sent.items()}
     assert all(a.quiet for a in audits.values())
     state = bootstrap(g, 1, 1.0, FLOAT)
+    plan = RoundPlan([state], oracle)
+    assert plan.heard() == {2, 3, 4}
+    assert plan.to_run(sent, audits, frozenset()) == []
+    assert plan.to_run(sent, audits, frozenset({1})) == [state]
     verdicts = detect_alg2(state, sent, audits, public, frozenset({1}), FLOAT)
     assert [(v.suspect, v.cause) for v in verdicts] == [(j, Cause.STEP1) for j in (2, 3, 4)]
     assert state.detected == {2, 3, 4}
+
+
+def test_the_plan_checks_a_node_again_when_its_inputs_change():
+    """RoundPlan keeps a node's claim check across rounds: a quiet
+    broadcast with claims the node cannot vouch for sends it to its
+    detector, in the round the claims change and in every round they
+    persist, and a node that detects an in-neighbor stops hearing it."""
+    g = complete_graph(4)
+    oracle = StructuralOracle(g, 1)
+    sent = {i: bootstrap(g, i, float(i), FLOAT).next for i in g.nodes}
+    quiet = {j: SenderAudit(None, quiet=True) for j in sent}
+    state = bootstrap(g, 1, 1.0, FLOAT)
+    plan = RoundPlan([state], oracle)
+    assert plan.heard() == {2, 3, 4}
+    assert plan.to_run(sent, quiet) == []
+    # 2 claims 4, which node 1 does not know of
+    accusing = {**sent, 2: sent[2]._replace(detected=frozenset({4}))}
+    assert plan.heard() == {2, 3, 4}
+    assert plan.to_run(accusing, quiet) == [state]
+    persisted = {**quiet, 2: SenderAudit(None, claimed_before=frozenset({4}), quiet=True)}
+    assert plan.heard() == {2, 3, 4}
+    assert plan.to_run(accusing, persisted) == [state]
+    # node 1 detects 3, so it hears 2 and 4 alone
+    state.detected.add(3)
+    assert plan.heard() == {2, 4}
