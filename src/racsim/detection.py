@@ -349,9 +349,9 @@ class RoundPlan:
         self._heard = frozenset().union(*(node[2] for node in self._nodes))
         return self._heard
 
-    def to_run(self, sent, audits: Mapping[int, SenderAudit], shared=None) -> list[NodeState]:
-        """The states whose detector must run, in the constructor's order;
-        shared is None under the distributed policy."""
+    def to_run(self, sent, audits, shared=None) -> list[NodeState]:
+        """The states whose detector must run, in the constructor's order.
+        audits covers sent's heard senders; shared is None under ALG3."""
         alarms = {j for j, a in audits.items() if not a.quiet}
         alarms.update(self._heard.difference(sent))  # crashed
         changed = {j for j, a in audits.items() if a.claimed_before != sent[j].detected}
@@ -497,12 +497,11 @@ def detect_alg2(
     non-neighbors (the engine passes its whole broadcast table); only
     in-neighbors' are read. audits holds this round's audit_broadcast
     result for every sender the node hears, made against the public
-    values; shared is the
-    oracle-distributed detection set as of last round, and every
-    honest claim set must equal it exactly. Returns the verdicts, whose
-    suspects are already in state.detected. perfbench/tracer.py times
-    each detector under its own name, so the two stay separate
-    functions.
+    values; shared is the oracle-distributed detection set as of last
+    round, and every honest claim set must equal it exactly. Returns
+    the verdicts, whose suspects are already in state.detected.
+    perfbench/tracer.py times each detector under its own name, so the
+    two stay separate functions.
     """
     return _detect(state, inbox, audits, public, None, rule, shared)
 
