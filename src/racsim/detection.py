@@ -1,5 +1,10 @@
 """Malicious-node detection.
 
+RoundPlan is a run's whole detection phase: the engine makes one detect
+call per round. The plan keeps the StructuralOracle, the previous
+broadcasts, the public values and the shared set; it audits the
+broadcasts, runs the detectors and, under sharing, merges the shared set.
+
 Each node-round of detection is one pipeline: the crash check, the
 ascending set of reporting in-neighbors, and one audit per reporter
 ending in the per-edge checks (Step 2 to Step 4). A node's check set,
@@ -224,15 +229,15 @@ def init_range_check(
 class SenderAudit(NamedTuple):
     """The receiver-independent part of auditing one broadcast.
 
-    Every receiver audits the same message, so the engine computes this
-    once per message sent. fields is the first Step 2 (id sanity) or
-    Step 4 declared-field finding. Without one, replay is the Step 4
-    update-replay finding (the safety-interval finding for a first
-    message). claimed_before holds the claims of the sender's previous
-    message (none for a first message), whatever the findings. quiet
-    holds when the broadcast follows the quiet rule of the module
-    docstring; a receiver that already knows what a quiet broadcast
-    claims learns nothing from it (see RoundPlan).
+    Every receiver audits the same message, so RoundPlan computes this
+    once per message that some normal node hears. fields is the first
+    Step 2 (id sanity) or Step 4 declared-field finding. Without one,
+    replay is the Step 4 update-replay finding (the safety-interval
+    finding for a first message). claimed_before holds the claims of
+    the sender's previous message (none for a first message), whatever
+    the findings. quiet holds when the broadcast follows the quiet rule
+    of the module docstring; a receiver that already knows what a quiet
+    broadcast claims learns nothing from it (see RoundPlan).
     """
 
     fields: Optional[Finding]
@@ -264,7 +269,7 @@ def audit_broadcast(
     claimed_before = prev_msg.detected if prev_msg is not None else frozenset()
     before = prev_msg.relayed if prev_msg is not None else {}
     if flow is None:
-        flow = ledger_flow(relayed, before, rule)
+        flow = ledger_flow(relayed, before)
     expected_ids = oracle.relay_ids[j]
     fields = None
     if relayed.keys() != expected_ids:
@@ -328,48 +333,76 @@ def _step3(
 
 
 class RoundPlan:
-    """Each round, the senders to audit (heard) and the nodes whose
-    detector must run (to_run), by the rule of the module docstring."""
+    """The run's detection phase (see the module docstring). states maps
+    every node to its state; normals names the nodes that detect, in the
+    order their verdicts are returned."""
 
-    def __init__(self, states: list[NodeState], oracle: StructuralOracle):
-        self._in_nbrs = oracle.in_nbrs
-        # per node: its state, and as of its last check its known set (a
-        # copy), the senders it hears and whether their claims passed
-        self._nodes = [[s, None, frozenset(), None] for s in states]
-        self._heard: frozenset[int] = frozenset()
-        self._shared: Optional[frozenset[int]] = None
+    def __init__(self, states: Mapping[int, NodeState], normals: list[int], g: DirectedGraph, f: int,
+                 rule: ValueRule, interval: Optional[tuple[float, float]], sharing: bool):
+        self.oracle = StructuralOracle(g, f)
+        self._states, self._normals = states, frozenset(normals)
+        self._rule, self._interval = rule, interval
+        # per normal node: its state, and as of its last check its known
+        # set (a copy), the senders it hears and whether their claims passed
+        self._nodes = [[states[i], None, frozenset(), None] for i in normals]
+        # each sender's previous broadcast is in last round's table: a node
+        # that sends now sent then too (crashes last, forge_round grows)
+        self._prev: Mapping[int, InformationSet] = {}
+        # what each node broadcast as its next running sums last round;
+        # every running sum starts at zero
+        self.public: Mapping[int, Pair] = dict.fromkeys(states, ZERO_PAIR)
+        # the union of the normal nodes' detection sets as of the last
+        # round's merge; None under the distributed claim policy
+        self.shared = frozenset() if sharing else None
 
-    def heard(self) -> frozenset[int]:
-        """The senders some detecting node hears, before the round's detectors run."""
+    def detect(self, sent: Mapping[int, InformationSet]) -> list[DetectionVerdict]:
+        """The round's verdicts, in normals order, from its broadcast table."""
+        states, normals, oracle, rule = self._states, self._normals, self.oracle, self._rule
+        public, shared = self.public, self.shared
         for node in self._nodes:
             s, known = node[0], node[1]
             # the two sets are disjoint and only grow
             if known is None or len(known) != len(s.detected) + len(s.detected_two_hop):
                 node[1:] = s.detected | s.detected_two_hop, s.in_nbrs - s.detected, None
-        self._heard = frozenset().union(*(node[2] for node in self._nodes))
-        return self._heard
-
-    def to_run(self, sent, audits, shared=None) -> list[NodeState]:
-        """The states whose detector must run, in the constructor's order.
-        audits covers sent's heard senders; shared is None under ALG3."""
+        heard = frozenset().union(*(node[2] for node in self._nodes))
+        # a normal sender's flow is handed over, and an adversary's
+        # broadcast is summed by ledger_flow
+        audits = {j: audit_broadcast(sent[j], self._prev.get(j), public, oracle, rule, self._interval,
+                                     states[j].flow if j in normals else None)
+                  for j in heard if j in sent}
         alarms = {j for j, a in audits.items() if not a.quiet}
-        alarms.update(self._heard.difference(sent))  # crashed
+        alarms.update(heard.difference(sent))  # crashed
         changed = {j for j, a in audits.items() if a.claimed_before != sent[j].detected}
-        recheck, self._shared = shared != self._shared, shared
-        run = []
+        verdicts: list[DetectionVerdict] = []
         for node in self._nodes:
-            s, known, heard, ok = node
-            if ok is None or recheck or not changed.isdisjoint(heard):
+            s, known, hears, ok = node
+            if ok is None or not changed.isdisjoint(hears):
                 # a crashed sender claims nothing
-                claims = [(j, sent[j].detected) for j in heard if j in sent]
+                claims = [(j, sent[j].detected) for j in hears if j in sent]
                 if shared is None:
-                    ok = all(c <= known and known & self._in_nbrs[j] <= c for j, c in claims)
+                    ok = all(c <= known and known & oracle.in_nbrs[j] <= c for j, c in claims)
                 else:
                     ok = all(c == shared for _, c in claims)
                 node[3] = ok
-            if not ok or not alarms.isdisjoint(heard):
-                run.append(s)
-        return run
+            if not ok or not alarms.isdisjoint(hears):
+                if shared is None:
+                    verdicts += detect_alg3(s, sent, audits, public, oracle, rule)
+                else:
+                    verdicts += detect_alg2(s, sent, audits, public, shared, rule)
+        if shared is not None:
+            # the oracle hands this round's detections to every node that
+            # updates, which is every node that sent
+            merged = frozenset().union(*(node[0].detected for node in self._nodes))
+            for i in sent:
+                states[i].detected |= merged - {i}
+            if merged != shared:
+                # every claim check compared its claims with the old set
+                for node in self._nodes:
+                    node[3] = None
+            self.shared = merged
+        self._prev = sent
+        self.public = {j: msg.self_next for j, msg in sent.items()}
+        return verdicts
 
 
 def _detect(
@@ -494,7 +527,7 @@ def detect_alg2(
     """One round of sharing detection for one node.
 
     inbox maps senders to this round's messages, and may hold those of
-    non-neighbors (the engine passes its whole broadcast table); only
+    non-neighbors (RoundPlan passes the whole broadcast table); only
     in-neighbors' are read. audits holds this round's audit_broadcast
     result for every sender the node hears, made against the public
     values; shared is the oracle-distributed detection set as of last

@@ -181,26 +181,15 @@ def build_information_set(
     return InformationSet(i, k, frozenset(detected), self_next, ledger, d_out, n_removed)
 
 
-def ledger_flow(now: Mapping[int, Pair], before: Mapping[int, Pair], rule: ValueRule) -> Pair:
+def ledger_flow(now: Mapping[int, Pair], before: Mapping[int, Pair]) -> Pair:
     """The ledger flow, the sum over now's ids h of now[h] - before[h]
     (ZERO_PAIR for an id before lacks), as the sender adds it: the left
-    fold in ledger order from the first term. In exact arithmetic it
-    has the fold's value and type. A column of ints and Fractions reads
-    each term's integer parts once, sums the numerators per denominator,
-    and adds those sums over a common denominator that grows only by a
-    denominator it is not a multiple of; it builds one Fraction. A
-    column holding a float (a forged value) is the fold."""
-    if not rule.exact:
-        # an empty ledger flows ZERO_PAIR
-        items = iter(now.items())
-        h, (y, z) = next(items, (None, ZERO_PAIR))
-        y_before, z_before = before.get(h, ZERO_PAIR)
-        y, z = y - y_before, z - z_before
-        for h, (new_y, new_z) in items:
-            old_y, old_z = before.get(h, ZERO_PAIR)
-            y = y + (new_y - old_y)
-            z = z + (new_z - old_z)
-        return y, z
+    fold in ledger order from the first term, with the fold's value and
+    type. A column of ints is their sum. A column of ints and Fractions
+    reads each term's integer parts once, sums the numerators per
+    denominator, and adds those sums over a common denominator that
+    grows only by a denominator it is not a multiple of; it builds one
+    Fraction. A column holding a float is the fold."""
     then = [before.get(h, ZERO_PAIR) for h in now]
     flow = []
     for get in (itemgetter(0), itemgetter(1)):
@@ -274,7 +263,7 @@ def honest_round(s: NodeState, inbox: Mapping[int, InformationSet], rule: ValueR
             if j not in detected and j not in inbox:
                 detected.add(j)  # crashed
             ledger[j] = ZERO_PAIR if j in detected else inbox[j].self_next
-        s.flow = ledger_flow(ledger, old_ledger, rule)
+        s.flow = ledger_flow(ledger, old_ledger)
         d_out, n_removed = declared_fields(s.out_nbrs, detected, sent.detected)
         (y, z), self_next = update((lam_k, gam_k), s.flow, d_out, n_removed)
         if not rule.z_ok(z):

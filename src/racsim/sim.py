@@ -1,9 +1,10 @@
 """Synchronous round engine and experiment plumbing.
 
-Each round every node emits its message, messages are delivered along
-edges, detection runs per node, and the averaging update is applied.
-The engine records a full numeric trace plus all detection events and
-offers JSON scenario loading and CSV export.
+Each round every node emits its message, the detection phase (one
+detection.RoundPlan.detect call) audits the broadcasts and runs the
+detectors, and the averaging update is applied. The engine records a
+full numeric trace plus all detection events and offers JSON scenario
+loading and CSV export.
 """
 
 from __future__ import annotations
@@ -27,22 +28,10 @@ from .adversary import (
     tampered_inbox,
     validate_adversary_placement,
 )
-from .detection import (
-    DetectionVerdict,
-    RoundPlan,
-    StructuralOracle,
-    audit_broadcast,
-    detect_alg2,
-    detect_alg3,
-)
+from .detection import DetectionVerdict, RoundPlan
 from .fixtures import FIXTURE_GRAPHS
 from .graph import AdversaryKind, DirectedGraph, read_edge_list, write_edge_list
-from .protocol import (
-    ZERO_PAIR,
-    ValueRule,
-    bootstrap,
-    honest_round,
-)
+from .protocol import ValueRule, bootstrap, honest_round
 
 
 class DetectionMode(Enum):
@@ -210,20 +199,10 @@ def run(scenario: Scenario) -> Trace:
     rngs = {v: adversary_rng(scenario.seed, v) for v in scripts}
     normals = [i for i in nodes if i not in scripts]
     detecting = scenario.detection is not DetectionMode.NONE
-    sharing = scenario.detection is DetectionMode.ALG2
     states = {i: bootstrap(g, i, scenario.x0[i - 1], rule) for i in nodes}
     if detecting:
-        oracle = StructuralOracle(g, scenario.f)
-        plan = RoundPlan([states[i] for i in normals], oracle)
-        # each sender's previous broadcast is in last round's table: a node
-        # that sends now sent then too (crashes last, forge_round grows)
-        prev: dict[int, object] = {}
-        # what each node broadcast as its next running sums last round;
-        # every running sum starts at zero
-        public = {i: ZERO_PAIR for i in nodes}
-        # the sharing oracle's set (None without it): the union of the normal
-        # nodes' detection sets as of the last round's merge
-        shared = frozenset() if sharing else None
+        plan = RoundPlan(states, normals, g, scenario.f, rule, scenario.safety_interval,
+                         scenario.detection is DetectionMode.ALG2)
 
     # round 0 is recorded as the trace is built
     trace = Trace(
@@ -253,30 +232,10 @@ def run(scenario: Scenario) -> Trace:
                     continue
             sent[i] = msg
 
-        # detect: every receiver audits the same broadcast, so its
-        # receiver-independent checks run once per message a normal node
-        # hears; a detector runs only where it can learn something. A
-        # normal sender's flow is handed over, and an adversary's
-        # broadcast is summed by ledger_flow
+        # detect: the plan audits what the normal nodes hear and runs
+        # their detectors
         if detecting:
-            audits = {j: audit_broadcast(sent[j], prev.get(j), public, oracle, rule,
-                                         scenario.safety_interval,
-                                         states[j].flow if j not in scripts else None)
-                      for j in plan.heard() if j in sent}
-            prev = sent
-            for s in plan.to_run(sent, audits, shared):
-                if sharing:
-                    verdicts = detect_alg2(s, sent, audits, public, shared, rule)
-                else:
-                    verdicts = detect_alg3(s, sent, audits, public, oracle, rule)
-                trace.events.extend(verdicts)
-            if sharing:
-                # the oracle hands this round's detections to every node
-                # that updates, which is every node that sent
-                shared = frozenset().union(*(states[i].detected for i in normals))
-                for i in sent:
-                    states[i].detected |= shared - {i}
-            public = {j: msg.self_next for j, msg in sent.items()}
+            trace.events.extend(plan.detect(sent))
 
         # update: normal nodes read the broadcast table itself; an
         # adversary updates only in a round it sent a message, from its

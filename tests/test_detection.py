@@ -36,7 +36,7 @@ from racsim.protocol import (
     bootstrap,
     honest_round,
 )
-from racsim import sim
+from racsim import detection, sim
 from racsim.sim import DetectionMode, Scenario, mass_sums, run, summary
 from oracles import brute_oracle_answers
 from test_public_audit import _flow_checked_run
@@ -646,7 +646,7 @@ class TestSharingDetectionEndToEnd:
         normal node's claim set is the shared set."""
         normals = {1, 2, 3}
         beyond: dict[tuple, list[int]] = {}
-        detect, update = sim.detect_alg2, sim.honest_round
+        detect, update = detection.detect_alg2, sim.honest_round
 
         def checked(state, inbox, audits, public, shared, rule):
             for j in normals & inbox.keys():
@@ -659,7 +659,7 @@ class TestSharingDetectionEndToEnd:
             if far:
                 beyond.setdefault((s.id, far), []).append(s.next.round)
 
-        monkeypatch.setattr(sim, "detect_alg2", checked)
+        monkeypatch.setattr(detection, "detect_alg2", checked)
         monkeypatch.setattr(sim, "honest_round", recorded)
         sim.run(golden_case("five-sharing").build())
         assert {key: (rounds[0], len(rounds)) for key, rounds in beyond.items()} == {

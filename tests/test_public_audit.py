@@ -4,7 +4,7 @@ A receiver's check set is the public values (what each node broadcast
 as its next running sums last round) of its in-neighbors and itself,
 plus the two-hop values it votes on this round. audit_broadcast runs
 once per broadcast some normal node hears and decides whether it is
-quiet, by the rule in the racsim.detection docstring. The engine skips
+quiet, by the rule in the racsim.detection docstring. RoundPlan skips
 a node-round that learns nothing new, where every sender the node
 hears sent a quiet broadcast that claims only what the node knew
 (under sharing detection, exactly the shared set); any other
@@ -49,7 +49,7 @@ from racsim.protocol import (
     bootstrap,
     honest_round,
 )
-from racsim import sim
+from racsim import detection, sim
 from scenario_fuzz import random_scenario
 
 
@@ -505,58 +505,66 @@ def _twin(state):
 def _checked_run(scenario, monkeypatch, *, loud, per_receiver):
     """sim.run(scenario), checked each round against the full pipeline.
 
-    The engine must run a node's detector exactly where _learns_nothing
-    fails or the node hears a crashed sender. Each node-round it skips
-    is replayed through the detector on a copy of the node's state: it
-    must give no verdict and leave the copy's detection sets as they
-    were. With per_receiver, each detector call is repeated on a copy
-    reading a per-receiver inbox of the node's in-neighbors' messages
-    in place of the engine's whole broadcast table, and must give the
-    call's verdicts and detection sets. With loud, the run is repeated
-    with every audit's quiet forced False, so that every node that hears
-    a sender runs its detector, and must give the same verdicts.
-    Returns the counts of skipped node-rounds, skipped node-rounds of a
-    node that knew of a detection (under sharing detection, held a
-    non-empty shared set), detector calls that only the crash check
-    sent to the detector and that gave a crash verdict, quiet audits
-    and verdicts."""
+    The plan must run a node's detector exactly where _learns_nothing
+    fails or the node hears a crashed sender, both read on a copy of the
+    node's state taken before the round. Each node-round it skips is
+    replayed through the detector on a further copy: it must give no
+    verdict and leave that copy's detection sets as they were. With
+    per_receiver, each detector call is repeated on a copy reading a
+    per-receiver inbox of the node's in-neighbors' messages in place of
+    the engine's whole broadcast table, and must give the call's
+    verdicts and detection sets. With loud, the run is repeated with
+    every audit's quiet forced False, so that every node that hears a
+    sender runs its detector, and must give the same verdicts. Returns
+    the counts of skipped node-rounds, skipped node-rounds of a node
+    that knew of a detection (under sharing detection, held a non-empty
+    shared set), detector calls that only the crash check sent to the
+    detector and that gave a crash verdict, quiet audits and verdicts."""
     counts = Counter()
     rule = ValueRule(exact=scenario.exact)
     if loud:
         with monkeypatch.context() as m:
-            m.setattr(sim, "audit_broadcast", lambda *args: audit_broadcast(*args)._replace(quiet=False))
+            m.setattr(detection, "audit_broadcast", lambda *args: audit_broadcast(*args)._replace(quiet=False))
             loud_events = sim.run(scenario).events
+    # the round's audits, by sender, and the ids of the nodes whose
+    # detector ran
+    audits, ran = {}, set()
+
+    def audited(msg, *args):
+        audits[msg.sender] = audit_broadcast(msg, *args)
+        return audits[msg.sender]
 
     class CheckedPlan(sim.RoundPlan):
-        def __init__(self, states, oracle):
-            super().__init__(states, oracle)
-            self.states, self.oracle = states, oracle
-            self.public = {i: ZERO_PAIR for i in scenario.graph.nodes}
+        def __init__(self, states, normals, *args):
+            super().__init__(states, normals, *args)
+            self.normal_states = [states[i] for i in normals]
 
-        def to_run(self, sent, audits, shared=None):
-            run = super().to_run(sent, audits, shared)
+        def detect(self, sent):
+            twins = [_twin(state) for state in self.normal_states]
+            public, shared = self.public, self.shared
+            audits.clear()
+            ran.clear()
+            got = super().detect(sent)
             counts["quiet_audits"] += sum(a.quiet for a in audits.values())
             sharing = shared is not None
             detect, policy = (detect_alg2, shared) if sharing else (detect_alg3, self.oracle)
-            for state in self.states:
-                learns = not _learns_nothing(state, sent, audits, policy, sharing)
-                ran = any(state is s for s in run)
-                assert ran == (learns or _hears_a_crash(state, sent))
-                if ran:
+            for twin in twins:
+                learns = not _learns_nothing(twin, sent, audits, policy, sharing)
+                assert (twin.id in ran) == (learns or _hears_a_crash(twin, sent))
+                if twin.id in ran:
                     continue
-                twin = _twin(state)
-                assert detect(twin, sent, audits, self.public, policy, rule) == []
-                assert twin.detected == state.detected
-                assert twin.detected_two_hop == state.detected_two_hop
-                informed = shared if sharing else state.detected | state.detected_two_hop
+                probe = _twin(twin)
+                assert detect(probe, sent, audits, public, policy, rule) == []
+                assert probe.detected == twin.detected
+                assert probe.detected_two_hop == twin.detected_two_hop
+                informed = shared if sharing else twin.detected | twin.detected_two_hop
                 counts["skips"] += 1
                 counts["informed_skips"] += bool(informed)
-            # the public values of the next round
-            self.public = {j: msg.self_next for j, msg in sent.items()}
-            return run
+            return got
 
     def checked(detect, sharing):
         def wrapper(state, inbox, audits, public, policy, rule):
+            ran.add(state.id)
             if per_receiver:
                 twin = _twin(state)
                 own_inbox = {j: inbox[j] for j in state.in_nbrs if j in inbox}
@@ -574,8 +582,9 @@ def _checked_run(scenario, monkeypatch, *, loud, per_receiver):
         return wrapper
 
     monkeypatch.setattr(sim, "RoundPlan", CheckedPlan)
-    monkeypatch.setattr(sim, "detect_alg2", checked(detect_alg2, True))
-    monkeypatch.setattr(sim, "detect_alg3", checked(detect_alg3, False))
+    monkeypatch.setattr(detection, "audit_broadcast", audited)
+    monkeypatch.setattr(detection, "detect_alg2", checked(detect_alg2, True))
+    monkeypatch.setattr(detection, "detect_alg3", checked(detect_alg3, False))
     events = sim.run(scenario).events
     if loud:
         # repr, as a NaN in the evidence equals only itself
@@ -602,7 +611,7 @@ def _flow_checked_run(scenario, monkeypatch):
             assert repr(got) == repr(audit_broadcast(msg, prev_msg, public, oracle, rule, interval))
         return got
 
-    monkeypatch.setattr(sim, "audit_broadcast", checked)
+    monkeypatch.setattr(detection, "audit_broadcast", checked)
     return sim.run(scenario), given_flow
 
 
@@ -636,7 +645,7 @@ def test_the_senders_flow_gives_the_audit_of_the_audits_own_sum(scenario, monkey
 
 @pytest.mark.parametrize("scenario, attacked, crashing", list(_exit_scenarios()))
 def test_quiet_exit_gives_the_verdicts_of_the_full_pipeline(scenario, attacked, crashing, monkeypatch):
-    """The engine skips exactly the node-rounds that learn nothing, each
+    """The plan skips exactly the node-rounds that learn nothing, each
     of which the full pipeline passes without a verdict, and every
     detector call gives the verdicts and detection sets of its
     per-receiver repeat and the run those of its loud repeat (see
@@ -687,7 +696,7 @@ def test_a_broadcast_no_normal_node_hears_is_not_audited(monkeypatch):
         audited[msg.sender] += 1
         return audit_broadcast(msg, *args)
 
-    monkeypatch.setattr(sim, "audit_broadcast", counted)
+    monkeypatch.setattr(detection, "audit_broadcast", counted)
     trace = sim.run(scenario)
     g = scenario.graph
     adversaries = {s.node for s in scenario.adversaries}
@@ -700,48 +709,87 @@ def test_a_broadcast_no_normal_node_hears_is_not_audited(monkeypatch):
     assert scenario.horizon * g.n - sum(audited.values()) == 980
 
 
-def test_a_shared_set_keeps_quiet_broadcasts_from_the_exit():
+def _k4_plan(sharing, monkeypatch):
+    """A plan on the complete graph on 4 nodes in which node 1 alone is
+    normal, the first broadcasts of the four nodes, and the set of the
+    senders each detect call audits (the senders some normal node
+    hears)."""
+    g = complete_graph(4)
+    states = {i: bootstrap(g, i, float(i), FLOAT) for i in g.nodes}
+    sent = {i: states[i].next for i in g.nodes}
+    audited = set()
+
+    def recorded(msg, *args):
+        audited.add(msg.sender)
+        return audit_broadcast(msg, *args)
+
+    monkeypatch.setattr(detection, "audit_broadcast", recorded)
+    return RoundPlan(states, [1], g, 1, FLOAT, None, sharing), states[1], sent, audited
+
+
+def test_a_shared_set_keeps_quiet_broadcasts_from_the_exit(monkeypatch):
     """Under sharing detection a node that knew of no detection, handed
     a non-empty shared set (here its own id, which the engine leaves
     out of its detection set), still runs its detector on quiet
     broadcasts, which audits their claims: each empty claim set is a
     Step 1 verdict. Handed the empty set, it is skipped."""
-    g = complete_graph(4)
-    oracle = StructuralOracle(g, 1)
-    public = {i: ZERO_PAIR for i in g.nodes}
-    sent = {i: bootstrap(g, i, float(i), FLOAT).next for i in g.nodes}
-    audits = {j: audit_broadcast(m, None, public, oracle, FLOAT) for j, m in sent.items()}
-    assert all(a.quiet for a in audits.values())
-    state = bootstrap(g, 1, 1.0, FLOAT)
-    plan = RoundPlan([state], oracle)
-    assert plan.heard() == {2, 3, 4}
-    assert plan.to_run(sent, audits, frozenset()) == []
-    assert plan.to_run(sent, audits, frozenset({1})) == [state]
-    verdicts = detect_alg2(state, sent, audits, public, frozenset({1}), FLOAT)
-    assert [(v.suspect, v.cause) for v in verdicts] == [(j, Cause.STEP1) for j in (2, 3, 4)]
+    quiet = []
+
+    def detected(state, inbox, audits, *args):
+        quiet.append(all(audits[j].quiet for j in state.in_nbrs))
+        return detect_alg2(state, inbox, audits, *args)
+
+    monkeypatch.setattr(detection, "detect_alg2", detected)
+    plan, state, sent, audited = _k4_plan(True, monkeypatch)
+    assert plan.shared == frozenset()
+    assert plan.detect(sent) == []
+    assert audited == {2, 3, 4}
+    assert quiet == []
+    plan, state, sent, audited = _k4_plan(True, monkeypatch)
+    plan.shared = frozenset({1})
+    verdicts = plan.detect(sent)
+    assert quiet == [True]
+    assert [(v.detector, v.suspect, v.cause) for v in verdicts] == [(1, j, Cause.STEP1) for j in (2, 3, 4)]
     assert state.detected == {2, 3, 4}
 
 
-def test_the_plan_checks_a_node_again_when_its_inputs_change():
+def test_the_plan_checks_a_node_again_when_its_inputs_change(monkeypatch):
     """RoundPlan keeps a node's claim check across rounds: a quiet
     broadcast with claims the node cannot vouch for sends it to its
     detector, in the round the claims change and in every round they
-    persist, and a node that detects an in-neighbor stops hearing it."""
-    g = complete_graph(4)
-    oracle = StructuralOracle(g, 1)
-    sent = {i: bootstrap(g, i, float(i), FLOAT).next for i in g.nodes}
-    quiet = {j: SenderAudit(None, quiet=True) for j in sent}
-    state = bootstrap(g, 1, 1.0, FLOAT)
-    plan = RoundPlan([state], oracle)
-    assert plan.heard() == {2, 3, 4}
-    assert plan.to_run(sent, quiet) == []
+    persist, and a node that detects an in-neighbor stops hearing it.
+    Every audit here is quiet and the detector gives no verdict, so only
+    the claims send node 1 to its detector."""
+    plan, state, sent, audited = _k4_plan(False, monkeypatch)
+    ran = []
+
+    def quiet(msg, prev_msg, *args):
+        audited.add(msg.sender)
+        return SenderAudit(None, claimed_before=prev_msg.detected if prev_msg else frozenset(), quiet=True)
+
+    def detector(state, *args):
+        ran.append(state)
+        return []
+
+    monkeypatch.setattr(detection, "audit_broadcast", quiet)
+    monkeypatch.setattr(detection, "detect_alg3", detector)
+
+    def detect(table):
+        audited.clear()
+        ran.clear()
+        assert plan.detect(table) == []
+        return ran
+
+    assert detect(sent) == []
+    assert audited == {2, 3, 4}
     # 2 claims 4, which node 1 does not know of
     accusing = {**sent, 2: sent[2]._replace(detected=frozenset({4}))}
-    assert plan.heard() == {2, 3, 4}
-    assert plan.to_run(accusing, quiet) == [state]
-    persisted = {**quiet, 2: SenderAudit(None, claimed_before=frozenset({4}), quiet=True)}
-    assert plan.heard() == {2, 3, 4}
-    assert plan.to_run(accusing, persisted) == [state]
+    assert detect(accusing) == [state]
+    assert audited == {2, 3, 4}
+    # the claims persist: 2's previous broadcast claimed 4 too
+    assert detect(accusing) == [state]
+    assert audited == {2, 3, 4}
     # node 1 detects 3, so it hears 2 and 4 alone
     state.detected.add(3)
-    assert plan.heard() == {2, 4}
+    detect(accusing)
+    assert audited == {2, 4}

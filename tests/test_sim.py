@@ -13,7 +13,7 @@ from racsim.adversary import ActionKind, AttackAction, AttackScript, TamperMode
 from racsim.detection import Cause, DetectionVerdict
 from racsim.fixtures import FIXTURE_GRAPHS, six_node_graph
 from racsim.golden import golden_case
-from racsim import sim
+from racsim import detection, sim
 from racsim.graph import AdversaryKind, DirectedGraph, LayeredVariant, complete_graph, generate_layered
 from racsim.protocol import honest_round
 from racsim.sim import (
@@ -349,6 +349,23 @@ def test_storage_per_node_does_not_grow_with_n(layers, monkeypatch):
     rng = random.Random(layers)
     run(Scenario(graph=g, x0=tuple(rng.uniform(0.0, 10.0) for _ in g.nodes), horizon=30))
     assert largest == 7 == 1 + max(len(g.in_neighbors(i)) for i in g.nodes)
+
+
+def test_a_run_without_detection_builds_no_detection_phase(monkeypatch):
+    """With detection none the engine builds no RoundPlan, and so no
+    StructuralOracle: its rounds are emit and update alone."""
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a run without detection built a detection table")
+
+    monkeypatch.setattr(sim, "RoundPlan", refused)
+    monkeypatch.setattr(detection, "RoundPlan", refused)
+    monkeypatch.setattr(detection, "StructuralOracle", refused)
+    g = generate_layered(10, 1, LayeredVariant.UNDIRECTED_PATH)
+    x0 = tuple(float(i % 7) for i in g.nodes)
+    trace = run(Scenario(graph=g, x0=x0, detection=DetectionMode.NONE, horizon=40))
+    assert trace.events == []
+    assert len(trace.r[1]) == 41
 
 
 class TestTraceProperties:
