@@ -89,6 +89,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Mapping, NamedTuple, Optional
 
 from .graph import DirectedGraph, is_detectable
@@ -100,6 +101,7 @@ from .protocol import (
     ZERO_PAIR,
     declared_fields,
     ledger_flow,
+    matches_update,
     update,
 )
 
@@ -155,52 +157,63 @@ def reconstruct_running_sums(phi_now: InformationSet, flow: Pair, rule: ValueRul
     against zero). protocol.update takes it with the declared fields to
     the next running sums the sender must report. Returns the Step 4
     finding, or None when the reported self_next equals that replay
-    under rule.
+    under rule, as protocol.matches_update decides; update's values are
+    built only as a finding's evidence.
     """
     own = phi_now.relayed[phi_now.sender]
-    _, pred = update(own, flow, phi_now.declared_out_degree, phi_now.declared_removed_out)
-    if rule.pair_eq(phi_now.self_next, pred):
+    d_out, n_removed = phi_now.declared_out_degree, phi_now.declared_removed_out
+    if matches_update(phi_now.self_next, own, flow, d_out, n_removed, rule):
         return None
+    _, pred = update(own, flow, d_out, n_removed)
     return Cause.STEP4, (("reported", phi_now.self_next), ("reconstructed", pred))
 
 
 class StructuralOracle:
     """Topology-derived answers about who can verify whom.
 
-    The constructor builds one table: auditors[h] holds the
-    out-neighbors a of h that can audit h fully, that is, every input
-    of h's update (its in-neighbors and h) is a itself or passes
-    is_detectable(g, f, x, a): a hears it directly or through 2f+1
-    two-hop middle nodes. Both answers read that table alone, so they
-    read the topology up to three hops back from the asking node
-    (x -> h -> p -> i).
+    auditors[h] holds the out-neighbors a of h that can audit h fully,
+    that is, every input of h's update (its in-neighbors and h) is a
+    itself or passes is_detectable(g, f, x, a): a hears it directly or
+    through 2f+1 two-hop middle nodes. Both answers read that table
+    alone, so they read the topology up to three hops back from the
+    asking node (x -> h -> p -> i). Only the distributed detector reads
+    auditors and two_hop_relays, so each is built on its first read.
     """
 
     def __init__(self, g: DirectedGraph, f: int):
+        self._g = g
         self.f = f
         # each node's neighbor sets, looked up by the detectors
         self.in_nbrs = {i: g.in_neighbors(i) for i in g.nodes}
         self.out_nbrs = {i: g.out_neighbors(i) for i in g.nodes}
         # the ids an honest broadcast of i relays: its in-neighbors and i
         self.relay_ids = {i: self.in_nbrs[i] | {i} for i in g.nodes}
-        self.auditors = {
+
+    @cached_property
+    def auditors(self) -> dict[int, frozenset[int]]:
+        g, f = self._g, self.f
+        return {
             h: frozenset(
                 a for a in self.out_nbrs[h]
                 if all(x == a or is_detectable(g, f, x, a) for x in self.relay_ids[h])
             )
             for h in g.nodes
         }
-        # per detector i: each two-hop in-neighbor h beyond i's
-        # in-neighbors, ascending, with the in-neighbors of i relaying h
-        self.two_hop_relays: dict[int, tuple[tuple[int, tuple[int, ...]], ...]] = {}
-        for i in g.nodes:
+
+    @cached_property
+    def two_hop_relays(self) -> dict[int, tuple[tuple[int, tuple[int, ...]], ...]]:
+        """Per detector i: each two-hop in-neighbor h beyond i's
+        in-neighbors, ascending, with the in-neighbors of i relaying h."""
+        tables = {}
+        for i in self._g.nodes:
             in_i = self.in_nbrs[i]
             relays: dict[int, list[int]] = {}
             for p in sorted(in_i):
                 for h in self.in_nbrs[p]:
                     if h != i and h not in in_i:
                         relays.setdefault(h, []).append(p)
-            self.two_hop_relays[i] = tuple((h, tuple(relays[h])) for h in sorted(relays))
+            tables[i] = tuple((h, tuple(relays[h])) for h in sorted(relays))
+        return tables
 
     def must_detect(self, j: int, h: int) -> bool:
         """j is guaranteed to detect a misbehaving h on its own."""

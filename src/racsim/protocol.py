@@ -16,10 +16,17 @@ honest_round zeroes a detected in-neighbor's ledger entry to remove
 its accumulated contribution, compensates mass sent to a detected
 out-neighbor back into the node's own values, and builds the next
 message. update holds the update formula, which the replay of a
-message takes too. Over Fractions, ledger_flow, update and the ratio
-combine integer numerators and denominators and normalise once per
-value they return, in place of a gcd per Fraction operator; a forged
-float still takes the operators.
+message checks through matches_update.
+
+Over Fractions, ledger_flow, update and the ratio combine integer
+numerators and denominators and normalise once per value they return,
+in place of a gcd per Fraction operator. An exact round keeps the
+column sums of the ledger it builds (NodeState.sums), so the next
+round's flow reads the terms of its new ledger alone; matches_update
+compares reported running sums with update's by cross-multiplying
+integer parts and builds no Fraction; pair_eq compares ints and
+Fractions by their integer parts. Each gives the value, type and
+verdict of the operators, and a forged float still takes them.
 """
 
 from __future__ import annotations
@@ -28,8 +35,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from operator import add, itemgetter, sub
-from typing import Mapping, NamedTuple, Union
+from operator import add, sub
+from typing import Mapping, NamedTuple, Optional, Union
 
 Number = Union[int, float, Fraction]
 Pair = tuple[Number, Number]
@@ -37,6 +44,16 @@ Pair = tuple[Number, Number]
 Z_FLOOR = 1e-12
 
 ZERO_PAIR: Pair = (0, 0)
+
+# the exact types, whose values compare by their integer parts
+RATIONALS = (int, Fraction)
+
+# The exact sum of a ledger column: an int for a column of ints, else
+# the integer parts (numerator, denominator) of a sum holding a
+# Fraction, unnormalised; None for a column holding a float. Sums holds
+# a ledger's y and z column sums.
+ColumnSum = Union[int, tuple[int, int], None]
+Sums = tuple[ColumnSum, ColumnSum]
 
 
 class ProtocolError(ValueError):
@@ -61,11 +78,16 @@ class ValueRule:
         """Both differences are zero: false for inf and NaN, whose
         differences are NaN. A float minus a Fraction is a float, so a
         forged float meets a Fraction in float arithmetic. Fractions are
-        in lowest terms, so four compare by their integer parts."""
-        if self.exact and Fraction is type(a[0]) is type(a[1]) is type(b[0]) is type(b[1]):
-            return a[0].as_integer_ratio() == b[0].as_integer_ratio() and (
-                a[1].as_integer_ratio() == b[1].as_integer_ratio()
-            )
+        in lowest terms, so ints and Fractions compare by their integer
+        parts."""
+        if self.exact:
+            a0, a1 = a
+            b0, b1 = b
+            if (type(a0) in RATIONALS and type(a1) in RATIONALS
+                    and type(b0) in RATIONALS and type(b1) in RATIONALS):
+                return a0.as_integer_ratio() == b0.as_integer_ratio() and (
+                    a1.as_integer_ratio() == b1.as_integer_ratio()
+                )
         return a[0] - b[0] == 0 and a[1] - b[1] == 0
 
     def z_ok(self, z: Number) -> bool:
@@ -136,6 +158,9 @@ class NodeState:
     # the replay of next takes; ZERO_PAIR is the flow of the all-zero
     # first ledger
     flow: Pair = ZERO_PAIR
+    # an exact round's ledger and its ledger_sums, which the next exact
+    # round's flow takes while that ledger is the one next relays
+    sums: Optional[tuple[Mapping[int, Pair], Sums]] = None
 
 
 def declared_fields(out_nbrs: frozenset[int], claims, claimed_before) -> tuple[int, int]:
@@ -181,38 +206,76 @@ def build_information_set(
     return InformationSet(i, k, frozenset(detected), self_next, ledger, d_out, n_removed)
 
 
-def ledger_flow(now: Mapping[int, Pair], before: Mapping[int, Pair]) -> Pair:
+def _common(parts) -> tuple[int, int]:
+    """The sum of n/q over the (q, n) of parts (each q > 0) as integer
+    parts (total, d), unnormalised: d starts at the first q and grows
+    only by a q it is not a multiple of."""
+    parts = iter(parts)
+    d, total = next(parts, (1, 0))
+    for q, n in parts:
+        k, r = divmod(d, q)
+        if r:
+            g = math.gcd(d, q)
+            total, d = total * (q // g) + n * (d // g), d // g * q
+        else:
+            total += n * k
+    return total, d
+
+
+def _column_sum(terms) -> ColumnSum:
+    """The exact sum of a ledger column (see ColumnSum): each term's
+    integer parts read once, the numerators summed per denominator."""
+    by_den: dict[int, int] = {}
+    ints = True
+    for x in terms:
+        kind = type(x)
+        if kind is Fraction:
+            ints = False
+        elif kind is not int:
+            return None
+        n, q = x.as_integer_ratio()
+        by_den[q] = by_den.get(q, 0) + n
+    return by_den.get(1, 0) if ints else _common(by_den.items())
+
+
+def ledger_sums(ledger: Mapping[int, Pair]) -> Sums:
+    """The exact sums of a ledger's y and z columns."""
+    return _column_sum([y for y, _ in ledger.values()]), _column_sum([z for _, z in ledger.values()])
+
+
+def ledger_flow(
+    now: Mapping[int, Pair], before: Mapping[int, Pair], kept: Optional[tuple[Sums, Sums]] = None
+) -> Pair:
     """The ledger flow, the sum over now's ids h of now[h] - before[h]
     (ZERO_PAIR for an id before lacks), as the sender adds it: the left
     fold in ledger order from the first term, with the fold's value and
     type. A column of ints is their sum. A column of ints and Fractions
-    reads each term's integer parts once, sums the numerators per
-    denominator, and adds those sums over a common denominator that
-    grows only by a denominator it is not a multiple of; it builds one
-    Fraction. A column holding a float is the fold."""
-    then = [before.get(h, ZERO_PAIR) for h in now]
+    is the difference of the two ledgers' exact column sums, one
+    Fraction built from their integer parts. A column holding a float
+    is the fold.
+
+    kept, if given, holds ledger_sums(now) and ledger_sums(before), and
+    before relays now's ids: a column whose two kept sums are exact is
+    then their difference, with no term read again."""
     flow = []
-    for get in (itemgetter(0), itemgetter(1)):
-        new, old = list(map(get, now.values())), list(map(get, then))
-        kinds = {*map(type, new), *map(type, old)}
-        if kinds <= {int}:
-            flow.append(sum(new) - sum(old))
-        elif kinds <= {int, Fraction}:
-            by_den: dict[int, int] = {}
-            for sign, terms in ((1, new), (-1, old)):
-                for x in terms:
-                    n, q = x.as_integer_ratio()
-                    by_den[q] = by_den.get(q, 0) + sign * n
-            total, d = 0, 1
-            for q, n in by_den.items():
-                if d % q:
-                    grow = q // math.gcd(d, q)
-                    total, d = total * grow, d * grow
-                total += n * (d // q)
-            flow.append(Fraction(total, d))
+    for c in (0, 1):
+        if kept is not None and kept[0][c] is not None and kept[1][c] is not None:
+            new_sum, old_sum = kept[0][c], kept[1][c]
         else:
-            # not sum(), which compensates float sums from Python 3.12 on
-            flow.append(reduce(add, map(sub, new, old)))
+            new = [pair[c] for pair in now.values()]
+            old = [before.get(h, ZERO_PAIR)[c] for h in now]
+            new_sum = _column_sum(new)
+            old_sum = None if new_sum is None else _column_sum(old)
+            if old_sum is None:
+                # not sum(), which compensates float sums from Python 3.12 on
+                flow.append(reduce(add, map(sub, new, old)))
+                continue
+        if type(new_sum) is int and type(old_sum) is int:
+            flow.append(new_sum - old_sum)
+        else:
+            n, d = new_sum if type(new_sum) is tuple else (new_sum, 1)
+            m, e = old_sum if type(old_sum) is tuple else (old_sum, 1)
+            flow.append(Fraction(*_common(((d, n), (e, -m)))))
     return flow[0], flow[1]
 
 
@@ -243,6 +306,31 @@ def update(own: Pair, flow: Pair, d_out: int, n_removed: int) -> tuple[Pair, Pai
     return (y, z), (lam + y / d, gam + z / d)
 
 
+def matches_update(
+    reported: Pair, own: Pair, flow: Pair, d_out: int, n_removed: int, rule: ValueRule
+) -> bool:
+    """rule.pair_eq(reported, update(own, flow, d_out, n_removed)[1]):
+    the running sums a replay of update expects. In exact runs, when
+    own and flow are four Fractions and reported holds ints and
+    Fractions, each reported a/b is compared with update's
+    own + (flow + n_removed·own) / (1 + d_out) by cross-multiplying the
+    integer parts, with no Fraction built; both sides are then exact,
+    so the verdict is pair_eq's."""
+    if rule.exact and Fraction is type(own[0]) is type(own[1]) is type(flow[0]) is type(flow[1]) and (
+        type(reported[0]) in RATIONALS and type(reported[1]) in RATIONALS
+    ):
+        d = 1 + d_out
+        for x, held, moved in zip(reported, own, flow):
+            a, b = x.as_integer_ratio()
+            p, q = held.as_integer_ratio()
+            u, v = moved.as_integer_ratio()
+            # a/b == p/q + (u/v + n_removed·p/q)/d, over positive denominators
+            if a * q * v * d != b * (p * v * (d + n_removed) + u * q):
+                return False
+        return True
+    return rule.pair_eq(reported, update(own, flow, d_out, n_removed)[1])
+
+
 def honest_round(s: NodeState, inbox: Mapping[int, InformationSet], rule: ValueRule) -> None:
     """Advance one round in place, from the message the node broadcast
     this round (s.next) to the one it broadcasts next.
@@ -263,7 +351,14 @@ def honest_round(s: NodeState, inbox: Mapping[int, InformationSet], rule: ValueR
             if j not in detected and j not in inbox:
                 detected.add(j)  # crashed
             ledger[j] = ZERO_PAIR if j in detected else inbox[j].self_next
-        s.flow = ledger_flow(ledger, old_ledger)
+        # the sums kept last round are the old ledger's unless next was
+        # built by hand
+        sums, kept = ledger_sums(ledger), s.sums
+        if kept is not None and kept[0] is old_ledger and old_ledger.keys() == ledger.keys():
+            s.flow = ledger_flow(ledger, old_ledger, (sums, kept[1]))
+        else:
+            s.flow = ledger_flow(ledger, old_ledger)
+        s.sums = ledger, sums
         d_out, n_removed = declared_fields(s.out_nbrs, detected, sent.detected)
         (y, z), self_next = update((lam_k, gam_k), s.flow, d_out, n_removed)
         if not rule.z_ok(z):

@@ -35,6 +35,7 @@ from racsim.protocol import (
     ValueRule,
     bootstrap,
     honest_round,
+    update,
 )
 from racsim import detection, sim
 from racsim.sim import DetectionMode, Scenario, mass_sums, run, summary
@@ -276,6 +277,32 @@ class TestReconstruction:
         assert cause is Cause.STEP4
         assert reported[0] - lam_pred == 1 and reported[1] - gam_pred == 0
 
+    def test_nudged_exact_broadcast_gets_updates_fractions_as_evidence(self, monkeypatch):
+        # in an exact run, the running sums node 1 broadcasts in round 3
+        # (its message of round 2) move by 1/3**40: the replay compares
+        # by cross-multiplication, and the evidence is update's Fraction
+        # pair, built from the sender's flow
+        want = []
+
+        class Nudged(sim.RoundPlan):
+            def detect(self, sent):
+                msg = sent[1]
+                if msg.round == 2:
+                    lam, gam = msg.self_next
+                    sent[1] = msg._replace(self_next=(lam + Fraction(1, 3**40), gam))
+                    flow = self._states[1].flow
+                    d_out, n_removed = msg.declared_out_degree, msg.declared_removed_out
+                    want.append(update(msg.relayed[1], flow, d_out, n_removed)[1])
+                return super().detect(sent)
+
+        monkeypatch.setattr(sim, "RoundPlan", Nudged)
+        trace = run(replace(golden_case("fourteen-no-attack").build(), exact=True, horizon=6))
+        [pred] = want
+        assert type(pred[0]) is type(pred[1]) is Fraction
+        step4 = [v for v in trace.events if v.suspect == 1 and v.cause is Cause.STEP4]
+        assert step4 and all(v.round == 3 and v.evidence[1] == ("reconstructed", pred) for v in step4)
+        assert repr(step4[0].evidence[1][1]) == repr(pred)
+
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(sorted(FIXTURE_GRAPHS)), st.data())
     def test_honest_float_messages_replay_bit_for_bit(self, name, data):
@@ -361,6 +388,24 @@ class TestStructuralOracle:
             for i, h in itertools.product(g.nodes, repeat=2):
                 assert oracle.must_detect(i, h) == ((i, h) in must_detect)
                 assert oracle.must_know_status(i, h) == ((i, h) in must_know)
+
+    # six-damaged's detectors read both under the distributed policy
+    @pytest.mark.parametrize("name, built", [
+        ("five-sharing", set()), ("six-damaged", {"auditors", "two_hop_relays"}),
+    ])
+    def test_only_the_distributed_detector_builds_its_tables(self, monkeypatch, name, built):
+        # sharing detection reads relay_ids, out_nbrs and in_nbrs alone
+        oracles = []
+
+        class Recorded(StructuralOracle):
+            def __init__(self, *args):
+                super().__init__(*args)
+                oracles.append(self)
+
+        monkeypatch.setattr(detection, "StructuralOracle", Recorded)
+        assert run(golden_case(name).build()).events
+        [oracle] = oracles
+        assert {"auditors", "two_hop_relays"} & vars(oracle).keys() == built
 
 
 class TestInitRangeCheck:

@@ -23,6 +23,7 @@ from racsim.protocol import (
     honest_round,
     initial_share,
     ledger_flow,
+    matches_update,
     update,
 )
 from racsim.sim import run
@@ -506,11 +507,12 @@ def test_ledger_flow_matches_the_ordered_walk_in_value_and_type(ledgers):
 
 def test_an_exact_run_without_forged_floats_sums_every_flow_exactly(monkeypatch):
     # every flow of an exact run on rationals alone is the exact sum
-    # over one denominator
+    # over one denominator; one taken from kept sums is the full fold's
     results = []
 
-    def recorded(now, before):
-        results.append(ledger_flow(now, before))
+    def recorded(now, before, *kept):
+        results.append(ledger_flow(now, before, *kept))
+        assert repr(results[-1]) == repr(ledger_flow(now, before))
         return results[-1]
 
     monkeypatch.setattr(protocol, "ledger_flow", recorded)
@@ -521,6 +523,59 @@ def test_an_exact_run_without_forged_floats_sums_every_flow_exactly(monkeypatch)
     # sender's flow
     assert len(results) == 14 * 10
     assert not any(isinstance(v, float) for flow in results for v in flow)
+
+
+@st.composite
+def consecutive_exact_rounds(draw):
+    """A node 1 state in exact arithmetic and two rounds' inboxes from
+    in-neighbors 2-6, whose entries are rationals, some with floats;
+    the in-neighbors detected before the second round, whose entries
+    it zeroes; and a hand-built message with the first round's ids."""
+    values = draw(st.sampled_from((FLOW_RATIONALS, st.one_of(FLOW_RATIONALS, FLOW_FLOATS))))
+    pairs = st.tuples(values, values)
+    in_nbrs = draw(st.frozensets(st.integers(2, 6), max_size=5))
+    ids = (1, *sorted(in_nbrs))
+    state = NodeState(1, in_nbrs, frozenset(), 0, 1, 0, InformationSet(
+        1, 0, frozenset(), draw(pairs), {h: draw(pairs) for h in ids}, 0,
+    ))
+    inboxes = [
+        {j: InformationSet(j, k, frozenset(), draw(pairs), {j: ZERO_PAIR}, 0) for j in in_nbrs}
+        for k in (0, 1)
+    ]
+    detected = draw(st.frozensets(st.sampled_from(ids[1:]))) if in_nbrs else frozenset()
+    by_hand = {h: draw(pairs) for h in ids}
+    return state, inboxes, detected, by_hand
+
+
+@settings(max_examples=300, deadline=None)
+@given(consecutive_exact_rounds())
+@example((
+    NodeState(1, frozenset({2}), frozenset(), 0, 1, 0, InformationSet(
+        1, 0, frozenset(), (Fraction(1, 3), Fraction(2, 7)), {1: ZERO_PAIR, 2: ZERO_PAIR}, 0,
+    )),
+    [{2: InformationSet(2, k, frozenset(), (Fraction(k + 1, 3**40), 0.5), {2: ZERO_PAIR}, 0)}
+     for k in (0, 1)],
+    frozenset({2}),
+    {1: (Fraction(5, 3), 1), 2: (Fraction(-2, 9), Fraction(1, 7))},
+))
+def test_the_flow_of_kept_sums_is_the_full_fold(case):
+    state, (first, second), detected, by_hand = case
+    hand_built = deepcopy(state)
+    for s in (state, hand_built):
+        honest_round(s, first, EXACT)
+    # the second round sums the first round's ledger from its kept sums
+    before = state.next.relayed
+    assert state.sums[0] is before
+    state.detected |= detected
+    honest_round(state, second, EXACT)
+    # repr tells -0.0 from 0.0 and a Fraction from an int or a float
+    assert repr(state.flow) == repr(ledger_flow(state.next.relayed, before))
+    # a message replaced by hand holds another ledger: its flow is the
+    # full fold from that ledger
+    hand_built.next = hand_built.next._replace(relayed=by_hand)
+    hand_built.detected |= detected
+    honest_round(hand_built, second, EXACT)
+    assert repr(hand_built.flow) == repr(ledger_flow(hand_built.next.relayed, by_hand))
 
 
 @st.composite
@@ -602,3 +657,36 @@ def test_pair_eq_is_zero_differences_under_both_rules(rule, a, b):
     assert rule.pair_eq(a, b) == (a[0] - b[0] == 0 and a[1] - b[1] == 0)
     # a pair meets itself, unless it holds inf or NaN
     assert rule.pair_eq(a, a) == all(map(math.isfinite, a))
+
+
+@st.composite
+def replay_inputs(draw):
+    """update_inputs, and reported running sums: each update's own,
+    that moved by 1/3**40, that rounded to a float, or any value."""
+    inputs = draw(update_inputs())
+    rule = draw(st.sampled_from((FLOAT, EXACT)))
+    _, want = update(*inputs)
+    reported = tuple(
+        draw(st.sampled_from((x, x + Fraction(1, 3**40), float(x), draw(PAIR_EQ_VALUES)))) for x in want
+    )
+    return rule, reported, inputs
+
+
+@settings(max_examples=500, deadline=None)
+@given(replay_inputs())
+# Fractions compared by cross-multiplication, equal and unequal by 1/3**40
+@example((EXACT, (Fraction(3, 4), Fraction(5, 14)), (
+    (Fraction(1, 3), Fraction(1, 7)), (Fraction(1, 2), Fraction(2, 7)), 1, 1,
+)))
+@example((EXACT, (Fraction(3, 4) + Fraction(1, 3**40), Fraction(5, 14)), (
+    (Fraction(1, 3), Fraction(1, 7)), (Fraction(1, 2), Fraction(2, 7)), 1, 1,
+)))
+# an int report, and a report equal only once the Fraction is rounded to a float
+@example((EXACT, (1, Fraction(1, 2)), ((Fraction(1, 2), Fraction(1, 4)), (Fraction(1), Fraction(1, 2)), 1, 0)))
+@example((EXACT, (1 / 3, Fraction(1, 2)), (
+    (Fraction(1, 6), Fraction(1, 4)), (Fraction(1, 3), Fraction(1, 2)), 1, 0,
+)))
+def test_matches_update_is_pair_eq_against_update(case):
+    rule, reported, (own, flow, d_out, n_removed) = case
+    want = rule.pair_eq(reported, update(own, flow, d_out, n_removed)[1])
+    assert matches_update(reported, own, flow, d_out, n_removed, rule) == want
