@@ -87,6 +87,7 @@ a detection.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -139,10 +140,8 @@ def vote_value(reports: list[Pair], rule: ValueRule) -> Optional[Pair]:
     never counts."""
     if not reports:
         raise ValueError("reports must be non-empty")
-    counts: dict[Pair, int] = {}
-    for v in reports:
-        if rule.pair_eq(v, v):
-            counts[v] = counts.get(v, 0) + 1
+    # Counter hashes each report once and keeps the first-reported key
+    counts = Counter(v for v in reports if rule.pair_eq(v, v))
     for v, count in counts.items():
         if 2 * count > len(reports):
             return v

@@ -12,8 +12,10 @@ from __future__ import annotations
 import json
 import math
 import sys
+from array import array
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
@@ -135,9 +137,12 @@ class Scenario:
                     isinstance(a.target, int) and 1 <= a.target <= self.graph.n
                 ):
                     problems.append(f"{where}: target {a.target!r} outside 1..{self.graph.n}")
-                numbers = (a.amount, a.value, *(a.fake_values or ()))
-                if not all(_finite(v) for v in numbers if v is not None):
+                numbers = [v for v in (a.amount, a.value, *(a.fake_values or ())) if v is not None]
+                if not all(map(_finite, numbers)):
                     problems.append(f"{where}: amount, value and fake_values must be finite")
+                elif not all(abs(v) <= sys.float_info.max for v in numbers):
+                    # an int or a Fraction no float can hold overflows the trace
+                    problems.append(f"{where}: amount, value and fake_values must be within the float range")
                 if a.kind is ActionKind.LIE_DECLARED_DEGREE and a.value is not None:
                     if a.value < 0:
                         problems.append(f"{where}: a declared degree must not be negative")
@@ -154,11 +159,16 @@ class Scenario:
 
 @dataclass
 class Trace:
+    """Per-node columns indexed by round. y, z and r are array('d') in
+    float runs, which holds a scripted int as a float, and lists of
+    Fractions and ints in exact runs; detected_count is array('i'). A
+    slice of a column has the column's type."""
+
     scenario: Scenario
-    y: dict[int, list]
-    z: dict[int, list]
-    r: dict[int, list]
-    detected_count: dict[int, list]
+    y: dict[int, array | list]
+    z: dict[int, array | list]
+    r: dict[int, array | list]
+    detected_count: dict[int, array]
     events: list[DetectionVerdict] = field(default_factory=list)
 
     @property
@@ -204,19 +214,22 @@ def run(scenario: Scenario) -> Trace:
         plan = RoundPlan(states, normals, g, scenario.f, rule, scenario.safety_interval,
                          scenario.detection is DetectionMode.ALG2)
 
-    # round 0 is recorded as the trace is built
+    # Each column is filled with its round-0 value at its full length, so
+    # it never grows; a round overwrites its slot. A float run keeps its
+    # values in typed arrays, written through memoryviews (a cheaper store
+    # than the array's own), an exact run its Fractions in lists.
+    column, view = (list, lambda c: c) if scenario.exact else (partial(array, "d"), memoryview)
+    rounds = scenario.horizon + 1
     trace = Trace(
         scenario=scenario,
-        y={i: [states[i].y] for i in nodes},
-        z={i: [states[i].z] for i in nodes},
-        r={i: [states[i].ratio] for i in nodes},
-        detected_count={i: [len(states[i].detected)] for i in nodes},
+        y={i: column([states[i].y]) * rounds for i in nodes},
+        z={i: column([states[i].z]) * rounds for i in nodes},
+        r={i: column([states[i].ratio]) * rounds for i in nodes},
+        detected_count={i: array("i", [len(states[i].detected)]) * rounds for i in nodes},
     )
-    # each node's trace appenders, bound once
-    records = {
-        i: (trace.y[i].append, trace.z[i].append, trace.r[i].append, trace.detected_count[i].append)
-        for i in nodes
-    }
+    # each node's state, script and column writers, looked up once
+    rows = [(i, states[i], scripts.get(i), view(trace.y[i]), view(trace.z[i]), view(trace.r[i]),
+             memoryview(trace.detected_count[i])) for i in nodes]
 
     for k in range(1, scenario.horizon + 1):
         # the first exchange takes the actions of round 1
@@ -240,18 +253,15 @@ def run(scenario: Scenario) -> Trace:
         # update: normal nodes read the broadcast table itself; an
         # adversary updates only in a round it sent a message, from its
         # own copy of the table, which its script may tamper
-        for i in nodes:
-            s = states[i]
-            script = scripts.get(i)
+        for i, s, script, ys, zs, rs, ds in rows:
             if i in sent:
                 honest_round(s, sent if script is None else tampered_inbox(sent, script, k), rule)
-            add_y, add_z, add_r, add_d = records[i]
-            add_y(s.y)
-            add_z(s.z)
+            ys[k] = s.y
+            zs[k] = s.z
             ratio = None if script is None else scripted_self_value(script, forge_round)
             # the trace shows the ratio the adversary announces
-            add_r(s.ratio if ratio is None else ratio)
-            add_d(len(s.detected))
+            rs[k] = s.ratio if ratio is None else ratio
+            ds[k] = len(s.detected)
 
     return trace
 
@@ -520,7 +530,8 @@ def write_trace_csv(trace: Trace, path: Path) -> None:
     """One row per round, then per node, each value as repr(float(v)),
     written a round at a time. Nodes of a layer share values in a round, so
     each is formatted once per round; zeros skip the memo (0.0 == -0.0)."""
-    y, z, r, d = trace.y, trace.z, trace.r, trace.detected_count
+    columns = [(i, trace.y[i], trace.z[i], trace.r[i], trace.detected_count[i])
+               for i in trace.scenario.graph.nodes]
     with Path(path).open("w") as out:
         out.write("round,node,y,z,ratio,detected_count\n")
         for k in range(trace.horizon + 1):
@@ -536,8 +547,8 @@ def write_trace_csv(trace: Trace, path: Path) -> None:
                 return s
 
             out.write("".join(
-                f"{k},{i},{fmt(y[i][k])},{fmt(z[i][k])},{fmt(r[i][k])},{d[i][k]}\n"
-                for i in trace.scenario.graph.nodes
+                f"{k},{i},{fmt(y[k])},{fmt(z[k])},{fmt(r[k])},{d[k]}\n"
+                for i, y, z, r, d in columns
             ))
 
 

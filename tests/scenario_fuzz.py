@@ -118,7 +118,9 @@ def fingerprint(sc: Scenario) -> str:
     except Exception as exc:  # a raising run must raise alike on both sides
         return f"error {type(exc).__name__}: {exc}"
     verdicts = [(e.round, e.detector, e.suspect, e.cause.value, e.evidence) for e in trace.events]
-    payload = repr((verdicts, sorted(trace.r.items()), sorted(trace.detected_count.items())))
+    # columns render as lists, the form the recorded lines were hashed from
+    columns = [[(i, list(c)) for i, c in sorted(col.items())] for col in (trace.r, trace.detected_count)]
+    payload = repr((verdicts, *columns))
     return f"{len(verdicts)} {hashlib.sha256(payload.encode()).hexdigest()}"
 
 

@@ -2,8 +2,10 @@ import json
 import math
 import random
 import tracemalloc
+from array import array
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -191,6 +193,19 @@ class TestValidation:
                 _attack(AttackAction(ActionKind.LIE_DECLARED_DEGREE, value=2.5)),
                 "adversary 5 LieDeclaredDegree from round 1: a declared degree must be an integer",
             ),
+            # ints the JSON loader refuses, given through the Python API
+            (
+                _attack(AttackAction(ActionKind.SET_SELF_VALUE, value=10**400)),
+                "adversary 5 SetSelfValue from round 1: amount, value and fake_values must be within the float range",
+            ),
+            (
+                _attack(AttackAction(ActionKind.TAMPER_RELAYED, target=2, amount=-(10**400))),
+                "adversary 5 TamperRelayed from round 1: amount, value and fake_values must be within the float range",
+            ),
+            (
+                _attack(AttackAction(ActionKind.INJECT_FAKE_ID, target=4, fake_values=(1.0, 10**400))),
+                "adversary 5 InjectFakeId from round 1: amount, value and fake_values must be within the float range",
+            ),
             (dict(safety_interval=(math.nan, 10.0)), "safety interval bounds must be finite"),
             (dict(safety_interval=(0.0, math.inf)), "safety interval bounds must be finite"),
             (dict(safety_interval=(math.inf, -math.inf)), "safety interval bounds must be finite"),
@@ -203,7 +218,8 @@ class TestValidation:
         ids=[
             "nan-x0", "inf-x0", "overflowing-running-sums", "accuse-outside", "inf-self-value",
             "nan-amount", "inf-fake-values",
-            "fractional-degree", "nan-interval", "inf-interval", "infinite-interval",
+            "fractional-degree", "huge-int-self-value", "huge-int-amount", "huge-int-fake-values",
+            "nan-interval", "inf-interval", "infinite-interval",
             "no-normal-node",
         ],
     )
@@ -244,6 +260,27 @@ class TestEngine:
         for k in range(21):
             for i in g.nodes:
                 assert float(trace.r[i][k]) == pytest.approx(oracle[k][i - 1], abs=1e-9)
+
+    def test_a_float_trace_holds_a_few_bytes_per_node_round(self):
+        """Float runs keep y, z and r as array('d') and detected counts as
+        array('i'): about 30 bytes per node-round, where lists of boxed
+        floats held about 110. Exact runs keep their Fractions in lists,
+        since an array('d') would round each to a float."""
+        g = generate_layered(20, 1, LayeredVariant.UNDIRECTED_PATH)
+        rng = random.Random(3)
+        sc = Scenario(graph=g, x0=tuple(rng.uniform(0.0, 10.0) for _ in g.nodes),
+                      detection=DetectionMode.NONE, horizon=200)
+        tracemalloc.start()
+        try:
+            trace = run(sc)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(trace.r) == g.n
+        assert held / (g.n * (sc.horizon + 1)) <= 40
+        exact = run(_tamper_scenario(exact=True, horizon=10))
+        for col in (exact.y, exact.z, exact.r):
+            assert all(isinstance(v, Fraction) for i in exact.normal_nodes for v in col[i])
 
     def test_round_zero_records_initial_values(self):
         trace = run(_basic_scenario())
@@ -292,7 +329,7 @@ class TestEngine:
         )
         trace = run(sc)
         assert trace.r[5][0] == SIX_X0[4]
-        assert trace.r[5][1:] == [42.0] * 5
+        assert list(trace.r[5][1:]) == [42.0] * 5
 
     def test_normal_mass_conserved_after_isolation(self):
         # once the adversary is cut off everywhere, the normal
@@ -629,46 +666,52 @@ class TestCsvExport:
             assert float(z) == float(trace.z[i][k])
             assert float(ratio) == float(trace.r[i][k])
 
-    @pytest.mark.parametrize(
-        "grid, exact",
-        [
-            # 0.0 and -0.0 in one round at different nodes, and in
-            # consecutive rounds of one node: 0.0 == -0.0, reprs differ
-            ([[0.0, -0.0, 0.0], [-0.0, 0.0, -0.0], [0, 0.0, -0.0]], False),
-            ([[math.nan, math.inf, 1e300], [-math.inf, 5e-324, math.nan], [1e300, -5e-324, -1e300]], False),
-            ([[3, -7, 0], [3, 2, -0.0], [10**20, 3, 3.0]], False),
-            # one nonzero value at several nodes, next to its zeros
-            ([[2.5, 2.5, -0.0], [2.5, 0.0, 2.5], [2.5, 2.5, 2.5]], False),
-            # unequal rationals that round to the same float
-            (
-                [
-                    [Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10**40), Fraction(-1, 3)],
-                    [Fraction(10**400 + 1, 10**399), Fraction(10), Fraction(0)],
-                    [Fraction(1, 3) - Fraction(1, 10**40), Fraction(1, 3), Fraction(1, 3)],
-                ],
-                True,
-            ),
+    FLOAT_GRIDS = {
+        # 0.0 and -0.0 in one round at different nodes, and in
+        # consecutive rounds of one node: 0.0 == -0.0, reprs differ
+        "signed-zeros": [[0.0, -0.0, 0.0], [-0.0, 0.0, -0.0], [0, 0.0, -0.0]],
+        "non-finite-and-extremes": [
+            [math.nan, math.inf, 1e300], [-math.inf, 5e-324, math.nan], [1e300, -5e-324, -1e300],
         ],
-        ids=["signed-zeros", "non-finite-and-extremes", "ints", "shared-value", "exact-near-ties"],
+        "ints": [[3, -7, 0], [3, 2, -0.0], [10**20, 3, 3.0]],
+        # one nonzero value at several nodes, next to its zeros
+        "shared-value": [[2.5, 2.5, -0.0], [2.5, 0.0, 2.5], [2.5, 2.5, 2.5]],
+    }
+    # unequal rationals that round to the same float
+    EXACT_GRID = [
+        [Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10**40), Fraction(-1, 3)],
+        [Fraction(10**400 + 1, 10**399), Fraction(10), Fraction(0)],
+        [Fraction(1, 3) - Fraction(1, 10**40), Fraction(1, 3), Fraction(1, 3)],
+    ]
+
+    @pytest.mark.parametrize(
+        "grid, exact, typed",
+        [pytest.param(grid, False, False, id=name) for name, grid in FLOAT_GRIDS.items()]
+        + [pytest.param(EXACT_GRID, True, False, id="exact-near-ties")]
+        # the columns a float run records
+        + [pytest.param(grid, False, True, id=f"{name}-arrays") for name, grid in FLOAT_GRIDS.items()],
     )
-    def test_trace_csv_matches_a_plain_writer(self, tmp_path, grid, exact):
+    def test_trace_csv_matches_a_plain_writer(self, tmp_path, grid, exact, typed):
         """grid[node][round] fills y; z rotates the nodes and the ratio
-        reverses the rounds, so every value reaches every column."""
+        reverses the rounds, so every value reaches every column. The
+        columns are lists, or array('d') and array('i') where typed; the
+        plain writer reads the grid, so both give the same bytes."""
         n, rounds = len(grid), len(grid[0])
         sc = Scenario(graph=complete_graph(n), x0=(1.0,) * n, detection=DetectionMode.NONE,
                       horizon=rounds - 1, exact=exact)
+        column, counts = (partial(array, "d"), partial(array, "i")) if typed else (list, list)
         trace = Trace(
             scenario=sc,
-            y={i: list(grid[i - 1]) for i in sc.graph.nodes},
-            z={i: list(grid[i % n]) for i in sc.graph.nodes},
-            r={i: list(reversed(grid[i - 1])) for i in sc.graph.nodes},
-            detected_count={i: [i * k for k in range(rounds)] for i in sc.graph.nodes},
+            y={i: column(grid[i - 1]) for i in sc.graph.nodes},
+            z={i: column(grid[i % n]) for i in sc.graph.nodes},
+            r={i: column(reversed(grid[i - 1])) for i in sc.graph.nodes},
+            detected_count={i: counts(i * k for k in range(rounds)) for i in sc.graph.nodes},
         )
         path = tmp_path / "trace.csv"
         write_trace_csv(trace, path)
         rows = ["round,node,y,z,ratio,detected_count"] + [
-            f"{k},{i},{repr(float(trace.y[i][k]))},{repr(float(trace.z[i][k]))},"
-            f"{repr(float(trace.r[i][k]))},{trace.detected_count[i][k]}"
+            f"{k},{i},{repr(float(grid[i - 1][k]))},{repr(float(grid[i % n][k]))},"
+            f"{repr(float(grid[i - 1][rounds - 1 - k]))},{i * k}"
             for k in range(rounds)
             for i in sc.graph.nodes
         ]
