@@ -12,6 +12,7 @@ outgoing message directly.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional
@@ -67,10 +68,14 @@ class AttackScript:
         rounds = [r for r, _ in self.schedule]
         if rounds != sorted(rounds):
             raise ValueError("schedule must be sorted by from_round")
+        # the start rounds and actions, for active_actions to bisect
+        object.__setattr__(self, "_starts", tuple(rounds))
+        object.__setattr__(self, "_actions", tuple(a for _, a in self.schedule))
 
     def active_actions(self, k: int) -> tuple[AttackAction, ...]:
-        """All actions whose start round has been reached."""
-        return tuple(a for r, a in self.schedule if k >= r)
+        """All actions whose start round has been reached: a prefix of
+        the sorted schedule."""
+        return self._actions[:bisect_right(self._starts, k)]
 
 
 def make_colluding_tamper(

@@ -29,9 +29,12 @@ per message some detecting node hears. Its update replay reads the
 ledger flow: a normal sender's flow is handed over (NodeState.flow),
 and an adversary's broadcast is summed by ledger_flow, in ledger
 order, the order an honest sender sums in, so every comparison is
-exact. The off-public ids are those whose entries are not == their
-public values, and the previous ledger is walked again only for the
-ids it relays and the current one lacks. A detector that runs votes on
+exact. The previous ledger is walked again only for the ids it relays
+and the current one lacks. A normal sender's claim set keeps one object
+while its detection set is unchanged (see protocol.honest_round), so
+the claims comparisons of a steady state, the declared fields, the
+vanished test and RoundPlan's changed set, test identity first; each
+gives the value of its general path. A detector that runs votes on
 every two-hop id it does not know and runs Step 3 against its own
 check set for every reporter without a field finding.
 
@@ -42,9 +45,12 @@ relays exactly the public value, finite, for every other id. Finite
 is read off the ledger flow, which must pass pair_eq against itself;
 a non-finite entry would make the flow inf or NaN for good. A finite
 entry == its public value then passes Step 3 against it, so Step 3
-needs a test only on the claimed ids. Finite entries whose flow
-overflows fail the rule, and such a broadcast only takes the full
-pipeline.
+needs a test only on the claimed ids. The entries are tested in one
+walk over the ledger (_quiet_entries): a claimed id by Step 3's
+comparison, any other by == against its public value; without claims,
+this is the C-level test that the ledger's items are public items.
+Finite entries whose flow overflows fail the rule, and such a
+broadcast only takes the full pipeline.
 
 A node-round learns nothing new when every sender it hears (an
 in-neighbor it has not detected) sent a quiet broadcast that, under
@@ -74,9 +80,18 @@ The omission rule reads in(j) here because the omitted audit does; a
 wider omission rule must widen in(j) in this condition too. RoundPlan
 keeps each node's claim check until an input changes: known grows (it
 only grows, so its size shows it; a sender stops being heard only by
-being detected), a heard sender's claims differ from claimed_before, or
-the shared set changes. Once attacks are cut off, nearly every
-node-round is skipped, as is every one of a run without attacks.
+being detected), or a heard sender's claims differ from claimed_before.
+A change of the shared set needs no check of its own. The merge hands
+the new set, less itself, to every node that sent, and a forgery only
+adds claims, so each heard sender's next claims hold that set less
+itself (a sender heard now sent in the last round too). A kept check
+that failed ran the detector, which condemned by Step 1 the sender
+whose claims differ from the shared set, so known grew. A kept check
+that passed found each heard sender claiming the old set; if a
+sender's claims stay so while the set changes, the new set adds only
+that sender, which the merge hands to this node too, so known grows.
+Once attacks are cut off, nearly every node-round is skipped, as is
+every one of a run without attacks.
 
 Every detection lands in the detecting node's state as it is made: a
 neighbor in its detection set, any other node in its two-hop set. All
@@ -313,17 +328,35 @@ def audit_broadcast(
                     flow_y -= y_before
                     flow_z -= z_before
         replay = reconstruct_running_sums(msg, (flow_y, flow_z), rule)
-    # the quiet rule of the module docstring; the items test compares as
-    # == does, identity first, and != takes a missing public value too
+    # the quiet rule of the module docstring
     quiet = (
         replay is None
-        and claimed_before <= claims
-        and (relayed.items() <= public.items()
-             or claims.issuperset(h for h, val in relayed.items() if public.get(h) != val))
+        and (claimed_before is claims or claimed_before <= claims)
+        and _quiet_entries(msg, public, rule)
         and rule.pair_eq(flow, flow)
-        and (not claims or _step3(msg, public, rule, claims) is None)
     )
     return SenderAudit(None, replay, claimed_before, quiet)
+
+
+def _quiet_entries(msg: InformationSet, public: Mapping[int, Pair], rule: ValueRule) -> bool:
+    """The quiet rule's test of the relayed entries, in one walk: zero
+    for each id the sender claims (its own, if claimed, its public value,
+    if any), as Step 3 compares, and == the public value for every other
+    id. == compares identity first, and != takes a missing public value
+    too. Without claims, it is the C-level items test."""
+    j = msg.sender
+    claims = msg.detected
+    relayed = msg.relayed
+    if not claims:
+        return relayed.items() <= public.items()
+    for h, val in relayed.items():
+        if h in claims:
+            expected = ZERO_PAIR if h != j else public.get(h)
+            if expected is not None and not rule.pair_eq(val, expected):
+                return False
+        elif public.get(h) != val:
+            return False
+    return True
 
 
 def _step3(
@@ -384,7 +417,8 @@ class RoundPlan:
                   for j in heard if j in sent}
         alarms = {j for j, a in audits.items() if not a.quiet}
         alarms.update(heard.difference(sent))  # crashed
-        changed = {j for j, a in audits.items() if a.claimed_before != sent[j].detected}
+        changed = {j for j, a in audits.items()
+                   if a.claimed_before is not sent[j].detected and a.claimed_before != sent[j].detected}
         verdicts: list[DetectionVerdict] = []
         for node in self._nodes:
             s, known, hears, ok = node
@@ -407,10 +441,6 @@ class RoundPlan:
             merged = frozenset().union(*(node[0].detected for node in self._nodes))
             for i in sent:
                 states[i].detected |= merged - {i}
-            if merged != shared:
-                # every claim check compared its claims with the old set
-                for node in self._nodes:
-                    node[3] = None
             self.shared = merged
         self._prev = sent
         self.public = {j: msg.self_next for j, msg in sent.items()}

@@ -15,8 +15,14 @@ ledger_flow, which adds in ledger order as honest_round does.
 honest_round zeroes a detected in-neighbor's ledger entry to remove
 its accumulated contribution, compensates mass sent to a detected
 out-neighbor back into the node's own values, and builds the next
-message. update holds the update formula, which the replay of a
-message checks through matches_update.
+message. While the node's detection set equals the claims of the
+message it sent, the next message claims that same frozenset object,
+so an unchanged claim set is one object from round to round and the
+checks that compare it with the previous claims (declared_fields, the
+audits in detection) test identity first. update holds the update
+formula, which the replay of a message checks through matches_update;
+in float runs matches_update applies update's operators in update's
+order and then pair_eq's two differences, with neither called.
 
 Over Fractions, ledger_flow, update and the ratio combine integer
 numerators and denominators and normalise once per value they return,
@@ -166,9 +172,12 @@ class NodeState:
 def declared_fields(out_nbrs: frozenset[int], claims, claimed_before) -> tuple[int, int]:
     """The out-degree and removed count a broadcast declares: how many
     out-neighbors of its sender it does not claim, and how many of them
-    it claims that its previous broadcast (claims claimed_before) did not."""
+    it claims that its previous broadcast (claims claimed_before) did not.
+    A claim set kept from the previous broadcast removes no one."""
     if not claims:
         return len(out_nbrs), 0
+    if claims is claimed_before:
+        return len(out_nbrs - claims), 0
     return len(out_nbrs - claims), len((out_nbrs - claimed_before) & claims)
 
 
@@ -315,8 +324,16 @@ def matches_update(
     Fractions, each reported a/b is compared with update's
     own + (flow + n_removed·own) / (1 + d_out) by cross-multiplying the
     integer parts, with no Fraction built; both sides are then exact,
-    so the verdict is pair_eq's."""
-    if rule.exact and Fraction is type(own[0]) is type(own[1]) is type(flow[0]) is type(flow[1]) and (
+    so the verdict is pair_eq's. In float runs, update's operators in
+    update's order and then pair_eq's two differences, inline."""
+    if not rule.exact:
+        lam, gam = own
+        y = flow[0] + n_removed * lam
+        z = flow[1] + n_removed * gam
+        d = 1 + d_out
+        lam_next, gam_next = lam + y / d, gam + z / d
+        return reported[0] - lam_next == 0 and reported[1] - gam_next == 0
+    if Fraction is type(own[0]) is type(own[1]) is type(flow[0]) is type(flow[1]) and (
         type(reported[0]) in RATIONALS and type(reported[1]) in RATIONALS
     ):
         d = 1 + d_out
@@ -338,7 +355,8 @@ def honest_round(s: NodeState, inbox: Mapping[int, InformationSet], rule: ValueR
     s.detected already holds this round's detections. inbox may hold
     the messages of non-neighbors, such as the engine's whole broadcast
     table; an in-neighbor that sent nothing has crashed and is detected
-    as well.
+    as well. The next message claims the detection set, as the sent
+    message's claims object itself when the two are equal.
     """
     detected = s.detected
     sent = s.next
@@ -359,7 +377,8 @@ def honest_round(s: NodeState, inbox: Mapping[int, InformationSet], rule: ValueR
         else:
             s.flow = ledger_flow(ledger, old_ledger)
         s.sums = ledger, sums
-        d_out, n_removed = declared_fields(s.out_nbrs, detected, sent.detected)
+        claims = sent.detected if detected == sent.detected else frozenset(detected)
+        d_out, n_removed = declared_fields(s.out_nbrs, claims, sent.detected)
         (y, z), self_next = update((lam_k, gam_k), s.flow, d_out, n_removed)
         if not rule.z_ok(z):
             ratio = s.ratio
@@ -392,7 +411,8 @@ def honest_round(s: NodeState, inbox: Mapping[int, InformationSet], rule: ValueR
             y = y + (new_y - old_y)
             z = z + (new_z - old_z)
         s.flow = (y, z)
-        d_out, n_removed = declared_fields(s.out_nbrs, detected, sent.detected)
+        claims = sent.detected if detected == sent.detected else frozenset(detected)
+        d_out, n_removed = declared_fields(s.out_nbrs, claims, sent.detected)
         # mass previously sent to newly removed out-neighbors comes back
         y = y + n_removed * lam_k
         z = z + n_removed * gam_k
@@ -400,4 +420,4 @@ def honest_round(s: NodeState, inbox: Mapping[int, InformationSet], rule: ValueR
         ratio = y / z if rule.z_ok(z) else s.ratio
 
     s.y, s.z, s.ratio = y, z, ratio
-    s.next = build_information_set(s.id, sent.round + 1, detected, self_next, ledger, d_out, n_removed)
+    s.next = build_information_set(s.id, sent.round + 1, claims, self_next, ledger, d_out, n_removed)

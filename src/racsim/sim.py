@@ -90,6 +90,12 @@ class Scenario:
             problems.append("f must be non-negative")
         if self.horizon < 2:
             problems.append("horizon must be at least 2")
+        elif (self.horizon + 1) * 28 * self.graph.n > sys.maxsize:
+            # run() allocates each node's trace columns whole, 28 bytes a
+            # round: 8 in each of y, z and r (a double, or a list's
+            # pointer) and 4 in detected_count. More than sys.maxsize
+            # bytes in all is more than the platform can address.
+            problems.append(f"horizon {self.horizon} needs trace columns beyond the platform's size limit")
         for name in ("tol", "value_tol"):
             if not 0 < getattr(self, name) < math.inf:
                 problems.append(f"{name} must be positive and finite")

@@ -66,6 +66,8 @@ class TestRunCommand:
             # Σ|x0| is finite, but 200 rounds of running sums are not
             {"x0": [5e306] * 6, "horizon": 200},
             {"horizon": "abc"},
+            # trace columns beyond sys.maxsize bytes, refused before any allocation
+            {"horizon": 10**18},
             {"f": "one"},
             {"tol": "x"},
             {"safety_interval": [1]},
@@ -105,7 +107,7 @@ class TestRunCommand:
         ],
         ids=[
             "nan-x0", "accuse-outside", "text-x0", "huge-x0", "overflowing-running-sums",
-            "text-horizon", "text-f", "text-tol",
+            "text-horizon", "huge-horizon", "text-f", "text-tol",
             "short-interval", "nan-interval", "inf-interval", "text-node", "text-degree",
             "negative-degree", "fractional-degree", "text-value-tol", "zero-value-tol", "unknown-arithmetic", "text-sharing", "list-fixture",
             "adversaries-object", "text-round", "text-target",

@@ -32,6 +32,7 @@ from racsim.golden import GOLDEN_CASES, golden_case
 from racsim.graph import DirectedGraph, complete_graph, is_detectable, two_hop_middle_nodes
 from racsim.protocol import (
     ZERO_PAIR,
+    InformationSet,
     ValueRule,
     bootstrap,
     honest_round,
@@ -418,6 +419,21 @@ class TestInitRangeCheck:
     def test_outside_interval_condemns(self):
         finding = init_range_check(50.0, (0.0, 10.0))
         assert finding == (Cause.INIT_RANGE, (("reported", 50.0), ("interval", (0.0, 10.0))))
+
+    @pytest.mark.parametrize("x, inside", [
+        (0.25, True), (12.0, True),
+        (math.nextafter(0.25, -math.inf), False), (math.nextafter(12.0, math.inf), False),
+    ])
+    def test_a_first_message_at_a_bound_passes_and_one_float_beyond_fails(self, x, inside):
+        """The interval is closed: a first message announcing exactly lo
+        or hi passes, and one float spacing outside is screened out."""
+        interval = (0.25, 12.0)
+        assert (init_range_check(x, interval) is None) == inside
+        # x / 4 and 1 / 4 are exact, so the audit's ratio is x itself
+        msg = InformationSet(1, 0, frozenset(), (x / 4, 0.25), dict.fromkeys((1, 2, 3), ZERO_PAIR), 2)
+        audit = audit_broadcast(msg, None, {}, StructuralOracle(complete_graph(3), 1), ValueRule(), interval)
+        assert audit.fields is None
+        assert audit.replay == (None if inside else (Cause.INIT_RANGE, (("reported", x), ("interval", interval))))
 
 
 def _six_scenario(*actions: tuple[int, AttackAction], node: int = 6) -> Scenario:

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from copy import deepcopy
 from dataclasses import replace
 from fractions import Fraction
@@ -12,6 +13,7 @@ from racsim import detection, protocol
 from racsim.golden import golden_case
 from racsim.graph import DirectedGraph, complete_graph, is_strongly_connected
 from racsim.protocol import (
+    Z_FLOOR,
     ZERO_PAIR,
     InformationSet,
     NodeState,
@@ -71,6 +73,15 @@ class TestInitialShare:
 
 
 class TestDeclaredFields:
+    @settings(max_examples=300, deadline=None)
+    @given(st.frozensets(st.integers(1, 8)), st.frozensets(st.integers(1, 10)))
+    def test_kept_claims_declare_what_an_equal_copy_declares(self, out_nbrs, claims):
+        """The identity path, claims kept from the previous broadcast,
+        gives the general path's fields for an equal set object."""
+        copy = frozenset(set(claims))
+        assert copy is not claims
+        assert declared_fields(out_nbrs, claims, claims) == declared_fields(out_nbrs, claims, copy)
+
     def test_no_claims_declare_every_out_neighbor(self):
         assert declared_fields(frozenset({2, 3, 4}), frozenset(), frozenset({3})) == (3, 0)
 
@@ -262,6 +273,35 @@ class TestHonestRound:
         honest_round(s, {2: forged}, FLOAT)
         assert not FLOAT.z_ok(s.z)
         assert s.ratio == before
+
+    def test_a_detection_set_of_the_same_size_is_claimed_as_it_is(self):
+        """The next claims are the detection set itself, not the previous
+        claims, when a hand-built state holds another set of the same
+        size; an equal set keeps the previous claims object."""
+        g = complete_graph(3)
+        states, _ = first_exchange(g, [3.0, 6.0, 30.0])
+        s = states[1]
+        s.next = s.next._replace(detected=frozenset({3}))
+        s.detected = {2}
+        honest_round(s, {j: states[j].next for j in (2, 3)}, FLOAT)
+        assert s.next.detected == {2}
+        # 2 newly claimed: removed from the declared out-degree and
+        # counted as removed, against the previous claims {3}
+        assert (s.next.declared_out_degree, s.next.declared_removed_out) == (1, 1)
+        claims = s.next.detected
+        honest_round(s, {j: states[j].next for j in (2, 3)}, FLOAT)
+        assert s.next.detected is claims
+
+    @pytest.mark.parametrize("z, kept", [(Z_FLOOR, True), (math.nextafter(Z_FLOOR, math.inf), False)])
+    def test_z_at_the_floor_keeps_the_previous_ratio(self, z, kept):
+        """A float z exactly at Z_FLOOR is too little mass, so the ratio
+        is the previous one; one float spacing above, it is y / z."""
+        # a node with no neighbors: its z is its own running sum's step
+        sent = InformationSet(1, 1, frozenset(), (3.0, z), {1: (1.0, 0.0)}, 0)
+        s = NodeState(1, frozenset(), frozenset(), 2.0, 1.0, 2.0, sent)
+        honest_round(s, {1: sent}, FLOAT)
+        assert (s.y, s.z) == (2.0, z)
+        assert s.ratio == (2.0 if kept else 2.0 / z)
 
 
 class TestInformationSet:
@@ -690,3 +730,69 @@ def test_matches_update_is_pair_eq_against_update(case):
     rule, reported, (own, flow, d_out, n_removed) = case
     want = rule.pair_eq(reported, update(own, flow, d_out, n_removed)[1])
     assert matches_update(reported, own, flow, d_out, n_removed, rule) == want
+
+
+# float edge values: signed zeros, the smallest subnormal, float max,
+# infinities and NaN
+FLOAT_EDGES = st.one_of(
+    st.floats(-1e6, 1e6),
+    st.sampled_from((0.0, -0.0, 5e-324, sys.float_info.max, -sys.float_info.max, math.inf, -math.inf, math.nan)),
+)
+
+
+@st.composite
+def float_replays(draw):
+    """update's float arguments, and reported running sums that are
+    update's own, one float spacing off in one component, or any pair."""
+    own = draw(st.tuples(FLOAT_EDGES, FLOAT_EDGES))
+    flow = draw(st.tuples(FLOAT_EDGES, FLOAT_EDGES))
+    d_out, n_removed = draw(st.integers(0, 8)), draw(st.integers(0, 3))
+    _, (lam, gam) = update(own, flow, d_out, n_removed)
+    reported = draw(st.sampled_from((
+        (lam, gam),
+        (math.nextafter(lam, math.inf), gam),
+        (lam, math.nextafter(gam, -math.inf)),
+        draw(st.tuples(FLOAT_EDGES, FLOAT_EDGES)),
+    )))
+    return reported, own, flow, d_out, n_removed
+
+
+@settings(max_examples=1000, deadline=None)
+@given(float_replays())
+@example(((-0.0, 0.5), (-0.0, 1.0), (-0.0, 0.5), 1, 0))
+@example(((0.0, 0.5), (-0.0, 1.0), (-0.0, 0.5), 1, 0))
+# a non-finite own entry never replays cleanly, with or without removals
+@example(((1.0, 1.0), (math.inf, 1.0), (0.0, 0.0), 0, 0))
+@example(((math.nan, 1.0), (1.0, 1.0), (math.nan, 0.0), 2, 0))
+@example(((1.5, 2.5), (1.0, 1.0), (0.5, 1.5), 2, 2))
+@example(((1.0, 2.0), (1.0, 1.0), (0.0, 0.0), 0, 1))
+def test_the_float_replay_is_pair_eq_against_update(case):
+    reported, own, flow, d_out, n_removed = case
+    want = FLOAT.pair_eq(reported, update(own, flow, d_out, n_removed)[1])
+    assert matches_update(reported, own, flow, d_out, n_removed, FLOAT) == want
+
+
+def test_a_normal_node_keeps_its_claims_object_until_its_detection_set_grows(monkeypatch):
+    """On fourteen-attack, each normal node's consecutive broadcasts
+    share one claims object while its detection set is unchanged, and
+    carry a new, larger one in the round it grows."""
+    tables = []
+    detect = detection.RoundPlan.detect
+
+    def recording(plan, sent):
+        tables.append(sent)
+        return detect(plan, sent)
+
+    monkeypatch.setattr(detection.RoundPlan, "detect", recording)
+    trace = run(golden_case("fourteen-attack").build())
+    kept = grown = 0
+    for i in trace.normal_nodes:
+        for before, now in zip(tables, tables[1:]):
+            claims = now[i].detected
+            if claims == before[i].detected:
+                assert claims is before[i].detected
+                kept += 1
+            else:
+                assert claims > before[i].detected
+                grown += 1
+    assert grown > 0 and kept > 10 * grown

@@ -33,6 +33,7 @@ from racsim.detection import (
     RoundPlan,
     SenderAudit,
     StructuralOracle,
+    _quiet_entries,
     _step3,
     audit_broadcast,
     detect_alg2,
@@ -328,6 +329,60 @@ def test_quiet_fails_with_any_one_of_its_conditions(change):
     assert (audit.replay is None) == (change != "replay")
     assert audit.claimed_before == (prev.detected if prev is not None else frozenset())
     assert audit.quiet == quiet
+
+
+def _two_step_quiet_entries(msg, public, rule):
+    """The quiet rule's entry test as two steps: every off-public id
+    claimed (the items test first), then Step 3 against the public
+    values on the claimed ids."""
+    relayed, claims = msg.relayed, msg.detected
+    return (
+        relayed.items() <= public.items()
+        or claims.issuperset(h for h, val in relayed.items() if public.get(h) != val)
+    ) and (not claims or _step3(msg, public, rule, claims) is None)
+
+
+# zeros of both signs and types, finite pairs, and pairs holding inf or NaN
+QUIET_PAIRS = (
+    ZERO_PAIR, (0.0, -0.0), (0, Fraction(0)), (1.0, 2.0), (Fraction(1, 3), 1),
+    (1.0, NAN), (NAN, OTHER_NAN), (math.inf, 0.0),
+)
+
+
+@st.composite
+def relayed_and_public(draw):
+    """A broadcast of node 1 and a public table. Claims may name node 1
+    itself and ids it does not relay; a claimed id is often relayed as
+    zero. Each public value is the relayed pair itself, an equal tuple
+    of the same objects, the pair plus zero (a new NaN, a positive
+    zero), another pair, or missing."""
+    rule = draw(st.sampled_from([FLOAT, EXACT]))
+    claims = draw(st.frozensets(st.sampled_from(AUDIT_IDS), max_size=4))
+    ids = draw(st.lists(st.sampled_from(AUDIT_IDS), unique=True, max_size=6))
+    pairs = st.sampled_from(QUIET_PAIRS)
+    relayed = {h: ZERO_PAIR if h in claims and draw(st.booleans()) else draw(pairs) for h in (1, *ids)}
+    public = {}
+    for h, val in relayed.items():
+        how = draw(st.integers(0, 4))
+        if how == 0:
+            public[h] = val
+        elif how == 1:
+            public[h] = (val[0], val[1])
+        elif how == 2:
+            public[h] = (val[0] + 0, val[1] + 0)
+        elif how == 3:
+            public[h] = draw(pairs)
+    for h in draw(st.lists(st.sampled_from(AUDIT_IDS), max_size=2)):
+        public.setdefault(h, draw(pairs))
+    msg = InformationSet(1, 3, claims, (1.0, 1.0), relayed, 0)
+    return msg, public, rule
+
+
+@settings(max_examples=1000, deadline=None)
+@given(relayed_and_public())
+def test_the_one_walk_entry_test_is_the_two_step_test(case):
+    msg, public, rule = case
+    assert _quiet_entries(msg, public, rule) is _two_step_quiet_entries(msg, public, rule)
 
 
 @st.composite
