@@ -7,8 +7,10 @@ layered graph, or replay all golden scenarios.
 Exit codes: 0 success, 1 unreadable input, 2 validation or argument
 error (undecodable or too deeply nested input, a bad graph header or
 graph source, a non-integral declared degree, an unwritable --out;
-run checks the scenario and creates --out before the first round), 3
-failed condition or golden check, 4 generator self-check bug.
+run checks the scenario and creates --out before the first round, and
+removes an --out it created when the trace columns do not fit in
+memory), 3 failed condition or golden check, 4 generator self-check
+bug.
 """
 
 from __future__ import annotations
@@ -99,16 +101,23 @@ def cmd_run(args) -> int:
     if problems:
         return _invalid_scenario(problems)
     out_dir = Path(args.out)
+    made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         return _unwritable_out(exc)
-    trace = run_scenario(scenario)
+    try:
+        trace = run_scenario(scenario)
+    except ScenarioError as exc:
+        # trace columns beyond the available memory: no run, no --out
+        for d in made:
+            d.rmdir()
+        return _invalid_scenario(exc.problems)
     result = summary(trace)
     try:
         write_trace_csv(trace, out_dir / "trace.csv")
         write_events_csv(trace, out_dir / "events.csv")
-        (out_dir / "summary.json").write_text(json.dumps(result, indent=2) + "\n")
+        (out_dir / "summary.json").write_text(json.dumps(result, indent=2) + "\n", encoding="utf-8", newline="\n")
     except OSError as exc:
         return _unwritable_out(exc)
     print(json.dumps(result))
@@ -123,7 +132,7 @@ def cmd_check_graph(args) -> int:
         print("invalid arguments: give --alg2, --alg3 or --k-strong", file=sys.stderr)
         return EXIT_INVALID
     try:
-        g = read_edge_list(Path(args.graph).read_text())
+        g = read_edge_list(Path(args.graph).read_text(encoding="utf-8"))
     except OSError as exc:
         print(f"cannot read graph: {exc}", file=sys.stderr)
         return EXIT_UNREADABLE
@@ -172,7 +181,7 @@ def cmd_gen_graph(args) -> int:
         print("generated graph fails its own condition check", file=sys.stderr)
         return EXIT_GENERATOR_BUG
     try:
-        Path(args.out).write_text(write_edge_list(g))
+        Path(args.out).write_text(write_edge_list(g), encoding="utf-8")
     except OSError as exc:
         return _unwritable_out(exc)
     print(f"wrote {g.n}-node graph to {args.out}")

@@ -44,7 +44,7 @@ def _load() -> tuple[GoldenCase, ...]:
     cases = []
     for entry in sorted(files(__package__).joinpath("scenarios").iterdir(), key=lambda e: e.name):
         if entry.name.endswith(".json"):
-            data = json.loads(entry.read_text())
+            data = json.loads(entry.read_text(encoding="utf-8"))
             scenario_from_json(data)  # checks expect and description too
             expect = data["expect"]
             cases.append(GoldenCase(

@@ -226,13 +226,18 @@ def run(scenario: Scenario) -> Trace:
     # than the array's own), an exact run its Fractions in lists.
     column, view = (list, lambda c: c) if scenario.exact else (partial(array, "d"), memoryview)
     rounds = scenario.horizon + 1
-    trace = Trace(
-        scenario=scenario,
-        y={i: column([states[i].y]) * rounds for i in nodes},
-        z={i: column([states[i].z]) * rounds for i in nodes},
-        r={i: column([states[i].ratio]) * rounds for i in nodes},
-        detected_count={i: array("i", [len(states[i].detected)]) * rounds for i in nodes},
-    )
+    try:
+        trace = Trace(
+            scenario=scenario,
+            y={i: column([states[i].y]) * rounds for i in nodes},
+            z={i: column([states[i].z]) * rounds for i in nodes},
+            r={i: column([states[i].ratio]) * rounds for i in nodes},
+            detected_count={i: array("i", [len(states[i].detected)]) * rounds for i in nodes},
+        )
+    except MemoryError:
+        # validate() refuses only what no platform can address; a horizon
+        # within that limit may still be more than this machine can hold
+        raise ScenarioError([f"horizon {scenario.horizon} needs trace columns beyond the available memory"]) from None
     # each node's state, script and column writers, looked up once
     rows = [(i, states[i], scripts.get(i), view(trace.y[i]), view(trace.z[i]), view(trace.r[i]),
              memoryview(trace.detected_count[i])) for i in nodes]
@@ -463,7 +468,7 @@ def scenario_from_json(data: dict, base_dir: Optional[Path] = None) -> Scenario:
                     path = Path(spec)
                     if base_dir is not None and not path.is_absolute():
                         path = base_dir / path
-                    spec = path.read_text()
+                    spec = path.read_text(encoding="utf-8")
                 graph = read_edge_list(spec)
             except (OSError, ValueError) as exc:
                 problems.append(f"bad graph: {exc}")
@@ -528,41 +533,38 @@ def scenario_from_json(data: dict, base_dir: Optional[Path] = None) -> Scenario:
 
 
 def load_scenario(path: Path) -> Scenario:
-    data = json.loads(Path(path).read_text())
+    data = json.loads(Path(path).read_text(encoding="utf-8"))
     return scenario_from_json(data, base_dir=Path(path).parent)
 
 
 def write_trace_csv(trace: Trace, path: Path) -> None:
     """One row per round, then per node, each value as repr(float(v)),
-    written a round at a time. Nodes of a layer share values in a round, so
-    each is formatted once per round; zeros skip the memo (0.0 == -0.0)."""
-    columns = [(i, trace.y[i], trace.z[i], trace.r[i], trace.detected_count[i])
+    written a round at a time. Nodes of a layer repeat whole rows within
+    a round, so each distinct row is formatted once per round; a row
+    holding a zero is formatted on its own (0.0 == -0.0, reprs differ)."""
+    columns = [(f",{i},", trace.y[i], trace.z[i], trace.r[i], trace.detected_count[i])
                for i in trace.scenario.graph.nodes]
-    with Path(path).open("w") as out:
+    with Path(path).open("w", encoding="utf-8", newline="\n") as out:
         out.write("round,node,y,z,ratio,detected_count\n")
         for k in range(trace.horizon + 1):
-            memo: dict[float, str] = {}
-
-            def fmt(v) -> str:
-                v = float(v)
-                s = memo.get(v)
-                if s is None:
-                    s = repr(v)
-                    if v:
-                        memo[v] = s
-                return s
-
-            out.write("".join(
-                f"{k},{i},{fmt(y[k])},{fmt(z[k])},{fmt(r[k])},{d[k]}\n"
-                for i, y, z, r, d in columns
-            ))
+            tails: dict[tuple, str] = {}
+            lines = []
+            for prefix, y, z, r, d in columns:
+                row = yk, zk, rk, dk = float(y[k]), float(z[k]), float(r[k]), d[k]
+                tail = tails.get(row)
+                if tail is None:
+                    tail = f"{yk!r},{zk!r},{rk!r},{dk}\n"
+                    if yk and zk and rk:
+                        tails[row] = tail
+                lines.append(f"{k}{prefix}{tail}")
+            out.write("".join(lines))
 
 
 def write_events_csv(trace: Trace, path: Path) -> None:
     lines = ["round,detector,suspect,cause"]
     for e in trace.events:
         lines.append(f"{e.round},{e.detector},{e.suspect},{e.cause.value}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
 def summary(trace: Trace) -> dict:

@@ -1,4 +1,8 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,7 +20,8 @@ from racsim import golden
 from racsim.sim import Scenario, ScenarioError, scenario_to_json
 
 SIX_X0 = tuple(golden.golden_case("six-attack").data["x0"])
-SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+ROOT = Path(__file__).resolve().parents[1]
+SCENARIOS = ROOT / "scenarios"
 
 
 @pytest.fixture
@@ -68,6 +73,8 @@ class TestRunCommand:
             {"horizon": "abc"},
             # trace columns beyond sys.maxsize bytes, refused before any allocation
             {"horizon": 10**18},
+            # within sys.maxsize bytes, but not within any machine's memory
+            {"horizon": 10**16},
             {"f": "one"},
             {"tol": "x"},
             {"safety_interval": [1]},
@@ -107,7 +114,7 @@ class TestRunCommand:
         ],
         ids=[
             "nan-x0", "accuse-outside", "text-x0", "huge-x0", "overflowing-running-sums",
-            "text-horizon", "huge-horizon", "text-f", "text-tol",
+            "text-horizon", "huge-horizon", "unallocatable-horizon", "text-f", "text-tol",
             "short-interval", "nan-interval", "inf-interval", "text-node", "text-degree",
             "negative-degree", "fractional-degree", "text-value-tol", "zero-value-tol", "unknown-arithmetic", "text-sharing", "list-fixture",
             "adversaries-object", "text-round", "text-target",
@@ -162,6 +169,34 @@ class TestRunCommand:
             " under the local model with f=1"
             for i in (3, 4)
         ]
+
+    def test_every_text_file_is_opened_as_utf8(self, tmp_path):
+        """A text open that leaves the encoding to the locale warns under
+        warn_default_encoding, and the warning is an error here; the run
+        writes six-attack's recorded golden bytes."""
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+             "-m", "racsim.cli", "run", "--scenario", str(SCENARIOS / "six-attack.json"), "--out", str(out)],
+            env=env, capture_output=True, encoding="utf-8", timeout=120,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        digests = json.loads((ROOT / "perfbench" / "digests.json").read_text(encoding="utf-8"))
+        want = digests["golden"]["six-attack"]
+        assert {k: hashlib.sha256((out / f"{k}.csv").read_bytes()).hexdigest() for k in want} == want
+
+    def test_trace_columns_beyond_memory_remove_only_the_out_this_call_made(self, tmp_path, capsys):
+        data = json.loads((SCENARIOS / "six-attack.json").read_text())
+        data["horizon"] = 10**16
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(data))
+        code = main(["run", "--scenario", str(path), "--out", str(tmp_path / "a" / "b" / "out")])
+        assert code == EXIT_INVALID
+        assert capsys.readouterr().err == (
+            f"invalid scenario: horizon {10**16} needs trace columns beyond the available memory\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.json"]
 
     def test_invalid_scenario_is_reported_before_out_is_made(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

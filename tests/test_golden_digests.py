@@ -63,9 +63,12 @@ def test_layered_trace_matches_digest(tmp_path):
     rng = random.Random(3)
     x0 = tuple(rng.uniform(0, 10) for _ in g.nodes)
     trace = run(Scenario(graph=g, x0=x0, f=1, detection=DetectionMode.NONE, horizon=60))
-    # nodes of a layer share values within a round, so the writer
-    # formats some value once for two nodes
-    rounds = ([trace.y[i][k] for i in g.nodes if trace.y[i][k]] for k in range(61))
-    assert any(len(ys) > len(set(ys)) for ys in rounds)
+    # nodes of a layer repeat whole rows within a round, so the writer
+    # formats some row once for two nodes
+    def rows(k):
+        return [(trace.y[i][k], trace.z[i][k], trace.r[i][k], trace.detected_count[i][k])
+                for i in g.nodes if trace.y[i][k] and trace.z[i][k] and trace.r[i][k]]
+
+    assert any(len(rs) > len(set(rs)) for rs in map(rows, range(61)))
     write_trace_csv(trace, tmp_path / "trace.csv")
     assert hashlib.sha256((tmp_path / "trace.csv").read_bytes()).hexdigest() == LAYERED_TRACE

@@ -677,41 +677,64 @@ class TestCsvExport:
         # one nonzero value at several nodes, next to its zeros
         "shared-value": [[2.5, 2.5, -0.0], [2.5, 0.0, 2.5], [2.5, 2.5, 2.5]],
     }
+    # Grids whose rows repeat within a round. Their counts are
+    # k * (i % 2): nodes 1 and 3 share one in every round, node 2 has
+    # another after round 0.
+    ROW_GRIDS = {
+        # every round: nodes 1 and 3 repeat a whole row, node 2 differs
+        # only in detected_count (round 0: all three repeat it)
+        "repeated-rows": [[2.5, 1.5, 7.0]] * 3,
+        # round 1: nodes 1 and 3 differ only in the ratio, 0.0 against -0.0
+        "rows-but-a-signed-zero": [[2.5, 1.5, 0.0, 4.0], [2.5, 1.5, 9.0, 4.0], [2.5, 1.5, -0.0, 4.0]],
+        "repeated-non-finite": [[math.nan, math.inf, -math.inf, math.nan]] * 3,
+    }
     # unequal rationals that round to the same float
     EXACT_GRID = [
         [Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10**40), Fraction(-1, 3)],
         [Fraction(10**400 + 1, 10**399), Fraction(10), Fraction(0)],
         [Fraction(1, 3) - Fraction(1, 10**40), Fraction(1, 3), Fraction(1, 3)],
     ]
+    # nodes 1 and 3 hold unequal rationals in y and the ratio that round
+    # to the same floats, so their rows repeat as floats in every round
+    EXACT_ROW_GRID = [
+        [Fraction(1, 3), Fraction(2, 7), Fraction(5, 3)],
+        [Fraction(1, 3), Fraction(2, 7), Fraction(5, 3)],
+        [Fraction(1, 3) + Fraction(1, 10**40), Fraction(2, 7) - Fraction(1, 10**40), Fraction(5, 3) + Fraction(1, 10**40)],
+    ]
 
     @pytest.mark.parametrize(
-        "grid, exact, typed",
-        [pytest.param(grid, False, False, id=name) for name, grid in FLOAT_GRIDS.items()]
-        + [pytest.param(EXACT_GRID, True, False, id="exact-near-ties")]
+        "grid, exact, typed, shared",
+        [pytest.param(grid, False, False, False, id=name) for name, grid in FLOAT_GRIDS.items()]
+        + [pytest.param(EXACT_GRID, True, False, False, id="exact-near-ties")]
         # the columns a float run records
-        + [pytest.param(grid, False, True, id=f"{name}-arrays") for name, grid in FLOAT_GRIDS.items()],
+        + [pytest.param(grid, False, True, False, id=f"{name}-arrays") for name, grid in FLOAT_GRIDS.items()]
+        + [pytest.param(grid, False, typed, True, id=name + "-arrays" * typed)
+           for name, grid in ROW_GRIDS.items() for typed in (False, True)]
+        + [pytest.param(EXACT_ROW_GRID, True, False, True, id="exact-near-tie-rows")],
     )
-    def test_trace_csv_matches_a_plain_writer(self, tmp_path, grid, exact, typed):
+    def test_trace_csv_matches_a_plain_writer(self, tmp_path, grid, exact, typed, shared):
         """grid[node][round] fills y; z rotates the nodes and the ratio
         reverses the rounds, so every value reaches every column. The
-        columns are lists, or array('d') and array('i') where typed; the
-        plain writer reads the grid, so both give the same bytes."""
+        count at node i in round k is i * k, or k * (i % 2) where shared.
+        The columns are lists, or array('d') and array('i') where typed;
+        the plain writer reads the grid, so both give the same bytes."""
         n, rounds = len(grid), len(grid[0])
         sc = Scenario(graph=complete_graph(n), x0=(1.0,) * n, detection=DetectionMode.NONE,
                       horizon=rounds - 1, exact=exact)
         column, counts = (partial(array, "d"), partial(array, "i")) if typed else (list, list)
+        count = (lambda i, k: k * (i % 2)) if shared else (lambda i, k: i * k)
         trace = Trace(
             scenario=sc,
             y={i: column(grid[i - 1]) for i in sc.graph.nodes},
             z={i: column(grid[i % n]) for i in sc.graph.nodes},
             r={i: column(reversed(grid[i - 1])) for i in sc.graph.nodes},
-            detected_count={i: counts(i * k for k in range(rounds)) for i in sc.graph.nodes},
+            detected_count={i: counts(count(i, k) for k in range(rounds)) for i in sc.graph.nodes},
         )
         path = tmp_path / "trace.csv"
         write_trace_csv(trace, path)
         rows = ["round,node,y,z,ratio,detected_count"] + [
             f"{k},{i},{repr(float(grid[i - 1][k]))},{repr(float(grid[i % n][k]))},"
-            f"{repr(float(grid[i - 1][rounds - 1 - k]))},{i * k}"
+            f"{repr(float(grid[i - 1][rounds - 1 - k]))},{count(i, k)}"
             for k in range(rounds)
             for i in sc.graph.nodes
         ]
