@@ -542,22 +542,27 @@ def write_trace_csv(trace: Trace, path: Path) -> None:
     written a round at a time. Nodes of a layer repeat whole rows within
     a round, so each distinct row is formatted once per round; a row
     holding a zero is formatted on its own (0.0 == -0.0, reprs differ)."""
-    columns = [(f",{i},", trace.y[i], trace.z[i], trace.r[i], trace.detected_count[i])
+    # each node's rows in round order, as (float y, float z, float r, count)
+    columns = [(f",{i},", zip(map(float, trace.y[i]), map(float, trace.z[i]), map(float, trace.r[i]),
+                              trace.detected_count[i]))
                for i in trace.scenario.graph.nodes]
     with Path(path).open("w", encoding="utf-8", newline="\n") as out:
         out.write("round,node,y,z,ratio,detected_count\n")
         for k in range(trace.horizon + 1):
             tails: dict[tuple, str] = {}
             lines = []
-            for prefix, y, z, r, d in columns:
-                row = yk, zk, rk, dk = float(y[k]), float(z[k]), float(r[k]), d[k]
+            for prefix, rows in columns:
+                row = next(rows)
                 tail = tails.get(row)
                 if tail is None:
-                    tail = f"{yk!r},{zk!r},{rk!r},{dk}\n"
-                    if yk and zk and rk:
+                    y, z, r, d = row
+                    tail = f"{y!r},{z!r},{r!r},{d}\n"
+                    if y and z and r:
                         tails[row] = tail
-                lines.append(f"{k}{prefix}{tail}")
-            out.write("".join(lines))
+                lines.append(prefix + tail)
+            # each line starts with the round
+            ks = str(k)
+            out.write(ks + ks.join(lines))
 
 
 def write_events_csv(trace: Trace, path: Path) -> None:
