@@ -43,7 +43,6 @@ from .adversary import (
     AttackScript,
     TamperMode,
     forge_information_set,
-    make_colluding_tamper,
     validate_adversary_placement,
 )
 from .sim import (

@@ -78,26 +78,6 @@ class AttackScript:
         return self._actions[:bisect_right(self._starts, k)]
 
 
-def make_colluding_tamper(
-    node_a: int, node_b: int, from_round: int, amount: float
-) -> tuple[AttackScript, AttackScript]:
-    """Two scripts that tamper each other's relayed entries with
-    mirrored amounts, keeping the pair's mutual story consistent."""
-    a = AttackScript(
-        node=node_a,
-        schedule=(
-            (from_round, AttackAction(ActionKind.TAMPER_RELAYED, target=node_b, amount=amount)),
-        ),
-    )
-    b = AttackScript(
-        node=node_b,
-        schedule=(
-            (from_round, AttackAction(ActionKind.TAMPER_RELAYED, target=node_a, amount=-amount)),
-        ),
-    )
-    return a, b
-
-
 def _draw(rng: random.Random) -> float:
     lo, hi = RANDOM_VALUE_RANGE
     return rng.uniform(lo, hi)

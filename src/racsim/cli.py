@@ -6,11 +6,11 @@ layered graph, or replay all golden scenarios.
 
 Exit codes: 0 success, 1 unreadable input, 2 validation or argument
 error (undecodable or too deeply nested input, a bad graph header or
-graph source, a non-integral declared degree, an unwritable --out;
-run checks the scenario and creates --out before the first round, and
-removes an --out it created when the trace columns do not fit in
-memory), 3 failed condition or golden check, 4 generator self-check
-bug.
+graph source, a non-integral declared degree, an unwritable --out, a
+generated graph that does not fit in memory; run checks the scenario
+and creates --out before the first round, and removes an --out it
+created when the trace columns do not fit in memory), 3 failed
+condition or golden check, 4 generator self-check bug.
 """
 
 from __future__ import annotations
@@ -173,15 +173,18 @@ def _print_report(label: str, report) -> None:
 def cmd_gen_graph(args) -> int:
     try:
         g = generate_layered(args.layers, args.f, LayeredVariant.UNDIRECTED_PATH)
+        if not check_alg3_condition(g, args.f).satisfied:
+            print("generated graph fails its own condition check", file=sys.stderr)
+            return EXIT_GENERATOR_BUG
+        text = write_edge_list(g)
     except GraphError as exc:
         print(f"invalid arguments: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    report = check_alg3_condition(g, args.f)
-    if not report.satisfied:
-        print("generated graph fails its own condition check", file=sys.stderr)
-        return EXIT_GENERATOR_BUG
+    except MemoryError:
+        print(f"invalid arguments: {args.layers} layers at f {args.f} do not fit in memory", file=sys.stderr)
+        return EXIT_INVALID
     try:
-        Path(args.out).write_text(write_edge_list(g), encoding="utf-8")
+        Path(args.out).write_text(text, encoding="utf-8")
     except OSError as exc:
         return _unwritable_out(exc)
     print(f"wrote {g.n}-node graph to {args.out}")

@@ -25,18 +25,18 @@ the detection sets its in-neighbors claim:
   per-sender audit carries.
 
 Every receiver audits the same broadcast, so audit_broadcast runs once
-per message some detecting node hears. Its update replay reads the
-ledger flow: a normal sender's flow is handed over (NodeState.flow),
-and an adversary's broadcast is summed by ledger_flow, in ledger
-order, the order an honest sender sums in, so every comparison is
-exact. The previous ledger is walked again only for the ids it relays
-and the current one lacks. A normal sender's claim set keeps one object
-while its detection set is unchanged (see protocol.honest_round), so
-the claims comparisons of a steady state, the declared fields, the
-vanished test and RoundPlan's changed set, test identity first; each
-gives the value of its general path. A detector that runs votes on
-every two-hop id it does not know and runs Step 3 against its own
-check set for every reporter without a field finding.
+per message some detecting node hears. Its update replay and the quiet
+rule read one ledger flow, protocol.ledger_flow's: a normal sender's
+flow is handed over (NodeState.flow), and an adversary's broadcast,
+once its ids and declared fields pass, is summed by ledger_flow, in
+ledger order, the order an honest sender sums in, so every comparison
+is exact. A normal sender's claim set keeps one object while its
+detection set is unchanged (see protocol.honest_round), so the claims
+comparisons of a steady state, the declared fields, the vanished test
+and RoundPlan's changed set, test identity first; each gives the value
+of its general path. A detector that runs votes on every two-hop id
+it does not know and runs Step 3 against its own check set for every
+reporter without a field finding.
 
 The audit also decides, by one conservative rule, whether a broadcast
 is quiet: it has no finding, keeps its previous claims, relays zero
@@ -288,15 +288,12 @@ def audit_broadcast(
     (prev_msg None) is screened against the safety interval instead of
     replayed. flow is the flow of msg's ledger since prev_msg's: a
     normal sender's is handed over, and an adversary's (flow None) is
-    summed by ledger_flow."""
+    summed by ledger_flow once the ids and declared fields pass."""
     j = msg.sender
     relayed = msg.relayed
     claims = msg.detected
     # read by Step 1b, whose verdicts precede every finding below
     claimed_before = prev_msg.detected if prev_msg is not None else frozenset()
-    before = prev_msg.relayed if prev_msg is not None else {}
-    if flow is None:
-        flow = ledger_flow(relayed, before)
     expected_ids = oracle.relay_ids[j]
     fields = None
     if relayed.keys() != expected_ids:
@@ -314,20 +311,13 @@ def audit_broadcast(
             fields = Cause.STEP4, (("declared_removed_out", msg.declared_removed_out, expected_removed),)
     if fields is not None:
         return SenderAudit(fields, claimed_before=claimed_before)
+    if flow is None:
+        flow = ledger_flow(relayed, prev_msg.relayed if prev_msg is not None else {})
     if prev_msg is None:
         lam, gam = msg.self_next
         replay = init_range_check(float(lam / gam) if gam != 0 else float("inf"), interval)
     else:
-        # the replay counts an id the previous ledger relays and this
-        # one does not against zero; the quiet rule reads the flow over
-        # the relayed entries alone
-        flow_y, flow_z = flow
-        if not before.keys() <= relayed.keys():
-            for h, (y_before, z_before) in before.items():
-                if h not in relayed:
-                    flow_y -= y_before
-                    flow_z -= z_before
-        replay = reconstruct_running_sums(msg, (flow_y, flow_z), rule)
+        replay = reconstruct_running_sums(msg, flow, rule)
     # the quiet rule of the module docstring
     quiet = (
         replay is None
@@ -359,18 +349,13 @@ def _quiet_entries(msg: InformationSet, public: Mapping[int, Pair], rule: ValueR
     return True
 
 
-def _step3(
-    msg: InformationSet, values: Mapping[int, Pair], rule: ValueRule, ids=None
-) -> Optional[Finding]:
-    """Step 3: the first relayed entry (in ledger order, or in the order
-    of ids if given, skipping ids the sender does not relay) unequal to
+def _step3(msg: InformationSet, values: Mapping[int, Pair], rule: ValueRule) -> Optional[Finding]:
+    """Step 3: the first relayed entry, in ledger order, unequal to
     ZERO_PAIR if the sender claims its id (not its own), else to its
     entry in values, if any."""
     j = msg.sender
     claims = msg.detected
-    relayed = msg.relayed
-    entries = relayed.items() if ids is None else [(h, relayed[h]) for h in ids if h in relayed]
-    for h, val in entries:
+    for h, val in msg.relayed.items():
         expected = ZERO_PAIR if h != j and h in claims else values.get(h)
         if expected is not None and not rule.pair_eq(val, expected):
             return Cause.STEP3, (("id", h), ("relayed", val), ("expected", expected))

@@ -9,9 +9,13 @@ cumulative running sums (lam for y, gam for z), which receivers
 difference to recover per-round contributions, and the ledger of the
 sums the node read last. The ledger's order is its summation order:
 the node's own entry first, then its in-neighbors in in_nbrs order.
-A normal node keeps the flow of its ledger (NodeState.flow), which the
-replay of its message takes; an adversary's broadcast is summed by
-ledger_flow, which adds in ledger order as honest_round does.
+The flow of a ledger since an earlier one is how far its running sums
+moved: the sum, over the ids either ledger relays, of each entry less
+its earlier one, an id a ledger lacks counting as ZERO_PAIR there.
+ledger_flow is its one definition. A normal node keeps the flow of its
+ledger (NodeState.flow), which the replay of its message takes; an
+adversary's broadcast is summed by ledger_flow, which adds in ledger
+order as honest_round does.
 honest_round zeroes a detected in-neighbor's ledger entry to remove
 its accumulated contribution, compensates mass sent to a detected
 out-neighbor back into the node's own values, and builds the next
@@ -24,15 +28,15 @@ formula, which the replay of a message checks through matches_update;
 in float runs matches_update applies update's operators in update's
 order and then pair_eq's two differences, with neither called.
 
-Over Fractions, ledger_flow, update and the ratio combine integer
-numerators and denominators and normalise once per value they return,
-in place of a gcd per Fraction operator. An exact round keeps the
-column sums of the ledger it builds (NodeState.sums), so the next
-round's flow reads the terms of its new ledger alone; matches_update
-compares reported running sums with update's by cross-multiplying
-integer parts and builds no Fraction; pair_eq compares ints and
-Fractions by their integer parts. Each gives the value, type and
-verdict of the operators, and a forged float still takes them.
+Over Fractions, ledger_flow and update combine integer numerators and
+denominators and normalise once per value they return, in place of a
+gcd per Fraction operator. An exact round keeps the column sums of
+the ledger it builds (NodeState.sums), so the next round's flow reads
+the terms of its new ledger alone; matches_update compares reported
+running sums with update's by cross-multiplying integer parts and
+builds no Fraction; pair_eq compares ints and Fractions by their
+integer parts. Each gives the value, type and verdict of the
+operators, and a forged float still takes them.
 """
 
 from __future__ import annotations
@@ -255,29 +259,32 @@ def ledger_sums(ledger: Mapping[int, Pair]) -> Sums:
 def ledger_flow(
     now: Mapping[int, Pair], before: Mapping[int, Pair], kept: Optional[tuple[Sums, Sums]] = None
 ) -> Pair:
-    """The ledger flow, the sum over now's ids h of now[h] - before[h]
-    (ZERO_PAIR for an id before lacks), as the sender adds it: the left
-    fold in ledger order from the first term, with the fold's value and
-    type. A column of ints is their sum. A column of ints and Fractions
-    is the difference of the two ledgers' exact column sums, one
-    Fraction built from their integer parts. A column holding a float
-    is the fold.
+    """The ledger flow, the sum of now[h] - before[h] over the ids h
+    either ledger relays (an id a ledger lacks counts as ZERO_PAIR
+    there), as the sender adds it: the left fold over now's ids in
+    ledger order from the first term, continued by subtracting before's
+    entries for its other ids in before's order, with the fold's value
+    and type. A column of ints is their sum. A column of ints and
+    Fractions is the difference of the two ledgers' exact column sums,
+    one Fraction built from their integer parts, with no alignment of
+    ids. A column holding a float is the fold.
 
-    kept, if given, holds ledger_sums(now) and ledger_sums(before), and
-    before relays now's ids: a column whose two kept sums are exact is
-    then their difference, with no term read again."""
+    kept, if given, holds ledger_sums(now) and ledger_sums(before): a
+    column whose two kept sums are exact is their difference, with no
+    term read again."""
     flow = []
     for c in (0, 1):
         if kept is not None and kept[0][c] is not None and kept[1][c] is not None:
             new_sum, old_sum = kept[0][c], kept[1][c]
         else:
             new = [pair[c] for pair in now.values()]
-            old = [before.get(h, ZERO_PAIR)[c] for h in now]
             new_sum = _column_sum(new)
-            old_sum = None if new_sum is None else _column_sum(old)
+            old_sum = None if new_sum is None else _column_sum([pair[c] for pair in before.values()])
             if old_sum is None:
+                old = [before.get(h, ZERO_PAIR)[c] for h in now]
+                gone = [pair[c] for h, pair in before.items() if h not in now]
                 # not sum(), which compensates float sums from Python 3.12 on
-                flow.append(reduce(add, map(sub, new, old)))
+                flow.append(reduce(sub, gone, reduce(add, map(sub, new, old)) if new else 0))
                 continue
         if type(new_sum) is int and type(old_sum) is int:
             flow.append(new_sum - old_sum)
@@ -372,7 +379,7 @@ def honest_round(s: NodeState, inbox: Mapping[int, InformationSet], rule: ValueR
         # the sums kept last round are the old ledger's unless next was
         # built by hand
         sums, kept = ledger_sums(ledger), s.sums
-        if kept is not None and kept[0] is old_ledger and old_ledger.keys() == ledger.keys():
+        if kept is not None and kept[0] is old_ledger:
             s.flow = ledger_flow(ledger, old_ledger, (sums, kept[1]))
         else:
             s.flow = ledger_flow(ledger, old_ledger)
@@ -380,12 +387,7 @@ def honest_round(s: NodeState, inbox: Mapping[int, InformationSet], rule: ValueR
         claims = sent.detected if detected == sent.detected else frozenset(detected)
         d_out, n_removed = declared_fields(s.out_nbrs, claims, sent.detected)
         (y, z), self_next = update((lam_k, gam_k), s.flow, d_out, n_removed)
-        if not rule.z_ok(z):
-            ratio = s.ratio
-        elif Fraction is type(y) is type(z):
-            ratio = Fraction(y.numerator * z.denominator, y.denominator * z.numerator)
-        else:
-            ratio = y / z
+        ratio = y / z if rule.z_ok(z) else s.ratio
     else:
         # ledger_flow's float fold and update's operators, fused with
         # building the ledger: built first and then summed by

@@ -9,7 +9,6 @@ from racsim.adversary import (
     TamperMode,
     adversary_rng,
     forge_information_set,
-    make_colluding_tamper,
     scripted_self_value,
     tampered_inbox,
     validate_adversary_placement,
@@ -219,15 +218,6 @@ class TestTamperedInbox:
         msg3 = honest_message(sender=3)
         out = tampered_inbox({3: msg3}, script, 5)
         assert out[3] == msg3
-
-
-class TestColludingTamper:
-    def test_amounts_are_mirrored(self):
-        a, b = make_colluding_tamper(3, 6, from_round=9, amount=25.0)
-        (_, act_a), = a.schedule
-        (_, act_b), = b.schedule
-        assert act_a.target == 6 and act_b.target == 3
-        assert act_a.amount == -act_b.amount == 25.0
 
 
 class TestScriptedSelfValue:

@@ -362,6 +362,27 @@ class TestGenGraphCommand:
         assert main(["gen-graph", "--layers", "3", "-f", "2", "--out", str(path)]) == EXIT_OK
         assert main(["check-graph", str(path), "-f", "2", "--alg3"]) == EXIT_OK
 
+    @pytest.mark.parametrize("layers, f", [("2", "20000"), ("100000000", "1")], ids=["wide", "long"])
+    def test_a_graph_beyond_memory_exits_invalid_with_one_line(self, tmp_path, layers, f):
+        # either graph has billions of edges; the child's address space
+        # is capped at 600 MiB, so it runs out of memory within seconds
+        resource = pytest.importorskip("resource")
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (600 * 2**20, 600 * 2**20))
+
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+        out = tmp_path / "huge.txt"
+        proc = subprocess.run(
+            [sys.executable, "-m", "racsim.cli", "gen-graph", "--layers", layers, "-f", f, "--out", str(out)],
+            env=env, capture_output=True, encoding="utf-8", timeout=120, preexec_fn=cap_address_space,
+        )
+        assert proc.returncode == EXIT_INVALID, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr == f"invalid arguments: {layers} layers at f {f} do not fit in memory\n"
+        assert not out.exists()
+
 
 # input files whose bytes do not decode as a scenario or a graph, and
 # paths that block --out: a file, or a path under one

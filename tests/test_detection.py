@@ -36,6 +36,7 @@ from racsim.protocol import (
     ValueRule,
     bootstrap,
     honest_round,
+    ledger_flow,
     update,
 )
 from racsim import detection, sim
@@ -492,6 +493,25 @@ class TestDistributedDetectionEndToEnd:
         )
         assert 6 in _suspects(trace)
         assert _first_cause(trace, 6) is Cause.STEP2
+
+    def test_no_ledger_flow_reads_a_ledger_that_fails_step2(self, monkeypatch):
+        # an adversary's broadcast is summed only once its ids pass Step
+        # 2; from round 3 every one of 6's broadcasts relays node 5
+        summed = []
+
+        def recorded(now, before, *kept):
+            summed.append((now, before))
+            return ledger_flow(now, before, *kept)
+
+        monkeypatch.setattr(detection, "ledger_flow", recorded)
+        trace = run(
+            _six_scenario(
+                (3, AttackAction(ActionKind.INJECT_FAKE_ID, target=5, fake_values=(1.0, 1.0)))
+            )
+        )
+        assert _first_cause(trace, 6) is Cause.STEP2
+        ids = six_node_graph().in_neighbors(6) | {6}
+        assert summed and all(now.keys() == ids and before.keys() <= ids for now, before in summed)
 
     def test_dropped_ledger_entry_condemned(self):
         trace = run(

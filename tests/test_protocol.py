@@ -527,19 +527,30 @@ def flow_ledgers(draw):
 # a leading -0.0 stays -0.0, as the sender's walk keeps it
 @example((EXACT, {1: (-0.0, 1), 2: (-0.0, 2)}, {2: (0, 1)}))
 @example((FLOAT, {1: (-0.0, 1), 2: (-0.0, 2)}, {2: (0, 1)}))
+# an id only before relays is subtracted: -0.0 - 0.0 stays -0.0
+@example((FLOAT, {1: (-0.0, 1.0)}, {1: (0, 0.5), 2: (0.0, 0.25)}))
+# a float on an id only before relays makes the z column a fold, and a
+# Fraction there makes the y column's exact difference a Fraction
+@example((EXACT, {1: (1, 2)}, {2: (Fraction(1, 3), 0.5), 1: (0, 1)}))
+# an empty now: the fold starts at 0
+@example((FLOAT, {}, {3: (0.5, -0.0)}))
 def test_ledger_flow_matches_the_ordered_walk_in_value_and_type(ledgers):
     # the arithmetic only chose what the ledgers hold; ledger_flow
     # reads their types
     _, now, before = ledgers
     got = ledger_flow(now, before)
     # the left fold in now's order from its first term, as honest_round
-    # adds
+    # adds, then each entry of an id only before relays subtracted, in
+    # before's order
     want = []
     for c in (0, 1):
         terms = [pair[c] - before.get(h, ZERO_PAIR)[c] for h, pair in now.items()]
         acc = terms[0] if terms else 0
         for t in terms[1:]:
             acc = acc + t
+        for h, pair in before.items():
+            if h not in now:
+                acc = acc - pair[c]
         want.append(acc)
     # repr tells -0.0 from 0.0 and a Fraction from an int
     assert repr(got) == repr(tuple(want))

@@ -99,14 +99,19 @@ def _off_public(msg, public):
 
 
 def _walked_flow(msg, prev_msg):
-    """The ledger flow as audit_broadcast's walk sums it, over the
-    relayed entries in ledger order."""
+    """The ledger flow that the replay and the quiet rule read, walked:
+    over the relayed entries in ledger order, then over the ids only
+    the previous ledger relays, each counted against zero."""
     before = prev_msg.relayed if prev_msg is not None else {}
     flow_y = flow_z = 0
     for h, (y, z) in msg.relayed.items():
         y_before, z_before = before.get(h, ZERO_PAIR)
         flow_y += y - y_before
         flow_z += z - z_before
+    for h, (y_before, z_before) in before.items():
+        if h not in msg.relayed:
+            flow_y -= y_before
+            flow_z -= z_before
     return flow_y, flow_z
 
 
@@ -333,13 +338,19 @@ def test_quiet_fails_with_any_one_of_its_conditions(change):
 
 def _two_step_quiet_entries(msg, public, rule):
     """The quiet rule's entry test as two steps: every off-public id
-    claimed (the items test first), then Step 3 against the public
-    values on the claimed ids."""
+    claimed (the items test first), then Step 3's comparison against
+    the public values on the claimed ids that the sender relays."""
     relayed, claims = msg.relayed, msg.detected
-    return (
+    if not (
         relayed.items() <= public.items()
         or claims.issuperset(h for h, val in relayed.items() if public.get(h) != val)
-    ) and (not claims or _step3(msg, public, rule, claims) is None)
+    ):
+        return False
+    for h in claims & relayed.keys():
+        expected = ZERO_PAIR if h != msg.sender else public.get(h)
+        if expected is not None and not rule.pair_eq(relayed[h], expected):
+            return False
+    return True
 
 
 # zeros of both signs and types, finite pairs, and pairs holding inf or NaN
@@ -430,6 +441,22 @@ def test_replay_matches_the_union_reference(case):
         assert reported == now.self_next
         # both sum the flow in ledger order
         assert predicted == want
+
+
+def test_an_id_only_the_previous_ledger_relays_counts_against_zero():
+    """The previous message relays id 6, outside K5, with an infinite
+    entry; the later one passes Step 2 without it. The replay subtracts
+    that entry, so its running sum is -inf, and the broadcast is not
+    quiet."""
+    msg, prev, public = _honest_second_message(set())
+    assert audit_broadcast(msg, prev, public, K5_ORACLE, FLOAT).quiet
+    prev = prev._replace(relayed={**prev.relayed, 6: (math.inf, 0.0)})
+    audit = audit_broadcast(msg, prev, public, K5_ORACLE, FLOAT)
+    assert audit.fields is None
+    (cause, ((_, reported), (_, reconstructed))) = audit.replay
+    assert cause is Cause.STEP4 and reported == msg.self_next
+    assert reconstructed[0] == -math.inf and reconstructed[1] == msg.self_next[1]
+    assert not audit.quiet
 
 
 # node 1 hears 2, 3 and 4, which each hear two-hop node 5
