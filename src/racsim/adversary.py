@@ -190,9 +190,7 @@ def validate_adversary_placement(
         return ConditionReport(tuple(violations))
     if kind is AdversaryKind.TOTAL:
         if len(adversaries) > f:
-            violations.append(
-                Violation(tuple(sorted(adversaries)), "total_bound", (f,))
-            )
+            violations.append(Violation(tuple(sorted(adversaries)), "total_bound"))
     else:
         for i in g.nodes:
             if i in adversaries:
@@ -201,7 +199,7 @@ def validate_adversary_placement(
             bad = in_i & adversaries
             # a full access node hears every other node
             if len(bad) > f and len(in_i) < g.n - 1:
-                violations.append(Violation((i,), "local_bound", tuple(sorted(bad))))
+                violations.append(Violation((i,), "local_bound"))
     return ConditionReport(tuple(violations))
 
 

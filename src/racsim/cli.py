@@ -6,11 +6,11 @@ layered graph, or replay all golden scenarios.
 
 Exit codes: 0 success, 1 unreadable input, 2 validation or argument
 error (undecodable or too deeply nested input, a bad graph header or
-graph source, a non-integral declared degree, an unwritable --out, a
-generated graph that does not fit in memory; run checks the scenario
-and creates --out before the first round, and removes an --out it
-created when the trace columns do not fit in memory), 3 failed
-condition or golden check, 4 generator self-check bug.
+graph source, a graph read or generated that does not fit in memory,
+a non-integral declared degree, an unwritable --out; run checks the
+scenario and creates --out before the first round, and removes an
+--out it created when the trace columns do not fit in memory), 3
+failed condition or golden check, 4 generator self-check bug.
 """
 
 from __future__ import annotations

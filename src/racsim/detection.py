@@ -53,34 +53,31 @@ Finite entries whose flow overflows fail the rule, and such a
 broadcast only takes the full pipeline.
 
 A node-round learns nothing new when every sender it hears (an
-in-neighbor it has not detected) sent a quiet broadcast that, under
-the sharing policy, claims exactly the shared set; under the
-distributed policy, it claims only nodes this node knew of before the
-round (known), and every one of them that is its own in-neighbor.
-RoundPlan skips such a node-round with no detector call; _detect
-holds only the crash check and the full pipeline. The checks skipped
-cannot fire:
+in-neighbor it has not detected) sent a quiet broadcast whose claims
+pass the detector's own claim policy (_claim_finding), given known,
+what the node knew before the round, both as what it knew before and
+as what it knows after its votes; under the distributed policy every
+claim must also be in known. RoundPlan skips such a node-round with no
+detector call; _detect holds only the crash check and the full
+pipeline. The checks skipped cannot fire:
 
 * no finding and Step 3 passes against the public values, so no
   field, replay or per-edge Step 3 verdict, as long as no vote
   differs from a public value;
-* claims are a subset of known, which the snapshot holds, so neither
-  the uncorroborated nor the persisted audit fires;
-* the previous claims are a subset of the claims, so the vanished
-  audit does not fire;
-* known ∩ in(j) is a subset of the claims, so the omitted audit does
-  not fire;
-* every claimed id is already known, so corroboration adds no one;
+* every claimed id is already known, so corroboration adds no one and
+  the detector's claim policy reads what the plan's read: it finds
+  nothing;
 * for a two-hop id this node does not know, every report is == its
   public value, since each reporter claims its off-public ids and
   claims only known ones, so its vote gives that value or no
   majority.
 
-The omission rule reads in(j) here because the omitted audit does; a
-wider omission rule must widen in(j) in this condition too. RoundPlan
-keeps each node's claim check until an input changes: known grows (it
-only grows, so its size shows it; a sender stops being heard only by
-being detected), or a heard sender's claims differ from claimed_before.
+RoundPlan keeps each node's claim check until an input changes: known
+grows (it only grows, so its size shows it; a sender stops being heard
+only by being detected), or a heard sender's claims differ from
+claimed_before. Claims equal to claimed_before pass the vanished
+audit, and claims within known pass the uncorroborated and persisted
+ones, so a passed check holds as claimed_before moves.
 A change of the shared set needs no check of its own. The merge hands
 the new set, less itself, to every node that sent, and a forgery only
 adds claims, so each heard sender's next claims hold that set less
@@ -362,6 +359,37 @@ def _step3(msg: InformationSet, values: Mapping[int, Pair], rule: ValueRule) -> 
     return None
 
 
+def _claim_finding(i: int, msg: InformationSet, claimed_before: frozenset[int], known_before: set[int],
+                   snapshot: set[int], oracle: Optional[StructuralOracle],
+                   shared: Optional[frozenset[int]]) -> Optional[Finding]:
+    """The claim policy: node i's first finding on msg's claims, Step 1
+    against shared when it is given, else the distributed audits in
+    order, against what i knew before the round and after its votes."""
+    claims = msg.detected
+    if shared is not None:
+        if claims == shared:
+            return None
+        return Cause.STEP1, (("claimed", tuple(sorted(claims))), ("shared", tuple(sorted(shared))))
+    j = msg.sender
+    in_j = oracle.in_nbrs[j]
+    # claims about j's own in-neighbors
+    for h in sorted(claims & in_j):
+        if h not in snapshot and oracle.must_know_status(i, h):
+            return Cause.STEP1A, (("uncorroborated", h),)
+    for h in sorted((known_before & in_j) - claims):
+        if oracle.must_detect(j, h):
+            return Cause.STEP1A, (("omitted", h),)
+    # two-hop claims: must never vanish from the claim set, and must be
+    # corroborated once repeated; both read j's previous claims, which
+    # hold every earlier one that has not vanished
+    if not claimed_before <= claims:
+        return Cause.STEP1B, (("vanished", tuple(sorted(claimed_before - claims))),)
+    for m in sorted((claims & claimed_before) - in_j - {j}):
+        if m not in snapshot and oracle.must_know_status(i, m):
+            return Cause.STEP1B, (("persisted_uncorroborated", m),)
+    return None
+
+
 class RoundPlan:
     """The run's detection phase (see the module docstring). states maps
     every node to its state; normals names the nodes that detect, in the
@@ -408,12 +436,11 @@ class RoundPlan:
         for node in self._nodes:
             s, known, hears, ok = node
             if ok is None or not changed.isdisjoint(hears):
-                # a crashed sender claims nothing
-                claims = [(j, sent[j].detected) for j in hears if j in sent]
-                if shared is None:
-                    ok = all(c <= known and known & oracle.in_nbrs[j] <= c for j, c in claims)
-                else:
-                    ok = all(c == shared for _, c in claims)
+                # the detector's claim policy; a crashed sender claims nothing
+                ok = all((shared is not None or sent[j].detected <= known)
+                         and _claim_finding(s.id, sent[j], audits[j].claimed_before, known, known, oracle,
+                                            shared) is None
+                         for j in hears if j in sent)
                 node[3] = ok
             if not ok or not alarms.isdisjoint(hears):
                 if shared is None:
@@ -500,44 +527,17 @@ def _detect(
         for m in sorted(counts):
             if counts[m] >= f + 1:
                 condemn(m, Cause.VOTE_MAJORITY, ("reporters", counts[m]))
-        snapshot = detected | two_hop_detected
+    snapshot = detected | two_hop_detected
 
     for j, msg in reporters.items():
         if j in detected:
             continue
-        # the claim policy; the distributed claim audits run in this
-        # order, as the first verdict on j wins
-        claims = msg.detected
         audit = audits[j]
-        if shared is None:
-            in_j = oracle.in_nbrs[j]
-
-            # claims about j's own in-neighbors
-            for h in sorted(claims & in_j):
-                if h not in snapshot and oracle.must_know_status(i, h):
-                    condemn(j, Cause.STEP1A, ("uncorroborated", h))
-            for h in sorted((known_before & in_j) - claims):
-                if oracle.must_detect(j, h):
-                    condemn(j, Cause.STEP1A, ("omitted", h))
-
-            # two-hop claims: must never vanish from the claim set, and
-            # must be corroborated once repeated; both read j's previous
-            # claims, which hold every earlier one that has not vanished
-            claimed_before = audit.claimed_before
-            if not claimed_before <= claims:
-                condemn(j, Cause.STEP1B, ("vanished", tuple(sorted(claimed_before - claims))))
-            for m in sorted((claims & claimed_before) - in_j - {j}):
-                if m not in snapshot and oracle.must_know_status(i, m):
-                    condemn(j, Cause.STEP1B, ("persisted_uncorroborated", m))
-        elif claims != shared:
-            claimed = ("claimed", tuple(sorted(claims)))
-            condemn(j, Cause.STEP1, claimed, ("shared", tuple(sorted(shared))))
-
-        if j in detected:
-            continue
-        # Step 2 and the Step 4 declared fields, Step 3 against the check
-        # set, the Step 4 replay
-        finding = audit.fields or _step3(msg, check, rule) or audit.replay
+        # the first finding on j wins: the claim policy, Step 2 and the
+        # Step 4 declared fields, Step 3 against the check set, the Step 4
+        # replay
+        finding = (_claim_finding(i, msg, audit.claimed_before, known_before, snapshot, oracle, shared)
+                   or audit.fields or _step3(msg, check, rule) or audit.replay)
         if finding is not None:
             condemn(j, finding[0], *finding[1])
     return verdicts

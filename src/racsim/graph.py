@@ -39,7 +39,6 @@ class AdversaryKind(Enum):
 class Violation:
     subject: tuple
     condition: str
-    witness: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -166,7 +165,7 @@ def check_alg3_condition(g: DirectedGraph, f: int) -> ConditionReport:
         for j in g.in_neighbors(i):
             for l in g.out_neighbors(j):
                 if l != i and not is_detectable(g, f, l, i):
-                    extra.append(Violation((l, i), "in_neighbors_out_neighbor", (j,)))
+                    extra.append(Violation((l, i), "in_neighbors_out_neighbor"))
     return ConditionReport(tuple(two_hop + extra))
 
 
@@ -184,7 +183,7 @@ def check_alg2_condition(g: DirectedGraph, f: int) -> ConditionReport:
         seen.add(pair)
         common = (g.in_neighbors(j) & g.in_neighbors(i)) - {j, i}
         if len(common) < need:
-            violations.append(Violation(pair, "common_neighbors", tuple(sorted(common))))
+            violations.append(Violation(pair, "common_neighbors"))
     return ConditionReport(tuple(violations))
 
 
@@ -335,7 +334,10 @@ def read_edge_list(text: str) -> DirectedGraph:
         except ValueError as exc:
             raise GraphError(f"bad edge line: {ln!r}") from exc
         edges.append((j, i))
-    return DirectedGraph(n, edges, undirected=undirected)
+    try:
+        return DirectedGraph(n, edges, undirected=undirected)
+    except MemoryError:
+        raise GraphError(f"{n} nodes do not fit in memory") from None
 
 
 def write_edge_list(g: DirectedGraph) -> str:

@@ -24,6 +24,31 @@ ROOT = Path(__file__).resolve().parents[1]
 SCENARIOS = ROOT / "scenarios"
 
 
+def _racsim_in_capped_memory(*args):
+    """racsim called with args in a child whose address space is capped
+    at 600 MiB, so that a command that allocates without bound runs out
+    of memory within seconds."""
+    resource = pytest.importorskip("resource")
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (600 * 2**20, 600 * 2**20))
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "racsim.cli", *args],
+        env=env, capture_output=True, encoding="utf-8", timeout=120, preexec_fn=cap_address_space,
+    )
+
+
+def _huge_header_graph(tmp_path):
+    """A graph file whose header names 10^8 nodes, far more than the
+    capped child can hold."""
+    path = tmp_path / "huge-header.txt"
+    path.write_text("n 100000000\n1 2\n")
+    return path
+
+
 @pytest.fixture
 def scenario_file(tmp_path):
     sc = Scenario(graph=six_node_graph(), x0=SIX_X0, horizon=30)
@@ -198,6 +223,16 @@ class TestRunCommand:
             f"invalid scenario: horizon {10**16} needs trace columns beyond the available memory\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["huge.json"]
 
+    def test_a_graph_beyond_memory_exits_invalid_with_one_line(self, tmp_path):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"graph": {"file": _huge_header_graph(tmp_path).name}, "x0": [1.0, 2.0]}))
+        out = tmp_path / "out"
+        proc = _racsim_in_capped_memory("run", "--scenario", str(path), "--out", str(out))
+        assert proc.returncode == EXIT_INVALID, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr == "invalid scenario: bad graph: 100000000 nodes do not fit in memory\n"
+        assert not out.exists()
+
     def test_invalid_scenario_is_reported_before_out_is_made(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"graph": {"fixture": "six"}, "x0": [1.0]}))
@@ -256,6 +291,12 @@ class TestCheckGraphCommand:
         path.write_text(write_edge_list(six_node_damaged()))
         code = main(["check-graph", str(path), "-f", "1", "--alg3"])
         assert code == EXIT_CHECK_FAILED
+
+    def test_a_graph_beyond_memory_exits_invalid_with_one_line(self, tmp_path):
+        proc = _racsim_in_capped_memory("check-graph", str(_huge_header_graph(tmp_path)), "-f", "1", "--alg3")
+        assert proc.returncode == EXIT_INVALID, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr == "invalid graph: 100000000 nodes do not fit in memory\n"
 
     def test_unreadable_graph(self, tmp_path):
         code = main(["check-graph", str(tmp_path / "none.txt"), "-f", "1", "--alg3"])
@@ -364,20 +405,9 @@ class TestGenGraphCommand:
 
     @pytest.mark.parametrize("layers, f", [("2", "20000"), ("100000000", "1")], ids=["wide", "long"])
     def test_a_graph_beyond_memory_exits_invalid_with_one_line(self, tmp_path, layers, f):
-        # either graph has billions of edges; the child's address space
-        # is capped at 600 MiB, so it runs out of memory within seconds
-        resource = pytest.importorskip("resource")
-
-        def cap_address_space():
-            resource.setrlimit(resource.RLIMIT_AS, (600 * 2**20, 600 * 2**20))
-
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+        # either graph has billions of edges
         out = tmp_path / "huge.txt"
-        proc = subprocess.run(
-            [sys.executable, "-m", "racsim.cli", "gen-graph", "--layers", layers, "-f", f, "--out", str(out)],
-            env=env, capture_output=True, encoding="utf-8", timeout=120, preexec_fn=cap_address_space,
-        )
+        proc = _racsim_in_capped_memory("gen-graph", "--layers", layers, "-f", f, "--out", str(out))
         assert proc.returncode == EXIT_INVALID, proc.stderr
         assert proc.stdout == ""
         assert proc.stderr == f"invalid arguments: {layers} layers at f {f} do not fit in memory\n"

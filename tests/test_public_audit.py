@@ -6,10 +6,11 @@ plus the two-hop values it votes on this round. audit_broadcast runs
 once per broadcast some normal node hears and decides whether it is
 quiet, by the rule in the racsim.detection docstring. RoundPlan skips
 a node-round that learns nothing new, where every sender the node
-hears sent a quiet broadcast that claims only what the node knew
-(under sharing detection, exactly the shared set); any other
-node-round runs the detector, which votes on every unknown two-hop id
-and runs Step 3 per edge against its check set. These tests check that
+hears sent a quiet broadcast whose claims pass the detector's claim
+policy and name only what the node knew (under sharing detection,
+exactly the shared set); any other node-round runs the detector,
+which votes on every unknown two-hop id and runs Step 3 per edge
+against its check set. These tests check that
 the skipped node-rounds are exactly those, that the full pipeline
 gives none of them a verdict, and that the one-walk audit_broadcast
 and replay give what their multi-pass reference versions below give.
@@ -495,6 +496,28 @@ def test_a_relayer_whose_copy_differs_from_the_vote_fails_step3(public_5, copy_4
     assert [(v.suspect, v.cause, v.evidence) for v in verdicts] == [step3]
 
 
+def test_a_known_two_hop_id_takes_no_vote():
+    """Node 1 knows two-hop node 5: 2 and 3 claim 5 and relay zero for
+    it, and 4, which need not detect 5, claims nothing and relays 5's
+    public value. A vote on 5 would give zero, against which 4's copy
+    fails Step 3; node 1 votes only on ids it does not know, so no
+    one is condemned."""
+    oracle = StructuralOracle(DIAMOND, 1)
+    assert not oracle.must_detect(4, 5)
+    state = bootstrap(DIAMOND, 1, 1.0, FLOAT)
+    state.detected_two_hop.add(5)
+    public = {h: (float(h), 1.0) for h in range(1, 6)}
+    claims = {2: frozenset({5}), 3: frozenset({5}), 4: frozenset()}
+    inbox = {
+        j: InformationSet(j, 1, claims[j], (9.0, 1.0),
+                          {1: public[1], 5: ZERO_PAIR if claims[j] else public[5], j: public[j]}, 1)
+        for j in (2, 3, 4)
+    }
+    audits = {j: SenderAudit(None) for j in inbox}
+    assert detect_alg3(state, inbox, audits, public, oracle, FLOAT) == []
+    assert state.detected == set()
+
+
 # one forged action per ActionKind, from round 3
 _ACTIONS = {
     ActionKind.COMPLY: AttackAction(ActionKind.COMPLY),
@@ -560,7 +583,8 @@ def _learns_nothing(state, inbox, audits, policy, sharing) -> bool:
     """The skip rule of RoundPlan, restated: every sender the node hears
     (an in-neighbor it has not detected) that sent is quiet, and claims
     the shared set, or only what the node knew and every known
-    in-neighbor of its own. A crashed sender is passed over here."""
+    in-neighbor of its own that it must detect. A crashed sender is
+    passed over here."""
     known = state.detected | state.detected_two_hop
     for j in state.in_nbrs - state.detected:
         if j not in inbox:
@@ -571,7 +595,7 @@ def _learns_nothing(state, inbox, audits, policy, sharing) -> bool:
         if sharing:
             if claims != policy:
                 return False
-        elif not (claims <= known and known & policy.in_nbrs[j] <= claims):
+        elif not claims <= known or any(policy.must_detect(j, h) for h in (known & policy.in_nbrs[j]) - claims):
             return False
     return True
 
@@ -875,3 +899,29 @@ def test_the_plan_checks_a_node_again_when_its_inputs_change(monkeypatch):
     state.detected.add(3)
     detect(accusing)
     assert audited == {2, 4}
+
+
+def test_a_sender_need_not_claim_a_known_node_it_cannot_audit(monkeypatch):
+    """On the path 4 -> 3 -> 2 -> 1, node 1 knows 3 and hears 2, which
+    claims nothing. 2 cannot audit 3's input from 4, so the omission
+    audit spares it: the plan skips node 1's detector, which would give
+    no verdict."""
+    g = DirectedGraph(4, [(4, 3), (3, 2), (2, 1)])
+    states = {i: bootstrap(g, i, float(i), FLOAT) for i in g.nodes}
+    sent = {i: states[i].next for i in g.nodes}
+    plan = RoundPlan(states, [1], g, 1, FLOAT, None, False)
+    assert 3 in plan.oracle.in_nbrs[2] and not plan.oracle.must_detect(2, 3)
+    state = states[1]
+    state.detected_two_hop.add(3)
+    audits = {2: audit_broadcast(sent[2], None, plan.public, plan.oracle, FLOAT)}
+    assert audits[2].quiet
+    assert detect_alg3(_twin(state), sent, audits, plan.public, plan.oracle, FLOAT) == []
+    ran = []
+
+    def detector(state, *args):
+        ran.append(state.id)
+        return detect_alg3(state, *args)
+
+    monkeypatch.setattr(detection, "detect_alg3", detector)
+    assert plan.detect(sent) == []
+    assert ran == []
