@@ -50,7 +50,11 @@ walk over the ledger (_quiet_entries): a claimed id by Step 3's
 comparison, any other by == against its public value; without claims,
 this is the C-level test that the ledger's items are public items.
 Finite entries whose flow overflows fail the rule, and such a
-broadcast only takes the full pipeline.
+broadcast only takes the full pipeline. A broadcast that claims no one
+after one that claimed no one is decided in one pass: its declared
+fields must be its sender's out-degree and 0, its entries take the
+items test, and a quiet one gets the one shared quiet SenderAudit; its
+replay still runs.
 
 A node-round learns nothing new when every sender it hears (an
 in-neighbor it has not detected) sent a quiet broadcast whose claims
@@ -72,12 +76,26 @@ pipeline. The checks skipped cannot fire:
   claims only known ones, so its vote gives that value or no
   majority.
 
-RoundPlan keeps each node's claim check until an input changes: known
-grows (it only grows, so its size shows it; a sender stops being heard
-only by being detected), or a heard sender's claims differ from
-claimed_before. Claims equal to claimed_before pass the vanished
-audit, and claims within known pass the uncorroborated and persisted
-ones, so a passed check holds as claimed_before moves.
+A round examines only the nodes it can change. RoundPlan keeps, per
+heard sender, its listeners (the normal nodes that hear it), and only
+senders with listeners are audited. Per node it keeps its known set,
+its heard set and its claim check. Only the detection phase changes a
+normal node's detection sets: honest_round adds a crashed in-neighbor,
+but a node that hears a crashed sender runs its detector, whose crash
+check condemned it first. So a node's sets are re-read only before the
+round after its detector ran, or after a merge that grew the shared
+set (every node then), and the listener table is rebuilt only when a
+re-read heard set differs. A re-read node whose known set grew (it
+only grows, so its size shows it; a sender stops being heard only by
+being detected) drops its kept check. The claim check and the choice
+to run the detector are made, in normals order, only for the re-read
+nodes whose check is unset or failed and for the listeners of the
+senders that alarm (crashed, or not quiet) or whose claims differ from
+claimed_before. Any other node holds a passed check and hears only
+quiet senders with unchanged claims: its round costs nothing.
+Claims equal to claimed_before pass the vanished audit, and claims
+within known pass the uncorroborated and persisted ones, so a passed
+check holds as claimed_before moves.
 A change of the shared set needs no check of its own. The merge hands
 the new set, less itself, to every node that sent, and a forgery only
 adds claims, so each heard sender's next claims hold that set less
@@ -87,8 +105,12 @@ whose claims differ from the shared set, so known grew. A kept check
 that passed found each heard sender claiming the old set; if a
 sender's claims stay so while the set changes, the new set adds only
 that sender, which the merge hands to this node too, so known grows.
-Once attacks are cut off, nearly every node-round is skipped, as is
-every one of a run without attacks.
+The merge itself runs only when some detector ran and the union of the
+normal nodes' detection sets differs from the shared set: every node
+that sent got the shared set, less itself, from the last merge, and a
+detection set only grows. Once attacks are cut off, nearly every round
+examines no node, as every round after the first does in a run without
+attacks.
 
 Every detection lands in the detecting node's state as it is made: a
 neighbor in its detection set, any other node in its two-hop set. All
@@ -270,6 +292,11 @@ class SenderAudit(NamedTuple):
     quiet: bool = False
 
 
+# the audit of every quiet broadcast that claims no one after one that
+# claimed no one
+_QUIET = SenderAudit(None, claimed_before=frozenset(), quiet=True)
+
+
 def audit_broadcast(
     msg: InformationSet,
     prev_msg: Optional[InformationSet],
@@ -286,12 +313,21 @@ def audit_broadcast(
     replayed. flow is the flow of msg's ledger since prev_msg's: a
     normal sender's is handed over, and an adversary's (flow None) is
     summed by ledger_flow once the ids and declared fields pass."""
-    j = msg.sender
-    relayed = msg.relayed
-    claims = msg.detected
+    j, _, claims, _, relayed, d_out, n_removed = msg
+    expected_ids = oracle.relay_ids[j]
+    if not claims and prev_msg is not None and not prev_msg.detected:
+        # claims no one after a broadcast that claimed no one: the declared
+        # fields expected are the out-degree and 0, and the entry test is
+        # the items test
+        if relayed.keys() == expected_ids and d_out == len(oracle.out_nbrs[j]) and n_removed == 0:
+            if flow is None:
+                flow = ledger_flow(relayed, prev_msg.relayed)
+            replay = reconstruct_running_sums(msg, flow, rule)
+            if replay is None and relayed.items() <= public.items() and rule.pair_eq(flow, flow):
+                return _QUIET
+            return SenderAudit(None, replay, prev_msg.detected)
     # read by Step 1b, whose verdicts precede every finding below
     claimed_before = prev_msg.detected if prev_msg is not None else frozenset()
-    expected_ids = oracle.relay_ids[j]
     fields = None
     if relayed.keys() != expected_ids:
         foreign = relayed.keys() - expected_ids
@@ -302,10 +338,10 @@ def audit_broadcast(
         fields = Cause.STEP2, (evidence,)
     else:
         expected_d, expected_removed = declared_fields(oracle.out_nbrs[j], claims, claimed_before)
-        if msg.declared_out_degree != expected_d:
-            fields = Cause.STEP4, (("declared_out_degree", msg.declared_out_degree, expected_d),)
-        elif msg.declared_removed_out != expected_removed:
-            fields = Cause.STEP4, (("declared_removed_out", msg.declared_removed_out, expected_removed),)
+        if d_out != expected_d:
+            fields = Cause.STEP4, (("declared_out_degree", d_out, expected_d),)
+        elif n_removed != expected_removed:
+            fields = Cause.STEP4, (("declared_removed_out", n_removed, expected_removed),)
     if fields is not None:
         return SenderAudit(fields, claimed_before=claimed_before)
     if flow is None:
@@ -393,16 +429,31 @@ def _claim_finding(i: int, msg: InformationSet, claimed_before: frozenset[int], 
 class RoundPlan:
     """The run's detection phase (see the module docstring). states maps
     every node to its state; normals names the nodes that detect, in the
-    order their verdicts are returned."""
+    order their verdicts are returned.
+
+    A round examines only the nodes it can change (see the module
+    docstring): the nodes it re-reads, after their detector ran or a
+    merge grew the shared set, whose kept claim check is then unset or
+    failed, and the listeners of the senders that alarm or changed
+    their claims. The listener table, per heard sender the normal nodes
+    that hear it, is rebuilt only when a re-read heard set differs, and
+    the merge loop runs only when the merged set differs from the shared
+    set.
+    """
 
     def __init__(self, states: Mapping[int, NodeState], normals: list[int], g: DirectedGraph, f: int,
                  rule: ValueRule, interval: Optional[tuple[float, float]], sharing: bool):
         self.oracle = StructuralOracle(g, f)
         self._states, self._normals = states, frozenset(normals)
         self._rule, self._interval = rule, interval
-        # per normal node: its state, and as of its last check its known
+        # per normal node: its state, and as of its last re-read its known
         # set (a copy), the senders it hears and whether their claims passed
         self._nodes = [[states[i], None, frozenset(), None] for i in normals]
+        # the positions in normals of the nodes to re-read before the next
+        # round, and per heard sender the positions of its listeners,
+        # ascending
+        self._stale = range(len(normals))
+        self._listeners: dict[int, list[int]] = {}
         # each sender's previous broadcast is in last round's table: a node
         # that sends now sent then too (crashes last, forge_round grows)
         self._prev: Mapping[int, InformationSet] = {}
@@ -416,24 +467,45 @@ class RoundPlan:
     def detect(self, sent: Mapping[int, InformationSet]) -> list[DetectionVerdict]:
         """The round's verdicts, in normals order, from its broadcast table."""
         states, normals, oracle, rule = self._states, self._normals, self.oracle, self._rule
-        public, shared = self.public, self.shared
-        for node in self._nodes:
+        public, shared, nodes = self.public, self.shared, self._nodes
+        examine = set()
+        moved = False
+        for x in self._stale:
+            node = nodes[x]
             s, known = node[0], node[1]
             # the two sets are disjoint and only grow
             if known is None or len(known) != len(s.detected) + len(s.detected_two_hop):
-                node[1:] = s.detected | s.detected_two_hop, s.in_nbrs - s.detected, None
-        heard = frozenset().union(*(node[2] for node in self._nodes))
+                hears = s.in_nbrs - s.detected
+                moved = moved or hears != node[2]
+                node[1:] = s.detected | s.detected_two_hop, hears, None
+            if not node[3]:
+                examine.add(x)
+        listeners = self._listeners
+        if moved:
+            listeners = self._listeners = {}
+            for x, node in enumerate(nodes):
+                for j in node[2]:
+                    listeners.setdefault(j, []).append(x)
         # a normal sender's flow is handed over, and an adversary's
         # broadcast is summed by ledger_flow
-        audits = {j: audit_broadcast(sent[j], self._prev.get(j), public, oracle, rule, self._interval,
-                                     states[j].flow if j in normals else None)
-                  for j in heard if j in sent}
-        alarms = {j for j, a in audits.items() if not a.quiet}
-        alarms.update(heard.difference(sent))  # crashed
-        changed = {j for j, a in audits.items()
-                   if a.claimed_before is not sent[j].detected and a.claimed_before != sent[j].detected}
+        audits, alarms, changed, prev = {}, set(), set(), self._prev
+        for j in listeners:
+            msg = sent.get(j)
+            if msg is None:
+                alarms.add(j)  # crashed
+                continue
+            audit = audits[j] = audit_broadcast(msg, prev.get(j), public, oracle, rule, self._interval,
+                                                states[j].flow if j in normals else None)
+            if not audit.quiet:
+                alarms.add(j)
+            if audit.claimed_before is not msg.detected and audit.claimed_before != msg.detected:
+                changed.add(j)
+        for j in alarms | changed:
+            examine.update(listeners[j])
         verdicts: list[DetectionVerdict] = []
-        for node in self._nodes:
+        ran = []
+        for x in sorted(examine):
+            node = nodes[x]
             s, known, hears, ok = node
             if ok is None or not changed.isdisjoint(hears):
                 # the detector's claim policy; a crashed sender claims nothing
@@ -447,13 +519,17 @@ class RoundPlan:
                     verdicts += detect_alg3(s, sent, audits, public, oracle, rule)
                 else:
                     verdicts += detect_alg2(s, sent, audits, public, shared, rule)
-        if shared is not None:
+                ran.append(x)
+        self._stale = ran
+        if shared is not None and ran:
             # the oracle hands this round's detections to every node that
             # updates, which is every node that sent
-            merged = frozenset().union(*(node[0].detected for node in self._nodes))
-            for i in sent:
-                states[i].detected |= merged - {i}
-            self.shared = merged
+            merged = frozenset().union(*(node[0].detected for node in nodes))
+            if merged != shared:
+                for i in sent:
+                    states[i].detected |= merged - {i}
+                self.shared = merged
+                self._stale = range(len(nodes))
         self._prev = sent
         self.public = {j: msg.self_next for j, msg in sent.items()}
         return verdicts

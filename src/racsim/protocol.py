@@ -413,13 +413,20 @@ def honest_round(s: NodeState, inbox: Mapping[int, InformationSet], rule: ValueR
             y = y + (new_y - old_y)
             z = z + (new_z - old_z)
         s.flow = (y, z)
-        claims = sent.detected if detected == sent.detected else frozenset(detected)
-        d_out, n_removed = declared_fields(s.out_nbrs, claims, sent.detected)
+        claims = sent.detected
+        if detected or claims:
+            if detected != claims:
+                claims = frozenset(detected)
+            d_out, n_removed = declared_fields(s.out_nbrs, claims, sent.detected)
+        else:
+            # declared_fields of a message that claims no one
+            d_out, n_removed = len(s.out_nbrs), 0
         # mass previously sent to newly removed out-neighbors comes back
         y = y + n_removed * lam_k
         z = z + n_removed * gam_k
         self_next = (lam_k + y / (1 + d_out), gam_k + z / (1 + d_out))
-        ratio = y / z if rule.z_ok(z) else s.ratio
+        # rule.z_ok in float runs
+        ratio = y / z if z > Z_FLOOR else s.ratio
 
     s.y, s.z, s.ratio = y, z, ratio
     s.next = build_information_set(s.id, sent.round + 1, claims, self_next, ledger, d_out, n_removed)

@@ -143,6 +143,11 @@ class Scenario:
                     isinstance(a.target, int) and 1 <= a.target <= self.graph.n
                 ):
                     problems.append(f"{where}: target {a.target!r} outside 1..{self.graph.n}")
+                # the adversary relays its in-neighbors alone (its own entry
+                # cannot be dropped), so another target would change nothing
+                relayed = a.kind in (ActionKind.TAMPER_RELAYED, ActionKind.DROP_RELAYED_ENTRY)
+                if relayed and script.node not in outside and a.target not in self.graph.in_neighbors(script.node):
+                    problems.append(f"{where}: target {a.target!r} is not an in-neighbor of {script.node}")
                 numbers = [v for v in (a.amount, a.value, *(a.fake_values or ())) if v is not None]
                 if not all(map(_finite, numbers)):
                     problems.append(f"{where}: amount, value and fake_values must be finite")

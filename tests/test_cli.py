@@ -132,6 +132,11 @@ class TestRunCommand:
                 {"from_round": 1, "action": {"kind": "TamperRelayed", "target": 2, "amout": 99}}]}]},
             {"expect": "x"},
             {"description": 5},
+            # node 2 of six does not relay node 1, nor can it drop its own entry
+            {"adversaries": [{"node": 2, "schedule": [
+                {"from_round": 1, "action": {"kind": "TamperRelayed", "target": 1, "amount": 30}}]}]},
+            {"adversaries": [{"node": 2, "schedule": [
+                {"from_round": 1, "action": {"kind": "DropRelayedEntry", "target": 2}}]}]},
             {"adversaries": [
                 {"node": v, "schedule": [{"from_round": 1, "action": {"kind": "Comply"}}]}
                 for v in range(1, 7)
@@ -144,7 +149,8 @@ class TestRunCommand:
             "negative-degree", "fractional-degree", "text-value-tol", "zero-value-tol", "unknown-arithmetic", "text-sharing", "list-fixture",
             "adversaries-object", "text-round", "text-target",
             "misspelled-key", "unknown-graph-key", "two-graph-sources", "unknown-adversary-key", "unknown-schedule-key",
-            "unknown-action-key", "text-expect", "number-description", "no-normal-node",
+            "unknown-action-key", "text-expect", "number-description", "tamper-unrelayed-target",
+            "drop-own-entry", "no-normal-node",
         ],
     )
     def test_bad_input_exits_invalid_with_one_line(self, tmp_path, scenario_file, capsys, change):

@@ -43,7 +43,7 @@ from racsim.detection import (
 )
 from racsim.fixtures import six_node_graph
 from racsim.golden import GOLDEN_CASES, golden_case
-from racsim.graph import DirectedGraph, complete_graph
+from racsim.graph import DirectedGraph, LayeredVariant, complete_graph, generate_layered
 from racsim.protocol import (
     ZERO_PAIR,
     InformationSet,
@@ -613,7 +613,9 @@ def _checked_run(scenario, monkeypatch, *, loud, per_receiver):
 
     The plan must run a node's detector exactly where _learns_nothing
     fails or the node hears a crashed sender, both read on a copy of the
-    node's state taken before the round. Each node-round it skips is
+    node's state taken before the round, and it must audit exactly the
+    senders that sent and that some normal node heard before the round
+    (an in-neighbor it had not detected). Each node-round it skips is
     replayed through the detector on a further copy: it must give no
     verdict and leave that copy's detection sets as they were. With
     per_receiver, each detector call is repeated on a copy reading a
@@ -648,9 +650,13 @@ def _checked_run(scenario, monkeypatch, *, loud, per_receiver):
         def detect(self, sent):
             twins = [_twin(state) for state in self.normal_states]
             public, shared = self.public, self.shared
+            heard = set().union(*(twin.in_nbrs - twin.detected for twin in twins))
             audits.clear()
             ran.clear()
             got = super().detect(sent)
+            # a listener table that missed a detection audits a sender no
+            # normal node hears any more
+            assert audits.keys() == heard & sent.keys()
             counts["quiet_audits"] += sum(a.quiet for a in audits.values())
             sharing = shared is not None
             detect, policy = (detect_alg2, shared) if sharing else (detect_alg3, self.oracle)
@@ -767,6 +773,96 @@ def test_quiet_exit_gives_the_verdicts_of_the_full_pipeline(scenario, attacked, 
         assert counts["crash_runs"] > 0
     if attacked:
         assert counts["informed_skips"] > 0
+
+
+@pytest.mark.parametrize("alg3", [True, False], ids=["alg3", "alg2"])
+def test_a_layered_run_with_two_distant_attacks_gives_the_verdicts_of_the_full_pipeline(alg3, monkeypatch):
+    """On 20 layers of 3 (n 60), node 11 (layer 4) announces a value of
+    its own and node 47 (layer 16) tampers with its in-neighbor 44's
+    entry, both from round 5. Each attack reaches its own layers alone,
+    so most node-rounds stay quiet while a few run their detectors; the
+    plan must still run exactly the node-rounds that can learn
+    something and audit exactly the heard senders (see _checked_run).
+    Both adversaries are condemned, and most normal node-rounds are
+    skipped."""
+    g = generate_layered(20, 1, LayeredVariant.UNDIRECTED_PATH)
+    rng = random.Random(5)
+    assert 44 in g.in_neighbors(47)
+    own_value = AttackAction(ActionKind.SET_SELF_VALUE, value=50.0)
+    tamper = AttackAction(ActionKind.TAMPER_RELAYED, target=44, amount=30.0)
+    scenario = sim.Scenario(
+        graph=g,
+        x0=tuple(rng.uniform(0.0, 10.0) for _ in g.nodes),
+        detection=sim.DetectionMode.ALG3 if alg3 else sim.DetectionMode.ALG2,
+        sharing_oracle=not alg3,
+        adversaries=(
+            AttackScript(node=11, schedule=((5, own_value),)),
+            AttackScript(node=47, schedule=((5, tamper),)),
+        ),
+        horizon=20,
+    )
+    assert scenario.validate() == []
+    counts = _checked_run(scenario, monkeypatch, loud=True, per_receiver=True)
+    assert counts["verdicts"] > 0
+    assert {e.suspect for e in sim.run(scenario).events} == {11, 47}
+    assert counts["skips"] > 0.9 * (g.n - 2) * scenario.horizon
+
+
+def _invariant_scenarios():
+    """Every detecting golden case in float, and at the exact-golden
+    benchmark's horizon 60 in exact arithmetic where n <= 8; then the
+    detecting runs among the first 40 fuzz draws at seed 7, in the
+    arithmetic drawn (exact only where n <= 8)."""
+    for case in GOLDEN_CASES:
+        sc = case.build()
+        if sc.detection is not sim.DetectionMode.NONE:
+            yield pytest.param(sc, id=f"{case.name}-float")
+            if sc.graph.n <= 8:
+                yield pytest.param(replace(sc, exact=True, horizon=60), id=f"{case.name}-exact")
+    rng = random.Random(7)
+    for n in range(40):
+        sc = random_scenario(rng)
+        if sc.detection is not sim.DetectionMode.NONE:
+            yield pytest.param(sc, id=f"fuzz-seed7-{n}")
+
+
+@pytest.mark.parametrize("scenario", list(_invariant_scenarios()))
+def test_only_the_detection_phase_changes_a_normal_nodes_detections(scenario, monkeypatch):
+    """RoundPlan re-reads a node's known and heard sets only after its
+    detector ran or a merge grew the shared set. That rests on
+    honest_round leaving every normal node's detection sets as the
+    detection phase left them: a crashed in-neighbor it would add is
+    one the node heard, so its detector ran and condemned it. Under
+    sharing detection, every node that sent must hold the shared set,
+    less itself, after each detect call, which lets the plan skip a
+    merge that adds nothing."""
+    normals = set(scenario.graph.nodes) - {s.node for s in scenario.adversaries}
+    updates = Counter()
+
+    def checked_round(s, inbox, rule):
+        before = set(s.detected), set(s.detected_two_hop)
+        honest_round(s, inbox, rule)
+        if s.id in normals:
+            assert (s.detected, s.detected_two_hop) == before
+            updates["normal"] += 1
+
+    class SharedPlan(sim.RoundPlan):
+        def __init__(self, states, *args):
+            super().__init__(states, *args)
+            self.states = states
+
+        def detect(self, sent):
+            got = super().detect(sent)
+            if self.shared is not None:
+                assert all(self.shared - {i} <= self.states[i].detected for i in sent)
+                updates["merged"] += 1
+            return got
+
+    monkeypatch.setattr(sim, "honest_round", checked_round)
+    monkeypatch.setattr(sim, "RoundPlan", SharedPlan)
+    sim.run(scenario)
+    assert updates["normal"] == len(normals) * scenario.horizon
+    assert updates["merged"] == (scenario.horizon if scenario.detection is sim.DetectionMode.ALG2 else 0)
 
 
 @pytest.mark.parametrize("scenario, acting", list(_action_scenarios()))

@@ -242,13 +242,25 @@ class TestValidation:
         ]
         assert replace(sc, f=2).validate() == []
 
-    @pytest.mark.parametrize(
-        "kind", [ActionKind.INJECT_FAKE_ID, ActionKind.TAMPER_RELAYED, ActionKind.DROP_RELAYED_ENTRY]
-    )
+    @pytest.mark.parametrize("kind", [ActionKind.INJECT_FAKE_ID])
     def test_forged_ledger_ids_outside_the_graph_stay_legal(self, kind):
         sc = _basic_scenario(horizon=5, **_attack(AttackAction(kind, target=99, fake_values=(1.0, 1.0))))
         assert sc.validate() == []
         run(sc)
+
+    @pytest.mark.parametrize("kind", [ActionKind.TAMPER_RELAYED, ActionKind.DROP_RELAYED_ENTRY])
+    @pytest.mark.parametrize("target", [99, 5, 6], ids=["outside", "own", "not-heard"])
+    def test_a_relayed_entry_the_adversary_does_not_relay_is_a_scenario_error(self, kind, target):
+        """Node 5 on six relays its in-neighbors 1 to 4; tampering with or
+        dropping any other entry, its own included, would change nothing."""
+        sc = _basic_scenario(horizon=5, **_attack(AttackAction(kind, target=target)))
+        assert sc.validate() == [
+            f"adversary 5 {kind.value} from round 1: target {target} is not an in-neighbor of 5"
+        ]
+        with pytest.raises(ScenarioError):
+            run(sc)
+        # an in-neighbor is a legal target
+        assert _basic_scenario(horizon=5, **_attack(AttackAction(kind, target=4))).validate() == []
 
 
 class TestEngine:
